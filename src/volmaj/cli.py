@@ -13,7 +13,6 @@ Exit codes: 0 ok, 2 bad config or spec, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import csv
 import io
@@ -42,8 +41,10 @@ from .errors import (
     VolmajError,
 )
 from .integral_majorant import (
+    BlowupReport,
     MajorantSolution,
     MajorantSpec,
+    _apply_gamma,
     classify_blowup,
     majorant_picard,
     solve_majorant,
@@ -224,21 +225,23 @@ def _inline_problem(cp) -> VolterraProblem:
     if kernel_text is None:
         raise SpecValidationError("[problem] inline problems need kernel=<expr>")
     k1 = expr.as_function(expr.parse(kernel_text, ("t", "s", "u")), ("t", "s", "u"))
-    stages.append(
-        KernelStage(1, lambda t, s, u: np.array([k1(t, s[0], float(u[0][0]))]))
-    )
+
+    # the expression functions are scalar, so the batch goes row by row
+    def kernel1(t, s, u):
+        rows = zip(s[:, 0].tolist(), u[:, 0, 0].tolist())
+        return np.array([[k1(t, sk, uk)] for sk, uk in rows])
+
+    stages.append(KernelStage(1, kernel1))
     kernel2_text = cp.get("problem", "kernel2", fallback=None)
     if kernel2_text is not None:
         names2 = ("t", "s1", "s2", "u1", "u2")
         k2 = expr.as_function(expr.parse(kernel2_text, names2), names2)
-        stages.append(
-            KernelStage(
-                2,
-                lambda t, s, u: np.array(
-                    [k2(t, s[0], s[1], float(u[0][0]), float(u[1][0]))]
-                ),
-            )
-        )
+
+        def kernel2(t, s, u):
+            rows = zip(s.tolist(), u[:, :, 0].tolist())
+            return np.array([[k2(t, *sk, *uk)] for sk, uk in rows])
+
+        stages.append(KernelStage(2, kernel2))
         phi_vars.append("om2")
     phi_vars.append("u")
     phi_text = cp.get("problem", "phi", fallback=None)
@@ -370,6 +373,8 @@ class _Setup:
         self.seed = _get_int(cp, "run", "seed", DEFAULT_SEED)
         self.samples = _get_int(cp, "run", "samples", 100)
         self.sample_bound = _get_float(cp, "run", "sample_bound", 1.0)
+        self._blowup: BlowupReport | None = None
+        self._majorant_solution: MajorantSolution | None = None
 
     def nodes(self) -> int:
         if self.n is not None:
@@ -401,6 +406,24 @@ class _Setup:
             " globally or is not classified)"
         )
 
+    def blowup(self) -> BlowupReport:
+        """The majorant's classification, computed on first use only."""
+        if self._blowup is None:
+            self._blowup = classify_blowup(self.majorant, tol=self.blowup_tol)
+        return self._blowup
+
+    def majorant_solution(self) -> MajorantSolution:
+        """The certified majorant on the run mesh, solved on first use."""
+        if self._majorant_solution is None:
+            report = self.blowup()
+            mesh = graded_mesh(
+                self.resolve_t_end(report.horizon), self.nodes(), self.ratio
+            )
+            self._majorant_solution = solve_majorant(
+                self.majorant, mesh=mesh, classification=report
+            )
+        return self._majorant_solution
+
 
 def _majorant_pipeline(
     setup: _Setup, out: str, timestamp: bool
@@ -413,9 +436,7 @@ def _majorant_pipeline(
         t_end = setup.resolve_t_end(None)
         mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
         chain = majorant_picard(spec, mesh)
-        omega = trapezoid_weights(mesh).prefix(
-            np.array([spec.gamma(float(z)) for z in chain.final])
-        )
+        omega = trapezoid_weights(mesh).prefix(_apply_gamma(spec, chain.final))
         pairs += [
             ("classification", "skipped (rate degenerate at zero)"),
             ("t_end", format_number(mesh.end)),
@@ -438,13 +459,8 @@ def _majorant_pipeline(
             rows,
         )
         return None
-    report = classify_blowup(spec, tol=setup.blowup_tol)
-    t_end = setup.resolve_t_end(report.horizon)
-    solution = solve_majorant(
-        spec,
-        mesh=graded_mesh(t_end, setup.nodes(), setup.ratio),
-        classification=report,
-    )
+    solution = setup.majorant_solution()
+    report = solution.classification
     chain = solution.chain
     gap = float(np.max(np.abs(solution.bound - chain.final)))
     pairs += [
@@ -483,15 +499,9 @@ def _majorant_pipeline(
 def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     problem = setup.problem
     majorant_solution = None
-    horizon = None
     if setup.majorant is not None and setup.majorant_classifiable:
-        report = classify_blowup(setup.majorant, tol=setup.blowup_tol)
-        horizon = report.horizon
-        t_end = setup.resolve_t_end(horizon)
-        mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
-        majorant_solution = solve_majorant(
-            setup.majorant, mesh=mesh, classification=report
-        )
+        majorant_solution = setup.majorant_solution()
+        mesh = majorant_solution.mesh
     else:
         t_end = setup.resolve_t_end(None, fallback=1.0)
         mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
@@ -595,9 +605,7 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     if setup.problem is not None or setup.majorant is not None:
         horizon = None
         if setup.majorant is not None and setup.majorant_classifiable:
-            horizon = classify_blowup(
-                setup.majorant, tol=setup.blowup_tol
-            ).horizon
+            horizon = setup.blowup().horizon
         t_end = setup.resolve_t_end(horizon, fallback=1.0)
         mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
     report = run_suite(
@@ -748,17 +756,8 @@ def cmd_corpus(args) -> int:
             )
     timestamp = not args.no_timestamp
     worst = EXIT_OK
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_corpus_run_one, name, args.out, timestamp): name
-                for name in names
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                worst = max(worst, fut.result())
-    else:
-        for name in names:
-            worst = max(worst, _corpus_run_one(name, args.out, timestamp))
+    for name in names:
+        worst = max(worst, _corpus_run_one(name, args.out, timestamp))
     return worst
 
 
@@ -799,7 +798,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("names", nargs="*", help="entries to run (default: all)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel entries")
     p.add_argument(
         "--no-timestamp",
         action="store_true",

@@ -28,9 +28,14 @@ import numpy as np
 
 from .algebraic_majorant import LyapunovSpec, check_convexity
 from .errors import DomainError, NumericError, SpecValidationError
-from .integral_majorant import MajorantSpec, check_upper_solution
+from .integral_majorant import (
+    MajorantSpec,
+    _apply_f,
+    _apply_gamma,
+    check_upper_solution,
+)
 from .meshes import Mesh, Trajectory
-from .problem import VolterraProblem, eval_residual
+from .problem import VolterraProblem, residuals
 from .quadrature import WeightTable, trapezoid_weights
 
 __all__ = [
@@ -136,31 +141,16 @@ def _nonlinear_part(
     problem: VolterraProblem, traj: Trajectory, weights: WeightTable
 ) -> np.ndarray:
     a = problem.operator.matrix()
-    resid = np.vstack(
-        [
-            eval_residual(problem, traj, j, weights)
-            for j in range(traj.mesh.nodes.size)
-        ]
-    )
-    return resid - traj.values @ a.T
+    return residuals(problem, traj, weights) - traj.values @ a.T
 
 
-def _gamma_of(spec: MajorantSpec, values: np.ndarray) -> np.ndarray:
-    return np.array([float(spec.gamma(float(v))) for v in values])
-
-
-def _gamma_slope(spec: MajorantSpec, z: float) -> float:
-    h = 1e-6 * (1.0 + abs(z))
-    if z - h < 0.0:
-        return (float(spec.gamma(z + h)) - float(spec.gamma(max(z, 0.0)))) / h
-    return (float(spec.gamma(z + h)) - float(spec.gamma(z - h))) / (2.0 * h)
-
-
-def _f_omega_slope(spec: MajorantSpec, t: float, w: float) -> float:
-    h = 1e-6 * (1.0 + abs(w))
-    if w - h < 0.0:
-        return (float(spec.f(t, w + h)) - float(spec.f(t, max(w, 0.0)))) / h
-    return (float(spec.f(t, w + h)) - float(spec.f(t, w - h))) / (2.0 * h)
+def _slope(g, x: float) -> float:
+    """Central difference of g at x >= 0, one-sided forward where the
+    left sample would fall below zero."""
+    h = 1e-6 * (1.0 + abs(x))
+    if x - h < 0.0:
+        return (float(g(x + h)) - float(g(max(x, 0.0)))) / h
+    return (float(g(x + h)) - float(g(x - h))) / (2.0 * h)
 
 
 def sample_margins_A(
@@ -174,14 +164,8 @@ def sample_margins_A(
         weights = trapezoid_weights(traj.mesh)
     nonlin = _nonlinear_part(problem, traj, weights)
     lhs = np.max(np.abs(nonlin), axis=1)
-    integrals = weights.prefix(_gamma_of(spec, traj.norms))
-    rhs = np.array(
-        [
-            float(spec.f(float(t), float(w)))
-            for t, w in zip(traj.mesh.nodes, integrals)
-        ]
-    )
-    return lhs, rhs
+    integrals = weights.prefix(_apply_gamma(spec, traj.norms))
+    return lhs, _apply_f(spec, traj.mesh.nodes, integrals)
 
 
 def sample_margins_D(
@@ -202,14 +186,9 @@ def sample_margins_D(
         ),
         axis=1,
     )
-    base = weights.prefix(_gamma_of(spec, u.norms))
-    widened = weights.prefix(_gamma_of(spec, u.norms + du.norms))
-    rhs = np.array(
-        [
-            float(spec.f(float(t), float(wi))) - float(spec.f(float(t), float(lo)))
-            for t, wi, lo in zip(u.mesh.nodes, widened, base)
-        ]
-    )
+    base = weights.prefix(_apply_gamma(spec, u.norms))
+    widened = weights.prefix(_apply_gamma(spec, u.norms + du.norms))
+    rhs = _apply_f(spec, u.mesh.nodes, widened) - _apply_f(spec, u.mesh.nodes, base)
     return lhs, rhs
 
 
@@ -232,25 +211,20 @@ def sample_margins_E(
     eps = 1e-6 * (1.0 + u.max_norm)
     plus = Trajectory(u.mesh, u.values + eps * v.values)
     minus = Trajectory(u.mesh, u.values - eps * v.values)
-    n_nodes = u.mesh.nodes.size
-    diff = np.vstack(
-        [
-            eval_residual(problem, plus, j, weights, outer_values=u.values)
-            - eval_residual(problem, minus, j, weights, outer_values=u.values)
-            for j in range(n_nodes)
-        ]
+    diff = residuals(problem, plus, weights, u.values) - residuals(
+        problem, minus, weights, u.values
     )
     lhs = np.max(np.abs(diff), axis=1) / (2.0 * eps)
     norms = u.norms
-    integrals = weights.prefix(_gamma_of(spec, norms))
+    integrals = weights.prefix(_apply_gamma(spec, norms))
     slope_samples = np.array(
-        [_gamma_slope(spec, float(z)) * nv for z, nv in zip(norms, v.norms)]
+        [_slope(spec.gamma, float(z)) * nv for z, nv in zip(norms, v.norms)]
     )
     weighted = weights.prefix(slope_samples)
     rhs = np.array(
         [
-            _f_omega_slope(spec, float(t), float(w)) * float(s)
-            for t, w, s in zip(u.mesh.nodes, integrals, weighted)
+            _slope(lambda x: spec.f(t, x), float(w)) * float(s)
+            for t, w, s in zip(u.mesh.nodes.tolist(), integrals, weighted)
         ]
     )
     return lhs, rhs
@@ -366,7 +340,7 @@ def check_B(
             witness = Witness("B", tag_index, -1, coord, lo, hi)
 
     try:
-        g = _gamma_of(spec, z_grid)
+        g = _apply_gamma(spec, z_grid)
         count += g.size
         if float(np.min(g)) < -_SLACK:
             j = int(np.argmin(g))

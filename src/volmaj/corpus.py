@@ -64,9 +64,9 @@ def power_family(p: float = 2.0) -> CorpusEntry:
         raise SpecValidationError(f"power_family needs p > 1, got {p!r}")
     e = (p - 1.0) / p
 
-    def kernel(t: float, s: tuple, u: tuple) -> np.ndarray:
-        v = float(u[0][0])
-        return np.array([p * math.copysign(abs(v) ** e, v)])
+    def kernel(t: float, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        v = u[:, 0]
+        return p * np.copysign(np.abs(v) ** e, v)
 
     def outer(t: float, integrals: tuple, u: np.ndarray) -> np.ndarray:
         return u - integrals[0]
@@ -155,8 +155,8 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
     op = second_difference_operator(m)
     a_matrix = op.matrix()
 
-    def kernel(t: float, s: tuple, u: tuple) -> np.ndarray:
-        return np.sin(t - s[0] + x) * u[0] ** 2
+    def kernel(t: float, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.sin(t - s + x) * u[:, 0] ** 2
 
     def outer(t: float, integrals: tuple, u: np.ndarray) -> np.ndarray:
         return a_matrix @ u + integrals[0] - t

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import SpecValidationError
 from .integral_majorant import MajorantSolution
 from .meshes import Mesh, Trajectory, zero_trajectory
-from .problem import VolterraProblem, eval_residual, picard_step
+from .problem import VolterraProblem, picard_step, residuals
 from .quadrature import trapezoid_weights
 
 __all__ = [
@@ -127,13 +127,13 @@ def _solve(
         )
         u = Trajectory(mesh, u.values, certified_bounds=certified)
         stored[-1] = (stored[-1][0], u)
-    residuals = residual_norms(problem, u, weights)
+    norms = residual_norms(problem, u, weights)
     return SolveReport(
         trajectory=u,
         iterations=iterations,
         status=status,
-        residuals=residuals,
-        residual_bound=float(np.max(residuals)),
+        residuals=norms,
+        residual_bound=float(np.max(norms)),
         certified_bounds=certified,
         iterates=tuple(stored),
         stop_reason=stop_reason,
@@ -181,14 +181,7 @@ def residual_norms(
 ) -> np.ndarray:
     """Nodewise max-abs of F(u): how far the trajectory is from solving
     the discretized equation (diagnostic, not a certified quantity)."""
-    if weights is None:
-        weights = trapezoid_weights(trajectory.mesh)
-    return np.array(
-        [
-            float(np.max(np.abs(eval_residual(problem, trajectory, j, weights))))
-            for j in range(trajectory.mesh.nodes.size)
-        ]
-    )
+    return np.max(np.abs(residuals(problem, trajectory, weights)), axis=1)
 
 
 def verify_domination(

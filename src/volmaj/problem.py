@@ -32,10 +32,11 @@ __all__ = [
     "TridiagonalOperator",
     "VolterraProblem",
     "eval_residual",
+    "residuals",
     "picard_step",
 ]
 
-KernelFn = Callable[[float, tuple, tuple], np.ndarray]
+KernelFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 OuterFn = Callable[[float, tuple, np.ndarray], np.ndarray]
 
 
@@ -43,9 +44,10 @@ OuterFn = Callable[[float, tuple, np.ndarray], np.ndarray]
 class KernelStage:
     """One integral term: fold-dimensional integration of ``evaluate``.
 
-    evaluate(t, s, u) receives the outer time, a tuple of fold inner
-    times and the matching tuple of state vectors, and returns a vector
-    of the problem dimension.
+    evaluate(t, s, u) takes a whole quadrature row at once: the outer
+    time t as a float, the inner times s with shape (K, fold) and the
+    matching states u with shape (K, fold, dim), one row per node tuple.
+    It returns the K kernel values as an array of shape (K, dim).
     """
 
     fold: int
@@ -252,19 +254,28 @@ def eval_residual(
     return r
 
 
+def residuals(
+    problem: VolterraProblem,
+    trajectory: Trajectory,
+    weights: WeightTable | None = None,
+    outer_values: np.ndarray | None = None,
+) -> np.ndarray:
+    """F(u) at every mesh node, one row per node: shape (n+1, dim)."""
+    if weights is None:
+        weights = trapezoid_weights(trajectory.mesh)
+    return np.vstack(
+        [
+            eval_residual(problem, trajectory, j, weights, outer_values)
+            for j in range(trajectory.mesh.nodes.size)
+        ]
+    )
+
+
 def picard_step(
     problem: VolterraProblem,
     trajectory: Trajectory,
     weights: WeightTable | None = None,
 ) -> Trajectory:
     """One sweep of u -> u - A^{-1} F(u) over all mesh nodes."""
-    if weights is None:
-        weights = trapezoid_weights(trajectory.mesh)
-    residuals = np.vstack(
-        [
-            eval_residual(problem, trajectory, j, weights)
-            for j in range(trajectory.mesh.nodes.size)
-        ]
-    )
-    corrections = problem.operator.solve_many(residuals)
+    corrections = problem.operator.solve_many(residuals(problem, trajectory, weights))
     return Trajectory(trajectory.mesh, trajectory.values - corrections)

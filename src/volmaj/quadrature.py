@@ -9,7 +9,6 @@ scalar classification integrals, never for trajectory quadrature.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -92,14 +91,6 @@ class WeightTable:
         np.cumsum(panels, out=out[1:])
         return out
 
-    def matrix(self) -> np.ndarray:
-        """Dense (n+1, n+1) lower-triangular weight matrix."""
-        size = self.mesh.nodes.size
-        m = np.zeros((size, size))
-        for j in range(size):
-            m[j, : j + 1] = self.row(j)
-        return m
-
 
 def trapezoid_weights(mesh: Mesh) -> WeightTable:
     return WeightTable(mesh)
@@ -116,7 +107,7 @@ def nested_integral(
 
     A stage of fold d integrates its kernel over the d-fold box
     [0, t_j]^d; the rule uses every tuple of mesh nodes up to j, which
-    costs (j+1)**d kernel calls.
+    is (j+1)**d kernel points, all handed to the kernel in one call.
     """
     fold = stage.fold
     if fold < 1:
@@ -126,51 +117,30 @@ def nested_integral(
             f"nested integral needs {(j + 1) ** fold:.3g} kernel calls"
             f" at node {j}, above the budget {max_evals:.3g}"
         )
-    t = float(trajectory.mesh.nodes[j])
+    if j == 0:
+        return np.zeros(trajectory.dim)
     w = weights.row(j)
-    nodes = trajectory.mesh.nodes
-    values = trajectory.values
-    total = np.zeros(trajectory.dim)
-    if fold == 1:
-        for k in range(j + 1):
-            if w[k] == 0.0:
-                continue
-            total += w[k] * np.asarray(
-                stage.evaluate(t, (float(nodes[k]),), (values[k],)), dtype=float
-            )
-        return total
-    if fold == 2:
-        for k1 in range(j + 1):
-            if w[k1] == 0.0:
-                continue
-            for k2 in range(j + 1):
-                wk = w[k1] * w[k2]
-                if wk == 0.0:
-                    continue
-                total += wk * np.asarray(
-                    stage.evaluate(
-                        t,
-                        (float(nodes[k1]), float(nodes[k2])),
-                        (values[k1], values[k2]),
-                    ),
-                    dtype=float,
-                )
-        return total
-    for combo in itertools.product(range(j + 1), repeat=fold):
-        wk = 1.0
-        for k in combo:
-            wk *= w[k]
-        if wk == 0.0:
-            continue
-        total += wk * np.asarray(
-            stage.evaluate(
-                t,
-                tuple(float(nodes[k]) for k in combo),
-                tuple(values[k] for k in combo),
-            ),
-            dtype=float,
+    # node tuples in itertools.product order: the last index runs fastest
+    tuples = np.indices((j + 1,) * fold).reshape(fold, -1).T
+    wk = w
+    for _ in range(fold - 1):
+        wk = np.multiply.outer(wk, w).ravel()
+    values = np.asarray(
+        stage.evaluate(
+            float(trajectory.mesh.nodes[j]),
+            trajectory.mesh.nodes[tuples],
+            trajectory.values[tuples],
+        ),
+        dtype=float,
+    )
+    if values.shape != (wk.size, trajectory.dim):
+        raise SpecValidationError(
+            f"kernel returned shape {values.shape}, expected"
+            f" ({wk.size}, {trajectory.dim})"
         )
-    return total
+    # a running sum adds the rows in order, as a scalar loop would; the
+    # leading 0.0 turns an all negative-zero sum into +0.0 as that loop did
+    return 0.0 + np.cumsum(wk[:, None] * values, axis=0)[-1]
 
 
 def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):

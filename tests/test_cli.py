@@ -1,7 +1,6 @@
 """End-to-end command line checks on temporary configs and outputs."""
 
 import math
-import os
 import textwrap
 
 import pytest
@@ -386,19 +385,6 @@ class TestCorpusCommand:
             "verify_witnesses.csv",
         ):
             assert (sub / fname).exists(), fname
-
-    def test_parallel_run_matches_serial(self, tmp_path):
-        serial, par = tmp_path / "s", tmp_path / "p"
-        names = ["linear_majorant", "sqrt_pole"]
-        assert main(["corpus", "run", *names, "--out", str(serial),
-                     "--no-timestamp"]) == 0
-        assert main(["corpus", "run", *names, "--out", str(par),
-                     "--jobs", "2", "--no-timestamp"]) == 0
-        for name in names:
-            for fname in os.listdir(serial / name):
-                assert (serial / name / fname).read_bytes() == (
-                    par / name / fname
-                ).read_bytes(), f"{name}/{fname}"
 
     def test_unknown_entry_exits_2(self, tmp_path, capsys):
         assert main(["corpus", "run", "nonesuch", "--out", str(tmp_path)]) == 2

@@ -24,7 +24,7 @@ def linear_problem(rate=1.0):
     """u(t) = rate * integral of u + t."""
 
     def kernel(t, s, u):
-        return np.array([rate * float(u[0][0])])
+        return rate * u[:, 0]
 
     def outer(t, integrals, u):
         return u - integrals[0] - t

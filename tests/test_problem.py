@@ -23,7 +23,7 @@ def linear_scalar_problem():
     """u(t) = integral of u + t, rewritten as F(u) = u - integral - t."""
 
     def kernel(t, s, u):
-        return np.array([float(u[0][0])])
+        return u[:, 0]
 
     def outer(t, integrals, u):
         return u - integrals[0] - t
@@ -172,3 +172,28 @@ class TestPicardStep:
             tr = picard_step(problem, tr, w)
         want = np.exp(mesh.nodes) - 1.0
         assert np.max(np.abs(tr.values[:, 0] - want)) < 2e-5
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_fold_one_sweep_kernel_counts_are_exact(n):
+    # one batched call per row j = 1..n covering its j + 1 points; row 0
+    # is the empty integral and calls nothing
+    calls, points = [], []
+
+    def kernel(t, s, u):
+        calls.append(t)
+        points.append(len(s))
+        return u[:, 0]
+
+    problem = VolterraProblem(
+        dim=1,
+        stages=(KernelStage(1, kernel),),
+        outer=lambda t, integrals, u: u - integrals[0] - t,
+        operator=DenseOperator(np.array([[1.0]])),
+        inv_norm_bound=1.0,
+        name="counting",
+    )
+    picard_step(problem, zero_trajectory(graded_mesh(1.0, n, 1.0), 1))
+    assert len(calls) == n
+    assert points == list(range(2, n + 2))
+    assert sum(points) == n * (n + 3) // 2

@@ -1,5 +1,6 @@
 """Product trapezoid tables, nested kernels, and improper integrals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -89,14 +90,14 @@ class TestNested:
         mesh = graded_mesh(1.0, 40, 1.0)
         w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: np.array([1.0]))
+        stage = KernelStage(2, lambda t, s, u: np.ones((len(s), 1)))
         assert nested_integral(stage, w, tr, mesh.n) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_product(self):
         mesh = graded_mesh(1.0, 400, 1.0)
         w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: np.array([s[0] * s[1]]))
+        stage = KernelStage(2, lambda t, s, u: s[:, :1] * s[:, 1:])
         got = nested_integral(stage, w, tr, mesh.n)
         assert got == pytest.approx(0.25, abs=1e-6)
 
@@ -104,7 +105,7 @@ class TestNested:
         mesh = graded_mesh(2.0, 50, 1.0)
         w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 3.0)
-        stage = KernelStage(1, lambda t, s, u: np.array([float(u[0][0])]))
+        stage = KernelStage(1, lambda t, s, u: u[:, 0])
         assert nested_integral(stage, w, tr, mesh.n) == pytest.approx(6.0, abs=1e-12)
 
     def test_separable_equals_product_of_one_folds(self):
@@ -113,13 +114,9 @@ class TestNested:
         tr = _traj(mesh, lambda t: math.cos(t))
         two = KernelStage(
             2,
-            lambda t, s, u: np.array(
-                [math.sin(s[0]) * float(u[0][0]) * math.sin(s[1]) * float(u[1][0])]
-            ),
+            lambda t, s, u: np.sin(s[:, :1]) * u[:, 0] * np.sin(s[:, 1:]) * u[:, 1],
         )
-        one = KernelStage(
-            1, lambda t, s, u: np.array([math.sin(s[0]) * float(u[0][0])])
-        )
+        one = KernelStage(1, lambda t, s, u: np.sin(s) * u[:, 0])
         j = mesh.n
         got = nested_integral(two, w, tr, j)
         single = nested_integral(one, w, tr, j)
@@ -129,9 +126,62 @@ class TestNested:
         mesh = graded_mesh(1.0, 100, 1.0)
         w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: np.array([1.0]))
+        stage = KernelStage(2, lambda t, s, u: np.ones((len(s), 1)))
         with pytest.raises(CostLimitError):
             nested_integral(stage, w, tr, mesh.n, max_evals=1000)
+
+
+def _per_tuple_reference(stage, weights, trajectory, j):
+    """The rule one kernel point at a time: each node tuple in
+    itertools.product order, weight accumulated factor by factor, zero
+    weights skipped, values summed into a running total."""
+    t = float(trajectory.mesh.nodes[j])
+    w = weights.row(j)
+    nodes = trajectory.mesh.nodes
+    total = np.zeros(trajectory.dim)
+    for combo in itertools.product(range(j + 1), repeat=stage.fold):
+        wk = 1.0
+        for k in combo:
+            wk *= w[k]
+        if wk == 0.0:
+            continue
+        s = nodes[list(combo)][None, :]
+        u = trajectory.values[list(combo)][None, :, :]
+        total += wk * stage.evaluate(t, s, u)[0]
+    return total
+
+
+def _rational_kernel(t, s, u):
+    # elementwise arithmetic only, so a row's value does not depend on
+    # the batch it arrives in
+    out = u[:, 0] / (1.0 + (t - s[:, :1]) ** 2)
+    for c in range(1, s.shape[1]):
+        out = out * (0.5 + s[:, c : c + 1] * u[:, c])
+    return out
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+@pytest.mark.parametrize("ratio", [1.0, 0.8])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_batched_rule_matches_per_tuple_loop_bitwise(fold, ratio, dim):
+    # dim 1 too: a column sum there is pairwise, not a running sum
+    mesh = graded_mesh(1.3, 6, ratio)
+    w = trapezoid_weights(mesh)
+    rng = np.random.default_rng(fold)
+    tr = Trajectory(mesh, rng.uniform(-2.0, 2.0, (mesh.nodes.size, dim)))
+    stage = KernelStage(fold, _rational_kernel)
+    for j in (0, 1, mesh.n):
+        got = nested_integral(stage, w, tr, j)
+        want = _per_tuple_reference(stage, w, tr, j)
+        assert got.shape == (dim,)
+        assert np.array_equal(got, want), (j, got, want)
+
+
+def test_kernel_shape_is_checked():
+    mesh = graded_mesh(1.0, 4, 1.0)
+    stage = KernelStage(1, lambda t, s, u: np.ones(len(s)))
+    with pytest.raises(SpecValidationError):
+        nested_integral(stage, trapezoid_weights(mesh), _traj(mesh, math.exp), 2)
 
 
 class TestImproper:
