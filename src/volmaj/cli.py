@@ -136,16 +136,30 @@ def _get_float(cp, section, key, default=None):
         ) from None
 
 
-def _get_int(cp, section, key, default=None):
+def _get_positive(cp, section, key, default):
+    value = _get_float(cp, section, key, default)
+    if not (math.isfinite(value) and value > 0):
+        raise SpecValidationError(
+            f"[{section}] {key} must be finite and > 0, got {value!r}"
+        )
+    return value
+
+
+def _get_int(cp, section, key, default=None, minimum=None):
     if not cp.has_option(section, key):
         return default
     raw = cp.get(section, key)
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise SpecValidationError(
             f"[{section}] {key} must be an integer, got {raw!r}"
         ) from None
+    if minimum is not None and value < minimum:
+        raise SpecValidationError(
+            f"[{section}] {key} must be at least {minimum}, got {value}"
+        )
+    return value
 
 
 _INLINE_KEYS = {
@@ -367,11 +381,12 @@ class _Setup:
         self.theta = _get_float(cp, "mesh", "theta", 0.95)
         self.theta_explicit = cp.has_option("mesh", "theta")
         self.ratio = _get_float(cp, "mesh", "ratio", 1.0)
-        self.tol = _get_float(cp, "tolerances", "tol", 1e-10)
+        self.tol = _get_positive(cp, "tolerances", "tol", 1e-10)
         self.n_max = _get_int(cp, "tolerances", "n_max", 200)
-        self.blowup_tol = _get_float(cp, "tolerances", "blowup_tol", 1e-6)
-        self.seed = _get_int(cp, "run", "seed", DEFAULT_SEED)
-        self.samples = _get_int(cp, "run", "samples", 100)
+        self.blowup_tol = _get_positive(cp, "tolerances", "blowup_tol", 1e-6)
+        self.seed = _get_int(cp, "run", "seed", DEFAULT_SEED, minimum=0)
+        # no sample drawn would leave every sampled condition "pass"
+        self.samples = _get_int(cp, "run", "samples", 100, minimum=1)
         self.sample_bound = _get_float(cp, "run", "sample_bound", 1.0)
         self._blowup: BlowupReport | None = None
         self._majorant_solution: MajorantSolution | None = None

@@ -16,6 +16,11 @@ nonpositive value, sqrt of a negative value, fractional powers of
 negative bases and any NaN produced mid-expression raise DomainError
 instead of propagating quietly.  Magnitude overflow saturates to a
 signed infinity, matching IEEE float semantics.
+
+``evaluate`` walks the tree and is the reference.  ``as_function``
+compiles an expression once per config into one straight-line Python
+function with the same strict semantics, results and error messages;
+the CLI calls only compiled functions.
 """
 
 from __future__ import annotations
@@ -291,12 +296,144 @@ def variables(expr: Expr) -> set[str]:
 
 
 def as_function(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
-    """Bind an expression to positional arguments in the given order."""
+    """Compile an expression into a function of positional arguments in
+    the given order, with the strict semantics of ``evaluate``."""
     extra = variables(expr) - set(names)
     if extra:
         raise ValueError(f"expression uses unbound variables: {sorted(extra)}")
+    return _Compiler(names).compile(expr)
 
-    def fn(*args: float) -> float:
-        return evaluate(expr, dict(zip(names, args)))
 
-    return fn
+# -- compilation to straight-line Python ------------------------------------
+#
+# The generated source holds only generated local names (v0, v1, ...),
+# argument slots (a0, a1, ...), constant slots (c0, c1, ...), FUNCTIONS
+# keys, the helpers below and integer offsets.  Constants come from a
+# tuple, never from repr(), which cannot spell inf; no config text
+# reaches the source.
+
+
+def _nan_error(offset: int) -> DomainError:
+    return DomainError("evaluation produced NaN", offset)
+
+
+def _zero_division_error(offset: int) -> DomainError:
+    return DomainError("division by zero", offset)
+
+
+def _call_error(func: str, x: float, offset: int) -> DomainError:
+    return DomainError(f"{func}({x!r}) outside real domain", offset)
+
+
+def _power_error(a: float, b: float, offset: int) -> DomainError:
+    return DomainError(f"power {a!r}^{b!r} outside real domain", offset)
+
+
+def _power_overflow(a: float, b: float) -> float:
+    # negative base reaches here only with an integer exponent
+    neg = a < 0 and float(b) == int(b) and int(b) % 2 == 1
+    return -math.inf if neg else math.inf
+
+
+_NAMESPACE = {
+    "__builtins__": {},
+    "float": float,
+    "ValueError": ValueError,
+    "OverflowError": OverflowError,
+    "ZeroDivisionError": ZeroDivisionError,
+    "_inf": math.inf,
+    "_pow": math.pow,
+    "_nan_error": _nan_error,
+    "_zero_division_error": _zero_division_error,
+    "_call_error": _call_error,
+    "_power_error": _power_error,
+    "_power_overflow": _power_overflow,
+    **FUNCTIONS,
+}
+
+
+class _Compiler:
+    """Emit one local per operator node in evaluation order, then exec
+    once; a number or variable is read from its constant or argument slot."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.slots = {name: i for i, name in enumerate(names)}
+        self.arity = len(names)
+        self.used: set[int] = set()
+        self.consts: list[float] = []
+        self.lines: list[str] = []
+        self.locals = 0
+
+    def compile(self, expr: Expr) -> Callable[..., float]:
+        result = self.emit(expr)
+        code = ["def _build():"]
+        if self.consts:
+            slots = "".join(f"c{i}, " for i in range(len(self.consts)))
+            code.append(f"    {slots}= _consts")
+        params = ", ".join(f"a{i}" for i in range(self.arity))
+        code.append(f"    def fn({params}):")
+        code += [f"        a{i} = float(a{i})" for i in sorted(self.used)]
+        code += [f"        {line}" for line in self.lines]
+        code += [f"        return {result}", "    return fn"]
+        namespace = {**_NAMESPACE, "_consts": tuple(self.consts)}
+        exec("\n".join(code), namespace)
+        return namespace["_build"]()
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"v{self.locals - 1}"
+
+    def checked(self, v: str, offset: int) -> None:
+        self.lines.append(f"if {v} != {v}: raise _nan_error({offset})")
+
+    def emit(self, expr: Expr) -> str:
+        """Append the code for one node; return the name holding its value."""
+        if isinstance(expr, Num):
+            self.consts.append(expr.value)
+            return f"c{len(self.consts) - 1}"
+        if isinstance(expr, Var):
+            slot = self.slots[expr.name]
+            self.used.add(slot)
+            return f"a{slot}"
+        if isinstance(expr, Neg):
+            x = self.emit(expr.operand)
+            v = self.local()
+            self.lines.append(f"{v} = -{x}")
+            return v
+        if isinstance(expr, Call):
+            # func and op reach the source, so only grammar names pass
+            if expr.func not in FUNCTIONS:
+                raise ValueError(f"unknown function {expr.func!r}")
+            x = self.emit(expr.arg)
+            v, at = self.local(), int(expr.offset)
+            func = expr.func
+            self.lines += [
+                f"try: {v} = {func}({x})",
+                f"except ValueError: raise _call_error({func!r}, {x}, {at}) from None",
+                f"except OverflowError: {v} = _inf",
+            ]
+            self.checked(v, at)
+            return v
+        if isinstance(expr, BinOp):
+            a = self.emit(expr.left)
+            b = self.emit(expr.right)
+            v, at = self.local(), int(expr.offset)
+            if expr.op in ("+", "-", "*"):
+                self.lines.append(f"{v} = {a} {expr.op} {b}")
+            elif expr.op == "/":
+                self.lines += [
+                    f"try: {v} = {a} / {b}",
+                    "except ZeroDivisionError:"
+                    f" raise _zero_division_error({at}) from None",
+                ]
+            elif expr.op == "^":
+                self.lines += [
+                    f"try: {v} = _pow({a}, {b})",
+                    f"except ValueError: raise _power_error({a}, {b}, {at}) from None",
+                    f"except OverflowError: {v} = _power_overflow({a}, {b})",
+                ]
+            else:
+                raise ValueError(f"unknown operator {expr.op!r}")
+            self.checked(v, at)
+            return v
+        raise TypeError(f"not an expression node: {expr!r}")

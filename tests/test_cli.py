@@ -485,3 +485,78 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'kernel'" in err and "[problem]" in err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [run]
+            seed = -3
+            """,
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[run] seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_no_samples_rejected(self, tmp_path, capsys, samples):
+        # with no draw every sampled condition would read "pass"
+        cfg = ini(
+            tmp_path,
+            f"""
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [mesh]
+            n = 30
+
+            [run]
+            samples = {samples}
+            """,
+        )
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[run] samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        cfg = ini(
+            tmp_path,
+            f"""
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [mesh]
+            n = 30
+
+            [tolerances]
+            tol = {tol}
+            """,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[tolerances] tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blowup_tol", ["0", "-1e-6", "nan"])
+    def test_blowup_tol_must_be_finite_and_positive(
+        self, tmp_path, capsys, blowup_tol
+    ):
+        # f = w + 1, gamma = z^2 blows up at t = 1; a zero tolerance
+        # classified it as Global
+        cfg = ini(
+            tmp_path,
+            f"""
+            [majorant]
+            source = inline
+            f = w + 1
+            gamma = z^2
+
+            [tolerances]
+            blowup_tol = {blowup_tol}
+            """,
+        )
+        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[tolerances] blowup_tol" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volmaj import expr
@@ -245,3 +245,80 @@ def test_as_function_rejects_unbound():
         expr.as_function(tree, ("t",))
     fn = expr.as_function(tree, ("t", "z"))
     assert fn(1.0, 2.0) == 3.0
+
+
+# compiled functions against the tree-walking reference
+
+_EDGE_INPUTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, -3.0, 1e308, -1e308])
+
+
+def _outcome(call):
+    """A value by repr, so -0.0 and the sign of inf count, or the error."""
+    try:
+        return repr(call())
+    except Exception as exc:  # compare whatever either route raises
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+_TW = BinOp("*", Var("t"), Var("w"))
+
+
+# random trees seldom reach the overflow and NaN branches, so each gets an example
+@given(_trees(), st.tuples(_EDGE_INPUTS, _EDGE_INPUTS, _EDGE_INPUTS))
+@example(BinOp("-", _TW, _TW), (1e308, 0.5, 3.0))
+@example(BinOp("*", Num(0.0), Call("exp", Var("t"))), (1e308, 0.5, 3.0))
+@example(BinOp("^", Var("t"), Var("w")), (-1e308, 0.5, 3.0))
+@example(BinOp("^", Var("t"), Var("w")), (-3.0, 0.5, 1e308))
+@example(Neg(BinOp("*", Num(0.0), Var("t"))), (3.0, 0.5, 3.0))
+@settings(max_examples=500, deadline=None)
+def test_compiled_matches_evaluate(tree, values):
+    names = ("t", "z", "w")
+    tree = parse(to_text(tree), names)  # the same tree, with byte offsets
+    env = dict(zip(names, values))
+    fn = expr.as_function(tree, names)
+    assert _outcome(lambda: fn(*values)) == _outcome(lambda: evaluate(tree, env))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("z + 1e999", "inf"),  # a constant repr() cannot spell
+        ("exp(1000)", "inf"),
+        ("(-10)^309", "-inf"),
+        ("-z*0", "-0.0"),
+    ],
+)
+def test_compiled_saturates_like_evaluate(text, want):
+    tree = parse(text, ("z",))
+    assert repr(expr.as_function(tree, ("z",))(2.0)) == want
+    assert repr(evaluate(tree, {"z": 2.0})) == want
+
+
+@pytest.mark.parametrize(
+    "text, z, message, offset",
+    [
+        ("0*1e999", 2.0, "evaluation produced NaN", 1),
+        ("1/(z-z)", 2.0, "division by zero", 1),
+        ("log(-z)", 2.0, "log(-2.0) outside real domain", 0),
+        ("1 + (-z)^0.5", 2.0, "power -2.0^0.5 outside real domain", 8),
+        ("1 + sin(z)", math.nan, "evaluation produced NaN", 4),
+    ],
+)
+def test_compiled_raises_like_evaluate(text, z, message, offset):
+    tree = parse(text, ("z",))
+    for call in (lambda: expr.as_function(tree, ("z",))(z),
+                 lambda: evaluate(tree, {"z": z})):
+        with pytest.raises(DomainError) as e:
+            call()
+        assert e.value.offset == offset
+        assert str(e.value) == f"{message} (at byte {offset})"
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [Call("__import__", Num(1.0)), BinOp("**", Num(2.0), Num(3.0))],
+)
+def test_compiler_rejects_names_outside_the_grammar(tree):
+    # a hand-built node must not put its text into the generated source
+    with pytest.raises(ValueError):
+        expr.as_function(tree, ())
