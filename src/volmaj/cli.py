@@ -376,18 +376,18 @@ class _Setup:
             self.lyapunov = (
                 self.entry.lyapunov if self.entry is not None else None
             )
-        self.n = _get_int(cp, "mesh", "n", None)
+        self.n = _get_int(cp, "mesh", "n", None, minimum=1)
         self.t_end = _get_float(cp, "mesh", "t_end", None)
         self.theta = _get_float(cp, "mesh", "theta", 0.95)
         self.theta_explicit = cp.has_option("mesh", "theta")
-        self.ratio = _get_float(cp, "mesh", "ratio", 1.0)
+        self.ratio = _get_positive(cp, "mesh", "ratio", 1.0)
         self.tol = _get_positive(cp, "tolerances", "tol", 1e-10)
-        self.n_max = _get_int(cp, "tolerances", "n_max", 200)
+        self.n_max = _get_int(cp, "tolerances", "n_max", 200, minimum=1)
         self.blowup_tol = _get_positive(cp, "tolerances", "blowup_tol", 1e-6)
         self.seed = _get_int(cp, "run", "seed", DEFAULT_SEED, minimum=0)
         # no sample drawn would leave every sampled condition "pass"
         self.samples = _get_int(cp, "run", "samples", 100, minimum=1)
-        self.sample_bound = _get_float(cp, "run", "sample_bound", 1.0)
+        self.sample_bound = _get_positive(cp, "run", "sample_bound", 1.0)
         self._blowup: BlowupReport | None = None
         self._majorant_solution: MajorantSolution | None = None
 

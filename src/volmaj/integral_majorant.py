@@ -150,8 +150,9 @@ class CauchySolution:
 
     phi, present only for time-independent f, is a fresh evaluator of
     the time map: phi(w) recomputes the integral of 1/rate from 0 to w
-    without reusing any cached state, so phi(omega[j]) ~ t_j is a real
-    round-trip check.
+    without reusing any cached state (neither the knot table nor the
+    forward march that produced omega), so phi(omega[j]) ~ t_j is a
+    real round-trip check.
     """
 
     mesh: Mesh
@@ -418,36 +419,52 @@ def _autonomous_cauchy(
         if len(knots) > 4000:
             raise NumericError("time map knot table exceeded its budget")
     phis_arr = np.array(phis)
-    knots_arr = np.array(knots)
-
-    def omega_at(t: float) -> float:
+    # The inversion marches forward from a current point (cur_w, cur_p),
+    # cur_p = phi(cur_w) to panel accuracy.  Each Newton or bisection
+    # step integrates 1/rate over the signed piece from cur_w to the new
+    # iterate, whose 1/rate sample is also the Newton slope and the next
+    # piece's start.  A node continues from the last accepted point while
+    # it is in the same knot panel with phi <= t, and re-anchors to the
+    # knot table otherwise, so quadrature errors add up over one panel
+    # at most.  Newton starts from the in-panel interpolant, not from the
+    # last point, so the accepted omega matches a knot-anchored inversion
+    # to quadrature error.
+    omega = np.zeros(mesh.nodes.size)
+    cur_i, cur_w, cur_p, cur_h = -1, 0.0, 0.0, None
+    for j, t in enumerate(mesh.nodes.tolist()):
         if t <= 0.0:
-            return 0.0
+            continue
         i = int(np.searchsorted(phis_arr, t, side="right")) - 1
-        i = max(0, min(i, len(knots_arr) - 2))
-        lo_w, hi_w = knots_arr[i], knots_arr[i + 1]
-        lo_p, hi_p = phis_arr[i], phis_arr[i + 1]
+        i = max(0, min(i, len(knots) - 2))
+        lo_w, hi_w = knots[i], knots[i + 1]
+        lo_p, hi_p = phis[i], phis[i + 1]
+        if i != cur_i or cur_p > t:
+            cur_i, cur_w, cur_p, cur_h = i, lo_w, lo_p, None
         frac = (t - lo_p) / (hi_p - lo_p) if hi_p > lo_p else 0.5
         w = lo_w + frac * (hi_w - lo_w)
         blo, bhi = lo_w, hi_w
         quad_tol = 1e-15 * max(1.0, t)
         for _ in range(200):
-            phi_w = lo_p + adaptive_quad(h, lo_w, w, quad_tol)
-            err = phi_w - t
+            h_w = h(w)
+            if w >= cur_w:
+                cur_p += adaptive_quad(h, cur_w, w, quad_tol, fa=cur_h, fb=h_w)
+            else:
+                cur_p -= adaptive_quad(h, w, cur_w, quad_tol, fa=h_w, fb=cur_h)
+            cur_w, cur_h = w, h_w
+            err = cur_p - t
             if abs(err) <= 1e-11 * max(1.0, t):
-                return float(w)
+                omega[j] = w
+                break
             if err > 0.0:
                 bhi = min(bhi, w)
             else:
                 blo = max(blo, w)
-            r = _probe_rate(rate, w)
-            w_new = w - err * r if r is not None and math.isfinite(r) else None
+            w_new = w - err / h_w if h_w > 0.0 else None
             if w_new is None or not (blo < w_new < bhi):
                 w_new = 0.5 * (blo + bhi)
             w = w_new
-        raise NumericError(f"time map inversion stalled at t={t!r}")
-
-    omega = np.array([omega_at(float(t)) for t in mesh.nodes])
+        else:
+            raise NumericError(f"time map inversion stalled at t={t!r}")
     bound = _apply_f(spec, mesh.nodes, omega)
 
     def fresh_phi(w: float) -> float:
@@ -482,9 +499,13 @@ def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
     """Solve the reduced initial value problem at every mesh node.
 
     Time-independent f goes through the monotone time map (integral of
-    the inverse rate) inverted by bracketed Newton steps; the result
-    carries a fresh phi for round-trip audits.  Time-dependent f falls
-    back to per-gap Runge-Kutta with Richardson control and phi=None.
+    the inverse rate) inverted by bracketed Newton steps.  The inversion
+    marches forward through the nodes, integrating only the short piece
+    between successive iterates and re-anchoring at each knot panel, so
+    its adaptive work grows linearly with the node count; the result
+    carries a fresh from-zero phi for round-trip audits.  Time-dependent
+    f falls back to per-gap Runge-Kutta with Richardson control and
+    phi=None.
     """
     if spec.f_depends_on_t:
         omega = np.zeros(mesh.nodes.size)

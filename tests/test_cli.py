@@ -560,3 +560,34 @@ class TestConfigErrors:
         )
         assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "[tolerances] blowup_tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "majorant"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("mesh", "n", "0"),
+            ("tolerances", "n_max", "0"),
+            ("run", "sample_bound", "nan"),
+            ("run", "sample_bound", "-1"),
+            ("mesh", "ratio", "0"),
+            ("mesh", "ratio", "inf"),
+        ],
+    )
+    def test_bad_setting_named_by_key_on_every_command(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        # checked in one place before any numerics, so a subcommand that
+        # does not use the key still refuses it
+        cfg = ini(
+            tmp_path,
+            f"""
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [{section}]
+            {key} = {value}
+            """,
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from volmaj.integral_majorant import (
     solve_cauchy,
     solve_majorant,
 )
-from volmaj.quadrature import graded_mesh
+from volmaj.quadrature import _inverse_rate, _probe_rate, adaptive_quad, graded_mesh
 
 TAN_SPEC = MajorantSpec(
     f=lambda t, w: w + t,
@@ -158,6 +158,141 @@ class TestCauchyRoute:
         sol = solve_cauchy(TAN_SPEC, mesh)
         assert np.all(np.diff(sol.omega) >= 0.0)
 
+
+
+def _knot_anchored_omega(spec, mesh):
+    """The inversion as it was before the forward march: every Newton or
+    bisection step re-integrates 1/rate from the panel's knot."""
+    rate, pole = spec.rate, spec.pole
+    h = _inverse_rate(rate)
+    knots, phis = [0.0], [0.0]
+    panel_tol = 1e-15 * max(1.0, mesh.end)
+    while phis[-1] <= mesh.end:
+        w_last = knots[-1]
+        if pole is not None:
+            w_next = w_last + 0.3 * (pole - w_last)
+        else:
+            w_next = 1e-2 if w_last == 0.0 else 1.3 * w_last
+        knots.append(w_next)
+        phis.append(phis[-1] + adaptive_quad(h, w_last, w_next, panel_tol))
+    phis_arr, knots_arr = np.array(phis), np.array(knots)
+
+    def omega_at(t):
+        if t <= 0.0:
+            return 0.0
+        i = int(np.searchsorted(phis_arr, t, side="right")) - 1
+        i = max(0, min(i, len(knots_arr) - 2))
+        lo_w, hi_w = knots_arr[i], knots_arr[i + 1]
+        lo_p, hi_p = phis_arr[i], phis_arr[i + 1]
+        frac = (t - lo_p) / (hi_p - lo_p) if hi_p > lo_p else 0.5
+        w = lo_w + frac * (hi_w - lo_w)
+        blo, bhi = lo_w, hi_w
+        quad_tol = 1e-15 * max(1.0, t)
+        for _ in range(200):
+            err = lo_p + adaptive_quad(h, lo_w, w, quad_tol) - t
+            if abs(err) <= 1e-11 * max(1.0, t):
+                return float(w)
+            if err > 0.0:
+                bhi = min(bhi, w)
+            else:
+                blo = max(blo, w)
+            r = _probe_rate(rate, w)
+            w_new = w - err * r if r is not None and math.isfinite(r) else None
+            if w_new is None or not (blo < w_new < bhi):
+                w_new = 0.5 * (blo + bhi)
+            w = w_new
+        raise NumericError(f"time map inversion stalled at t={t!r}")
+
+    return np.array([omega_at(float(t)) for t in mesh.nodes])
+
+
+def _counted(gamma, calls):
+    def counted(z):
+        calls[0] += 1
+        return gamma(z)
+
+    return counted
+
+
+# (gamma, declared pole, mesh end): 1 + z^2 has horizon pi/2 and no pole,
+# 1/sqrt(1 - z) has horizon 2/3 and a pole at 1
+INVERSION_CASES = {
+    "arctan": (lambda z: 1.0 + z * z, None, 1.4),
+    "sqrt_pole": (lambda z: (1.0 - z) ** -0.5, 1.0, 0.6),
+}
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.995, 1.005])
+@pytest.mark.parametrize("case", sorted(INVERSION_CASES))
+class TestForwardInversion:
+    def _solve(self, case, ratio):
+        gamma, pole, end = INVERSION_CASES[case]
+        calls = [0]
+        spec = MajorantSpec(
+            f=lambda t, w: w, gamma=_counted(gamma, calls), pole=pole, name=case
+        )
+        mesh = graded_mesh(end, 400, ratio)
+        calls[0] = 0
+        sol = solve_cauchy(spec, mesh)
+        return spec, mesh, sol, calls[0]
+
+    def test_round_trip(self, case, ratio):
+        _, mesh, sol, _ = self._solve(case, ratio)
+        for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
+            assert abs(sol.phi(w) - t) <= 2e-11 * max(1.0, t)
+
+    def test_omega_nondecreasing(self, case, ratio):
+        _, _, sol, _ = self._solve(case, ratio)
+        assert sol.omega[0] == 0.0
+        assert np.all(np.diff(sol.omega) >= 0.0)
+
+    def test_matches_knot_anchored_inversion(self, case, ratio):
+        spec, mesh, sol, _ = self._solve(case, ratio)
+        reference = _knot_anchored_omega(spec, mesh)
+        assert np.max(np.abs(sol.omega - reference)) <= 1e-10
+
+    def test_rate_calls_linear_in_nodes(self, case, ratio):
+        # the knot-anchored inversion makes at least 460 calls per node here
+        _, mesh, _, calls = self._solve(case, ratio)
+        assert calls <= 60 * mesh.nodes.size
+
+
+@pytest.mark.parametrize(
+    "gamma, f, pole, end, closed_form",
+    [
+        pytest.param(
+            lambda z: 1.1 * z * z,
+            lambda t, w: w + 0.9,
+            None,
+            0.95 / (1.1 * 0.9),
+            lambda t: 0.9 / (1.0 - 1.1 * 0.9 * t),
+            id="value_blowup",
+        ),
+        pytest.param(
+            lambda z: 1.1 * z,
+            lambda t, w: w + 0.9,
+            None,
+            1.0,
+            lambda t: 0.9 * math.exp(1.1 * t),
+            id="global",
+        ),
+        pytest.param(
+            lambda z: 1.0 / math.sqrt(1.05 - z),
+            lambda t, w: w,
+            1.05,
+            0.95 * 1.05**1.5 / 1.5,
+            lambda t: 1.05 - (1.05**1.5 - 1.5 * t) ** (2.0 / 3.0),
+            id="declared_pole",
+        ),
+    ],
+)
+def test_cauchy_bound_matches_closed_form(gamma, f, pole, end, closed_form):
+    spec = MajorantSpec(f=f, gamma=gamma, pole=pole, name="closed form")
+    mesh = graded_mesh(end, 400, 1.0)
+    sol = solve_cauchy(spec, mesh)
+    assert sol.bound.size == 401
+    for t, z in zip(mesh.nodes.tolist(), sol.bound.tolist()):
+        assert z == pytest.approx(closed_form(t), rel=1e-9)
 
 def _hand_chain(mesh, depth):
     """Independent trapezoid iteration for the quadratic-growth bound."""
