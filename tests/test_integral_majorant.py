@@ -159,9 +159,8 @@ class TestCauchyRoute:
         assert np.all(np.diff(sol.omega) >= 0.0)
 
 
-
 def _knot_anchored_omega(spec, mesh):
-    """The inversion as it was before the forward march: every Newton or
+    """Reference inversion without the forward march: every Newton or
     bisection step re-integrates 1/rate from the panel's knot."""
     rate, pole = spec.rate, spec.pole
     h = _inverse_rate(rate)
