@@ -124,121 +124,151 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cp
 
 
-def _get_float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
+# The config schema: section -> key -> (type, default, accepted range).
+# A range is (description, predicate) and None accepts any value of the
+# type; a _REQUIRED default marks an expression source = inline must give.
+# A [problem], [majorant] or [lyapunov] section lists its inline keys;
+# with source = corpus it holds entry and the entry's parameters.
+_REQUIRED = object()
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_NONZERO = ("finite and nonzero", lambda v: math.isfinite(v) and v != 0)
+_FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+_SOURCE = (
+    str.lower,
+    "inline",
+    ("corpus or inline", lambda v: v in ("corpus", "inline")),
+)
+
+
+def _at_least(minimum: int):
+    return (f"at least {minimum}", lambda v: v >= minimum)
+
+
+_SCHEMA = {
+    "problem": {
+        "source": _SOURCE,
+        "a": (float, 1.0, _NONZERO),
+        "c": (float, None, _POSITIVE),  # unset: 1 / |a|
+        "kernel": (str, _REQUIRED, None),
+        "kernel2": (str, None, None),
+        "phi": (str, _REQUIRED, None),
+    },
+    "majorant": {
+        "source": _SOURCE,
+        "f": (str, _REQUIRED, None),
+        "gamma": (str, _REQUIRED, None),
+        "pole": (float, None, _POSITIVE),
+        "zprime": (str, None, None),
+        "z_max": (float, None, _POSITIVE),
+        "omega_max": (float, None, _POSITIVE),
+    },
+    "lyapunov": {
+        "source": _SOURCE,
+        "f": (str, _REQUIRED, None),
+        "fr": (str, None, None),
+        "c": (float, 1.0, _POSITIVE),
+        "r_max": (float, 100.0, _POSITIVE),
+        "t_max": (float, 100.0, _POSITIVE),
+    },
+    "mesh": {
+        "n": (int, None, _at_least(1)),  # unset: the corpus entry's, else 200
+        "t_end": (float, None, _POSITIVE),
+        "theta": (float, 0.95, _FRACTION),
+        "ratio": (float, 1.0, _POSITIVE),
+    },
+    "tolerances": {
+        "tol": (float, 1e-10, _POSITIVE),
+        "n_max": (int, 200, _at_least(1)),
+        "blowup_tol": (float, 1e-6, _POSITIVE),
+    },
+    "run": {
+        "seed": (int, DEFAULT_SEED, _at_least(0)),
+        # no sample drawn would leave every sampled condition "pass"
+        "samples": (int, 100, _at_least(1)),
+        "sample_bound": (float, 1.0, _POSITIVE),
+    },
+}
+_TYPE_NAMES = {float: "a number", int: "an integer"}
+
+
+def _read_value(section: str, key: str, given: dict, schema: tuple):
+    kind, default, accepted = schema
+    if key not in given:
+        if default is _REQUIRED:
+            raise SpecValidationError(f"[{section}] source=inline needs {key}=<expr>")
         return default
-    raw = cp.get(section, key)
     try:
-        return float(raw)
+        value = kind(given[key])
     except ValueError:
         raise SpecValidationError(
-            f"[{section}] {key} must be a number, got {raw!r}"
+            f"[{section}] {key} must be {_TYPE_NAMES[kind]}, got {given[key]!r}"
         ) from None
-
-
-def _get_positive(cp, section, key, default):
-    value = _get_float(cp, section, key, default)
-    if not (math.isfinite(value) and value > 0):
+    if accepted is not None and not accepted[1](value):
         raise SpecValidationError(
-            f"[{section}] {key} must be finite and > 0, got {value!r}"
+            f"[{section}] {key} must be {accepted[0]}, got {value!r}"
         )
     return value
 
 
-def _get_int(cp, section, key, default=None, minimum=None):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecValidationError(
-            f"[{section}] {key} must be an integer, got {raw!r}"
-        ) from None
-    if minimum is not None and value < minimum:
-        raise SpecValidationError(
-            f"[{section}] {key} must be at least {minimum}, got {value}"
-        )
-    return value
-
-
-_INLINE_KEYS = {
-    "problem": frozenset(("a", "c", "kernel", "kernel2", "phi")),
-    "majorant": frozenset(("f", "gamma", "pole", "zprime", "z_max", "omega_max")),
-    "lyapunov": frozenset(("f", "fr", "c", "r_max", "t_max")),
-}
-_PLAIN_KEYS = {
-    "mesh": frozenset(("n", "t_end", "theta", "ratio")),
-    "tolerances": frozenset(("tol", "n_max", "blowup_tol")),
-    "run": frozenset(("seed", "samples", "sample_bound")),
-}
-
-
-def _check_config_keys(cp) -> None:
-    """A typo'd key would otherwise fall back to a default silently."""
-    for section in cp.sections():
-        if section in _PLAIN_KEYS:
-            allowed = _PLAIN_KEYS[section]
-        elif section in _INLINE_KEYS:
-            src = cp.get(section, "source", fallback="inline").strip().lower()
-            if src == "corpus":
-                name = (cp.get(section, "entry", fallback="") or "").strip()
-                try:
-                    allowed = frozenset(("entry",)) | set(corpus_param_types(name))
-                except SpecValidationError:
-                    continue  # the bad entry name reports on its own
-            elif src == "inline":
-                allowed = _INLINE_KEYS[section]
-            else:
-                continue  # off, or a bad source value; _source_of reports those
-        else:
-            known = ", ".join((*_INLINE_KEYS, *_PLAIN_KEYS))
-            raise SpecValidationError(
-                f"unknown config section [{section}]; known sections: {known}"
-            )
-        for key in sorted(set(cp.options(section)) - set(cp.defaults())):
-            if key != "source" and key not in allowed:
-                raise SpecValidationError(
-                    f"[{section}] unknown key {key!r}; known keys:"
-                    f" {', '.join(sorted(allowed))}"
-                )
-
-
-def _source_of(cp, section: str) -> str:
-    if not cp.has_section(section):
-        return "none"
-    src = cp.get(section, "source", fallback="inline" if cp[section] else "none")
-    src = src.strip().lower()
-    if src not in ("corpus", "inline", "none"):
-        raise SpecValidationError(
-            f"[{section}] source must be corpus, inline, or none, got {src!r}"
-        )
-    return src
-
-
-def _corpus_entry_from(cp, section: str) -> CorpusEntry:
-    name = cp.get(section, "entry", fallback=None)
+def _part_keys(section: str, given: dict) -> dict:
+    """The keys a part section may hold, chosen by its source."""
+    keys = _SCHEMA[section]
+    if _read_value(section, "source", given, keys["source"]) == "inline":
+        return keys
+    name = given.get("entry")
     if not name:
         raise SpecValidationError(f"[{section}] source=corpus needs entry=<name>")
-    name = name.strip()
-    params = {}
-    for key in corpus_param_types(name):
-        if cp.has_option(section, key):
-            params[key] = cp.get(section, key)
-    return corpus_build(name, params)
+    if name not in corpus_names():
+        raise SpecValidationError(
+            f"[{section}] entry must be one of {', '.join(corpus_names())},"
+            f" got {name!r}"
+        )
+    params = corpus_param_types(name)
+    return {
+        "source": keys["source"],
+        "entry": (str, None, None),
+        **{key: (kind, None, None) for key, kind in params.items()},
+    }
 
 
-def _inline_problem(cp) -> VolterraProblem:
-    a = _get_float(cp, "problem", "a", 1.0)
-    if a == 0 or not math.isfinite(a):
-        raise SpecValidationError(f"[problem] a must be nonzero, got {a!r}")
-    c = _get_float(cp, "problem", "c", 1.0 / abs(a))
+def _read_config(cp: configparser.ConfigParser) -> dict[str, dict | None]:
+    """Every value of every section, checked against _SCHEMA before any
+    part is built.  A part section that is absent or empty reads None."""
+    stray = [cp.default_section] if cp.defaults() else []
+    for section in stray + cp.sections():
+        if section not in _SCHEMA:
+            raise SpecValidationError(
+                f"unknown config section [{section}]; known sections:"
+                f" {', '.join(_SCHEMA)}"
+            )
+    config: dict[str, dict | None] = {}
+    for section, keys in _SCHEMA.items():
+        # raw: a '%' is never interpolation, so it reaches the checks below
+        given = dict(cp.items(section, raw=True)) if cp.has_section(section) else {}
+        if "source" in keys:
+            if not given:
+                config[section] = None
+                continue
+            keys = _part_keys(section, given)
+        for key in sorted(given):
+            if key not in keys:
+                raise SpecValidationError(
+                    f"[{section}] unknown key {key!r}; known keys:"
+                    f" {', '.join(sorted(keys))}"
+                )
+        config[section] = {
+            key: _read_value(section, key, given, schema)
+            for key, schema in keys.items()
+        }
+    return config
+
+
+def _inline_problem(v: dict) -> VolterraProblem:
+    a = v["a"]
+    c = 1.0 / abs(a) if v["c"] is None else v["c"]
     stages = []
     phi_vars = ["t", "om1"]
-    kernel_text = cp.get("problem", "kernel", fallback=None)
-    if kernel_text is None:
-        raise SpecValidationError("[problem] inline problems need kernel=<expr>")
-    k1 = expr.as_function(expr.parse(kernel_text, ("t", "s", "u")), ("t", "s", "u"))
+    k1 = expr.as_function(expr.parse(v["kernel"], ("t", "s", "u")), ("t", "s", "u"))
 
     # the expression functions are scalar, so the batch goes row by row
     def kernel1(t, s, u):
@@ -246,10 +276,9 @@ def _inline_problem(cp) -> VolterraProblem:
         return np.array([[k1(t, sk, uk)] for sk, uk in rows])
 
     stages.append(KernelStage(1, kernel1))
-    kernel2_text = cp.get("problem", "kernel2", fallback=None)
-    if kernel2_text is not None:
+    if v["kernel2"] is not None:
         names2 = ("t", "s1", "s2", "u1", "u2")
-        k2 = expr.as_function(expr.parse(kernel2_text, names2), names2)
+        k2 = expr.as_function(expr.parse(v["kernel2"], names2), names2)
 
         def kernel2(t, s, u):
             rows = zip(s.tolist(), u[:, :, 0].tolist())
@@ -258,10 +287,7 @@ def _inline_problem(cp) -> VolterraProblem:
         stages.append(KernelStage(2, kernel2))
         phi_vars.append("om2")
     phi_vars.append("u")
-    phi_text = cp.get("problem", "phi", fallback=None)
-    if phi_text is None:
-        raise SpecValidationError("[problem] inline problems need phi=<expr>")
-    phi = expr.as_function(expr.parse(phi_text, tuple(phi_vars)), tuple(phi_vars))
+    phi = expr.as_function(expr.parse(v["phi"], tuple(phi_vars)), tuple(phi_vars))
     if len(stages) == 2:
         def outer(t, integrals, u):
             return np.array(
@@ -280,114 +306,94 @@ def _inline_problem(cp) -> VolterraProblem:
     )
 
 
-def _inline_majorant(cp) -> MajorantSpec:
-    f_text = cp.get("majorant", "f", fallback=None)
-    g_text = cp.get("majorant", "gamma", fallback=None)
-    if f_text is None or g_text is None:
-        raise SpecValidationError(
-            "[majorant] inline majorants need f=<expr over t, w> and"
-            " gamma=<expr over z>"
-        )
-    f_expr = expr.parse(f_text, ("t", "w"))
-    g_expr = expr.parse(g_text, ("z",))
-    f_fn = expr.as_function(f_expr, ("t", "w"))
-    g_fn = expr.as_function(g_expr, ("z",))
+def _inline_majorant(v: dict) -> MajorantSpec:
+    f_expr = expr.parse(v["f"], ("t", "w"))
+    gamma = expr.as_function(expr.parse(v["gamma"], ("z",)), ("z",))
     upper = None
-    upper_text = cp.get("majorant", "zprime", fallback=None)
-    if upper_text is not None:
-        upper = expr.as_function(expr.parse(upper_text, ("t",)), ("t",))
+    if v["zprime"] is not None:
+        upper = expr.as_function(expr.parse(v["zprime"], ("t",)), ("t",))
     return MajorantSpec(
-        f=f_fn,
-        gamma=g_fn,
-        pole=_get_float(cp, "majorant", "pole", None),
+        f=expr.as_function(f_expr, ("t", "w")),
+        gamma=gamma,
+        pole=v["pole"],
         upper_solution=upper,
         f_depends_on_t="t" in expr.variables(f_expr),
-        z_max=_get_float(cp, "majorant", "z_max", None),
-        omega_max=_get_float(cp, "majorant", "omega_max", None),
+        z_max=v["z_max"],
+        omega_max=v["omega_max"],
         name="inline majorant",
     )
 
 
-def _inline_lyapunov(cp) -> LyapunovSpec:
-    f_text = cp.get("lyapunov", "f", fallback=None)
-    if f_text is None:
-        raise SpecValidationError("[lyapunov] needs f=<expr over r, t>")
-    f_fn = expr.as_function(expr.parse(f_text, ("r", "t")), ("r", "t"))
+def _inline_lyapunov(v: dict) -> LyapunovSpec:
     fr_fn = None
-    fr_text = cp.get("lyapunov", "fr", fallback=None)
-    if fr_text is not None:
-        fr_fn = expr.as_function(expr.parse(fr_text, ("r", "t")), ("r", "t"))
+    if v["fr"] is not None:
+        fr_fn = expr.as_function(expr.parse(v["fr"], ("r", "t")), ("r", "t"))
     return LyapunovSpec(
-        f=f_fn,
+        f=expr.as_function(expr.parse(v["f"], ("r", "t")), ("r", "t")),
         f_r=fr_fn,
-        inv_norm_bound=_get_float(cp, "lyapunov", "c", 1.0),
-        r_max=_get_float(cp, "lyapunov", "r_max", 100.0),
-        t_max=_get_float(cp, "lyapunov", "t_max", 100.0),
+        inv_norm_bound=v["c"],
+        r_max=v["r_max"],
+        t_max=v["t_max"],
         name="inline algebraic majorant",
     )
+
+
+_INLINE_BUILDERS = {
+    "problem": _inline_problem,
+    "majorant": _inline_majorant,
+    "lyapunov": _inline_lyapunov,
+}
 
 
 class _Setup:
     """Everything a subcommand can need, resolved from one config."""
 
+    problem: VolterraProblem | None
+    majorant: MajorantSpec | None
+    lyapunov: LyapunovSpec | None
+
     def __init__(self, cp: configparser.ConfigParser):
-        _check_config_keys(cp)
+        config = _read_config(cp)
         self.entry: CorpusEntry | None = None
-        self.problem: VolterraProblem | None = None
-        self.majorant: MajorantSpec | None = None
         self.majorant_classifiable = True
-        p_src = _source_of(cp, "problem")
-        if p_src == "corpus":
-            self.entry = _corpus_entry_from(cp, "problem")
-            self.problem = self.entry.problem
-            if self.problem is None:
-                raise SpecValidationError(
-                    f"corpus entry {self.entry.name!r} has no problem part"
-                )
-        elif p_src == "inline":
-            self.problem = _inline_problem(cp)
-        m_src = _source_of(cp, "majorant")
-        if m_src == "corpus":
-            entry = self.entry or _corpus_entry_from(cp, "majorant")
-            if entry.majorant is None:
-                raise SpecValidationError(
-                    f"corpus entry {entry.name!r} has no majorant part"
-                )
-            self.entry = self.entry or entry
-            self.majorant = entry.majorant
-            self.majorant_classifiable = entry.majorant_classifiable
-        elif m_src == "inline":
-            self.majorant = _inline_majorant(cp)
-        elif self.entry is not None and self.entry.majorant is not None:
-            # a corpus problem brings its own majorant unless disabled
-            self.majorant = self.entry.majorant
-            self.majorant_classifiable = self.entry.majorant_classifiable
-        l_src = _source_of(cp, "lyapunov")
-        if l_src == "corpus":
-            entry = self.entry or _corpus_entry_from(cp, "lyapunov")
-            if entry.lyapunov is None:
-                raise SpecValidationError(
-                    f"corpus entry {entry.name!r} has no algebraic majorant"
-                )
-            self.lyapunov = entry.lyapunov
-        elif l_src == "inline":
-            self.lyapunov = _inline_lyapunov(cp)
-        else:
-            self.lyapunov = (
-                self.entry.lyapunov if self.entry is not None else None
-            )
-        self.n = _get_int(cp, "mesh", "n", None, minimum=1)
-        self.t_end = _get_float(cp, "mesh", "t_end", None)
-        self.theta = _get_float(cp, "mesh", "theta", 0.95)
+        for part, build in _INLINE_BUILDERS.items():
+            values = config[part]
+            if values is None:
+                # a part left out comes from the corpus entry named before it
+                entry = self.entry
+                spec = None if entry is None else getattr(entry, part)
+            elif values["source"] == "inline":
+                entry = None
+                spec = build(values)
+            else:
+                params = {
+                    k: v for k, v in values.items()
+                    if k not in ("source", "entry") and v is not None
+                }
+                entry = corpus_build(values["entry"], params)
+                spec = getattr(entry, part)
+                if spec is None:
+                    raise SpecValidationError(
+                        f"corpus entry {entry.name!r} has no {part} part"
+                    )
+            setattr(self, part, spec)
+            if part == "majorant" and entry is not None:
+                self.majorant_classifiable = entry.majorant_classifiable
+            if part != "lyapunov":
+                # the problem's entry, else the majorant's, sets mesh defaults
+                self.entry = self.entry or entry
+        mesh, tolerances, run = config["mesh"], config["tolerances"], config["run"]
+        self.n = mesh["n"]
+        self.t_end = mesh["t_end"]
+        self.theta = mesh["theta"]
         self.theta_explicit = cp.has_option("mesh", "theta")
-        self.ratio = _get_positive(cp, "mesh", "ratio", 1.0)
-        self.tol = _get_positive(cp, "tolerances", "tol", 1e-10)
-        self.n_max = _get_int(cp, "tolerances", "n_max", 200, minimum=1)
-        self.blowup_tol = _get_positive(cp, "tolerances", "blowup_tol", 1e-6)
-        self.seed = _get_int(cp, "run", "seed", DEFAULT_SEED, minimum=0)
-        # no sample drawn would leave every sampled condition "pass"
-        self.samples = _get_int(cp, "run", "samples", 100, minimum=1)
-        self.sample_bound = _get_positive(cp, "run", "sample_bound", 1.0)
+        self.ratio = mesh["ratio"]
+        self.tol = tolerances["tol"]
+        self.n_max = tolerances["n_max"]
+        self.blowup_tol = tolerances["blowup_tol"]
+        self.seed = run["seed"]
+        self.samples = run["samples"]
+        self.sample_bound = run["sample_bound"]
         self._blowup: BlowupReport | None = None
         self._majorant_solution: MajorantSolution | None = None
 
@@ -404,10 +410,6 @@ class _Setup:
         if self.t_end is not None:
             return self.t_end
         usable = horizon is not None and math.isfinite(horizon)
-        if usable and not (0 < self.theta < 1):
-            raise SpecValidationError(
-                f"[mesh] theta must sit in (0, 1), got {self.theta!r}"
-            )
         if usable and self.theta_explicit:
             return self.theta * horizon
         if self.entry is not None and self.entry.default_t_end is not None:
@@ -721,16 +723,10 @@ def _corpus_run_one(name: str, out_root: str, timestamp: bool) -> int:
     entry = corpus_build(name)
     out = os.path.join(out_root, name)
     os.makedirs(out, exist_ok=True)
+    # name the entry's first part; the later parts come from the same entry
+    section = next(p for p in _INLINE_BUILDERS if getattr(entry, p) is not None)
     cp = configparser.ConfigParser()
-    if entry.problem is not None:
-        section = "problem"
-    elif entry.majorant is not None:
-        section = "majorant"
-    else:
-        section = "lyapunov"
-    cp.add_section(section)
-    cp.set(section, "source", "corpus")
-    cp.set(section, "entry", name)
+    cp.read_dict({section: {"source": "corpus", "entry": name}})
     setup = _Setup(cp)
     worst = EXIT_OK
     if entry.majorant is not None:

@@ -30,8 +30,6 @@ __all__ = [
     "sqrt_pole",
     "interior_points",
     "second_difference_operator",
-    "green_matrix",
-    "green_apply",
     "bvp_divided_differences",
 ]
 
@@ -126,20 +124,6 @@ def second_difference_operator(m: int) -> TridiagonalOperator:
     return TridiagonalOperator(
         np.full(m - 1, scale), np.full(m, -2.0 * scale), np.full(m - 1, scale)
     )
-
-
-def green_matrix(m: int) -> np.ndarray:
-    """h-weighted kernel x(s-1) / s(x-1): the exact inverse of the
-    divided second-difference operator, entry for entry."""
-    x = interior_points(m)
-    h = 1.0 / (m + 1)
-    xi = x[:, None]
-    sj = x[None, :]
-    return h * np.where(xi <= sj, xi * (sj - 1.0), sj * (xi - 1.0))
-
-
-def green_apply(m: int, values: np.ndarray) -> np.ndarray:
-    return green_matrix(m) @ np.asarray(values, dtype=float)
 
 
 def sine_bvp(m: int = 21) -> CorpusEntry:

@@ -46,9 +46,18 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
         nodes = np.linspace(0.0, t_end, n + 1)
         return Mesh(nodes, grading="uniform", ratio=1.0)
     k = np.arange(n + 1, dtype=float)
-    nodes = t_end * (1.0 - ratio**k) / (1.0 - ratio**n)
+    try:
+        with np.errstate(all="ignore"):
+            nodes = t_end * (1.0 - ratio**k) / (1.0 - ratio**n)
+    except OverflowError:  # ratio**n past the float range
+        nodes = np.full(n + 1, np.inf)
     nodes[0] = 0.0
     nodes[-1] = t_end
+    if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+        raise SpecValidationError(
+            f"gap ratio {ratio!r} over n={n} gaps overflows or collapses"
+            " the geometric mesh nodes"
+        )
     return Mesh(nodes, grading="geometric", ratio=ratio)
 
 

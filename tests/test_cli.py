@@ -4,8 +4,12 @@ import math
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from volmaj.cli import main
+from volmaj.cli import _SCHEMA, _load_config, _Setup, main
+from volmaj.corpus import corpus_names, corpus_param_types
+from volmaj.errors import ExprError, SpecValidationError
 
 
 def ini(tmp_path, text, name="run.ini"):
@@ -327,6 +331,70 @@ class TestVerify:
         assert "D" in pairs["failed"]
 
 
+class TestPartSources:
+    def test_corpus_majorant_uses_its_own_entry(self, tmp_path):
+        # the problem's entry used to supply the majorant whatever
+        # [majorant] named
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = corpus
+            entry = sine_bvp
+
+            [majorant]
+            source = corpus
+            entry = sqrt_pole
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["majorant", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "majorant_summary.txt")
+        assert pairs["name"] == "sqrt_pole majorant"
+
+    def test_corpus_majorant_uses_its_own_parameters(self, tmp_path):
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [majorant]
+            source = corpus
+            entry = linear_majorant
+            a = 2
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["majorant", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "majorant_summary.txt")
+        assert pairs["name"] == "linear_majorant(a=2, b=1)"
+        assert pairs["classification"] == "Global"
+
+    def test_corpus_lyapunov_uses_its_own_parameters(self, tmp_path):
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = corpus
+            entry = sine_bvp
+
+            [lyapunov]
+            source = corpus
+            entry = sine_bvp
+            m = 5
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "lyapunov_summary.txt")
+        assert pairs["name"] == "sine_bvp(m=5) algebraic majorant"
+
+
 class TestDeterminism:
     def test_no_timestamp_reruns_are_byte_identical(self, tmp_path):
         cfg = ini(tmp_path, BVP_SOLVE)
@@ -591,3 +659,151 @@ class TestConfigErrors:
         )
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio, n", [("1e300", "400"), ("1e-300", "4")])
+    def test_overflowing_mesh_ratio_exits_2(self, tmp_path, capsys, ratio, n):
+        # 1e300**400 overflowed into a traceback; 1e-300 made the last
+        # nodes coincide under a message naming neither setting
+        cfg = ini(
+            tmp_path,
+            f"""
+            [majorant]
+            source = inline
+            f = w + 1
+            gamma = z^2
+
+            [mesh]
+            t_end = 0.5
+            ratio = {ratio}
+            n = {n}
+            """,
+        )
+        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"ratio {float(ratio)!r} over n={n}" in err
+
+    @pytest.mark.parametrize("extra", ["", "[mesh]\n", "[majorant]\n"])
+    def test_default_section_rejected(self, tmp_path, capsys, extra):
+        # configparser copies [DEFAULT] keys into every section: n set the
+        # node count only where a [mesh] section existed, and it turned an
+        # empty [majorant] into an inline majorant
+        cfg = ini(
+            tmp_path,
+            "[DEFAULT]\nn = 5\n\n[problem]\nsource = corpus\nentry = power_family\n"
+            + extra,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+    def test_source_none_rejected(self, tmp_path, capsys):
+        # "none" behaved like a missing section: the corpus majorant ran
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = corpus
+            entry = power_family
+
+            [majorant]
+            source = none
+            """,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "[majorant] source must be corpus or inline" in capsys.readouterr().err
+
+    # every part, so each command runs on it; t_end is explicit, so theta
+    # is read but never used
+    FULL = {
+        "problem": {"source": "inline", "kernel": "u", "phi": "u - om1 - t"},
+        "majorant": {"source": "inline", "f": "w + t", "gamma": "z"},
+        "lyapunov": {
+            "source": "inline", "f": "t * r^2 + t", "r_max": "10", "t_max": "5",
+        },
+        "mesh": {"n": "20", "t_end": "0.4"},
+        "run": {"samples": "10"},
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "majorant", "lyapunov", "verify"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("mesh", "t_end", "inf"),
+            ("mesh", "t_end", "0"),
+            ("mesh", "theta", "2"),
+            ("mesh", "theta", "1"),
+            ("problem", "c", "inf"),
+            ("problem", "c", "0"),
+            ("majorant", "pole", "inf"),
+            ("majorant", "z_max", "inf"),
+            ("majorant", "omega_max", "-1"),
+            ("lyapunov", "c", "inf"),
+            ("lyapunov", "r_max", "inf"),
+            ("lyapunov", "t_max", "nan"),
+        ],
+    )
+    def test_declared_range_checked_before_numerics(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        config = {name: dict(keys) for name, keys in self.FULL.items()}
+        config[section][key] = value
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+            for name, keys in config.items()
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", ini(tmp_path, text), "--out", str(out)]) == 2
+        assert f"[{section}] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# values that sit on or past every declared range, and non-numbers
+_FUZZ_VALUES = ["0", "-1", "0.5", "1", "3.5", "1e300", "1e999", "nan", "inf",
+                "-inf", "x", ""]
+
+
+def _mostly(draw, common, rare):
+    """A common choice four times in five, else a rare one."""
+    return draw(st.sampled_from(common if draw(st.integers(0, 4)) else rare))
+
+
+@st.composite
+def _config_texts(draw):
+    sections = [name for name in _SCHEMA if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 0:
+        sections.append(draw(st.sampled_from(["solver", "DEFAULT"])))
+    lines = []
+    for section in sections:
+        keys = {key: None for key in _SCHEMA.get(section, {"nodes": None})}
+        if "source" in keys:
+            source = _mostly(draw, ["corpus", "inline"], ["none", *_FUZZ_VALUES])
+            if source == "corpus":
+                entry = _mostly(draw, corpus_names(), _FUZZ_VALUES)
+                params = corpus_param_types(entry) if entry in corpus_names() else {}
+                keys = {"source": source, "entry": entry, **dict.fromkeys(params)}
+            else:
+                keys["source"] = source
+        if draw(st.integers(0, 7)) == 0:
+            keys[draw(st.sampled_from(["nodes", "kernel", "entry"]))] = None
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if draw(st.booleans()):
+                if value is None:
+                    value = _mostly(draw, ["0.5", "1"], _FUZZ_VALUES)
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@given(_config_texts())
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_config_builds_or_exits_2(tmp_path, text):
+    # reading and building only: no classification, solve or sampling
+    path = tmp_path / "fuzz.ini"
+    path.write_text(text)
+    try:
+        _Setup(_load_config(str(path)))
+    except (SpecValidationError, ExprError):
+        pass

@@ -11,13 +11,25 @@ from volmaj.corpus import (
     corpus_build,
     corpus_names,
     corpus_param_types,
-    green_apply,
-    green_matrix,
     interior_points,
     second_difference_operator,
 )
 from volmaj.errors import SpecValidationError
 from volmaj.quadrature import graded_mesh
+
+
+def green_matrix(m: int) -> np.ndarray:
+    """h-weighted kernel x(s-1) / s(x-1): the exact inverse of the
+    divided second-difference operator, entry for entry."""
+    x = interior_points(m)
+    h = 1.0 / (m + 1)
+    xi = x[:, None]
+    sj = x[None, :]
+    return h * np.where(xi <= sj, xi * (sj - 1.0), sj * (xi - 1.0))
+
+
+def green_apply(m: int, values: np.ndarray) -> np.ndarray:
+    return green_matrix(m) @ np.asarray(values, dtype=float)
 
 
 class TestGreenKernel:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ class TestGradedMesh:
             graded_mesh(1.0, 4, 0.0)
         with pytest.raises(SpecValidationError):
             graded_mesh(1.0, 4, -0.5)
+
+    @pytest.mark.parametrize("ratio, n", [(1e300, 400), (2.0, 1100), (1e-300, 4)])
+    def test_overflowing_or_collapsing_nodes_name_ratio_and_n(self, ratio, n):
+        # ratio**n overflows a float for the first two; for the last the
+        # powers underflow to 0 and the end nodes coincide
+        message = re.escape(f"{ratio!r} over n={n}")
+        with pytest.raises(SpecValidationError, match=message):
+            graded_mesh(1.0, n, ratio)
+
+    @pytest.mark.parametrize("ratio, n", [(1e300, 1), (1e-300, 1), (1e10, 30)])
+    def test_extreme_ratio_with_few_gaps_still_builds(self, ratio, n):
+        mesh = graded_mesh(1.0, n, ratio)
+        assert mesh.n == n and mesh.nodes[-1] == 1.0
 
     def test_ratio_above_one_grades_toward_zero(self):
         mesh = graded_mesh(1.0, 2, 2.0)
