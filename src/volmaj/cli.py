@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import math
 import os
@@ -25,7 +26,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import expr
-from .algebraic_majorant import LyapunovSpec, check_convexity, solve_lyapunov
+from .algebraic_majorant import (
+    ConvexityReport,
+    LyapunovSpec,
+    check_convexity,
+    solve_lyapunov,
+)
 from .conditions import DEFAULT_SEED, ConditionStatus, run_suite
 from .corpus import (
     CorpusEntry,
@@ -33,6 +39,7 @@ from .corpus import (
     corpus_build,
     corpus_names,
     corpus_param_types,
+    corpus_params,
 )
 from .errors import (
     ExprError,
@@ -67,12 +74,7 @@ _EPILOG = (
 
 
 def format_number(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
+    return f"{float(x):.9g}"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -223,11 +225,11 @@ def _part_keys(section: str, given: dict) -> dict:
             f"[{section}] entry must be one of {', '.join(corpus_names())},"
             f" got {name!r}"
         )
-    params = corpus_param_types(name)
+    params = corpus_params(name)
     return {
         "source": keys["source"],
         "entry": (str, None, None),
-        **{key: (kind, None, None) for key, kind in params.items()},
+        **{key: (kind, None, accepted) for key, (kind, accepted) in params.items()},
     }
 
 
@@ -263,47 +265,55 @@ def _read_config(cp: configparser.ConfigParser) -> dict[str, dict | None]:
     return config
 
 
+def _pointwise(fn, *args) -> np.ndarray:
+    """A scalar expression function over arrays that broadcast to (S, K),
+    as an (S, K, 1) array.  The arguments stream through map from flat
+    float buffers, which make one Python float at a time; lists of them
+    would hold every point's floats at once."""
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    flat = (memoryview(np.broadcast_to(a, shape).ravel()) for a in args)
+    return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(*shape, 1)
+
+
 def _inline_problem(v: dict) -> VolterraProblem:
     a = v["a"]
     c = 1.0 / abs(a) if v["c"] is None else v["c"]
     stages = []
     phi_vars = ["t", "om1"]
     k1 = expr.as_function(expr.parse(v["kernel"], ("t", "s", "u")), ("t", "s", "u"))
-
-    # the expression functions are scalar, so the batch goes row by row
-    def kernel1(t, s, u):
-        rows = zip(s[:, 0].tolist(), u[:, 0, 0].tolist())
-        return np.array([[k1(t, sk, uk)] for sk, uk in rows])
-
-    stages.append(KernelStage(1, kernel1))
+    stages.append(
+        KernelStage(1, lambda t, s, u: _pointwise(k1, t, s[:, 0], u[..., 0, 0]))
+    )
     if v["kernel2"] is not None:
         names2 = ("t", "s1", "s2", "u1", "u2")
         k2 = expr.as_function(expr.parse(v["kernel2"], names2), names2)
-
-        def kernel2(t, s, u):
-            rows = zip(s.tolist(), u[:, :, 0].tolist())
-            return np.array([[k2(t, *sk, *uk)] for sk, uk in rows])
-
-        stages.append(KernelStage(2, kernel2))
+        stages.append(
+            KernelStage(
+                2,
+                lambda t, s, u: _pointwise(
+                    k2, t, s[:, 0], s[:, 1], u[..., 0, 0], u[..., 1, 0]
+                ),
+            )
+        )
         phi_vars.append("om2")
     phi_vars.append("u")
     phi = expr.as_function(expr.parse(v["phi"], tuple(phi_vars)), tuple(phi_vars))
-    if len(stages) == 2:
-        def outer(t, integrals, u):
-            return np.array(
-                [phi(t, float(integrals[0][0]), float(integrals[1][0]), float(u[0]))]
-            )
-    else:
-        def outer(t, integrals, u):
-            return np.array([phi(t, float(integrals[0][0]), float(u[0]))])
-    return VolterraProblem(
-        dim=1,
-        stages=tuple(stages),
-        outer=outer,
-        operator=DenseOperator([[a]]),
-        inv_norm_bound=c,
-        name="inline",
-    )
+
+    def outer(t, integrals, u):
+        return _pointwise(phi, t, *(i[..., 0] for i in integrals), u[..., 0])
+
+    try:
+        return VolterraProblem(
+            dim=1,
+            stages=tuple(stages),
+            outer=outer,
+            operator=DenseOperator([[a]]),
+            inv_norm_bound=c,
+            name="inline",
+        )
+    except SpecValidationError as exc:
+        # a and c are checked by the schema, so what fails here is phi
+        raise SpecValidationError(f"[problem] phi: {exc}") from None
 
 
 def _inline_majorant(v: dict) -> MajorantSpec:
@@ -382,20 +392,11 @@ class _Setup:
             if part != "lyapunov":
                 # the problem's entry, else the majorant's, sets mesh defaults
                 self.entry = self.entry or entry
-        mesh, tolerances, run = config["mesh"], config["tolerances"], config["run"]
-        self.n = mesh["n"]
-        self.t_end = mesh["t_end"]
-        self.theta = mesh["theta"]
+        # every [mesh], [tolerances] and [run] key: n, t_end, theta, ratio,
+        # tol, n_max, blowup_tol, seed, samples and sample_bound
+        for section in ("mesh", "tolerances", "run"):
+            vars(self).update(config[section])
         self.theta_explicit = cp.has_option("mesh", "theta")
-        self.ratio = mesh["ratio"]
-        self.tol = tolerances["tol"]
-        self.n_max = tolerances["n_max"]
-        self.blowup_tol = tolerances["blowup_tol"]
-        self.seed = run["seed"]
-        self.samples = run["samples"]
-        self.sample_bound = run["sample_bound"]
-        self._blowup: BlowupReport | None = None
-        self._majorant_solution: MajorantSolution | None = None
 
     def nodes(self) -> int:
         if self.n is not None:
@@ -423,23 +424,22 @@ class _Setup:
             " globally or is not classified)"
         )
 
+    @functools.cached_property
     def blowup(self) -> BlowupReport:
         """The majorant's classification, computed on first use only."""
-        if self._blowup is None:
-            self._blowup = classify_blowup(self.majorant, tol=self.blowup_tol)
-        return self._blowup
+        return classify_blowup(self.majorant, tol=self.blowup_tol)
 
+    @functools.cached_property
+    def convexity(self) -> ConvexityReport:
+        """The algebraic majorant's convexity screen, run on first use."""
+        return check_convexity(self.lyapunov)
+
+    @functools.cached_property
     def majorant_solution(self) -> MajorantSolution:
         """The certified majorant on the run mesh, solved on first use."""
-        if self._majorant_solution is None:
-            report = self.blowup()
-            mesh = graded_mesh(
-                self.resolve_t_end(report.horizon), self.nodes(), self.ratio
-            )
-            self._majorant_solution = solve_majorant(
-                self.majorant, mesh=mesh, classification=report
-            )
-        return self._majorant_solution
+        report = self.blowup
+        mesh = graded_mesh(self.resolve_t_end(report.horizon), self.nodes(), self.ratio)
+        return solve_majorant(self.majorant, mesh=mesh, classification=report)
 
 
 def _majorant_pipeline(
@@ -448,68 +448,42 @@ def _majorant_pipeline(
     """Write majorant_summary.txt / majorant_table.csv; returns the
     solution when the majorant is classifiable, else None (chain only)."""
     spec = setup.majorant
-    pairs: list[tuple[str, str]] = [("name", spec.name)]
-    if not setup.majorant_classifiable:
-        t_end = setup.resolve_t_end(None)
-        mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
+    solution = None
+    if setup.majorant_classifiable:
+        solution = setup.majorant_solution
+        mesh, chain, report = solution.mesh, solution.chain, solution.classification
+        found = [
+            ("classification", report.kind.value),
+            ("horizon", format_number(report.horizon)),
+            ("pole", "none" if report.pole is None else format_number(report.pole)),
+            ("detail", report.detail),
+        ]
+        header = ["t", "omega_plus", "z_plus", "z_last"]
+        columns = [solution.omega, solution.certificate_bound]
+    else:
+        mesh = graded_mesh(setup.resolve_t_end(None), setup.nodes(), setup.ratio)
         chain = majorant_picard(spec, mesh)
-        omega = trapezoid_weights(mesh).prefix(_apply_gamma(spec, chain.final))
-        pairs += [
-            ("classification", "skipped (rate degenerate at zero)"),
-            ("t_end", format_number(mesh.end)),
-            ("nodes", str(mesh.n)),
-            ("ratio", format_number(setup.ratio)),
-            ("chain_iterations", str(chain.count - 1)),
-            ("chain_converged", "yes" if chain.converged else "no"),
-            ("final_delta", format_number(chain.final_delta)),
-        ]
-        _write_summary(
-            os.path.join(out, "majorant_summary.txt"), "majorant", pairs, timestamp
-        )
-        rows = [
-            [float(t), float(w), float(z)]
-            for t, w, z in zip(mesh.nodes, omega, chain.final)
-        ]
-        _write_csv(
-            os.path.join(out, "majorant_table.csv"),
-            ["t", "omega_last", "z_last"],
-            rows,
-        )
-        return None
-    solution = setup.majorant_solution()
-    report = solution.classification
-    chain = solution.chain
-    gap = float(np.max(np.abs(solution.bound - chain.final)))
-    pairs += [
-        ("classification", report.kind.value),
-        ("horizon", format_number(report.horizon)),
-        ("pole", "none" if report.pole is None else format_number(report.pole)),
-        ("detail", report.detail),
-        ("t_end", format_number(solution.mesh.end)),
-        ("nodes", str(solution.mesh.n)),
+        found = [("classification", "skipped (rate degenerate at zero)")]
+        header = ["t", "omega_last", "z_last"]
+        columns = [trapezoid_weights(mesh).prefix(_apply_gamma(spec, chain.final))]
+    pairs = [
+        ("name", spec.name),
+        *found,
+        ("t_end", format_number(mesh.end)),
+        ("nodes", str(mesh.n)),
         ("ratio", format_number(setup.ratio)),
         ("chain_iterations", str(chain.count - 1)),
         ("chain_converged", "yes" if chain.converged else "no"),
         ("final_delta", format_number(chain.final_delta)),
-        ("routes_gap", format_number(gap)),
     ]
+    if solution is not None:
+        gap = np.max(np.abs(solution.bound - chain.final))
+        pairs.append(("routes_gap", format_number(gap)))
     _write_summary(
         os.path.join(out, "majorant_summary.txt"), "majorant", pairs, timestamp
     )
-    rows = [
-        [float(t), float(w), float(zc), float(zl)]
-        for t, w, zc, zl in zip(
-            solution.mesh.nodes,
-            solution.omega,
-            solution.certificate_bound,
-            chain.final,
-        )
-    ]
-    _write_csv(
-        os.path.join(out, "majorant_table.csv"),
-        ["t", "omega_plus", "z_plus", "z_last"],
-        rows,
-    )
+    rows = np.column_stack([mesh.nodes, *columns, chain.final]).tolist()
+    _write_csv(os.path.join(out, "majorant_table.csv"), header, rows)
     return solution
 
 
@@ -517,7 +491,7 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     problem = setup.problem
     majorant_solution = None
     if setup.majorant is not None and setup.majorant_classifiable:
-        majorant_solution = setup.majorant_solution()
+        majorant_solution = setup.majorant_solution
         mesh = majorant_solution.mesh
     else:
         t_end = setup.resolve_t_end(None, fallback=1.0)
@@ -554,20 +528,15 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         )
     _write_summary(os.path.join(out, "solve_summary.txt"), "solve", pairs, timestamp)
     header = ["t", "norm", "residual"]
-    norms = result.trajectory.norms
-    columns = [list(map(float, mesh.nodes)), list(map(float, norms)),
-               list(map(float, result.residuals))]
+    columns = [mesh.nodes, result.trajectory.norms, result.residuals]
     if result.certified_bounds is not None:
         header.append("certified_bound")
-        columns.append(list(map(float, result.certified_bounds)))
+        columns.append(result.certified_bounds)
     if setup.entry is not None and setup.entry.name == "sine_bvp":
         m = setup.entry.params["m"]
-        d0, d1, d2 = bvp_divided_differences(
-            result.trajectory.values, 1.0 / (m + 1)
-        )
         header += ["d0", "d1", "d2"]
-        columns += [list(map(float, d0)), list(map(float, d1)), list(map(float, d2))]
-    rows = [list(row) for row in zip(*columns)]
+        columns += bvp_divided_differences(result.trajectory.values, 1.0 / (m + 1))
+    rows = np.column_stack(columns).tolist()
     _write_csv(os.path.join(out, "solve_table.csv"), header, rows)
     return (
         EXIT_OK if result.status is SolveStatus.CONVERGED else EXIT_NOT_CONVERGED
@@ -575,7 +544,7 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
 
 
 def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
-    convexity = check_convexity(setup.lyapunov)
+    convexity = setup.convexity
     if not convexity.passed:
         kind, r, t, margin = convexity.violations[0]
         raise SpecValidationError(
@@ -622,7 +591,7 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     if setup.problem is not None or setup.majorant is not None:
         horizon = None
         if setup.majorant is not None and setup.majorant_classifiable:
-            horizon = setup.blowup().horizon
+            horizon = setup.blowup.horizon
         t_end = setup.resolve_t_end(horizon, fallback=1.0)
         mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
     report = run_suite(
@@ -633,6 +602,7 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         n_samples=setup.samples,
         seed=setup.seed,
         bound=setup.sample_bound,
+        convexity=None if setup.lyapunov is None else setup.convexity,
     )
     pairs: list[tuple[str, str]] = [("seed", str(report.seed))]
     for label in sorted(report.outcomes):
@@ -651,39 +621,16 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         os.path.join(out, "verify_summary.txt"), "verify", pairs, timestamp
     )
     rows = []
-    for label in sorted(report.outcomes):
-        o = report.outcomes[label]
+    for label, o in sorted(report.outcomes.items()):
         w = o.witness
+        found = [""] * 5
+        if w is not None:
+            found = [str(w.sample), str(w.node), w.t, w.lhs, w.rhs]
         rows.append(
-            [
-                label,
-                o.status.value,
-                str(o.samples),
-                format_number(o.worst_margin),
-                "" if w is None else str(w.sample),
-                "" if w is None else str(w.node),
-                "" if w is None else format_number(w.t),
-                "" if w is None else format_number(w.lhs),
-                "" if w is None else format_number(w.rhs),
-                o.reason,
-            ]
+            [label, o.status.value, str(o.samples), o.worst_margin, *found, o.reason]
         )
-    _write_csv(
-        os.path.join(out, "verify_witnesses.csv"),
-        [
-            "condition",
-            "status",
-            "samples",
-            "worst_margin",
-            "sample",
-            "node",
-            "t",
-            "lhs",
-            "rhs",
-            "reason",
-        ],
-        rows,
-    )
+    header = "condition status samples worst_margin sample node t lhs rhs reason"
+    _write_csv(os.path.join(out, "verify_witnesses.csv"), header.split(), rows)
     return EXIT_CONDITION if failed else EXIT_OK
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic_majorant import LyapunovSpec, check_convexity
+from .algebraic_majorant import ConvexityReport, LyapunovSpec, check_convexity
 from .errors import DomainError, NumericError, SpecValidationError
 from .integral_majorant import (
     MajorantSpec,
@@ -35,8 +35,8 @@ from .integral_majorant import (
     check_upper_solution,
 )
 from .meshes import Mesh, Trajectory
-from .problem import VolterraProblem, residuals
-from .quadrature import WeightTable, trapezoid_weights
+from .problem import VolterraProblem, eval_residual
+from .quadrature import BLOCK_ELEMENTS, trapezoid_weights
 
 __all__ = [
     "ConditionStatus",
@@ -108,6 +108,19 @@ class ConditionReport:
         )
 
 
+def _skipped(condition: str, reason: str) -> CheckOutcome:
+    return CheckOutcome(condition, ConditionStatus.SKIPPED, 0, math.nan, None, reason)
+
+
+def _failed(
+    condition: str, samples: int, reason: str, witness: Witness | None = None
+) -> CheckOutcome:
+    """The outcome of an evaluation that raised: margin -inf."""
+    return CheckOutcome(
+        condition, ConditionStatus.FAIL, samples, -math.inf, witness, reason
+    )
+
+
 class TrajectorySampler:
     """Reproducible random trajectories in a max-norm ball.
 
@@ -138,10 +151,10 @@ class TrajectorySampler:
 
 
 def _nonlinear_part(
-    problem: VolterraProblem, traj: Trajectory, weights: WeightTable
+    problem: VolterraProblem, mesh: Mesh, values: np.ndarray
 ) -> np.ndarray:
     a = problem.operator.matrix()
-    return residuals(problem, traj, weights) - traj.values @ a.T
+    return eval_residual(problem, mesh, values) - values @ a.T
 
 
 def _slope(g, x: float) -> float:
@@ -153,120 +166,143 @@ def _slope(g, x: float) -> float:
     return (float(g(x + h)) - float(g(x - h))) / (2.0 * h)
 
 
+def _norms(values: np.ndarray) -> np.ndarray:
+    """Per-node max-abs norms of a stack of trajectories: (S, n+1)."""
+    return np.max(np.abs(values), axis=2)
+
+
 def sample_margins_A(
-    problem: VolterraProblem,
-    spec: MajorantSpec,
-    traj: Trajectory,
-    weights: WeightTable | None = None,
+    problem: VolterraProblem, spec: MajorantSpec, mesh: Mesh, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for condition A on one trajectory."""
-    if weights is None:
-        weights = trapezoid_weights(traj.mesh)
-    nonlin = _nonlinear_part(problem, traj, weights)
-    lhs = np.max(np.abs(nonlin), axis=1)
-    integrals = weights.prefix(_apply_gamma(spec, traj.norms))
-    return lhs, _apply_f(spec, traj.mesh.nodes, integrals)
+    """Per-node (lhs, rhs) for condition A on a stack of trajectories u
+    of shape (S, n+1, dim); both have shape (S, n+1)."""
+    weights = trapezoid_weights(mesh)
+    lhs = np.max(np.abs(_nonlinear_part(problem, mesh, u)), axis=2)
+    rhs = [
+        _apply_f(spec, mesh.nodes, weights.prefix(_apply_gamma(spec, norms)))
+        for norms in _norms(u)
+    ]
+    return lhs, np.array(rhs)
 
 
 def sample_margins_D(
     problem: VolterraProblem,
     spec: MajorantSpec,
-    u: Trajectory,
-    du: Trajectory,
-    weights: WeightTable | None = None,
+    mesh: Mesh,
+    u: np.ndarray,
+    du: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for the increment condition D."""
-    if weights is None:
-        weights = trapezoid_weights(u.mesh)
-    bumped = Trajectory(u.mesh, u.values + du.values)
+    """Per-node (lhs, rhs) for the increment condition D on stacks."""
+    weights = trapezoid_weights(mesh)
     lhs = np.max(
         np.abs(
-            _nonlinear_part(problem, bumped, weights)
-            - _nonlinear_part(problem, u, weights)
+            _nonlinear_part(problem, mesh, u + du)
+            - _nonlinear_part(problem, mesh, u)
         ),
-        axis=1,
+        axis=2,
     )
-    base = weights.prefix(_apply_gamma(spec, u.norms))
-    widened = weights.prefix(_apply_gamma(spec, u.norms + du.norms))
-    rhs = _apply_f(spec, u.mesh.nodes, widened) - _apply_f(spec, u.mesh.nodes, base)
-    return lhs, rhs
+    rhs = []
+    for u_norms, du_norms in zip(_norms(u), _norms(du)):
+        base = weights.prefix(_apply_gamma(spec, u_norms))
+        widened = weights.prefix(_apply_gamma(spec, u_norms + du_norms))
+        rhs.append(
+            _apply_f(spec, mesh.nodes, widened) - _apply_f(spec, mesh.nodes, base)
+        )
+    return lhs, np.array(rhs)
 
 
 def sample_margins_E(
     problem: VolterraProblem,
     spec: MajorantSpec,
-    u: Trajectory,
-    v: Trajectory,
-    weights: WeightTable | None = None,
+    mesh: Mesh,
+    u: np.ndarray,
+    v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for the derivative condition E.
+    """Per-node (lhs, rhs) for the derivative condition E on stacks.
 
     lhs is a central finite-difference directional derivative along v
     of the integral route through the outer map, taken with the direct
     slot frozen at u so the linear part drops out exactly; rhs is the
     chain-rule bound built from the slopes of f and gamma.
     """
-    if weights is None:
-        weights = trapezoid_weights(u.mesh)
-    eps = 1e-6 * (1.0 + u.max_norm)
-    plus = Trajectory(u.mesh, u.values + eps * v.values)
-    minus = Trajectory(u.mesh, u.values - eps * v.values)
-    diff = residuals(problem, plus, weights, u.values) - residuals(
-        problem, minus, weights, u.values
+    weights = trapezoid_weights(mesh)
+    eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
+    step = eps[:, None, None] * v
+    diff = eval_residual(problem, mesh, u + step, u) - eval_residual(
+        problem, mesh, u - step, u
     )
-    lhs = np.max(np.abs(diff), axis=1) / (2.0 * eps)
-    norms = u.norms
-    integrals = weights.prefix(_apply_gamma(spec, norms))
-    slope_samples = np.array(
-        [_slope(spec.gamma, float(z)) * nv for z, nv in zip(norms, v.norms)]
-    )
-    weighted = weights.prefix(slope_samples)
-    rhs = np.array(
-        [
-            _slope(lambda x: spec.f(t, x), float(w)) * float(s)
-            for t, w, s in zip(u.mesh.nodes.tolist(), integrals, weighted)
+    lhs = np.max(np.abs(diff), axis=2) / (2.0 * eps[:, None])
+    rhs = []
+    for norms, v_norms in zip(_norms(u), _norms(v)):
+        integrals = weights.prefix(_apply_gamma(spec, norms))
+        slope_samples = np.array(
+            [_slope(spec.gamma, float(z)) * nv for z, nv in zip(norms, v_norms)]
+        )
+        weighted = weights.prefix(slope_samples)
+        slopes = [
+            _slope(lambda x: spec.f(t, x), float(w))
+            for t, w in zip(mesh.nodes.tolist(), integrals)
         ]
-    )
-    return lhs, rhs
+        rhs.append(np.array(slopes) * weighted)
+    return lhs, np.array(rhs)
 
 
-def _sampled_check(
-    condition: str,
-    n_samples: int,
-    draw_pair,
-    margins,
-) -> CheckOutcome:
-    worst = math.inf
-    witness: Witness | None = None
-    mesh_nodes = None
-    for i in range(n_samples):
-        args = draw_pair(i)
+class _SampledCheck:
+    """One sampled condition, fed block by block of samples.
+
+    The worst margin and its witness are those a sample-by-sample audit
+    finds; a block that raises is re-run one sample at a time, so the
+    failure reported is the lowest failing sample's, with its message.
+    """
+
+    def __init__(self, condition: str, mesh: Mesh, margins):
+        self.condition = condition
+        self.nodes = mesh.nodes
+        self.margins = margins
+        self.worst = math.inf
+        self.witness: Witness | None = None
+        self.failure: CheckOutcome | None = None
+
+    def feed(self, samples: range, *stacks: np.ndarray) -> None:
+        errors = (NumericError, DomainError, OverflowError, ValueError)
         try:
-            lhs, rhs = margins(*args)
-        except (NumericError, DomainError, OverflowError, ValueError) as exc:
-            return CheckOutcome(
-                condition,
-                ConditionStatus.FAIL,
-                i + 1,
-                -math.inf,
-                Witness(condition, i, -1, math.nan, math.nan, math.nan),
-                reason=f"evaluation failed on sample {i}: {exc}",
-            )
-        mesh_nodes = args[0].mesh.nodes
+            lhs, rhs = self.margins(*stacks)
+        except errors:
+            for k, i in enumerate(samples):
+                try:
+                    self.margins(*(a[k : k + 1] for a in stacks))
+                except errors as exc:
+                    nowhere = Witness(self.condition, i, -1, *[math.nan] * 3)
+                    reason = f"evaluation failed on sample {i}: {exc}"
+                    self.failure = _failed(self.condition, i + 1, reason, nowhere)
+                    return
+            raise
         margin = rhs - lhs
-        j = int(np.argmin(margin))
-        if margin[j] < worst:
-            worst = float(margin[j])
-            witness = Witness(
-                condition,
-                i,
-                j,
-                float(mesh_nodes[j]),
-                float(lhs[j]),
-                float(rhs[j]),
-            )
-    status = ConditionStatus.PASS if worst >= -_SLACK else ConditionStatus.FAIL
-    return CheckOutcome(condition, status, n_samples, worst, witness)
+        for k, i in enumerate(samples):
+            j = int(np.argmin(margin[k]))
+            if margin[k, j] < self.worst:
+                self.worst = float(margin[k, j])
+                t, left, right = self.nodes[j], lhs[k, j], rhs[k, j]
+                self.witness = Witness(
+                    self.condition, i, j, float(t), float(left), float(right)
+                )
+
+    def outcome(self, n_samples: int) -> CheckOutcome:
+        if self.failure is not None:
+            return self.failure
+        status = ConditionStatus.PASS if self.worst >= -_SLACK else ConditionStatus.FAIL
+        return CheckOutcome(self.condition, status, n_samples, self.worst, self.witness)
+
+
+def _sample_blocks(sampler: TrajectorySampler, n_samples: int):
+    """Consecutive sample indices, as many per block as the budget holds,
+    with a function drawing one stream's stack for the block."""
+    size = max(1, BLOCK_ELEMENTS // (sampler.mesh.nodes.size * sampler.dim))
+    for start in range(0, n_samples, size):
+        samples = range(start, min(start + size, n_samples))
+        yield samples, lambda stream, samples=samples: np.stack(
+            [sampler.draw(stream, i).values for i in samples]
+        )
 
 
 def check_A(
@@ -278,13 +314,11 @@ def check_A(
     bound: float = 1.0,
 ) -> CheckOutcome:
     sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    weights = trapezoid_weights(mesh)
-    return _sampled_check(
-        "A",
-        n_samples,
-        lambda i: (sampler.draw(STREAM_A, i),),
-        lambda traj: sample_margins_A(problem, spec, traj, weights),
-    )
+    check = _SampledCheck("A", mesh, lambda u: sample_margins_A(problem, spec, mesh, u))
+    for samples, draw in _sample_blocks(sampler, n_samples):
+        if check.failure is None:
+            check.feed(samples, draw(STREAM_A))
+    return check.outcome(n_samples)
 
 
 def check_D_and_E(
@@ -297,23 +331,21 @@ def check_D_and_E(
 ) -> tuple[CheckOutcome, CheckOutcome]:
     """Returns (outcome for D, outcome for E) on shared samples."""
     sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    weights = trapezoid_weights(mesh)
-    outcome_d = _sampled_check(
-        "D",
-        n_samples,
-        lambda i: (
-            sampler.draw(STREAM_U, i),
-            Trajectory(mesh, 0.5 * sampler.draw(STREAM_DELTA, i).values),
-        ),
-        lambda u, du: sample_margins_D(problem, spec, u, du, weights),
+    check_d = _SampledCheck(
+        "D", mesh, lambda u, du: sample_margins_D(problem, spec, mesh, u, du)
     )
-    outcome_e = _sampled_check(
-        "E",
-        n_samples,
-        lambda i: (sampler.draw(STREAM_U, i), sampler.draw(STREAM_V, i)),
-        lambda u, v: sample_margins_E(problem, spec, u, v, weights),
+    check_e = _SampledCheck(
+        "E", mesh, lambda u, v: sample_margins_E(problem, spec, mesh, u, v)
     )
-    return outcome_d, outcome_e
+    for samples, draw in _sample_blocks(sampler, n_samples):
+        if check_d.failure is None or check_e.failure is None:
+            # draws are pure, so one draw of u serves both conditions
+            u = draw(STREAM_U)
+        if check_d.failure is None:
+            check_d.feed(samples, u, 0.5 * draw(STREAM_DELTA))
+        if check_e.failure is None:
+            check_e.feed(samples, u, draw(STREAM_V))
+    return check_d.outcome(n_samples), check_e.outcome(n_samples)
 
 
 def check_B(
@@ -365,14 +397,7 @@ def check_B(
             for j in range(1, col.size):
                 update(2, float(t_grid[j]), float(col[j - 1]), float(col[j]))
     except (NumericError, DomainError, OverflowError, ValueError) as exc:
-        return CheckOutcome(
-            "B",
-            ConditionStatus.FAIL,
-            count,
-            -math.inf,
-            None,
-            reason=f"evaluation failed inside the sampled box: {exc}",
-        )
+        return _failed("B", count, f"evaluation failed inside the sampled box: {exc}")
     status = ConditionStatus.PASS if worst >= -_SLACK else ConditionStatus.FAIL
     reason = "" if status is ConditionStatus.PASS else "monotonicity violated"
     return CheckOutcome("B", status, count, worst, witness, reason=reason)
@@ -384,33 +409,12 @@ def check_C(
     slack: float = 1e-10,
 ) -> CheckOutcome:
     if spec.upper_solution is None:
-        return CheckOutcome(
-            "C",
-            ConditionStatus.SKIPPED,
-            0,
-            math.nan,
-            None,
-            reason="no explicit upper solution declared",
-        )
+        return _skipped("C", "no explicit upper solution declared")
     try:
         rep = check_upper_solution(spec, spec.upper_solution, mesh, slack)
     except (NumericError, DomainError, OverflowError, ValueError) as exc:
-        return CheckOutcome(
-            "C",
-            ConditionStatus.FAIL,
-            0,
-            -math.inf,
-            None,
-            reason=f"candidate bound not evaluable on the mesh: {exc}",
-        )
-    witness = Witness(
-        "C",
-        0,
-        rep.node,
-        rep.t,
-        -rep.worst_margin,
-        0.0,
-    )
+        return _failed("C", 0, f"candidate bound not evaluable on the mesh: {exc}")
+    witness = Witness("C", 0, rep.node, rep.t, -rep.worst_margin, 0.0)
     status = ConditionStatus.PASS if rep.holds else ConditionStatus.FAIL
     return CheckOutcome(
         "C",
@@ -422,17 +426,14 @@ def check_C(
     )
 
 
-def check_G(spec: LyapunovSpec | None) -> CheckOutcome:
+def check_G(
+    spec: LyapunovSpec | None, convexity: ConvexityReport | None = None
+) -> CheckOutcome:
+    """Condition G from the convexity screen; a report already computed
+    for spec may be passed in."""
     if spec is None:
-        return CheckOutcome(
-            "G",
-            ConditionStatus.SKIPPED,
-            0,
-            math.nan,
-            None,
-            reason="no algebraic majorant declared",
-        )
-    rep = check_convexity(spec)
+        return _skipped("G", "no algebraic majorant declared")
+    rep = check_convexity(spec) if convexity is None else convexity
     if rep.passed:
         reason = "degenerate: f vanishes on the whole grid" if rep.degenerate else ""
         return CheckOutcome(
@@ -458,42 +459,32 @@ def run_suite(
     n_samples: int = 200,
     seed: int = DEFAULT_SEED,
     bound: float = 1.0,
+    convexity: ConvexityReport | None = None,
 ) -> ConditionReport:
     """Run every applicable condition check; inapplicable ones are
-    reported as skipped with the missing ingredient named."""
+    reported as skipped with the missing ingredient named.  convexity,
+    when given, is the screen already run on lyapunov."""
     outcomes: dict[str, CheckOutcome] = {}
-
-    def skipped(cond: str, reason: str) -> CheckOutcome:
-        return CheckOutcome(
-            cond, ConditionStatus.SKIPPED, 0, math.nan, None, reason=reason
-        )
-
     if problem is not None and mesh is None:
         raise SpecValidationError(
             "sampling trajectory conditions requires a mesh"
         )
     if problem is None or majorant is None:
         why = "no problem supplied" if problem is None else "no majorant supplied"
-        outcomes["A"] = skipped("A", why)
-        outcomes["D"] = skipped("D", why)
-        outcomes["E"] = skipped("E", why)
+        outcomes.update({c: _skipped(c, why) for c in "ADE"})
     else:
         outcomes["A"] = check_A(problem, majorant, mesh, n_samples, seed, bound)
-        d, e = check_D_and_E(problem, majorant, mesh, n_samples, seed, bound)
-        outcomes["D"] = d
-        outcomes["E"] = e
+        outcomes["D"], outcomes["E"] = check_D_and_E(
+            problem, majorant, mesh, n_samples, seed, bound
+        )
     if majorant is None:
-        outcomes["B"] = skipped("B", "no majorant supplied")
-        outcomes["C"] = skipped("C", "no majorant supplied")
+        outcomes.update({c: _skipped(c, "no majorant supplied") for c in "BC"})
     else:
         outcomes["B"] = check_B(majorant)
-        if mesh is None:
-            outcomes["C"] = (
-                skipped("C", "no mesh supplied")
-                if majorant.upper_solution is not None
-                else skipped("C", "no explicit upper solution declared")
-            )
+        if mesh is None and majorant.upper_solution is not None:
+            outcomes["C"] = _skipped("C", "no mesh supplied")
         else:
+            # without a mesh this is the skip for a missing upper solution
             outcomes["C"] = check_C(majorant, mesh)
-    outcomes["G"] = check_G(lyapunov)
+    outcomes["G"] = check_G(lyapunov, convexity)
     return ConditionReport(outcomes=outcomes, seed=seed)

@@ -23,6 +23,7 @@ __all__ = [
     "CorpusEntry",
     "corpus_names",
     "corpus_build",
+    "corpus_params",
     "corpus_param_types",
     "power_family",
     "sine_bvp",
@@ -58,15 +59,13 @@ def power_family(p: float = 2.0) -> CorpusEntry:
     t^p satisfies the equation identically; with p/(p-1) in its place
     t^p would not solve it.
     """
-    if not (p > 1.0) or not math.isfinite(p):
-        raise SpecValidationError(f"power_family needs p > 1, got {p!r}")
     e = (p - 1.0) / p
 
-    def kernel(t: float, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        v = u[:, 0]
+    def kernel(t: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        v = u[..., 0, :]
         return p * np.copysign(np.abs(v) ** e, v)
 
-    def outer(t: float, integrals: tuple, u: np.ndarray) -> np.ndarray:
+    def outer(t: np.ndarray, integrals: tuple, u: np.ndarray) -> np.ndarray:
         return u - integrals[0]
 
     problem = VolterraProblem(
@@ -105,7 +104,6 @@ def power_family(p: float = 2.0) -> CorpusEntry:
         ),
         majorant_classifiable=False,
         default_t_end=1.0,
-        default_nodes=40,
     )
 
 
@@ -133,17 +131,18 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
     t - integral of sin(t - s + x) u(s, x)^2; the scalar bound solves
     z = t + integral of z^2 and equals tan t up to pi/2.
     """
-    if not isinstance(m, int) or m < 3:
-        raise SpecValidationError(f"sine_bvp needs an integer m >= 3, got {m!r}")
     x = interior_points(m)
     op = second_difference_operator(m)
     a_matrix = op.matrix()
 
-    def kernel(t: float, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.sin(t - s + x) * u[:, 0] ** 2
+    def kernel(t: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # the sine factor is shared by every trajectory of the stack
+        return np.sin(t[:, None] - s + x) * u[..., 0, :] ** 2
 
-    def outer(t: float, integrals: tuple, u: np.ndarray) -> np.ndarray:
-        return a_matrix @ u + integrals[0] - t
+    def outer(t: np.ndarray, integrals: tuple, u: np.ndarray) -> np.ndarray:
+        # matmul, not u @ a_matrix.T: it keeps each node's sum in the
+        # order of a_matrix @ u
+        return np.matmul(a_matrix, u[..., None])[..., 0] + integrals[0] - t[:, None]
 
     problem = VolterraProblem(
         dim=m,
@@ -190,7 +189,6 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
             " bound tan t certifies existence strictly inside [0, pi/2)"
         ),
         default_t_end=0.4,
-        default_nodes=40,
     )
 
 
@@ -200,10 +198,6 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
     With b = 0 the rate vanishes at the origin: the entry is flagged
     degenerate and classification is refused rather than guessed.
     """
-    if not (a > 0) or not math.isfinite(a):
-        raise SpecValidationError(f"linear_majorant needs a > 0, got {a!r}")
-    if b < 0 or not math.isfinite(b):
-        raise SpecValidationError(f"linear_majorant needs b >= 0, got {b!r}")
     majorant = MajorantSpec(
         f=lambda t, w: w + b,
         gamma=lambda z: a * z,
@@ -225,7 +219,6 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
         majorant_classifiable=not degenerate,
         degenerate=degenerate,
         default_t_end=1.0,
-        default_nodes=40,
     )
 
 
@@ -265,8 +258,6 @@ def sqrt_pole() -> CorpusEntry:
         },
         notes="slope escapes at a finite rate pole while the bound stays"
         " below 1; horizon 2/3",
-        default_t_end=None,
-        default_nodes=40,
     )
 
 
@@ -277,10 +268,17 @@ _BUILDERS: dict[str, Callable[..., CorpusEntry]] = {
     "sqrt_pole": sqrt_pole,
 }
 
-_PARAM_TYPES: dict[str, dict[str, type]] = {
-    "linear_majorant": {"a": float, "b": float},
-    "power_family": {"p": float},
-    "sine_bvp": {"m": int},
+# entry -> parameter -> (type, accepted range); a range is (description,
+# predicate), and the builders above rely on it having been checked
+_PARAMS: dict[str, dict[str, tuple[type, tuple[str, Callable]]]] = {
+    "linear_majorant": {
+        "a": (float, ("finite and > 0", lambda v: math.isfinite(v) and v > 0)),
+        "b": (float, ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)),
+    },
+    "power_family": {
+        "p": (float, ("finite and > 1", lambda v: math.isfinite(v) and v > 1)),
+    },
+    "sine_bvp": {"m": (int, ("at least 3", lambda v: v >= 3))},
     "sqrt_pole": {},
 }
 
@@ -289,10 +287,15 @@ def corpus_names() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 
 
-def corpus_param_types(name: str) -> dict[str, type]:
-    if name not in _PARAM_TYPES:
+def corpus_params(name: str) -> dict[str, tuple[type, tuple[str, Callable]]]:
+    """Each parameter's type and accepted range (description, predicate)."""
+    if name not in _PARAMS:
         raise SpecValidationError(f"unknown corpus entry {name!r}")
-    return dict(_PARAM_TYPES[name])
+    return dict(_PARAMS[name])
+
+
+def corpus_param_types(name: str) -> dict[str, type]:
+    return {key: kind for key, (kind, _) in corpus_params(name).items()}
 
 
 def corpus_build(name: str, params: dict | None = None) -> CorpusEntry:
@@ -300,21 +303,27 @@ def corpus_build(name: str, params: dict | None = None) -> CorpusEntry:
         raise SpecValidationError(
             f"unknown corpus entry {name!r}; available: {', '.join(corpus_names())}"
         )
-    params = dict(params or {})
-    types = _PARAM_TYPES[name]
+    declared = _PARAMS[name]
     kwargs = {}
-    for key, raw in params.items():
-        if key not in types:
+    for key, raw in (params or {}).items():
+        if key not in declared:
             raise SpecValidationError(
                 f"corpus entry {name!r} takes no parameter {key!r}"
             )
+        kind, (description, accepts) = declared[key]
         try:
-            kwargs[key] = types[key](raw)
+            value = kind(raw)
         except (TypeError, ValueError):
             raise SpecValidationError(
-                f"parameter {key!r} of {name!r} must be {types[key].__name__},"
+                f"parameter {key!r} of {name!r} must be {kind.__name__},"
                 f" got {raw!r}"
             ) from None
+        if not accepts(value):
+            raise SpecValidationError(
+                f"parameter {key!r} of {name!r} must be {description},"
+                f" got {value!r}"
+            )
+        kwargs[key] = value
     return _BUILDERS[name](**kwargs)
 
 

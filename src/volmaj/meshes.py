@@ -95,9 +95,6 @@ class Trajectory:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def node(self, j: int) -> np.ndarray:
-        return self.values[j]
-
     def __repr__(self) -> str:
         return (
             f"Trajectory(dim={self.dim}, nodes={self.mesh.nodes.size},"

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import SpecValidationError
 from .integral_majorant import MajorantSolution
 from .meshes import Mesh, Trajectory, zero_trajectory
-from .problem import VolterraProblem, picard_step, residuals
-from .quadrature import trapezoid_weights
+from .problem import VolterraProblem, eval_residual, picard_step
 
 __all__ = [
     "SolveStatus",
@@ -88,7 +87,6 @@ def _solve(
         raise SpecValidationError(f"n_max must be >= 1, got {n_max}")
     if chain_cap < 4:
         raise SpecValidationError(f"chain_cap must be >= 4, got {chain_cap}")
-    weights = trapezoid_weights(mesh)
     u = start
     stored: list[tuple[int, Trajectory]] = [(0, u)]
     status = SolveStatus.NOT_CONVERGED
@@ -97,7 +95,7 @@ def _solve(
     final_tail: float | None = None
     iterations = 0
     for n in range(1, n_max + 1):
-        u_new = picard_step(problem, u, weights)
+        u_new = picard_step(problem, u)
         final_step = float(np.max(np.abs(u_new.values - u.values)))
         u = u_new
         iterations = n
@@ -127,7 +125,7 @@ def _solve(
         )
         u = Trajectory(mesh, u.values, certified_bounds=certified)
         stored[-1] = (stored[-1][0], u)
-    norms = residual_norms(problem, u, weights)
+    norms = residual_norms(problem, u)
     return SolveReport(
         trajectory=u,
         iterations=iterations,
@@ -174,14 +172,11 @@ def solve_from(
     return _solve(problem, start, tol, n_max, None, chain_cap, main=False)
 
 
-def residual_norms(
-    problem: VolterraProblem,
-    trajectory: Trajectory,
-    weights=None,
-) -> np.ndarray:
+def residual_norms(problem: VolterraProblem, trajectory: Trajectory) -> np.ndarray:
     """Nodewise max-abs of F(u): how far the trajectory is from solving
     the discretized equation (diagnostic, not a certified quantity)."""
-    return np.max(np.abs(residuals(problem, trajectory, weights)), axis=1)
+    residual = eval_residual(problem, trajectory.mesh, trajectory.values[None])[0]
+    return np.max(np.abs(residual), axis=1)
 
 
 def verify_domination(

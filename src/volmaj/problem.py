@@ -7,7 +7,7 @@ A problem packages the pieces of the equation F(u) = 0 with
 where each I_k is a (possibly multi-fold) integral of a kernel over
 [0, t]^fold.  The linear part A enters through ``operator``; one sweep
 of successive approximation maps a trajectory u to u - A^{-1} F(u),
-evaluated nodewise on the mesh with product trapezoid quadrature.
+evaluated on the whole mesh at once with product trapezoid quadrature.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CostLimitError,
-    DomainError,
-    NumericError,
-    SpecValidationError,
-)
-from .meshes import Trajectory
-from .quadrature import WeightTable, nested_integral, trapezoid_weights
+from .errors import DomainError, NumericError, SpecValidationError
+from .meshes import Mesh, Trajectory
+from .quadrature import nested_integral
 
 __all__ = [
     "KernelStage",
@@ -32,22 +27,26 @@ __all__ = [
     "TridiagonalOperator",
     "VolterraProblem",
     "eval_residual",
-    "residuals",
     "picard_step",
 ]
 
-KernelFn = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-OuterFn = Callable[[float, tuple, np.ndarray], np.ndarray]
+KernelFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+OuterFn = Callable[[np.ndarray, tuple, np.ndarray], np.ndarray]
+
+# what a kernel or outer map raises when it leaves its domain
+_EVAL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 
 @dataclass(frozen=True)
 class KernelStage:
     """One integral term: fold-dimensional integration of ``evaluate``.
 
-    evaluate(t, s, u) takes a whole quadrature row at once: the outer
-    time t as a float, the inner times s with shape (K, fold) and the
-    matching states u with shape (K, fold, dim), one row per node tuple.
-    It returns the K kernel values as an array of shape (K, dim).
+    evaluate(t, s, u) takes K node tuples at once, from one or more
+    quadrature rows, for a stack of S trajectories: the outer times t
+    with shape (K,), the inner times s with shape (K, fold) and the
+    matching states u with shape (S, K, fold, dim).  It returns the
+    kernel values with shape (S, K, dim).  Work that does not depend on
+    u is done once for all S trajectories.
     """
 
     fold: int
@@ -164,7 +163,12 @@ class TridiagonalOperator:
 
 @dataclass(frozen=True)
 class VolterraProblem:
-    """F(u) = 0 with linear part A and nested Volterra integrals."""
+    """F(u) = 0 with linear part A and nested Volterra integrals.
+
+    outer(t, integrals, u) takes the node times t with shape (N,), one
+    integral array per stage and the states u, both with shape
+    (S, N, dim), and returns F at those nodes with shape (S, N, dim).
+    """
 
     dim: int
     stages: tuple[KernelStage, ...]
@@ -199,11 +203,16 @@ class VolterraProblem:
                 f"base point shape {base.shape} != ({self.dim},)"
             )
         object.__setattr__(self, "base_point", base)
-        zeros = tuple(np.zeros(self.dim) for _ in self.stages)
-        r = np.asarray(self.outer(0.0, zeros, base), dtype=float)
-        if r.shape != (self.dim,):
+        zeros = tuple(np.zeros((1, 1, self.dim)) for _ in self.stages)
+        try:
+            r = np.asarray(self.outer(np.zeros(1), zeros, base[None, None]), float)
+        except _EVAL_ERRORS as exc:
             raise SpecValidationError(
-                f"outer map returned shape {r.shape}, expected ({self.dim},)"
+                f"outer map is not evaluable at t = 0: {exc}"
+            ) from exc
+        if r.shape != (1, 1, self.dim):
+            raise SpecValidationError(
+                f"outer map returned shape {r.shape}, expected (1, 1, {self.dim})"
             )
         if np.max(np.abs(r)) > 1e-10:
             raise SpecValidationError(
@@ -211,71 +220,71 @@ class VolterraProblem:
             )
 
 
-def eval_residual(
-    problem: VolterraProblem,
-    trajectory: Trajectory,
-    j: int,
-    weights: WeightTable | None = None,
-    outer_values: np.ndarray | None = None,
-) -> np.ndarray:
-    """Value of F(u) at node j of the trajectory's mesh.
-
-    ``outer_values``, when given, replaces the direct (non-integral)
-    argument of the outer map while the kernels still see the
-    trajectory.  The direct slot is the linear part by contract, so
-    freezing it isolates the integral route exactly; differences of
-    two such calls carry no cancellation noise from the linear term.
-    """
-    if trajectory.dim != problem.dim:
+def _residual_at(problem, mesh, values, direct, rows=None) -> np.ndarray:
+    """F at the given nodes (every node when rows is None)."""
+    t = mesh.nodes if rows is None else mesh.nodes[rows]
+    integrals = tuple(
+        nested_integral(stage, mesh, values, rows=rows) for stage in problem.stages
+    )
+    u = direct if rows is None else direct[:, rows]
+    r = np.asarray(problem.outer(t, integrals, u), dtype=float)
+    if r.shape != u.shape:
         raise SpecValidationError(
-            f"trajectory dimension {trajectory.dim} != problem dimension"
-            f" {problem.dim}"
+            f"outer map returned shape {r.shape}, expected {u.shape}"
         )
-    if weights is None:
-        weights = trapezoid_weights(trajectory.mesh)
-    t = float(trajectory.mesh.nodes[j])
-    direct = trajectory.values if outer_values is None else outer_values
-    try:
-        integrals = tuple(
-            nested_integral(stage, weights, trajectory, j)
-            for stage in problem.stages
-        )
-        r = np.asarray(problem.outer(t, integrals, direct[j]), dtype=float)
-    except CostLimitError:
-        raise
-    except (DomainError, OverflowError, ZeroDivisionError, ValueError) as exc:
-        raise NumericError(f"residual evaluation failed at node {j}: {exc}") from exc
-    if r.shape != (problem.dim,):
-        raise SpecValidationError(
-            f"outer map returned shape {r.shape}, expected ({problem.dim},)"
-        )
-    if np.any(np.isnan(r)):
-        raise NumericError(f"residual is NaN at node {j}")
     return r
 
 
-def residuals(
+def eval_residual(
     problem: VolterraProblem,
-    trajectory: Trajectory,
-    weights: WeightTable | None = None,
+    mesh: Mesh,
+    values: np.ndarray,
     outer_values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """F(u) at every mesh node, one row per node: shape (n+1, dim)."""
-    if weights is None:
-        weights = trapezoid_weights(trajectory.mesh)
-    return np.vstack(
-        [
-            eval_residual(problem, trajectory, j, weights, outer_values)
-            for j in range(trajectory.mesh.nodes.size)
-        ]
-    )
+    """F(u) at every mesh node for a stack of S trajectories.
+
+    values has shape (S, n+1, dim) and so does the result.
+    ``outer_values``, when given, replaces the direct (non-integral)
+    argument of the outer map while the kernels still see ``values``.
+    The direct slot is the linear part by contract, so freezing it
+    isolates the integral route exactly; differences of two such calls
+    carry no cancellation noise from the linear term.
+
+    A failure is reported at the lowest (trajectory, node), with the
+    message that node's own evaluation gives.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != (mesh.nodes.size, problem.dim):
+        raise SpecValidationError(
+            f"values shape {values.shape} is not (S, {mesh.nodes.size}, {problem.dim})"
+        )
+    direct = values
+    if outer_values is not None:
+        direct = np.broadcast_to(outer_values, values.shape)
+    try:
+        r = _residual_at(problem, mesh, values, direct)
+        if not np.isnan(r).any():
+            return r
+    except _EVAL_ERRORS:
+        pass
+    # something failed: find where, one trajectory and one node at a time
+    for k in range(values.shape[0]):
+        for j in range(mesh.nodes.size):
+            try:
+                r = _residual_at(
+                    problem, mesh, values[k : k + 1], direct[k : k + 1], [j]
+                )
+            except _EVAL_ERRORS as exc:
+                raise NumericError(
+                    f"residual evaluation failed at node {j}: {exc}"
+                ) from exc
+            if np.isnan(r).any():
+                raise NumericError(f"residual is NaN at node {j}")
+    raise NumericError("residual evaluation failed on the whole mesh only")
 
 
-def picard_step(
-    problem: VolterraProblem,
-    trajectory: Trajectory,
-    weights: WeightTable | None = None,
-) -> Trajectory:
+def picard_step(problem: VolterraProblem, trajectory: Trajectory) -> Trajectory:
     """One sweep of u -> u - A^{-1} F(u) over all mesh nodes."""
-    corrections = problem.operator.solve_many(residuals(problem, trajectory, weights))
+    residual = eval_residual(problem, trajectory.mesh, trajectory.values[None])[0]
+    corrections = problem.operator.solve_many(residual)
     return Trajectory(trajectory.mesh, trajectory.values - corrections)

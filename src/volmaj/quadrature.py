@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CostLimitError, DomainError, NumericError, SpecValidationError
-from .meshes import Mesh, Trajectory
+from .meshes import Mesh
 
 __all__ = [
     "graded_mesh",
@@ -61,30 +61,31 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
     return Mesh(nodes, grading="geometric", ratio=ratio)
 
 
-class WeightTable:
-    """Composite trapezoid weights for prefixes of a mesh.
+# The most point x dim elements one kernel call, or one block of audit
+# samples, may hold: enough to amortise the per-call overhead over many
+# rows, small enough that peak memory stays flat.
+BLOCK_ELEMENTS = 2**13
 
-    row(j) holds weights w such that sum_k w[k] * f(t_k) approximates
-    the integral of f from 0 to t_j.  Rows are cached lazily.
-    """
+
+class WeightTable:
+    """Composite trapezoid weights on a mesh."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self._rows: dict[int, np.ndarray] = {}
+        half = mesh.gaps / 2.0
+        # inside [0, t_j] node k weighs half of each gap beside it, summed
+        # as half[k] + half[k - 1]; the end node t_j only the gap before it
+        self._inner = np.concatenate([half[:1], half[1:] + half[:-1], [0.0]])
+        self._end = np.concatenate([[0.0], half])
 
-    def row(self, j: int) -> np.ndarray:
-        if not 0 <= j <= self.mesh.n:
-            raise IndexError(f"node index {j} outside 0..{self.mesh.n}")
-        cached = self._rows.get(j)
-        if cached is not None:
-            return cached
-        w = np.zeros(j + 1)
-        if j > 0:
-            half = self.mesh.gaps[:j] / 2.0
-            w[:-1] += half
-            w[1:] += half
-        w.flags.writeable = False
-        self._rows[j] = w
+    def rows(self, js) -> np.ndarray:
+        """Weights of the integrals from 0 to t_j, one row per j in js,
+        zero-padded to max(js) + 1 columns: entry [r, k] weights the
+        sample at t_k in the integral up to t_{js[r]}."""
+        js = np.asarray(js)
+        k = np.arange(js.max() + 1)
+        w = np.where(k < js[:, None], self._inner[: k.size], 0.0)
+        w[np.arange(js.size), js] = self._end[js]
         return w
 
     def prefix(self, samples: np.ndarray) -> np.ndarray:
@@ -107,49 +108,95 @@ def trapezoid_weights(mesh: Mesh) -> WeightTable:
 
 def nested_integral(
     stage,
-    weights: WeightTable,
-    trajectory: Trajectory,
-    j: int,
+    mesh: Mesh,
+    values: np.ndarray,
     max_evals: float = 2e7,
+    rows=None,
 ) -> np.ndarray:
-    """Tensor-product trapezoid value of one integral stage at node j.
+    """Tensor-product trapezoid values of one integral stage at every
+    node, for a stack of S trajectories.
 
-    A stage of fold d integrates its kernel over the d-fold box
-    [0, t_j]^d; the rule uses every tuple of mesh nodes up to j, which
-    is (j+1)**d kernel points, all handed to the kernel in one call.
+    values has shape (S, n+1, dim) and so does the result; with rows
+    given (increasing), only those nodes are computed, shape
+    (S, len(rows), dim).  A stage of fold d integrates its kernel over
+    the d-fold box [0, t_j]^d with every tuple of mesh nodes up to j, in
+    itertools.product order, which is (j+1)**d kernel points at node j.
+    Consecutive nodes go to the kernel together, one call per block of
+    rows; the kernel never sees a tuple past its row's end.  Node 0 is
+    the empty integral.
     """
     fold = stage.fold
-    if fold < 1:
-        raise SpecValidationError(f"stage fold must be >= 1, got {fold}")
-    if float(j + 1) ** fold > max_evals:
-        raise CostLimitError(
-            f"nested integral needs {(j + 1) ** fold:.3g} kernel calls"
-            f" at node {j}, above the budget {max_evals:.3g}"
-        )
-    if j == 0:
-        return np.zeros(trajectory.dim)
-    w = weights.row(j)
-    # node tuples in itertools.product order: the last index runs fastest
-    tuples = np.indices((j + 1,) * fold).reshape(fold, -1).T
-    wk = w
-    for _ in range(fold - 1):
-        wk = np.multiply.outer(wk, w).ravel()
-    values = np.asarray(
+    rows = np.arange(mesh.nodes.size) if rows is None else np.asarray(rows)
+    for j in rows.tolist():
+        if float(j + 1) ** fold > max_evals:
+            raise CostLimitError(
+                f"nested integral needs {(j + 1) ** fold:.3g} kernel calls"
+                f" at node {j}, above the budget {max_evals:.3g}"
+            )
+    stack, _, dim = values.shape
+    out = np.zeros((stack, rows.size, dim))
+    todo = np.flatnonzero(rows > 0)
+    sizes = ((rows[todo] + 1) ** fold).tolist()
+    table = WeightTable(mesh)
+    start = 0
+    while start < todo.size:
+        # grow the block while its zero-padded array fits the budget
+        stop = start + 1
+        while (
+            stop < todo.size
+            and stack * (stop + 1 - start) * sizes[stop] * dim <= BLOCK_ELEMENTS
+        ):
+            stop += 1
+        block = todo[start:stop]
+        out[:, block] = _row_block(stage, table, values, rows[block])
+        start = stop
+    return out
+
+
+def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
+    """Integrals at the increasing nodes js > 0, in one kernel call."""
+    stack, _, dim = values.shape
+    w = table.rows(js)
+    sizes = (js + 1) ** stage.fold
+    i = np.arange(sizes[-1])
+    valid = i < sizes[:, None]
+    if stage.fold == 1:
+        # w is zero past each row's end already
+        weight, tuples = w, np.nonzero(valid)[1][:, None]
+    else:
+        # digit c of tuple index i in base j + 1 is the c-th node of the
+        # tuple, the last running fastest; past a row's end they wrap
+        base = (js + 1)[:, None]
+        digits = [i // base ** (stage.fold - 1 - c) % base for c in range(stage.fold)]
+        r = np.arange(js.size)[:, None]
+        weight = w[r, digits[0]]
+        for d in digits[1:]:
+            weight = weight * w[r, d]
+        weight = np.where(valid, weight, 0.0)
+        tuples = np.stack([d[valid] for d in digits], 1)
+    result = np.asarray(
         stage.evaluate(
-            float(trajectory.mesh.nodes[j]),
-            trajectory.mesh.nodes[tuples],
-            trajectory.values[tuples],
+            np.repeat(table.mesh.nodes[js], sizes),
+            table.mesh.nodes[tuples],
+            values[:, tuples],
         ),
         dtype=float,
     )
-    if values.shape != (wk.size, trajectory.dim):
+    if result.shape != (stack, tuples.shape[0], dim):
         raise SpecValidationError(
-            f"kernel returned shape {values.shape}, expected"
-            f" ({wk.size}, {trajectory.dim})"
+            f"kernel returned shape {result.shape}, expected"
+            f" ({stack}, {tuples.shape[0]}, {dim})"
         )
-    # a running sum adds the rows in order, as a scalar loop would; the
-    # leading 0.0 turns an all negative-zero sum into +0.0 as that loop did
-    return 0.0 + np.cumsum(wk[:, None] * values, axis=0)[-1]
+    if js.size == 1:
+        padded = result[:, None]  # one row fills the block
+    else:
+        padded = np.zeros((stack,) + valid.shape + (dim,))
+        padded[:, valid] = result
+    # a running sum adds each row's terms in order, as a scalar loop
+    # would, and the zeros past a row's end leave it unchanged; the
+    # leading 0.0 turns an all negative-zero sum into +0.0 as that
+    # loop did
+    return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
 
 
 def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):

@@ -756,6 +756,62 @@ class TestConfigErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ("u - log(u)", "log(0.0) outside real domain"),
+            ("u - 1/t", "division by zero"),
+        ],
+    )
+    def test_outer_map_failing_at_t0_names_phi(
+        self, tmp_path, capsys, command, phi, message
+    ):
+        # the probe at t = 0 let the domain error escape: exit 3, no key
+        cfg = ini(
+            tmp_path,
+            f"""
+            [problem]
+            source = inline
+            kernel = u
+            phi = {phi}
+            """,
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[problem] phi" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "majorant", "verify"])
+    @pytest.mark.parametrize(
+        "section, entry, key, value, accepted",
+        [
+            ("problem", "power_family", "p", "0.5", "finite and > 1"),
+            ("problem", "power_family", "p", "1", "finite and > 1"),
+            ("problem", "power_family", "p", "inf", "finite and > 1"),
+            ("problem", "sine_bvp", "m", "2", "at least 3"),
+            ("majorant", "linear_majorant", "a", "0", "finite and > 0"),
+            ("majorant", "linear_majorant", "a", "nan", "finite and > 0"),
+            ("majorant", "linear_majorant", "b", "-1", "finite and >= 0"),
+        ],
+    )
+    def test_corpus_parameter_range_named_by_key(
+        self, tmp_path, capsys, command, section, entry, key, value, accepted
+    ):
+        # the entry builders checked these with messages naming no key
+        cfg = ini(
+            tmp_path,
+            f"[{section}]\nsource = corpus\nentry = {entry}\n{key} = {value}\n",
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        got = int(value) if key == "m" else float(value)
+        assert f"[{section}] {key} must be {accepted}, got {got!r}" in err
+        assert not out.exists()
+
+
 # values that sit on or past every declared range, and non-numbers
 _FUZZ_VALUES = ["0", "-1", "0.5", "1", "3.5", "1e300", "1e999", "nan", "inf",
                 "-inf", "x", ""]

@@ -15,10 +15,30 @@ from volmaj.conditions import (
     sample_margins_A,
 )
 from volmaj.corpus import corpus_build
-from volmaj.errors import SpecValidationError
+from volmaj.errors import DomainError, SpecValidationError
 from volmaj.integral_majorant import MajorantSpec
-from volmaj.problem import DenseOperator, VolterraProblem
+from volmaj.meshes import Trajectory
+from volmaj.problem import DenseOperator, KernelStage, VolterraProblem
 from volmaj.quadrature import graded_mesh
+
+
+def _sqrt_problem():
+    """u(t) = integral of sqrt(u) + t, failing where a sample is negative."""
+
+    def kernel(t, s, u):
+        bad = u[u < 0.0]
+        if bad.size:
+            raise DomainError(f"sqrt({float(bad[0])!r}) outside real domain")
+        return np.sqrt(u[..., 0, :])
+
+    return VolterraProblem(
+        dim=1,
+        stages=(KernelStage(1, kernel),),
+        outer=lambda t, integrals, u: u - integrals[0] - t[:, None],
+        operator=DenseOperator(np.array([[1.0]])),
+        inv_norm_bound=1.0,
+        name="sqrt kernel",
+    )
 
 
 def bvp_setup(t_end=0.4, nodes=60):
@@ -84,7 +104,7 @@ class TestConstructedFailures:
     def test_residual_bound_failure(self):
         # nonlinear part is 2t while the bound only allows t
         def outer(t, integrals, u):
-            return u + 2.0 * t
+            return u + 2.0 * t[:, None]
 
         problem = VolterraProblem(
             dim=1,
@@ -105,6 +125,29 @@ class TestConstructedFailures:
         assert w.lhs == pytest.approx(2.0 * w.t, rel=1e-12)
         assert w.rhs == pytest.approx(w.t, rel=1e-12)
 
+    def test_failing_sample_is_reported_with_its_node(self, monkeypatch):
+        # sample 3 first fails at node 7; sample 5 fails at an earlier node
+        mesh = graded_mesh(1.0, 12, 1.0)
+        bad = {(3, 7): -1.0, (3, 9): -2.0, (5, 2): -3.0}
+
+        def draw(self, stream, index):
+            values = np.full((13, 1), 0.25)
+            for (i, j), v in bad.items():
+                if i == index:
+                    values[j] = v
+            return Trajectory(self.mesh, values)
+
+        monkeypatch.setattr(TrajectorySampler, "draw", draw)
+        spec = MajorantSpec(f=lambda t, w: w + t, gamma=lambda z: z, name="linear")
+        outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=8)
+        assert outcome.status is ConditionStatus.FAIL
+        assert outcome.samples == 4
+        assert outcome.witness.sample == 3
+        assert outcome.reason == (
+            "evaluation failed on sample 3: residual evaluation failed at node 7:"
+            " sqrt(-1.0) outside real domain"
+        )
+
     def test_monotonicity_failure_of_rate(self):
         spec = MajorantSpec(f=lambda t, w: w, gamma=math.sin, name="wavy rate")
         report = run_suite(majorant=spec)
@@ -119,9 +162,11 @@ class TestWitnessReplay:
         sampler = TrajectorySampler(mesh, entry.problem.dim, seed=DEFAULT_SEED)
         # margins for any sample index can be recomputed bit for bit
         tr = sampler.draw(STREAM_U, 7)
-        lhs_a, rhs_a = sample_margins_A(entry.problem, entry.majorant, tr)
+        lhs_a, rhs_a = sample_margins_A(
+            entry.problem, entry.majorant, mesh, tr.values[None]
+        )
         lhs_b, rhs_b = sample_margins_A(
-            entry.problem, entry.majorant, sampler.draw(STREAM_U, 7)
+            entry.problem, entry.majorant, mesh, sampler.draw(STREAM_U, 7).values[None]
         )
         assert np.array_equal(lhs_a, lhs_b)
         assert np.array_equal(rhs_a, rhs_b)

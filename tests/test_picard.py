@@ -24,10 +24,10 @@ def linear_problem(rate=1.0):
     """u(t) = rate * integral of u + t."""
 
     def kernel(t, s, u):
-        return rate * u[:, 0]
+        return rate * u[..., 0, :]
 
     def outer(t, integrals, u):
-        return u - integrals[0] - t
+        return u - integrals[0] - t[:, None]
 
     return VolterraProblem(
         dim=1,

@@ -1,12 +1,13 @@
 """Residual assembly, operators, and single Picard steps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from volmaj.corpus import corpus_build
-from volmaj.errors import NumericError, SpecValidationError
+from volmaj.errors import DomainError, NumericError, SpecValidationError
 from volmaj.meshes import Mesh, Trajectory, zero_trajectory
 from volmaj.problem import (
     DenseOperator,
@@ -16,17 +17,25 @@ from volmaj.problem import (
     eval_residual,
     picard_step,
 )
-from volmaj.quadrature import graded_mesh, trapezoid_weights
+from volmaj.quadrature import graded_mesh
+
+
+def residual_at(problem, trajectory, j, outer_values=None):
+    """F(u) at node j of one trajectory, from the whole-mesh residual."""
+    if outer_values is not None:
+        outer_values = outer_values[None]
+    values = trajectory.values[None]
+    return eval_residual(problem, trajectory.mesh, values, outer_values)[0, j]
 
 
 def linear_scalar_problem():
     """u(t) = integral of u + t, rewritten as F(u) = u - integral - t."""
 
     def kernel(t, s, u):
-        return u[:, 0]
+        return u[..., 0, :]
 
     def outer(t, integrals, u):
-        return u - integrals[0] - t
+        return u - integrals[0] - t[:, None]
 
     return VolterraProblem(
         dim=1,
@@ -44,17 +53,17 @@ class TestResidual:
         mesh = Mesh(np.array([0.0, 0.5, 1.0]))
         tr = Trajectory(mesh, mesh.nodes.copy())  # u(t) = t
         # F(u)(t) = t - t^2/2 - t, trapezoid exact on the affine integrand
-        assert eval_residual(problem, tr, 0) == pytest.approx([0.0], abs=0)
-        assert eval_residual(problem, tr, 1) == pytest.approx([-0.125], abs=1e-15)
-        assert eval_residual(problem, tr, 2) == pytest.approx([-0.5], abs=1e-15)
+        assert residual_at(problem, tr, 0) == pytest.approx([0.0], abs=0)
+        assert residual_at(problem, tr, 1) == pytest.approx([-0.125], abs=1e-15)
+        assert residual_at(problem, tr, 2) == pytest.approx([-0.5], abs=1e-15)
 
     def test_deterministic_bitwise(self):
         entry = corpus_build("sine_bvp")
         mesh = graded_mesh(0.4, 30, 1.0)
         rng = np.random.default_rng(7)
         tr = Trajectory(mesh, rng.normal(size=(31, 21)))
-        a = np.vstack([eval_residual(entry.problem, tr, j) for j in range(31)])
-        b = np.vstack([eval_residual(entry.problem, tr, j) for j in range(31)])
+        a = np.vstack([residual_at(entry.problem, tr, j) for j in range(31)])
+        b = np.vstack([residual_at(entry.problem, tr, j) for j in range(31)])
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
@@ -62,11 +71,11 @@ class TestResidual:
         mesh = Mesh(np.array([0.0, 1.0]))
         tr = Trajectory(mesh, np.zeros((2, 3)))
         with pytest.raises(SpecValidationError):
-            eval_residual(problem, tr, 0)
+            residual_at(problem, tr, 0)
 
     def test_nan_is_reported(self):
         def outer(t, integrals, u):
-            return np.array([math.nan]) if t > 0 else np.array([0.0])
+            return np.where(t > 0, math.nan, 0.0)[None, :, None]
 
         problem = VolterraProblem(
             dim=1,
@@ -78,7 +87,7 @@ class TestResidual:
         )
         mesh = Mesh(np.array([0.0, 1.0]))
         with pytest.raises(NumericError):
-            eval_residual(problem, zero_trajectory(mesh, 1), 1)
+            residual_at(problem, zero_trajectory(mesh, 1), 1)
 
     def test_frozen_direct_slot(self):
         problem = linear_scalar_problem()
@@ -86,7 +95,7 @@ class TestResidual:
         tr = Trajectory(mesh, mesh.nodes.copy())
         frozen = np.zeros((3, 1))
         # with u frozen at zero: F = 0 - t^2/2 - t
-        got = eval_residual(problem, tr, 2, outer_values=frozen)
+        got = residual_at(problem, tr, 2, outer_values=frozen)
         assert got == pytest.approx([-1.5], abs=1e-15)
 
 
@@ -166,34 +175,69 @@ class TestPicardStep:
     def test_linear_scalar_steps_build_exponential(self):
         problem = linear_scalar_problem()
         mesh = graded_mesh(1.0, 200, 1.0)
-        w = trapezoid_weights(mesh)
         tr = zero_trajectory(mesh, 1)
         for _ in range(22):
-            tr = picard_step(problem, tr, w)
+            tr = picard_step(problem, tr)
         want = np.exp(mesh.nodes) - 1.0
         assert np.max(np.abs(tr.values[:, 0] - want)) < 2e-5
 
 
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_fold_one_sweep_kernel_counts_are_exact(n):
-    # one batched call per row j = 1..n covering its j + 1 points; row 0
-    # is the empty integral and calls nothing
-    calls, points = [], []
+    # the whole sweep fits one row block: one kernel call covering rows
+    # j = 1..n, each with its j + 1 points in order; row 0 is the empty
+    # integral and calls nothing
+    calls = []
 
     def kernel(t, s, u):
-        calls.append(t)
-        points.append(len(s))
-        return u[:, 0]
+        calls.append((t.copy(), s[:, 0].copy()))
+        return u[..., 0, :]
 
     problem = VolterraProblem(
         dim=1,
         stages=(KernelStage(1, kernel),),
-        outer=lambda t, integrals, u: u - integrals[0] - t,
+        outer=lambda t, integrals, u: u - integrals[0] - t[:, None],
         operator=DenseOperator(np.array([[1.0]])),
         inv_norm_bound=1.0,
         name="counting",
     )
-    picard_step(problem, zero_trajectory(graded_mesh(1.0, n, 1.0), 1))
-    assert len(calls) == n
-    assert points == list(range(2, n + 2))
-    assert sum(points) == n * (n + 3) // 2
+    mesh = graded_mesh(1.0, n, 1.0)
+    picard_step(problem, zero_trajectory(mesh, 1))
+    assert len(calls) == 1
+    t, s = calls[0]
+    assert t.size == n * (n + 3) // 2
+    rows = range(1, n + 1)
+    assert np.array_equal(t, np.concatenate([[mesh.nodes[j]] * (j + 1) for j in rows]))
+    assert np.array_equal(s, np.concatenate([mesh.nodes[: j + 1] for j in rows]))
+
+
+def _failing_problem():
+    """u(t) = integral of sqrt(u) + t, failing where a sample is negative."""
+
+    def kernel(t, s, u):
+        bad = u[u < 0.0]
+        if bad.size:
+            raise DomainError(f"sqrt({float(bad[0])!r}) outside real domain")
+        return np.sqrt(u[..., 0, :])
+
+    return VolterraProblem(
+        dim=1,
+        stages=(KernelStage(1, kernel),),
+        outer=lambda t, integrals, u: u - integrals[0] - t[:, None],
+        operator=DenseOperator(np.array([[1.0]])),
+        inv_norm_bound=1.0,
+        name="sqrt kernel",
+    )
+
+
+def test_stack_failure_names_the_lowest_sample_and_node():
+    mesh = graded_mesh(1.0, 12, 1.0)
+    values = np.full((6, 13, 1), 0.25)
+    values[3, 9] = -2.0
+    values[3, 7] = -1.0
+    values[5, 2] = -3.0  # a later sample failing at an earlier node
+    message = "residual evaluation failed at node 7: sqrt(-1.0) outside real domain"
+    with pytest.raises(NumericError, match=re.escape(message) + "$"):
+        eval_residual(_failing_problem(), mesh, values)
+    with pytest.raises(NumericError, match=re.escape(message) + "$"):
+        eval_residual(_failing_problem(), mesh, values[3:4])

@@ -13,6 +13,7 @@ from volmaj.errors import CostLimitError, NumericError, SpecValidationError
 from volmaj.meshes import Mesh, Trajectory
 from volmaj.problem import KernelStage
 from volmaj.quadrature import (
+    BLOCK_ELEMENTS,
     adaptive_quad,
     graded_mesh,
     improper_integral,
@@ -26,22 +27,32 @@ def _traj(mesh, fn):
     return Trajectory(mesh, np.array([[fn(float(t))] for t in mesh.nodes]))
 
 
+def _row(mesh, j):
+    """Trapezoid weights of the integral from 0 to t_j."""
+    return trapezoid_weights(mesh).rows([j])[0]
+
+
+def _integral_at(stage, trajectory, j, **kwargs):
+    """One stage's integral at node j of one trajectory."""
+    values = trajectory.values[None]
+    return nested_integral(stage, trajectory.mesh, values, rows=[j], **kwargs)[0, 0]
+
+
 class TestWeights:
     def test_uniform_three_node_row(self):
-        w = trapezoid_weights(Mesh(np.array([0.0, 0.5, 1.0])))
-        assert np.allclose(w.row(2), [0.25, 0.5, 0.25], atol=0, rtol=0)
+        w = _row(Mesh(np.array([0.0, 0.5, 1.0])), 2)
+        assert np.allclose(w, [0.25, 0.5, 0.25], atol=0, rtol=0)
 
     def test_row_zero_is_empty_integral(self):
-        w = trapezoid_weights(Mesh(np.array([0.0, 0.5, 1.0])))
-        assert w.row(0).shape == (1,)
-        assert w.row(0)[0] == 0.0
+        w = _row(Mesh(np.array([0.0, 0.5, 1.0])), 0)
+        assert w.shape == (1,)
+        assert w[0] == 0.0
 
     def test_affine_exact(self):
         mesh = graded_mesh(1.0, 7, 0.8)
-        w = trapezoid_weights(mesh)
         samples = mesh.nodes.copy()  # integrand s
         for j in range(mesh.n + 1):
-            got = float(w.row(j) @ samples[: j + 1])
+            got = float(_row(mesh, j) @ samples[: j + 1])
             want = 0.5 * float(mesh.nodes[j]) ** 2
             assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
 
@@ -52,7 +63,7 @@ class TestWeights:
         prefix = w.prefix(samples)
         for j in range(mesh.n + 1):
             assert prefix[j] == pytest.approx(
-                float(w.row(j) @ samples[: j + 1]), rel=1e-14, abs=1e-15
+                float(_row(mesh, j) @ samples[: j + 1]), rel=1e-14, abs=1e-15
             )
 
     def test_sin_convergence_order(self):
@@ -60,8 +71,7 @@ class TestWeights:
 
         def err(n):
             mesh = graded_mesh(1.0, n, 1.0)
-            w = trapezoid_weights(mesh)
-            return abs(float(w.row(n) @ np.sin(mesh.nodes)) - exact)
+            return abs(float(_row(mesh, n) @ np.sin(mesh.nodes)) - exact)
 
         order = math.log2(err(64) / err(128))
         assert order >= 1.9
@@ -78,66 +88,67 @@ class TestWeights:
 def test_affine_exact_on_random_meshes(gaps, a, b):
     nodes = np.concatenate([[0.0], np.cumsum(gaps)])
     mesh = Mesh(nodes)
-    w = trapezoid_weights(mesh)
     samples = a + b * nodes
     t = float(nodes[-1])
-    got = float(w.row(mesh.n) @ samples)
+    got = float(_row(mesh, mesh.n) @ samples)
     want = a * t + 0.5 * b * t * t
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _ones(t, s, u):
+    return np.ones(u.shape[:2] + (1,))
 
 
 class TestNested:
     def test_unit_square(self):
         mesh = graded_mesh(1.0, 40, 1.0)
-        w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: np.ones((len(s), 1)))
-        assert nested_integral(stage, w, tr, mesh.n) == pytest.approx(1.0, abs=1e-12)
+        stage = KernelStage(2, _ones)
+        assert _integral_at(stage, tr, mesh.n) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_product(self):
         mesh = graded_mesh(1.0, 400, 1.0)
-        w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: s[:, :1] * s[:, 1:])
-        got = nested_integral(stage, w, tr, mesh.n)
+        stage = KernelStage(2, lambda t, s, u: s[:, :1] * s[:, 1:] * _ones(t, s, u))
+        got = _integral_at(stage, tr, mesh.n)
         assert got == pytest.approx(0.25, abs=1e-6)
 
     def test_single_fold_uses_trajectory(self):
         mesh = graded_mesh(2.0, 50, 1.0)
-        w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 3.0)
-        stage = KernelStage(1, lambda t, s, u: u[:, 0])
-        assert nested_integral(stage, w, tr, mesh.n) == pytest.approx(6.0, abs=1e-12)
+        stage = KernelStage(1, lambda t, s, u: u[..., 0, :])
+        assert _integral_at(stage, tr, mesh.n) == pytest.approx(6.0, abs=1e-12)
 
     def test_separable_equals_product_of_one_folds(self):
         mesh = graded_mesh(1.3, 160, 1.0)
-        w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: math.cos(t))
         two = KernelStage(
             2,
-            lambda t, s, u: np.sin(s[:, :1]) * u[:, 0] * np.sin(s[:, 1:]) * u[:, 1],
+            lambda t, s, u: np.sin(s[:, :1])
+            * u[..., 0, :]
+            * np.sin(s[:, 1:])
+            * u[..., 1, :],
         )
-        one = KernelStage(1, lambda t, s, u: np.sin(s) * u[:, 0])
+        one = KernelStage(1, lambda t, s, u: np.sin(s) * u[..., 0, :])
         j = mesh.n
-        got = nested_integral(two, w, tr, j)
-        single = nested_integral(one, w, tr, j)
+        got = _integral_at(two, tr, j)
+        single = _integral_at(one, tr, j)
         assert got == pytest.approx(single * single, rel=1e-10)
 
     def test_cost_cap(self):
         mesh = graded_mesh(1.0, 100, 1.0)
-        w = trapezoid_weights(mesh)
         tr = _traj(mesh, lambda t: 0.0)
-        stage = KernelStage(2, lambda t, s, u: np.ones((len(s), 1)))
+        stage = KernelStage(2, _ones)
         with pytest.raises(CostLimitError):
-            nested_integral(stage, w, tr, mesh.n, max_evals=1000)
+            _integral_at(stage, tr, mesh.n, max_evals=1000)
 
 
-def _per_tuple_reference(stage, weights, trajectory, j):
+def _per_tuple_reference(stage, trajectory, j):
     """The rule one kernel point at a time: each node tuple in
     itertools.product order, weight accumulated factor by factor, zero
     weights skipped, values summed into a running total."""
-    t = float(trajectory.mesh.nodes[j])
-    w = weights.row(j)
+    t = trajectory.mesh.nodes[j : j + 1]
+    w = _row(trajectory.mesh, j)
     nodes = trajectory.mesh.nodes
     total = np.zeros(trajectory.dim)
     for combo in itertools.product(range(j + 1), repeat=stage.fold):
@@ -147,17 +158,17 @@ def _per_tuple_reference(stage, weights, trajectory, j):
         if wk == 0.0:
             continue
         s = nodes[list(combo)][None, :]
-        u = trajectory.values[list(combo)][None, :, :]
-        total += wk * stage.evaluate(t, s, u)[0]
+        u = trajectory.values[list(combo)][None, None, :, :]
+        total += wk * stage.evaluate(t, s, u)[0, 0]
     return total
 
 
 def _rational_kernel(t, s, u):
-    # elementwise arithmetic only, so a row's value does not depend on
+    # elementwise arithmetic only, so a point's value does not depend on
     # the batch it arrives in
-    out = u[:, 0] / (1.0 + (t - s[:, :1]) ** 2)
+    out = u[..., 0, :] / (1.0 + (t[:, None] - s[:, :1]) ** 2)
     for c in range(1, s.shape[1]):
-        out = out * (0.5 + s[:, c : c + 1] * u[:, c])
+        out = out * (0.5 + s[:, c : c + 1] * u[..., c, :])
     return out
 
 
@@ -167,22 +178,67 @@ def _rational_kernel(t, s, u):
 def test_batched_rule_matches_per_tuple_loop_bitwise(fold, ratio, dim):
     # dim 1 too: a column sum there is pairwise, not a running sum
     mesh = graded_mesh(1.3, 6, ratio)
-    w = trapezoid_weights(mesh)
     rng = np.random.default_rng(fold)
-    tr = Trajectory(mesh, rng.uniform(-2.0, 2.0, (mesh.nodes.size, dim)))
     stage = KernelStage(fold, _rational_kernel)
-    for j in (0, 1, mesh.n):
-        got = nested_integral(stage, w, tr, j)
-        want = _per_tuple_reference(stage, w, tr, j)
-        assert got.shape == (dim,)
-        assert np.array_equal(got, want), (j, got, want)
+    for stack in (1, 4):
+        values = rng.uniform(-2.0, 2.0, (stack, mesh.nodes.size, dim))
+        # all negative zeros: every term is -0.0 and the sum must be +0.0
+        values[-1] = -0.0
+        got = nested_integral(stage, mesh, values)
+        assert got.shape == values.shape
+        for k in range(stack):
+            tr = Trajectory(mesh, values[k])
+            one = nested_integral(stage, mesh, values[k : k + 1])[0]
+            assert np.array_equal(got[k], one)
+            assert np.array_equal(np.signbit(got[k]), np.signbit(one))
+            for j in range(mesh.n + 1):
+                want = _per_tuple_reference(stage, tr, j)
+                assert np.array_equal(got[k, j], want), (stack, k, j)
+                assert np.array_equal(np.signbit(got[k, j]), np.signbit(want))
+
+
+@pytest.mark.parametrize("fold", [1, 2, 3])
+def test_kernel_never_sees_a_tuple_past_its_row(fold):
+    mesh = graded_mesh(1.0, 9, 0.9)
+
+    def kernel(t, s, u):
+        if np.any(s > t[:, None]):
+            raise AssertionError("kernel evaluated past a row's end")
+        return _rational_kernel(t, s, u)
+
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (3, mesh.nodes.size, 2))
+    got = nested_integral(KernelStage(fold, kernel), mesh, values)
+    want = nested_integral(KernelStage(fold, _rational_kernel), mesh, values)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fold, n, stack, dim", [(1, 300, 2, 3), (2, 40, 3, 1)])
+def test_row_blocks_cover_every_row_once_within_budget(fold, n, stack, dim):
+    mesh = graded_mesh(1.0, n, 1.0)
+    calls = []
+
+    def kernel(t, s, u):
+        calls.append(t)
+        return _ones(t, s, u) * np.ones(dim)
+
+    nested_integral(KernelStage(fold, kernel), mesh, np.zeros((stack, n + 1, dim)))
+    rows = []
+    for t in calls:
+        js = np.searchsorted(mesh.nodes, np.unique(t))
+        rows += js.tolist()
+        size = (js[-1] + 1) ** fold
+        # the zero-padded block fits the budget unless it is one row
+        assert len(js) == 1 or stack * len(js) * size * dim <= BLOCK_ELEMENTS
+    assert rows == list(range(1, n + 1))
+    assert sum(t.size for t in calls) == sum((j + 1) ** fold for j in rows)
+    assert 1 < len(calls) < n
 
 
 def test_kernel_shape_is_checked():
     mesh = graded_mesh(1.0, 4, 1.0)
     stage = KernelStage(1, lambda t, s, u: np.ones(len(s)))
     with pytest.raises(SpecValidationError):
-        nested_integral(stage, trapezoid_weights(mesh), _traj(mesh, math.exp), 2)
+        _integral_at(stage, _traj(mesh, math.exp), 2)
 
 
 class TestImproper:
