@@ -275,24 +275,114 @@ def _pointwise(fn, *args) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(*shape, 1)
 
 
+def _renamed(tree: expr.Expr, names: dict) -> expr.Expr:
+    """The tree with its variables renamed; offsets are kept."""
+    if isinstance(tree, expr.Var):
+        return expr.Var(names.get(tree.name, tree.name), tree.offset)
+    if isinstance(tree, expr.Neg):
+        return expr.Neg(_renamed(tree.operand, names), tree.offset)
+    if isinstance(tree, expr.BinOp):
+        left, right = _renamed(tree.left, names), _renamed(tree.right, names)
+        return expr.BinOp(tree.op, left, right, tree.offset)
+    if isinstance(tree, expr.Call):
+        return expr.Call(tree.func, _renamed(tree.arg, names), tree.offset)
+    return tree
+
+
+def _summands(tree: expr.Expr, negated: bool = False):
+    """(negated, term) for each term of the top-level sum."""
+    if isinstance(tree, expr.BinOp) and tree.op in "+-":
+        yield from _summands(tree.left, negated)
+        yield from _summands(tree.right, negated != (tree.op == "-"))
+    else:
+        yield negated, tree
+
+
+def _factors(tree: expr.Expr):
+    """The factors of a top-level product, a unary minus as -1."""
+    if isinstance(tree, expr.BinOp) and tree.op == "*":
+        yield from _factors(tree.left)
+        yield from _factors(tree.right)
+    elif isinstance(tree, expr.Neg):
+        yield expr.Num(-1.0, tree.offset)
+        yield from _factors(tree.operand)
+    else:
+        yield tree
+
+
+def _separated_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
+    """A kernel tree as KernelStage terms, or None when a factor of a
+    term mixes t with an inner coordinate or two inner coordinates.
+
+    coordinates names (s_c, u_c) for each fold c.  Factors in t alone or
+    in no variable go to a; factors in s_c and u_c go to b_c, renamed to
+    (s, u), so equal factors of different coordinates are one callable.
+    A fold-1 kernel free of t is one term, unsplit, which integrates bit
+    for bit as the direct route does."""
+    cache = {}
+
+    def compiled(factors, names):
+        product = functools.reduce(lambda x, y: expr.BinOp("*", x, y), factors)
+        if (product, names) not in cache:
+            fn = expr.as_function(product, names)
+            cache[product, names] = (
+                (lambda t: _pointwise(fn, t))
+                if names == ("t",)
+                else (lambda s, u: _pointwise(fn, s, u[..., 0]))
+            )
+        return cache[product, names]
+
+    if len(coordinates) == 1 and "t" not in expr.variables(tree):
+        products = [[tree]]
+    else:
+        products = [
+            ([expr.Num(-1.0)] if negated else []) + list(_factors(term))
+            for negated, term in _summands(tree)
+        ]
+    terms = []
+    for factors in products:
+        a_group, b_groups = [], [[] for _ in coordinates]
+        for factor in factors:
+            names = expr.variables(factor)
+            owner = [c for c, pair in enumerate(coordinates) if names <= set(pair)]
+            if names <= {"t"}:
+                a_group.append(factor)
+            elif owner:
+                s, u = coordinates[owner[0]]
+                b_groups[owner[0]].append(_renamed(factor, {s: "s", u: "u"}))
+            else:
+                return None
+        a = compiled(a_group, ("t",)) if a_group else None
+        bs = [compiled(group or [expr.Num(1.0)], ("s", "u")) for group in b_groups]
+        terms.append((a, tuple(bs)))
+    return tuple(terms)
+
+
 def _inline_problem(v: dict) -> VolterraProblem:
     a = v["a"]
     c = 1.0 / abs(a) if v["c"] is None else v["c"]
     stages = []
     phi_vars = ["t", "om1"]
-    k1 = expr.as_function(expr.parse(v["kernel"], ("t", "s", "u")), ("t", "s", "u"))
+    tree1 = expr.parse(v["kernel"], ("t", "s", "u"))
+    k1 = expr.as_function(tree1, ("t", "s", "u"))
     stages.append(
-        KernelStage(1, lambda t, s, u: _pointwise(k1, t, s[:, 0], u[..., 0, 0]))
+        KernelStage(
+            1,
+            lambda t, s, u: _pointwise(k1, t, s[:, 0], u[..., 0, 0]),
+            _separated_terms(tree1, [("s", "u")]),
+        )
     )
     if v["kernel2"] is not None:
         names2 = ("t", "s1", "s2", "u1", "u2")
-        k2 = expr.as_function(expr.parse(v["kernel2"], names2), names2)
+        tree2 = expr.parse(v["kernel2"], names2)
+        k2 = expr.as_function(tree2, names2)
         stages.append(
             KernelStage(
                 2,
                 lambda t, s, u: _pointwise(
                     k2, t, s[:, 0], s[:, 1], u[..., 0, 0], u[..., 1, 0]
                 ),
+                _separated_terms(tree2, [("s1", "u1"), ("s2", "u2")]),
             )
         )
         phi_vars.append("om2")

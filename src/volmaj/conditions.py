@@ -154,7 +154,10 @@ def _nonlinear_part(
     problem: VolterraProblem, mesh: Mesh, values: np.ndarray
 ) -> np.ndarray:
     a = problem.operator.matrix()
-    return eval_residual(problem, mesh, values) - values @ a.T
+    residual = eval_residual(problem, mesh, values)
+    # an overflowing kernel makes this inf - inf; the check reports it
+    with np.errstate(invalid="ignore", over="ignore"):
+        return residual - values @ a.T
 
 
 def _slope(g, x: float) -> float:
@@ -194,20 +197,18 @@ def sample_margins_D(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (lhs, rhs) for the increment condition D on stacks."""
     weights = trapezoid_weights(mesh)
-    lhs = np.max(
-        np.abs(
-            _nonlinear_part(problem, mesh, u + du)
-            - _nonlinear_part(problem, mesh, u)
-        ),
-        axis=2,
-    )
+    widened = _nonlinear_part(problem, mesh, u + du)
+    base = _nonlinear_part(problem, mesh, u)
     rhs = []
-    for u_norms, du_norms in zip(_norms(u), _norms(du)):
-        base = weights.prefix(_apply_gamma(spec, u_norms))
-        widened = weights.prefix(_apply_gamma(spec, u_norms + du_norms))
-        rhs.append(
-            _apply_f(spec, mesh.nodes, widened) - _apply_f(spec, mesh.nodes, base)
-        )
+    # infinite parts give nan differences here, which the check reports
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = np.max(np.abs(widened - base), axis=2)
+        for u_norms, du_norms in zip(_norms(u), _norms(du)):
+            low = weights.prefix(_apply_gamma(spec, u_norms))
+            wide = weights.prefix(_apply_gamma(spec, u_norms + du_norms))
+            rhs.append(
+                _apply_f(spec, mesh.nodes, wide) - _apply_f(spec, mesh.nodes, low)
+            )
     return lhs, np.array(rhs)
 
 
@@ -228,10 +229,10 @@ def sample_margins_E(
     weights = trapezoid_weights(mesh)
     eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
     step = eps[:, None, None] * v
-    diff = eval_residual(problem, mesh, u + step, u) - eval_residual(
-        problem, mesh, u - step, u
-    )
-    lhs = np.max(np.abs(diff), axis=2) / (2.0 * eps[:, None])
+    ahead = eval_residual(problem, mesh, u + step, u)
+    behind = eval_residual(problem, mesh, u - step, u)
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = np.max(np.abs(ahead - behind), axis=2) / (2.0 * eps[:, None])
     rhs = []
     for norms, v_norms in zip(_norms(u), _norms(v)):
         integrals = weights.prefix(_apply_gamma(spec, norms))
@@ -253,6 +254,8 @@ class _SampledCheck:
     The worst margin and its witness are those a sample-by-sample audit
     finds; a block that raises is re-run one sample at a time, so the
     failure reported is the lowest failing sample's, with its message.
+    A side or margin that is not finite fails the check at its lowest
+    (sample, node), as an evaluation that raised does.
     """
 
     def __init__(self, condition: str, mesh: Mesh, margins):
@@ -277,15 +280,28 @@ class _SampledCheck:
                     self.failure = _failed(self.condition, i + 1, reason, nowhere)
                     return
             raise
-        margin = rhs - lhs
+        with np.errstate(invalid="ignore"):
+            margin = rhs - lhs
+        # a nan margin compares false with everything, so it never
+        # lowers the worst margin: fail it by name instead
+        finite = np.isfinite(lhs) & np.isfinite(margin)
         for k, i in enumerate(samples):
-            j = int(np.argmin(margin[k]))
+            bad = np.flatnonzero(~finite[k])
+            j = int(bad[0]) if bad.size else int(np.argmin(margin[k]))
+            t, left, right = self.nodes[j], lhs[k, j], rhs[k, j]
+            witness = Witness(
+                self.condition, i, j, float(t), float(left), float(right)
+            )
+            if bad.size:
+                side, cause = (
+                    ("right", "majorant") if np.isfinite(left) else ("left", "kernel")
+                )
+                reason = f"{side} side is not finite ({cause} overflow?)"
+                self.failure = _failed(self.condition, i + 1, reason, witness)
+                return
             if margin[k, j] < self.worst:
                 self.worst = float(margin[k, j])
-                t, left, right = self.nodes[j], lhs[k, j], rhs[k, j]
-                self.witness = Witness(
-                    self.condition, i, j, float(t), float(left), float(right)
-                )
+                self.witness = witness
 
     def outcome(self, n_samples: int) -> CheckOutcome:
         if self.failure is not None:

@@ -61,16 +61,19 @@ def power_family(p: float = 2.0) -> CorpusEntry:
     """
     e = (p - 1.0) / p
 
-    def kernel(t: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
-        v = u[..., 0, :]
+    def growth(s: np.ndarray, v: np.ndarray) -> np.ndarray:
         return p * np.copysign(np.abs(v) ** e, v)
+
+    def kernel(t: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return growth(s[:, 0], u[..., 0, :])
 
     def outer(t: np.ndarray, integrals: tuple, u: np.ndarray) -> np.ndarray:
         return u - integrals[0]
 
     problem = VolterraProblem(
         dim=1,
-        stages=(KernelStage(1, kernel),),
+        # free of t: one prefix sum per sweep
+        stages=(KernelStage(1, kernel, terms=((None, (growth,)),)),),
         outer=outer,
         operator=DenseOperator([[1.0]]),
         inv_norm_bound=1.0,
@@ -139,6 +142,12 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
         # the sine factor is shared by every trajectory of the stack
         return np.sin(t[:, None] - s + x) * u[..., 0, :] ** 2
 
+    # sin(t - s + x) = sin(t + x) cos s - cos(t + x) sin s: two prefix sums
+    terms = (
+        (lambda t: np.sin(t[:, None] + x), (lambda s, u: np.cos(s)[:, None] * u**2,)),
+        (lambda t: -np.cos(t[:, None] + x), (lambda s, u: np.sin(s)[:, None] * u**2,)),
+    )
+
     def outer(t: np.ndarray, integrals: tuple, u: np.ndarray) -> np.ndarray:
         # matmul, not u @ a_matrix.T: it keeps each node's sum in the
         # order of a_matrix @ u
@@ -146,7 +155,7 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
 
     problem = VolterraProblem(
         dim=m,
-        stages=(KernelStage(1, kernel),),
+        stages=(KernelStage(1, kernel, terms),),
         outer=outer,
         operator=op,
         inv_norm_bound=1.0,

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SpecValidationError
+from .errors import NumericError, SpecValidationError
 from .meshes import Mesh, Trajectory
-from .quadrature import nested_integral
+from .quadrature import EVAL_ERRORS, nested_integral
 
 __all__ = [
     "KernelStage",
@@ -33,9 +33,6 @@ __all__ = [
 KernelFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 OuterFn = Callable[[np.ndarray, tuple, np.ndarray], np.ndarray]
 
-# what a kernel or outer map raises when it leaves its domain
-_EVAL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
-
 
 @dataclass(frozen=True)
 class KernelStage:
@@ -47,14 +44,28 @@ class KernelStage:
     matching states u with shape (S, K, fold, dim).  It returns the
     kernel values with shape (S, K, dim).  Work that does not depend on
     u is done once for all S trajectories.
+
+    terms, when given, is the same kernel in separated form,
+    K(t, s, u) = sum over r of a_r(t) * prod over c of b_{r,c}(s_c, u_c),
+    as a tuple of (a, (b_1, ..., b_fold)) with a None for 1.  a(t) takes
+    node times (N,) and returns values that broadcast to (N, dim);
+    b(s, u) takes node times (K,) and states (S, K, dim) and returns
+    values that broadcast to (S, K, dim).  A factor that is one callable
+    object is evaluated once per integral wherever it appears.
     """
 
     fold: int
     evaluate: KernelFn
+    terms: tuple | None = None
 
     def __post_init__(self):
         if self.fold < 1:
             raise SpecValidationError(f"stage fold must be >= 1, got {self.fold}")
+        for term in self.terms or ():
+            if len(term) != 2 or len(term[1]) != self.fold:
+                raise SpecValidationError(
+                    f"each term must be (a, {self.fold} factors), got {term!r}"
+                )
 
 
 class DenseOperator:
@@ -206,7 +217,7 @@ class VolterraProblem:
         zeros = tuple(np.zeros((1, 1, self.dim)) for _ in self.stages)
         try:
             r = np.asarray(self.outer(np.zeros(1), zeros, base[None, None]), float)
-        except _EVAL_ERRORS as exc:
+        except EVAL_ERRORS as exc:
             raise SpecValidationError(
                 f"outer map is not evaluable at t = 0: {exc}"
             ) from exc
@@ -265,7 +276,7 @@ def eval_residual(
         r = _residual_at(problem, mesh, values, direct)
         if not np.isnan(r).any():
             return r
-    except _EVAL_ERRORS:
+    except EVAL_ERRORS:
         pass
     # something failed: find where, one trajectory and one node at a time
     for k in range(values.shape[0]):
@@ -274,7 +285,7 @@ def eval_residual(
                 r = _residual_at(
                     problem, mesh, values[k : k + 1], direct[k : k + 1], [j]
                 )
-            except _EVAL_ERRORS as exc:
+            except EVAL_ERRORS as exc:
                 raise NumericError(
                     f"residual evaluation failed at node {j}: {exc}"
                 ) from exc

@@ -339,3 +339,24 @@ def test_10_cli_byte_determinism(tmp_path, capsys):
         f"{checked} output files byte-identical across reruns of every"
         " command with --no-timestamp",
     )
+
+
+def test_11_sine_bvp_trapezoid_order():
+    # halving h must quarter the end-node change: the product trapezoid
+    # rule is O(h^2) on the smooth main solution of sine_bvp
+    start = time.perf_counter()
+    problem = corpus_build("sine_bvp").problem
+    ends = []
+    for n in (40, 80, 160, 320, 640):
+        report = solve_main(problem, graded_mesh(0.4, n, 1.0), tol=1e-13)
+        assert report.status is SolveStatus.CONVERGED
+        ends.append(report.trajectory.values[-1])
+    changes = [np.max(np.abs(b - a)) for a, b in zip(ends, ends[1:])]
+    ratios = [a / b for a, b in zip(changes, changes[1:])]
+    assert all(3.9 <= r <= 4.1 for r in ratios), ratios
+    elapsed = time.perf_counter() - start
+    _pass(
+        "11 sine_bvp trapezoid order",
+        "end-node change ratios " + ", ".join(f"{r:.4f}" for r in ratios)
+        + f" for n = 40..640 in {elapsed:.2f}s",
+    )

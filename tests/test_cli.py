@@ -1,15 +1,20 @@
 """End-to-end command line checks on temporary configs and outputs."""
 
+import dataclasses
 import math
 import textwrap
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from volmaj.cli import _SCHEMA, _load_config, _Setup, main
+from volmaj.cli import _SCHEMA, _inline_problem, _load_config, _Setup, main
 from volmaj.corpus import corpus_names, corpus_param_types
 from volmaj.errors import ExprError, SpecValidationError
+from volmaj.problem import KernelStage
+from volmaj.quadrature import graded_mesh, nested_integral
 
 
 def ini(tmp_path, text, name="run.ini"):
@@ -329,6 +334,42 @@ class TestVerify:
         text, pairs = summary(out, "verify_summary.txt")
         assert pairs["condition_D"].startswith("fail")
         assert "D" in pairs["failed"]
+
+
+    def test_overflowing_kernel_fails_by_name_without_warnings(self, tmp_path):
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = inline
+            kernel = exp(300*u)
+            phi = u - om1 - t
+
+            [majorant]
+            source = inline
+            f = w + t
+            gamma = z + z^2
+
+            [mesh]
+            n = 20
+
+            [run]
+            sample_bound = 3
+            samples = 20
+            """,
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--config", cfg, "--out", str(out),
+                         "--no-timestamp"])
+        assert code == 5
+        text, pairs = summary(out, "verify_summary.txt")
+        assert pairs["failed"] == "A,D,E"
+        for label in "ADE":
+            assert pairs[f"condition_{label}"].startswith(
+                "fail (left side is not finite (kernel overflow?); worst margin -inf"
+            )
 
 
 class TestPartSources:
@@ -863,3 +904,94 @@ def test_any_config_builds_or_exits_2(tmp_path, text):
         _Setup(_load_config(str(path)))
     except (SpecValidationError, ExprError):
         pass
+
+
+# factor texts over t, s1, u1, s2, u2 and the group each falls in: a for
+# t and constants, 1 or 2 for one inner coordinate, None for a mix
+_FOLD2_FACTORS = {
+    "t": "a",
+    "2.5": "a",
+    "cos(t)": "a",
+    "(t^2 - 1)": "a",
+    "u1": 1,
+    "s1": 1,
+    "u1^2": 1,
+    "exp(s1)": 1,
+    "(s1 + u1)": 1,
+    "u2": 2,
+    "s2": 2,
+    "sin(u2)": 2,
+    "(1 - s2*u2)": 2,
+    "(t + u1)^2": None,
+    "sin(s1 - s2)": None,
+    "exp(u1*u2)": None,
+    "exp(t*s2)": None,
+}
+
+
+def _fold2_stage(kernel2):
+    problem = _inline_problem(
+        {"a": 1.0, "c": None, "kernel": "u", "kernel2": kernel2,
+         "phi": "u - om1 - om2 - t"}
+    )
+    return problem.stages[1]
+
+
+@given(
+    terms=st.lists(
+        st.lists(st.sampled_from(sorted(_FOLD2_FACTORS)), min_size=1, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+    signs=st.lists(st.sampled_from(["", "-"]), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_inline_fold2_kernel_splits_into_prefix_sum_terms(terms, signs, seed):
+    texts = [sign + "*".join(term) for sign, term in zip(signs, terms)]
+    stage = _fold2_stage(" + ".join(texts))
+    mixed = any(_FOLD2_FACTORS[f] is None for term in terms for f in term)
+    assert (stage.terms is None) == mixed
+    if mixed:
+        return
+    # a lone parenthesised sum is a top-level sum too
+    assert len(stage.terms) >= len(terms)
+    mesh = graded_mesh(0.8, 7, 0.9)
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 8, 1))
+    got = nested_integral(stage, mesh, values)
+    want = nested_integral(dataclasses.replace(stage, terms=None), mesh, values)
+    # the scale is the integral of the sum of |term| over the terms drawn
+    size = 0.0
+    for text in texts:
+        kernel = _fold2_stage(text).evaluate
+        stage_abs = KernelStage(2, lambda t, s, u: np.abs(kernel(t, s, u)))
+        size = size + nested_integral(stage_abs, mesh, values)
+    assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+def test_inline_product_kernel_is_the_square_of_one_prefix_sum():
+    (a, (b1, b2)), = _fold2_stage("u1*u2").terms
+    assert a is None and b1 is b2
+
+
+@pytest.mark.parametrize(
+    "kernel, terms",
+    [("u + s*u^2", 1), ("exp(u) - sin(s)", 1), ("t*u - 2*s*u^2", 2),
+     ("sin(t - s)*u", None)],
+)
+def test_inline_fold1_kernel_terms(kernel, terms):
+    problem = _inline_problem(
+        {"a": 1.0, "c": None, "kernel": kernel, "kernel2": None, "phi": "u - om1 - t"}
+    )
+    stage = problem.stages[0]
+    assert (None if stage.terms is None else len(stage.terms)) == terms
+    mesh = graded_mesh(1.0, 9, 1.1)
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 10, 1))
+    got = nested_integral(stage, mesh, values)
+    want = nested_integral(dataclasses.replace(stage, terms=None), mesh, values)
+    if terms == 1:
+        # free of t: one term, unsplit, bit for bit
+        assert stage.terms[0][0] is None
+        assert np.array_equal(got, want)
+    else:
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-15)

@@ -1,6 +1,7 @@
 """Sampled audits of the domination conditions, with replayable witnesses."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from volmaj.conditions import (
     ConditionStatus,
     TrajectorySampler,
     check_A,
+    check_D_and_E,
     run_suite,
     sample_margins_A,
 )
@@ -147,6 +149,38 @@ class TestConstructedFailures:
             "evaluation failed on sample 3: residual evaluation failed at node 7:"
             " sqrt(-1.0) outside real domain"
         )
+
+    def test_non_finite_left_side_fails_at_its_sample_and_node(self):
+        # an overflowing kernel: every integral is inf, so the increments
+        # of D and the difference quotients of E are inf - inf = nan
+        def kernel(t, s, u):
+            return np.full(u.shape[:2] + (1,), np.inf)
+
+        problem = VolterraProblem(
+            dim=1,
+            stages=(KernelStage(1, kernel),),
+            outer=lambda t, integrals, u: u - integrals[0] - t[:, None],
+            operator=DenseOperator(np.array([[1.0]])),
+            inv_norm_bound=1.0,
+            name="overflowing kernel",
+        )
+        spec = MajorantSpec(f=lambda t, w: w + t, gamma=lambda z: z, name="linear")
+        mesh = graded_mesh(0.3, 20, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = (check_A(problem, spec, mesh, n_samples=10),) + check_D_and_E(
+                problem, spec, mesh, n_samples=10
+            )
+        for outcome, lhs in zip(outcomes, (math.inf, math.nan, math.nan)):
+            assert outcome.status is ConditionStatus.FAIL
+            assert outcome.worst_margin == -math.inf
+            assert outcome.samples == 1
+            assert outcome.reason == "left side is not finite (kernel overflow?)"
+            w = outcome.witness
+            # node 0 is the empty integral, so node 1 is the first overflow
+            assert (w.sample, w.node, w.t) == (0, 1, float(mesh.nodes[1]))
+            assert np.array_equal(w.lhs, lhs, equal_nan=True)
+            assert math.isfinite(w.rhs)
 
     def test_monotonicity_failure_of_rate(self):
         spec = MajorantSpec(f=lambda t, w: w, gamma=math.sin, name="wavy rate")

@@ -211,18 +211,23 @@ def test_fold_one_sweep_kernel_counts_are_exact(n):
     assert np.array_equal(s, np.concatenate([mesh.nodes[: j + 1] for j in rows]))
 
 
-def _failing_problem():
-    """u(t) = integral of sqrt(u) + t, failing where a sample is negative."""
+def _failing_problem(separated=False):
+    """u(t) = integral of sqrt(u) + t, failing where a sample is negative;
+    separated declares the kernel's one t-free factor as its terms."""
 
-    def kernel(t, s, u):
+    def root(s, u):
         bad = u[u < 0.0]
         if bad.size:
             raise DomainError(f"sqrt({float(bad[0])!r}) outside real domain")
-        return np.sqrt(u[..., 0, :])
+        return np.sqrt(u)
 
+    def kernel(t, s, u):
+        return root(s[:, 0], u[..., 0, :])
+
+    terms = ((None, (root,)),) if separated else None
     return VolterraProblem(
         dim=1,
-        stages=(KernelStage(1, kernel),),
+        stages=(KernelStage(1, kernel, terms),),
         outer=lambda t, integrals, u: u - integrals[0] - t[:, None],
         operator=DenseOperator(np.array([[1.0]])),
         inv_norm_bound=1.0,
@@ -231,6 +236,16 @@ def _failing_problem():
 
 
 def test_stack_failure_names_the_lowest_sample_and_node():
+    _assert_stack_failure_at_sample_3_node_7(_failing_problem())
+
+
+def test_separated_stage_failure_names_the_direct_route_node():
+    # the factor raises on the whole stack, so the direct route runs and
+    # the failure is localised one node at a time, as without terms
+    _assert_stack_failure_at_sample_3_node_7(_failing_problem(separated=True))
+
+
+def _assert_stack_failure_at_sample_3_node_7(problem):
     mesh = graded_mesh(1.0, 12, 1.0)
     values = np.full((6, 13, 1), 0.25)
     values[3, 9] = -2.0
@@ -238,6 +253,6 @@ def test_stack_failure_names_the_lowest_sample_and_node():
     values[5, 2] = -3.0  # a later sample failing at an earlier node
     message = "residual evaluation failed at node 7: sqrt(-1.0) outside real domain"
     with pytest.raises(NumericError, match=re.escape(message) + "$"):
-        eval_residual(_failing_problem(), mesh, values)
+        eval_residual(problem, mesh, values)
     with pytest.raises(NumericError, match=re.escape(message) + "$"):
-        eval_residual(_failing_problem(), mesh, values[3:4])
+        eval_residual(problem, mesh, values[3:4])

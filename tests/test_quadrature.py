@@ -1,5 +1,6 @@
 """Product trapezoid tables, nested kernels, and improper integrals."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -232,6 +233,166 @@ def test_row_blocks_cover_every_row_once_within_budget(fold, n, stack, dim):
     assert rows == list(range(1, n + 1))
     assert sum(t.size for t in calls) == sum((j + 1) ** fold for j in rows)
     assert 1 < len(calls) < n
+
+
+# factors of separated terms: a(t) gives (N, 1), b(s, u) gives (S, K, dim)
+_A_FACTORS = (
+    None,
+    lambda t: np.cos(t)[:, None],
+    lambda t: (t * t - 0.5)[:, None],
+)
+_B_FACTORS = (
+    lambda s, u: u,
+    lambda s, u: u * u,
+    lambda s, u: np.sin(s)[:, None] * u,
+    lambda s, u: np.cos(s)[:, None] + u,
+    lambda s, u: 1.0 / (1.0 + s[:, None] + u * u),
+)
+
+
+def _summed_kernel(terms):
+    """The kernel a stage's separated terms stand for, evaluated point by
+    point; one term without a is its factor itself."""
+
+    def evaluate(t, s, u):
+        total = None
+        for a, factors in terms:
+            value = None if a is None else a(t)
+            for c, b in enumerate(factors):
+                f = b(s[:, c], u[..., c, :])
+                value = f if value is None else value * f
+            total = value if total is None else total + value
+        return total
+
+    return evaluate
+
+
+def _direct(stage):
+    return dataclasses.replace(stage, terms=None)
+
+
+@given(
+    n=st.integers(1, 12),
+    ratio=st.floats(0.5, 2.0),
+    fold=st.sampled_from([1, 2]),
+    stack=st.sampled_from([1, 3]),
+    dim=st.sampled_from([1, 3]),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, len(_A_FACTORS) - 1),
+            st.tuples(*[st.integers(0, len(_B_FACTORS) - 1)] * 2),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_separated_route_matches_direct_route(n, ratio, fold, stack, dim, picks, seed):
+    mesh = graded_mesh(1.3, n, ratio)
+    terms = tuple(
+        (_A_FACTORS[i], tuple(_B_FACTORS[k] for k in ks[:fold])) for i, ks in picks
+    )
+    kernel = _summed_kernel(terms)
+    stage = KernelStage(fold, kernel, terms)
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, (stack, n + 1, dim))
+    if stack > 1:
+        values[-1] = -0.0  # an all negative-zero sample reads +0.0 either way
+    got = nested_integral(stage, mesh, values)
+    want = nested_integral(_direct(stage), mesh, values)
+    if fold == 1 and len(terms) == 1 and terms[0][0] is None:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        # each term rounds relative to its own size, and terms may cancel
+        # (cos t - cos t), so the scale is the integral of sum |term|
+        def size_kernel(t, s, u):
+            return sum(np.abs(_summed_kernel((term,))(t, s, u)) for term in terms)
+
+        size = nested_integral(KernelStage(fold, size_kernel), mesh, values)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+def test_separated_route_evaluates_each_factor_once_on_the_whole_stack():
+    mesh = graded_mesh(1.0, 30, 0.9)
+    calls = []
+
+    def b(s, u):
+        calls.append((s, u.shape))
+        return u
+
+    def kernel(t, s, u):
+        raise AssertionError("the direct route ran")
+
+    values = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 31, 2))
+    a_calls = []
+
+    def a(t):
+        a_calls.append(t)
+        return t[:, None]
+
+    # u1*u2 + t*u1: one factor callable in three places
+    stage = KernelStage(2, kernel, ((None, (b, b)), (a, (b, lambda s, u: 1.0))))
+    got = nested_integral(stage, mesh, values)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], mesh.nodes) and calls[0][1] == values.shape
+    assert len(a_calls) == 1 and np.array_equal(a_calls[0], mesh.nodes[1:])
+    prefix = np.zeros_like(values)
+    for j in range(1, mesh.n + 1):
+        prefix[:, j] = np.tensordot(_row(mesh, j), values[:, : j + 1], axes=(0, 1))
+    # the integral of the constant factor 1 up to t is t
+    want = prefix**2 + mesh.nodes[:, None] * prefix * mesh.nodes[:, None]
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    assert np.all(got[:, 0] == 0.0)
+
+
+def _outside_domain(s, u):
+    raise ValueError("factor outside its domain")
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [
+        lambda s, u: u * np.inf,  # an integral that is not finite
+        _outside_domain,
+        lambda s, u: np.ones((2, 2)),  # a shape that does not broadcast
+    ],
+    ids=["non-finite", "raises", "bad-shape"],
+)
+def test_separated_route_falls_back_to_the_direct_route(factor):
+    mesh = graded_mesh(1.0, 8, 1.0)
+    values = np.random.default_rng(4).uniform(0.5, 1.0, (2, 9, 1))
+    stage = KernelStage(1, _rational_kernel, ((None, (factor,)),))
+    got = nested_integral(stage, mesh, values)
+    assert np.array_equal(got, nested_integral(_direct(stage), mesh, values))
+
+
+def test_rows_take_the_direct_route():
+    mesh = graded_mesh(1.0, 6, 1.0)
+
+    def factor(s, u):
+        pytest.fail("the separated route ran for given rows")
+
+    stage = KernelStage(1, _rational_kernel, ((None, (factor,)),))
+    values = np.ones((1, 7, 1))
+    got = nested_integral(stage, mesh, values, rows=[3, 6])
+    assert np.array_equal(got, nested_integral(_direct(stage), mesh, values)[:, [3, 6]])
+
+
+def test_separated_route_is_not_cost_limited():
+    # 2001**2 points exceed the budget of the direct route
+    mesh = graded_mesh(1.0, 2000, 1.0)
+    stage = KernelStage(2, _ones, ((None, (_B_FACTORS[0], _B_FACTORS[0])),))
+    values = np.full((1, 2001, 1), 2.0)
+    got = nested_integral(stage, mesh, values, max_evals=1e5)
+    assert got[0, -1, 0] == pytest.approx(4.0, rel=1e-13)
+    with pytest.raises(CostLimitError):
+        nested_integral(_direct(stage), mesh, values, max_evals=1e5)
+
+
+def test_malformed_terms_are_rejected():
+    with pytest.raises(SpecValidationError, match="2 factors"):
+        KernelStage(2, _ones, ((None, (_B_FACTORS[0],)),))
 
 
 def test_kernel_shape_is_checked():
