@@ -11,6 +11,20 @@ iteration on the 2x2 system, and by a derivative-free route that
 bisects the horizon on the sign of min_r (c * f(r, t) - r) and then
 polishes the radius.  The two must agree to 1e-8 or the solve is
 rejected, so a silent slide into a wrong tangency cannot happen.
+
+The branch r(t) below the horizon is the smallest root at each node.
+Without further knowledge each node runs the monotone iteration
+r <- c * f(r, t) from 0.  Once the convexity screen has passed (f convex
+and nondecreasing in r and t on its grid), g(r) = c * f(r, t) - r is
+convex with g >= 0 left of its smallest root, so Newton's method from
+below converges to that root monotonically and never overshoots
+(Kantorovich's majorant principle); each node then starts from the
+previous node's root, since r(t) is nondecreasing.
+
+The screen itself evaluates f over its 128 x 128 grid by array calls, a
+block of rows at a time, when the spec carries array forms of f (and
+f_r), and walks in Python only the rows and columns that hold a
+violation.
 """
 
 from __future__ import annotations
@@ -37,6 +51,9 @@ __all__ = [
     "solve_lyapunov",
 ]
 
+# what evaluating f or f_r at a point may raise
+_EVAL_ERRORS = (DomainError, OverflowError, ValueError, ZeroDivisionError)
+
 
 def _fd_slope(f: Callable[[float, float], float], r: float, t: float) -> float:
     h = 1e-6 * max(1.0, abs(r))
@@ -54,6 +71,13 @@ class LyapunovSpec:
     inv_norm_bound * f_r(0, 0) < 1, otherwise even the zero state is
     not dominated.  f_r may be omitted; a finite-difference slope is
     substituted.  r_max / t_max bound the search box.
+
+    f_array and f_r_array, when given, are array forms of f and f_r:
+    called on broadcastable arrays, they return the values f and f_r give
+    element by element, and raise where those raise.  The convexity
+    screen uses them to evaluate its grid by blocks of rows; without
+    them (or without f_r_array while f_r is given) it evaluates point by
+    point.
     """
 
     f: Callable[[float, float], float]
@@ -62,6 +86,8 @@ class LyapunovSpec:
     r_max: float = 100.0
     t_max: float = 100.0
     name: str = "lyapunov"
+    f_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    f_r_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.inv_norm_bound > 0) or not math.isfinite(self.inv_norm_bound):
@@ -139,19 +165,24 @@ def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
         return None
     try:
         v = _residual(spec, r, t)
-    except (DomainError, OverflowError, ValueError, ZeroDivisionError):
+    except _EVAL_ERRORS:
         return None
     if not np.all(np.isfinite(v)):
         return None
     return v
 
 
+def _tangency_floor(spec: LyapunovSpec) -> float:
+    """The residual, relative to 1 + max(r, t), to which the tangency
+    system is solved: an FD slope carries eps/h cancellation noise near
+    1e-10, so it cannot be driven to the exact-slope tolerance."""
+    return 1e-13 if spec.f_r is not None else 3e-9
+
+
 def _newton_from(
     spec: LyapunovSpec, seed: tuple[float, float], max_iter: int = 80
 ) -> tuple[float, float, int] | None:
-    # an FD slope carries eps/h cancellation noise near 1e-10, so the
-    # residual cannot be driven to the exact-slope tolerance
-    floor = 1e-13 if spec.f_r is not None else 3e-9
+    floor = _tangency_floor(spec)
     x = np.array(seed, dtype=float)
     res = _try_residual(spec, x[0], x[1])
     if res is None:
@@ -207,7 +238,7 @@ def _branch_min(
     def phi(r: float) -> float:
         try:
             v = c * float(spec.f(r, t)) - r
-        except (DomainError, OverflowError, ValueError, ZeroDivisionError):
+        except _EVAL_ERRORS:
             return math.inf
         return v if math.isfinite(v) else math.inf
 
@@ -349,47 +380,205 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
     )
 
 
+def _plain_node(
+    spec: LyapunovSpec, t: float, tol: float, max_iter: int
+) -> tuple[float, int, bool]:
+    c = spec.inv_norm_bound
+    r = 0.0
+    for k in range(1, max_iter + 1):
+        try:
+            r_new = c * float(spec.f(r, t))
+        except _EVAL_ERRORS as exc:
+            raise NumericError(f"branch iteration failed at t={t!r}: {exc}") from exc
+        if not math.isfinite(r_new) or r_new > 10.0 * spec.r_max:
+            raise NumericError(
+                f"branch diverges at t={t!r}; the node lies beyond the horizon"
+            )
+        done = abs(r_new - r) <= tol * (1.0 + abs(r_new))
+        r = r_new
+        if done:
+            return r, k, True
+    return r, max_iter, False
+
+
+def _below_root(
+    spec: LyapunovSpec, r: float, t: float
+) -> tuple[float, float] | None:
+    """(g, g') = (c*f(r, t) - r, c*f_r(r, t) - 1) if r is an admissible
+    Newton iterate: evaluable inside the search box with g >= 0 and
+    g' <= 0.  Under the convexity screen such a point lies at or below
+    the smallest root.  None otherwise."""
+    if not 0.0 <= r <= 10.0 * spec.r_max:
+        return None
+    c = spec.inv_norm_bound
+    try:
+        g = c * float(spec.f(r, t)) - r
+        dg = c * spec.slope(r, t) - 1.0
+    except _EVAL_ERRORS:
+        return None
+    if not (0.0 <= g < math.inf and -math.inf < dg <= 0.0):
+        return None
+    return g, dg
+
+
+def _newton_step(
+    spec: LyapunovSpec, t: float, r: float, g: float, dg: float
+) -> tuple[float, float, float, bool] | None:
+    """The Newton step from r, halved until the new point is admissible:
+    (point, g, g', whether the full step was taken).  None if there is no
+    descent direction, the step vanishes or 64 halvings do not suffice."""
+    if not dg < 0.0:
+        return None
+    step = g / -dg
+    for halvings in range(64):
+        cand = r + step
+        if cand == r:
+            return None
+        nxt = _below_root(spec, cand, t)
+        if nxt is not None:
+            return cand, nxt[0], nxt[1], halvings == 0
+        step *= 0.5
+    return None
+
+
+def _newton_node(
+    spec: LyapunovSpec, t: float, r_prev: float, tol: float, max_iter: int
+) -> tuple[float, int, bool]:
+    r = r_prev
+    start = _below_root(spec, r, t)
+    if start is None:
+        r = 0.0
+        start = _below_root(spec, r, t)
+        if start is None:
+            # not even the origin is admissible; the plain iteration
+            # reports what goes wrong there
+            return _plain_node(spec, t, tol, max_iter)
+    g, dg = start
+    for k in range(1, max_iter + 1):
+        nxt = _newton_step(spec, t, r, g, dg)
+        if nxt is not None:
+            r_new, g_new, dg, full = nxt
+            if full and r_new - r <= tol * (1.0 + r_new):
+                return r_new, k, True
+            # g falls along admissible iterates until arithmetic noise
+            # takes over; a step that does not lower it is a stall
+            falls = g_new < g
+            r, g = r_new, g_new
+            if falls:
+                continue
+        # stalled at the minimum of g: no admissible step lowers it
+        if g <= tol * (1.0 + r):
+            return r, k, True  # a root to tol; at the horizon, the double one
+        if g <= _tangency_floor(spec) * (1.0 + max(r, t)):
+            # the horizon as closely as solve_tangency places it, but no
+            # root to tol: the computed horizon may overshoot
+            return r, k, False
+        raise NumericError(
+            f"branch diverges at t={t!r}; the node lies beyond the horizon"
+        )
+    return r, max_iter, False
+
+
 def majorant_branch(
     spec: LyapunovSpec,
     mesh: Mesh,
     tol: float = 1e-12,
     max_iter: int = 50000,
+    convexity: ConvexityReport | None = None,
 ) -> BranchResult:
     """Smallest-root branch r(t) at every mesh node.
 
-    Each node iterates r <- c * f(r, t) from 0, which increases
-    monotonically to the smallest root.  Convergence slows to O(1/n)
-    exactly at the horizon; the mask records which nodes met tol.
-    Escape past the search box means the node lies beyond the horizon
-    and raises NumericError.
+    Without a passed convexity report for spec, each node iterates
+    r <- c * f(r, t) from 0, which increases monotonically to the
+    smallest root; convergence slows to O(1/k) exactly at the horizon.
+
+    With a passed report, each node runs a damped Newton iteration on
+    g(r) = c * f(r, t) - r.  It starts from the previous node's root when
+    g >= 0 and c * f_r <= 1 there, else from 0, and accepts a step only
+    if the new point is evaluable with g >= 0 and c * f_r <= 1, halving
+    it otherwise; under the screen every iterate stays at or below the
+    smallest root.  A node is done when a full Newton step is within tol
+    (relative to 1 + r).  When no halved step is accepted, or an accepted
+    one no longer lowers g, the iteration has stalled at the minimum of
+    g: if g is within tol there, the node sits on the double root at the
+    horizon and counts as converged; if g is only within the residual
+    floor solve_tangency converges to, the node is the computed horizon,
+    which may overshoot the true one by that much, and it is kept
+    unconverged.
+
+    The mask records which nodes met tol within max_iter iterations.  A
+    node beyond the horizon raises NumericError either way: the plain
+    iteration escapes the search box, the Newton iteration stalls with
+    g above the floor.
     """
-    c = spec.inv_norm_bound
+    newton = convexity is not None and convexity.passed
     values = np.zeros(mesh.nodes.size)
     iterations = np.zeros(mesh.nodes.size, dtype=int)
     mask = np.zeros(mesh.nodes.size, dtype=bool)
+    r = 0.0
     for j, t in enumerate(mesh.nodes):
-        t = float(t)
-        r = 0.0
-        for k in range(1, max_iter + 1):
-            try:
-                r_new = c * float(spec.f(r, t))
-            except (DomainError, OverflowError, ValueError, ZeroDivisionError) as exc:
-                raise NumericError(
-                    f"branch iteration failed at t={t!r}: {exc}"
-                ) from exc
-            if not math.isfinite(r_new) or r_new > 10.0 * spec.r_max:
-                raise NumericError(
-                    f"branch diverges at t={t!r}; the node lies beyond the"
-                    " horizon"
-                )
-            done = abs(r_new - r) <= tol * (1.0 + abs(r_new))
-            r = r_new
-            if done:
-                mask[j] = True
-                break
-        values[j] = r
-        iterations[j] = k
+        if newton:
+            r, k, done = _newton_node(spec, float(t), r, tol, max_iter)
+        else:
+            r, k, done = _plain_node(spec, float(t), tol, max_iter)
+        values[j], iterations[j], mask[j] = r, k, done
     return BranchResult(values, iterations, mask)
+
+
+# grid samples per array call, so that an evaluation keeps only a few
+# small temporaries alive next to the two full grids
+_BLOCK = 4096
+
+
+def _on_grid(fn: Callable, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """fn over the (t, r) grid, rows indexed by t."""
+    shape = (t.size, r.size)
+    return np.broadcast_to(np.asarray(fn(r[None, :], t[:, None]), dtype=float), shape)
+
+
+def _array_grids(
+    spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f and its slope over the grid from the array forms, a block of
+    rows per call, with the arithmetic of _fd_slope element by element
+    where f_r is absent."""
+    fvals = np.empty((t_grid.size, r_grid.size))
+    svals = np.empty_like(fvals)
+    h = 1e-6 * np.maximum(1.0, np.abs(r_grid))
+    left = r_grid - h < 0.0  # one-sided stencil columns
+    r_plus = r_grid + h
+    # the third sample is r + 2h on one-sided columns, else r - h
+    r_third = np.where(left, r_grid + 2.0 * h, r_grid - h)
+    rows = max(1, _BLOCK // r_grid.size)
+    for lo in range(0, t_grid.size, rows):
+        block, t = slice(lo, lo + rows), t_grid[lo : lo + rows]
+        fvals[block] = f = _on_grid(spec.f_array, r_grid, t)
+        if spec.f_r is not None:
+            svals[block] = _on_grid(spec.f_r_array, r_grid, t)
+            continue
+        f_plus = _on_grid(spec.f_array, r_plus, t)
+        f_third = _on_grid(spec.f_array, r_third, t)
+        svals[block] = (f_plus - f_third) / (2.0 * h)
+        svals[block, left] = (
+            -3.0 * f[:, left] + 4.0 * f_plus[:, left] - f_third[:, left]
+        ) / (2.0 * h[left])
+    return fvals, svals
+
+
+def _pointwise_grids(
+    spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f and its slope point by point; nan for both where either raises."""
+    fvals = np.empty((t_grid.size, r_grid.size))
+    svals = np.empty_like(fvals)
+    for i, t in enumerate(t_grid):
+        for j, r in enumerate(r_grid):
+            try:
+                fvals[i, j] = float(spec.f(float(r), float(t)))
+                svals[i, j] = spec.slope(float(r), float(t))
+            except _EVAL_ERRORS:
+                fvals[i, j] = svals[i, j] = math.nan
+    return fvals, svals
 
 
 def check_convexity(
@@ -401,8 +590,15 @@ def check_convexity(
 
     Checks, with small negative slack for roundoff: f nondecreasing in
     r and in t, f convex in r (second differences), and the slope f_r
-    nondecreasing in r and in t.  An identically zero f passes but is
-    flagged degenerate.
+    nondecreasing in r and in t.  A non-finite f is a violation of its
+    own.  An identically zero f passes but is flagged degenerate.
+
+    f and the slope are evaluated once over the grid, by the spec's
+    array forms (a block of rows per call) when it has them and no call
+    raises, else point by point.  The checks are array comparisons; only rows and
+    columns that hold a violation are walked, so the violations come in
+    the order of a point-by-point scan (not-finite values, then each t
+    row, then each r column), capped at 50.
     """
     if r_grid is None:
         r_grid = np.linspace(0.0, spec.r_max, 128)
@@ -412,62 +608,39 @@ def check_convexity(
     t_grid = np.asarray(t_grid, dtype=float)
     if r_grid.size < 3 or t_grid.size < 2:
         raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
+    grids = None
+    if spec.f_array is not None and (spec.f_r is None or spec.f_r_array is not None):
+        try:
+            with np.errstate(all="ignore"):
+                grids = _array_grids(spec, r_grid, t_grid)
+        except _EVAL_ERRORS:
+            pass
+    if grids is None:
+        grids = _pointwise_grids(spec, r_grid, t_grid)
+    fvals, svals = grids
     violations: list[tuple[str, float, float, float]] = []
 
-    def note(kind: str, r: float, t: float, v: float) -> None:
-        if len(violations) < 50:
-            violations.append((kind, float(r), float(t), float(v)))
+    def note(kind: str, r: float, t: float, v: float) -> bool:
+        """Record one violation; False once the cap is reached."""
+        violations.append((kind, float(r), float(t), float(v)))
+        return len(violations) < 50
 
-    fvals = np.empty((t_grid.size, r_grid.size))
-    svals = np.empty_like(fvals)
-    for i, t in enumerate(t_grid):
-        for j, r in enumerate(r_grid):
-            try:
-                fv = float(spec.f(float(r), float(t)))
-                sv = spec.slope(float(r), float(t))
-            except (DomainError, OverflowError, ValueError, ZeroDivisionError):
-                fv = math.nan
-                sv = math.nan
-            if not math.isfinite(fv):
-                note("not-finite", r, t, fv)
-                fv = math.nan
-            fvals[i, j] = fv
-            svals[i, j] = sv
-    scale = 1.0
-    finite = fvals[np.isfinite(fvals)]
-    if finite.size:
-        scale = max(1.0, float(np.max(np.abs(finite))))
+    not_finite = ~np.isfinite(fvals)
+    for i, j in zip(*np.nonzero(not_finite)):
+        if not note("not-finite", r_grid[j], t_grid[i], fvals[i, j]):
+            break
+    fvals[not_finite] = math.nan
+    # the largest |f| over the finite samples, without a grid-sized copy
+    any_finite = not bool(not_finite.all())
+    top = float(max(np.nanmax(fvals), -np.nanmin(fvals))) if any_finite else 0.0
+    scale = max(1.0, top)
+    degenerate = any_finite and top == 0.0
     slack1 = 1e-12 * scale
     # slope comparisons inherit eps/h cancellation noise when the slope
     # is a finite difference, so they get a wider margin
     slack2 = (1e-10 if spec.f_r is not None else 3e-9) * scale
-    for i, t in enumerate(t_grid):
-        row = fvals[i]
-        srow = svals[i]
-        for j in range(1, r_grid.size):
-            d = row[j] - row[j - 1]
-            if d < -slack1:
-                note("f-decreasing-in-r", r_grid[j], t, d)
-            ds = srow[j] - srow[j - 1]
-            if ds < -slack2:
-                note("slope-decreasing-in-r", r_grid[j], t, ds)
-        for j in range(1, r_grid.size - 1):
-            h1 = r_grid[j] - r_grid[j - 1]
-            h2 = r_grid[j + 1] - r_grid[j]
-            second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
-            if second < -slack2:
-                note("f-not-convex-in-r", r_grid[j], t, second)
-    for j, r in enumerate(r_grid):
-        col = fvals[:, j]
-        scol = svals[:, j]
-        for i in range(1, t_grid.size):
-            d = col[i] - col[i - 1]
-            if d < -slack1:
-                note("f-decreasing-in-t", r, t_grid[i], d)
-            ds = scol[i] - scol[i - 1]
-            if ds < -slack2:
-                note("slope-decreasing-in-t", r, t_grid[i], ds)
-    degenerate = finite.size > 0 and float(np.max(np.abs(finite))) == 0.0
+    if len(violations) < 50:
+        _scan(fvals, svals, r_grid, t_grid, slack1, slack2, note)
     return ConvexityReport(
         passed=not violations,
         degenerate=degenerate,
@@ -476,16 +649,81 @@ def check_convexity(
     )
 
 
+def _scan(
+    fvals: np.ndarray,
+    svals: np.ndarray,
+    r_grid: np.ndarray,
+    t_grid: np.ndarray,
+    slack1: float,
+    slack2: float,
+    note: Callable[[str, float, float, float], bool],
+) -> None:
+    """Note the monotonicity and convexity violations, every t row first,
+    then every r column, until note reports the cap.  The comparisons run
+    on a block of rows or columns at a time; comparisons with nan are
+    false, so non-finite samples violate nothing here."""
+    h = np.diff(r_grid)
+    rows = max(1, _BLOCK // r_grid.size)
+    for lo in range(0, t_grid.size, rows):
+        f, s = fvals[lo : lo + rows], svals[lo : lo + rows]
+        with np.errstate(all="ignore"):
+            f_dec = np.diff(f, axis=1) < -slack1
+            s_dec = np.diff(s, axis=1) < -slack2
+            slopes = np.diff(f, axis=1) / h
+            concave = slopes[:, 1:] - slopes[:, :-1] < -slack2
+        hits = f_dec.any(axis=1) | s_dec.any(axis=1) | concave.any(axis=1)
+        for b in np.flatnonzero(hits):
+            row, srow, t = f[b], s[b], t_grid[lo + b]
+            for j in np.flatnonzero(f_dec[b] | s_dec[b]) + 1:
+                if f_dec[b, j - 1] and not note(
+                    "f-decreasing-in-r", r_grid[j], t, row[j] - row[j - 1]
+                ):
+                    return
+                if s_dec[b, j - 1] and not note(
+                    "slope-decreasing-in-r", r_grid[j], t, srow[j] - srow[j - 1]
+                ):
+                    return
+            for j in np.flatnonzero(concave[b]) + 1:
+                h1 = r_grid[j] - r_grid[j - 1]
+                h2 = r_grid[j + 1] - r_grid[j]
+                second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
+                if not note("f-not-convex-in-r", r_grid[j], t, second):
+                    return
+    cols = max(1, _BLOCK // t_grid.size)
+    for lo in range(0, r_grid.size, cols):
+        f, s = fvals[:, lo : lo + cols], svals[:, lo : lo + cols]
+        with np.errstate(all="ignore"):
+            f_dec = np.diff(f, axis=0) < -slack1
+            s_dec = np.diff(s, axis=0) < -slack2
+        for b in np.flatnonzero(f_dec.any(axis=0) | s_dec.any(axis=0)):
+            col, scol, r = f[:, b], s[:, b], r_grid[lo + b]
+            for i in np.flatnonzero(f_dec[:, b] | s_dec[:, b]) + 1:
+                if f_dec[i - 1, b] and not note(
+                    "f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1]
+                ):
+                    return
+                if s_dec[i - 1, b] and not note(
+                    "slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1]
+                ):
+                    return
+
+
 def solve_lyapunov(
     spec: LyapunovSpec,
     n: int = 200,
     t_end: float | None = None,
     tol: float = 1e-12,
     max_iter: int = 50000,
+    convexity: ConvexityReport | None = None,
 ) -> LyapunovSolution:
     """Tangency point plus the branch on a uniform mesh up to t_end
-    (default: the horizon itself; the final node then converges only
-    like O(1/n), which the mask records)."""
+    (default: the horizon itself, where the smallest root is double).
+
+    convexity is the screen already run on spec; when it passed, the
+    branch runs the warm-started Newton iteration and the horizon node
+    converges by the stall rule of majorant_branch.  Otherwise the plain
+    iteration reaches the horizon node only like O(1/k), which the mask
+    records."""
     tangency = solve_tangency(spec)
     if t_end is None:
         t_end = tangency.horizon
@@ -494,7 +732,9 @@ def solve_lyapunov(
             f"end time {t_end!r} lies beyond the horizon {tangency.horizon!r}"
         )
     mesh = graded_mesh(t_end, n, 1.0)
-    branch = majorant_branch(spec, mesh, tol=tol, max_iter=max_iter)
+    branch = majorant_branch(
+        spec, mesh, tol=tol, max_iter=max_iter, convexity=convexity
+    )
     return LyapunovSolution(
         tangency=tangency,
         mesh=mesh,

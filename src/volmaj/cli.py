@@ -425,12 +425,18 @@ def _inline_majorant(v: dict) -> MajorantSpec:
 
 
 def _inline_lyapunov(v: dict) -> LyapunovSpec:
-    fr_fn = None
+    names = ("r", "t")
+    f_tree = expr.parse(v["f"], names)
+    fr_fn = fr_array = None
     if v["fr"] is not None:
-        fr_fn = expr.as_function(expr.parse(v["fr"], ("r", "t")), ("r", "t"))
+        fr_tree = expr.parse(v["fr"], names)
+        fr_fn = expr.as_function(fr_tree, names)
+        fr_array = expr.as_array_function(fr_tree, names)
     return LyapunovSpec(
-        f=expr.as_function(expr.parse(v["f"], ("r", "t")), ("r", "t")),
+        f=expr.as_function(f_tree, names),
         f_r=fr_fn,
+        f_array=expr.as_array_function(f_tree, names),
+        f_r_array=fr_array,
         inv_norm_bound=v["c"],
         r_max=v["r_max"],
         t_max=v["t_max"],
@@ -644,7 +650,7 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
             f" t={format_number(t)} (margin {format_number(margin)})"
         )
     solution = solve_lyapunov(
-        setup.lyapunov, n=setup.nodes(), t_end=setup.t_end
+        setup.lyapunov, n=setup.nodes(), t_end=setup.t_end, convexity=convexity
     )
     tang = solution.tangency
     pairs = [

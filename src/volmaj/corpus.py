@@ -168,9 +168,19 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
         upper_solution=math.tan,
         name=f"sine_bvp(m={m}) majorant",
     )
+
+    # plain arithmetic, so each serves scalars and arrays alike
+    def growth(r, t):
+        return t * r * r + t
+
+    def growth_r(r, t):
+        return 2.0 * t * r
+
     lyapunov = LyapunovSpec(
-        f=lambda r, t: t * r * r + t,
-        f_r=lambda r, t: 2.0 * t * r,
+        f=growth,
+        f_r=growth_r,
+        f_array=growth,
+        f_r_array=growth_r,
         inv_norm_bound=1.0,
         r_max=10.0,
         t_max=5.0,

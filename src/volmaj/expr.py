@@ -20,15 +20,21 @@ signed infinity, matching IEEE float semantics.
 ``evaluate`` walks the tree and is the reference.  ``as_function``
 compiles an expression once per config into one straight-line Python
 function with the same strict semantics, results and error messages;
-the CLI calls only compiled functions.
+the CLI calls only compiled functions.  ``as_array_function`` emits the
+same straight-line code over numpy arrays: element by element it gives
+the compiled function's value (up to the last ulp of numpy's exp, log,
+tan and pow) and, where that function raises, the same DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownVariableError
 
@@ -45,6 +51,7 @@ __all__ = [
     "to_text",
     "variables",
     "as_function",
+    "as_array_function",
 ]
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -298,10 +305,31 @@ def variables(expr: Expr) -> set[str]:
 def as_function(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
     """Compile an expression into a function of positional arguments in
     the given order, with the strict semantics of ``evaluate``."""
+    _check_bound(expr, names)
+    return _Compiler(names).compile(expr)
+
+
+def as_array_function(
+    expr: Expr, names: tuple[str, ...]
+) -> Callable[..., np.ndarray]:
+    """Compile an expression into a function of array arguments in the
+    given order, broadcast together, evaluated with numpy ufuncs.
+
+    Each element of the result is the value ``as_function`` returns for
+    that element's arguments: bitwise for + - * /, sin, cos, sqrt and abs,
+    and up to numpy's last-ulp differences for exp, log, tan and pow.
+    Overflow saturates to a signed infinity.  If the scalar function
+    raises for any element, the call raises the DomainError it raises
+    (message and byte offset) for the lowest such flat index.
+    """
+    _check_bound(expr, names)
+    return _Compiler(names, array=True).compile(expr)
+
+
+def _check_bound(expr: Expr, names: tuple[str, ...]) -> None:
     extra = variables(expr) - set(names)
     if extra:
         raise ValueError(f"expression uses unbound variables: {sorted(extra)}")
-    return _Compiler(names).compile(expr)
 
 
 # -- compilation to straight-line Python ------------------------------------
@@ -352,13 +380,148 @@ _NAMESPACE = {
 }
 
 
+# -- the array dialect ------------------------------------------------------
+#
+# numpy returns nan or inf where math raises, so after each node the
+# elements the scalar path would stop at are found by mask: a domain mask
+# per function, b == 0 for division, and the NaN check.
+
+# elements where math.<func> raises ValueError; exp and abs never do
+_ARRAY_DOMAIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "sin": np.isinf,
+    "cos": np.isinf,
+    "tan": np.isinf,
+    "log": lambda x: np.less_equal(x, 0.0),
+    "sqrt": lambda x: np.less(x, 0.0),
+}
+
+
+def _array_power(a, b):
+    v = np.power(a, b)
+    # numpy takes sqrt for the exponent 0.5, which maps -0.0 and -inf to
+    # -0.0 and nan where math.pow gives 0.0 and inf
+    fix = (b == 0.5) & ((a == 0.0) | (a == -math.inf))
+    if fix.any():
+        v = np.where(fix, np.power(np.abs(a), b), v)
+    return v
+
+
+# math.pow(0.0, -inf) raises before Python 3.11 and returns inf since
+_ZERO_TO_MINUS_INF_RAISES = sys.version_info < (3, 11)
+
+
+def _power_domain(a, b) -> np.ndarray:
+    """Elements where math.pow raises ValueError: a negative finite base
+    with a finite non-integer exponent, or a zero base with a negative
+    exponent (a finite one only, since Python 3.11)."""
+    finite_b = np.isfinite(b)
+    negative = (a < 0.0) & np.isfinite(a) & finite_b & (np.floor(b) != b)
+    zero_base = (a == 0.0) & (b < 0.0) & (finite_b | _ZERO_TO_MINUS_INF_RAISES)
+    return negative | zero_base
+
+
+def _shape_of(*args) -> tuple[int, ...]:
+    return np.broadcast_shapes(*(np.shape(a) for a in args))
+
+
+def _argument(a, shape: tuple[int, ...]) -> np.ndarray:
+    return np.broadcast_to(np.asarray(a, dtype=float), shape)
+
+
+def _result(v, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh float array of the broadcast shape: a node's own output is
+    returned as is, an argument or a constant is copied out."""
+    if isinstance(v, np.ndarray) and v.shape == shape and v.base is None:
+        return v
+    out = np.empty(shape)
+    out[...] = v
+    return out
+
+
+class _Failures:
+    """The lowest flat index at which some node has failed, with the
+    scalar path's error there, as the nodes run in evaluation order.
+
+    An element that failed earlier already holds an index no greater than
+    the current one, so a later node can lower the index only through an
+    element failing for the first time, which is where the scalar path
+    stops for it."""
+
+    __slots__ = ("shape", "index", "error")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.index = -1
+        self.error: DomainError | None = None
+
+    def _lowest(self, mask) -> int:
+        """The lowest flat index in mask if it beats the current one, else -1."""
+        if not mask.any():
+            return -1
+        i = int(np.argmax(np.broadcast_to(mask, self.shape)))  # first True
+        if self.error is not None and i >= self.index:
+            return -1
+        self.index = i
+        return i
+
+    def _at(self, x, i: int) -> float:
+        return float(np.broadcast_to(x, self.shape).flat[i])
+
+    def nan(self, v, offset: int) -> None:
+        if self._lowest(np.isnan(v)) >= 0:
+            self.error = _nan_error(offset)
+
+    def zero(self, b, offset: int) -> None:
+        if self._lowest(np.equal(b, 0.0)) >= 0:
+            self.error = _zero_division_error(offset)
+
+    def call(self, func: str, x, offset: int) -> None:
+        i = self._lowest(_ARRAY_DOMAIN[func](x))
+        if i >= 0:
+            self.error = _call_error(func, self._at(x, i), offset)
+
+    def power(self, a, b, offset: int) -> None:
+        if not np.any(np.less_equal(a, 0.0)):
+            return  # the common case: no base can fail
+        i = self._lowest(_power_domain(a, b))
+        if i >= 0:
+            self.error = _power_error(self._at(a, i), self._at(b, i), offset)
+
+    def check(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+_ARRAY_NAMESPACE = {
+    "__builtins__": {},
+    "_errstate": np.errstate,
+    "_shape_of": _shape_of,
+    "_argument": _argument,
+    "_result": _result,
+    "_Failures": _Failures,
+    "_pow": _array_power,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.fabs,
+}
+
+
 class _Compiler:
     """Emit one local per operator node in evaluation order, then exec
-    once; a number or variable is read from its constant or argument slot."""
+    once; a number or variable is read from its constant or argument slot.
 
-    def __init__(self, names: tuple[str, ...]):
+    The scalar dialect guards each node with try/except and a NaN test;
+    the array dialect runs the same value lines on numpy arrays and hands
+    each node's failure masks to a _Failures record."""
+
+    def __init__(self, names: tuple[str, ...], array: bool = False):
         self.slots = {name: i for i, name in enumerate(names)}
         self.arity = len(names)
+        self.array = array
         self.used: set[int] = set()
         self.consts: list[float] = []
         self.lines: list[str] = []
@@ -370,12 +533,33 @@ class _Compiler:
         if self.consts:
             slots = "".join(f"c{i}, " for i in range(len(self.consts)))
             code.append(f"    {slots}= _consts")
-        params = ", ".join(f"a{i}" for i in range(self.arity))
-        code.append(f"    def fn({params}):")
-        code += [f"        a{i} = float(a{i})" for i in sorted(self.used)]
-        code += [f"        {line}" for line in self.lines]
-        code += [f"        return {result}", "    return fn"]
-        namespace = {**_NAMESPACE, "_consts": tuple(self.consts)}
+        args = [f"a{i}" for i in range(self.arity)]
+        code.append(f"    def fn({', '.join(args)}):")
+        if self.array:
+            code.append(f"        _shape = _shape_of({', '.join(args)})")
+            code += [
+                f"        a{i} = _argument(a{i}, _shape)" for i in sorted(self.used)
+            ]
+            code += [
+                "        _fails = _Failures(_shape)",
+                "        with _errstate(all='ignore'):",
+            ]
+            code += [f"            {line}" for line in self.lines or ["pass"]]
+            code += [
+                "        _fails.check()",
+                f"        return _result({result}, _shape)",
+            ]
+            namespace = {**_ARRAY_NAMESPACE}
+            # numpy scalars, so that a constant-only node divides like an array
+            consts = tuple(np.float64(c) for c in self.consts)
+        else:
+            code += [f"        a{i} = float(a{i})" for i in sorted(self.used)]
+            code += [f"        {line}" for line in self.lines]
+            code.append(f"        return {result}")
+            namespace = {**_NAMESPACE}
+            consts = tuple(self.consts)
+        code.append("    return fn")
+        namespace["_consts"] = consts
         exec("\n".join(code), namespace)
         return namespace["_build"]()
 
@@ -384,7 +568,10 @@ class _Compiler:
         return f"v{self.locals - 1}"
 
     def checked(self, v: str, offset: int) -> None:
-        self.lines.append(f"if {v} != {v}: raise _nan_error({offset})")
+        if self.array:
+            self.lines.append(f"_fails.nan({v}, {offset})")
+        else:
+            self.lines.append(f"if {v} != {v}: raise _nan_error({offset})")
 
     def emit(self, expr: Expr) -> str:
         """Append the code for one node; return the name holding its value."""
@@ -407,11 +594,17 @@ class _Compiler:
             x = self.emit(expr.arg)
             v, at = self.local(), int(expr.offset)
             func = expr.func
-            self.lines += [
-                f"try: {v} = {func}({x})",
-                f"except ValueError: raise _call_error({func!r}, {x}, {at}) from None",
-                f"except OverflowError: {v} = _inf",
-            ]
+            if self.array:
+                if func in _ARRAY_DOMAIN:
+                    self.lines.append(f"_fails.call({func!r}, {x}, {at})")
+                self.lines.append(f"{v} = {func}({x})")
+            else:
+                self.lines += [
+                    f"try: {v} = {func}({x})",
+                    "except ValueError:"
+                    f" raise _call_error({func!r}, {x}, {at}) from None",
+                    f"except OverflowError: {v} = _inf",
+                ]
             self.checked(v, at)
             return v
         if isinstance(expr, BinOp):
@@ -421,17 +614,27 @@ class _Compiler:
             if expr.op in ("+", "-", "*"):
                 self.lines.append(f"{v} = {a} {expr.op} {b}")
             elif expr.op == "/":
-                self.lines += [
-                    f"try: {v} = {a} / {b}",
-                    "except ZeroDivisionError:"
-                    f" raise _zero_division_error({at}) from None",
-                ]
+                if self.array:
+                    self.lines += [f"_fails.zero({b}, {at})", f"{v} = {a} / {b}"]
+                else:
+                    self.lines += [
+                        f"try: {v} = {a} / {b}",
+                        "except ZeroDivisionError:"
+                        f" raise _zero_division_error({at}) from None",
+                    ]
             elif expr.op == "^":
-                self.lines += [
-                    f"try: {v} = _pow({a}, {b})",
-                    f"except ValueError: raise _power_error({a}, {b}, {at}) from None",
-                    f"except OverflowError: {v} = _power_overflow({a}, {b})",
-                ]
+                if self.array:
+                    self.lines += [
+                        f"_fails.power({a}, {b}, {at})",
+                        f"{v} = _pow({a}, {b})",
+                    ]
+                else:
+                    self.lines += [
+                        f"try: {v} = _pow({a}, {b})",
+                        "except ValueError:"
+                        f" raise _power_error({a}, {b}, {at}) from None",
+                        f"except OverflowError: {v} = _power_overflow({a}, {b})",
+                    ]
             else:
                 raise ValueError(f"unknown operator {expr.op!r}")
             self.checked(v, at)

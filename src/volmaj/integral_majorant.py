@@ -354,7 +354,17 @@ def classify_blowup(
     while the bound stays below f(pole) (derivative blow-up) and the
     horizon is the integral of the inverse rate up to the pole.  A
     time-dependent f is integrated forward instead.
+
+    tol, t_cap and omega_cap must be finite and positive and octaves a
+    positive integer; anything else raises SpecValidationError naming it.
     """
+    for label, v in (("tol", tol), ("t_cap", t_cap), ("omega_cap", omega_cap)):
+        if not (0.0 < v < math.inf):
+            raise SpecValidationError(f"{label} must be finite and > 0, got {v!r}")
+    if isinstance(octaves, bool) or not isinstance(octaves, int) or octaves < 1:
+        raise SpecValidationError(
+            f"octaves must be a positive integer, got {octaves!r}"
+        )
     if spec.f_depends_on_t:
         if spec.pole is not None:
             raise SpecValidationError(

@@ -1,18 +1,21 @@
 """Tangency system, radius branch, and convexity screening."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from volmaj import expr
 from volmaj.algebraic_majorant import (
+    ConvexityReport,
     LyapunovSpec,
     check_convexity,
     majorant_branch,
     solve_lyapunov,
     solve_tangency,
 )
-from volmaj.errors import NumericError, SpecValidationError
+from volmaj.errors import DomainError, NumericError, SpecValidationError
 from volmaj.quadrature import graded_mesh
 
 QUAD = LyapunovSpec(
@@ -22,6 +25,29 @@ QUAD = LyapunovSpec(
     r_max=10.0,
     t_max=5.0,
     name="quadratic",
+)
+
+
+def inline(text, **box):
+    """A spec compiled from config text as the CLI compiles it (no fr)."""
+    names = ("r", "t")
+    tree = expr.parse(text, names)
+    return LyapunovSpec(
+        f=expr.as_function(tree, names),
+        f_array=expr.as_array_function(tree, names),
+        r_max=box.get("r_max", 10.0),
+        t_max=box.get("t_max", 5.0),
+        name=text,
+    )
+
+
+EXP = LyapunovSpec(
+    f=lambda r, t: t * math.exp(r),
+    f_r=lambda r, t: t * math.exp(r),
+    inv_norm_bound=1.0,
+    r_max=10.0,
+    t_max=5.0,
+    name="exponential",
 )
 
 
@@ -117,6 +143,83 @@ class TestBranch:
             majorant_branch(QUAD, mesh)
 
 
+class TestNewtonBranch:
+    """The warm-started Newton branch against the plain iteration."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [QUAD, inline("t*(r^2 + 0.9)"), inline("t*(r^2 + 1.0208)"),
+         inline("t*(r^2 + 1.1)"), EXP],
+        ids=lambda spec: spec.name,
+    )
+    def test_matches_plain_iteration_up_to_the_horizon(self, spec):
+        convexity = check_convexity(spec)
+        assert convexity.passed
+        mesh = graded_mesh(solve_tangency(spec).horizon, 400, 1.0)
+        fast = majorant_branch(spec, mesh, convexity=convexity)
+        plain = majorant_branch(spec, mesh)
+        inside = slice(0, -1)  # every node strictly inside the horizon
+        assert np.max(np.abs(fast.values[inside] - plain.values[inside])) < 1e-10
+        assert np.all(fast.converged_mask[inside])
+        assert np.all(np.diff(fast.values) >= 0.0)
+        assert fast.iterations[-1] < 100
+        # warm starts keep it near four Newton steps a node (five to
+        # seven from 0); the plain iteration spends 50000 on the horizon
+        assert fast.iterations.sum() < 4 * mesh.n
+        assert plain.iterations.sum() > 50000
+
+    def test_horizon_node_converges_with_an_exact_slope(self):
+        sol = solve_lyapunov(QUAD, n=16, convexity=check_convexity(QUAD))
+        assert np.all(sol.converged_mask)
+        assert sol.radii[-1] == pytest.approx(1.0, abs=1e-7)
+        assert sol.radii[-1] <= 1.0
+
+    def test_overshooting_horizon_node_stays_unconverged(self):
+        # with a finite-difference slope the computed horizon lies about
+        # 1.2e-10 past the true one, so no root exists there to tol
+        spec = inline("t*(r^2 + 1.0208)")
+        convexity = check_convexity(spec)
+        horizon = solve_tangency(spec).horizon
+        assert horizon > 0.5 / math.sqrt(1.0208)
+        mesh = graded_mesh(horizon, 40, 1.0)
+        branch = majorant_branch(spec, mesh, convexity=convexity)
+        assert not branch.converged_mask[-1]
+        assert branch.values[-1] == pytest.approx(math.sqrt(1.0208), abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "spec, end",
+        [
+            (QUAD, 0.8),
+            (QUAD, 0.5 * (1.0 + 1e-6)),
+            (inline("t*(r^2 + 1)"), 0.5 * (1.0 + 1e-6)),
+            (EXP, 0.5),
+        ],
+        ids=["quad far", "quad near", "fd slope near", "exp"],
+    )
+    def test_divergence_past_horizon_under_the_screen(self, spec, end):
+        mesh = graded_mesh(end, 4, 1.0)
+        with pytest.raises(NumericError, match="beyond the horizon"):
+            majorant_branch(spec, mesh, convexity=check_convexity(spec))
+
+    def test_root_outside_the_domain_of_f_is_not_claimed(self):
+        # the screen passes on r <= 0.29, but past t = 0.3 the smallest
+        # root exceeds 0.3, where f stops being evaluable; halved steps
+        # creep up to 0.3 and must not count as convergence
+        spec = inline("t*(r^2 + 1) + 0*sqrt(0.3 - r)", r_max=0.29, t_max=1.0)
+        convexity = check_convexity(spec)
+        assert convexity.passed
+        with pytest.raises(NumericError):
+            majorant_branch(spec, graded_mesh(0.45, 9, 1.0), convexity=convexity)
+
+    def test_failed_screen_keeps_the_plain_iteration(self):
+        mesh = graded_mesh(0.5, 8, 1.0)
+        failed = dataclasses.replace(check_convexity(QUAD), passed=False)
+        plain = majorant_branch(QUAD, mesh)
+        again = majorant_branch(QUAD, mesh, convexity=failed)
+        assert np.array_equal(plain.values, again.values)
+        assert np.array_equal(plain.iterations, again.iterations)
+
+
 class TestConvexity:
     def test_quadratic_passes(self):
         report = check_convexity(QUAD)
@@ -151,6 +254,146 @@ class TestConvexity:
         report = check_convexity(spec)
         assert report.passed
         assert report.degenerate
+
+
+def _scalar_only(spec):
+    return dataclasses.replace(spec, f_array=None, f_r_array=None)
+
+
+def _loop_convexity(spec, r_grid=None, t_grid=None):
+    """The screen as one point-by-point double loop: the reference for the
+    order, values and cap of the violations."""
+    r_grid = np.linspace(0.0, spec.r_max, 128) if r_grid is None else r_grid
+    t_grid = np.linspace(0.0, spec.t_max, 128) if t_grid is None else t_grid
+    violations = []
+
+    def note(kind, r, t, v):
+        if len(violations) < 50:
+            violations.append((kind, float(r), float(t), float(v)))
+
+    fvals = np.empty((t_grid.size, r_grid.size))
+    svals = np.empty_like(fvals)
+    for i, t in enumerate(t_grid):
+        for j, r in enumerate(r_grid):
+            try:
+                fv = float(spec.f(float(r), float(t)))
+                sv = spec.slope(float(r), float(t))
+            except (DomainError, OverflowError, ValueError, ZeroDivisionError):
+                fv = sv = math.nan
+            if not math.isfinite(fv):
+                note("not-finite", r, t, fv)
+                fv = math.nan
+            fvals[i, j], svals[i, j] = fv, sv
+    finite = fvals[np.isfinite(fvals)]
+    scale = max(1.0, float(np.max(np.abs(finite)))) if finite.size else 1.0
+    slack1 = 1e-12 * scale
+    slack2 = (1e-10 if spec.f_r is not None else 3e-9) * scale
+    for i, t in enumerate(t_grid):
+        row, srow = fvals[i], svals[i]
+        for j in range(1, r_grid.size):
+            if row[j] - row[j - 1] < -slack1:
+                note("f-decreasing-in-r", r_grid[j], t, row[j] - row[j - 1])
+            if srow[j] - srow[j - 1] < -slack2:
+                note("slope-decreasing-in-r", r_grid[j], t, srow[j] - srow[j - 1])
+        for j in range(1, r_grid.size - 1):
+            h1 = r_grid[j] - r_grid[j - 1]
+            h2 = r_grid[j + 1] - r_grid[j]
+            second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
+            if second < -slack2:
+                note("f-not-convex-in-r", r_grid[j], t, second)
+    for j, r in enumerate(r_grid):
+        col, scol = fvals[:, j], svals[:, j]
+        for i in range(1, t_grid.size):
+            if col[i] - col[i - 1] < -slack1:
+                note("f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1])
+            if scol[i] - scol[i - 1] < -slack2:
+                note("slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1])
+    return ConvexityReport(
+        passed=not violations,
+        degenerate=finite.size > 0 and float(np.max(np.abs(finite))) == 0.0,
+        violations=tuple(violations),
+        samples=int(fvals.size),
+    )
+
+
+def _wiggle(r, t, sin):
+    return 0.1 * r * r + 0.05 * r * (1.0 + sin(7.0 * t)) + 0.01 * t * sin(9.0 * r)
+
+
+_SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
+
+
+class TestConvexityRoutes:
+    """The array screen and the point-by-point fill give equal reports."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dataclasses.replace(QUAD, f_array=QUAD.f, f_r_array=QUAD.f_r),
+            dataclasses.replace(QUAD, f_r=None, f_array=QUAD.f),
+            LyapunovSpec(
+                f=lambda r, t: t * math.sqrt(r) if r > 0 else 0.0,
+                f_array=lambda r, t: t * np.sqrt(r),
+                r_max=1.0, t_max=1.0, name="concave",
+            ),
+            LyapunovSpec(
+                f=lambda r, t: r * r / (1.0 + t),
+                f_r=lambda r, t: 2.0 * r / (1.0 + t),
+                f_array=lambda r, t: r * r / (1.0 + t),
+                f_r_array=lambda r, t: 2.0 * r / (1.0 + t),
+                r_max=2.0, t_max=1.5, name="decreasing in t",
+            ),
+            LyapunovSpec(
+                f=lambda r, t: _wiggle(r, t, math.sin),
+                f_array=lambda r, t: _wiggle(r, t, np.sin),
+                r_max=2.0, t_max=1.5, name="wiggle",
+            ),
+            inline("t*sqrt(3 - r)", r_max=4.0, t_max=1.0),
+            inline("0.5*r + exp(100*t) - 1", r_max=1.0, t_max=10.0),
+            inline("t*(r^2 + 1.0208)"),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    @pytest.mark.parametrize(
+        "grids", [{}, _SMALL_GRIDS], ids=["default grid", "small grid"]
+    )
+    def test_array_and_pointwise_reports_are_equal(self, spec, grids):
+        report = check_convexity(spec, **grids)
+        # repr, so that nan margins of not-finite samples compare equal
+        assert repr(report) == repr(check_convexity(_scalar_only(spec), **grids))
+        assert repr(report) == repr(_loop_convexity(spec, **grids))
+
+    def test_reports_list_violations_in_scan_order(self):
+        spec = LyapunovSpec(
+            f=lambda r, t: _wiggle(r, t, math.sin),
+            f_array=lambda r, t: _wiggle(r, t, np.sin),
+            r_max=2.0, t_max=1.5, name="wiggle",
+        )
+        report = check_convexity(
+            spec, r_grid=np.linspace(0.0, 2.0, 7), t_grid=np.linspace(0.0, 1.5, 5)
+        )
+        assert report.violations == check_convexity(
+            _scalar_only(spec), r_grid=np.linspace(0.0, 2.0, 7),
+            t_grid=np.linspace(0.0, 1.5, 5),
+        ).violations
+        kinds = [v[0] for v in report.violations]
+        assert len(kinds) < 50  # below the cap, so every violation is listed
+        assert set(kinds) == {
+            "slope-decreasing-in-r", "f-not-convex-in-r",
+            "f-decreasing-in-t", "slope-decreasing-in-t",
+        }
+        # rows first, then columns
+        first_column = min(i for i, k in enumerate(kinds) if k.endswith("-in-t"))
+        assert all(k.endswith("-in-r") for k in kinds[:first_column])
+        assert all(k.endswith("-in-t") for k in kinds[first_column:])
+
+    def test_non_finite_samples_come_first_and_the_cap_holds(self):
+        spec = inline("0.5*r + exp(100*t) - 1", r_max=1.0, t_max=10.0)
+        report = check_convexity(spec)
+        assert len(report.violations) == 50
+        assert all(v[0] == "not-finite" and v[3] == math.inf for v in report.violations)
+        t_first = report.violations[0][2]
+        assert 100.0 * t_first > math.log(np.finfo(float).max)
 
 
 class TestSolveLyapunov:

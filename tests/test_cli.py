@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from volmaj import algebraic_majorant
 from volmaj.cli import _SCHEMA, _inline_problem, _load_config, _Setup, main
 from volmaj.corpus import corpus_names, corpus_param_types
 from volmaj.errors import ExprError, SpecValidationError
@@ -250,6 +251,46 @@ class TestLyapunov:
         assert csv_header(out, "lyapunov_branch.csv") == "t,r"
         last = (out / "lyapunov_branch.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[0]) == pytest.approx(0.5, abs=1e-9)
+
+    def test_corpus_branch_converges_at_the_horizon(self, tmp_path):
+        cfg = ini(tmp_path, "[lyapunov]\nsource = corpus\nentry = sine_bvp\n")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "lyapunov_summary.txt")
+        # Newton from below reaches the double root (closed form 1)
+        assert pairs["branch_converged"] == "all"
+        last = (out / "lyapunov_branch.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[1]) == pytest.approx(1.0, abs=1e-7)
+
+    def test_branch_runs_newton_after_the_screen(self, tmp_path, monkeypatch):
+        totals = []
+        branch = algebraic_majorant.majorant_branch
+
+        def counted(*args, **kwargs):
+            result = branch(*args, **kwargs)
+            totals.append(int(result.iterations.sum()))
+            return result
+
+        monkeypatch.setattr(algebraic_majorant, "majorant_branch", counted)
+        cfg = ini(
+            tmp_path,
+            """
+            [lyapunov]
+            source = inline
+            f = t*(r^2 + 1.0208)
+            c = 1
+            r_max = 10
+            t_max = 5
+
+            [mesh]
+            n = 400
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        assert len(totals) == 1 and totals[0] < 3000  # 58932 by plain iteration
 
     def test_concave_growth_rejected(self, tmp_path, capsys):
         cfg = ini(

@@ -2,7 +2,9 @@
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -207,7 +209,7 @@ _numbers = st.floats(
 )
 
 
-def _trees():
+def _trees(ops="+-*/^", funcs=tuple(_FUNCS)):
     leaves = st.one_of(
         _numbers.map(Num),
         _names.map(Var),
@@ -216,10 +218,10 @@ def _trees():
     def extend(children):
         return st.one_of(
             children.map(Neg),
-            st.tuples(st.sampled_from("+-*/^"), children, children).map(
+            st.tuples(st.sampled_from(ops), children, children).map(
                 lambda s: BinOp(s[0], s[1], s[2])
             ),
-            st.tuples(st.sampled_from(_FUNCS), children).map(
+            st.tuples(st.sampled_from(funcs), children).map(
                 lambda s: Call(s[0], s[1])
             ),
         )
@@ -307,7 +309,8 @@ def test_compiled_saturates_like_evaluate(text, want):
 def test_compiled_raises_like_evaluate(text, z, message, offset):
     tree = parse(text, ("z",))
     for call in (lambda: expr.as_function(tree, ("z",))(z),
-                 lambda: evaluate(tree, {"z": z})):
+                 lambda: evaluate(tree, {"z": z}),
+                 lambda: expr.as_array_function(tree, ("z",))(np.array([z]))):
         with pytest.raises(DomainError) as e:
             call()
         assert e.value.offset == offset
@@ -322,3 +325,119 @@ def test_compiler_rejects_names_outside_the_grammar(tree):
     # a hand-built node must not put its text into the generated source
     with pytest.raises(ValueError):
         expr.as_function(tree, ())
+
+
+# array functions against the compiled scalar functions, element by element
+
+_NAMES = ("t", "z", "w")
+_ARRAY_INPUTS = st.one_of(
+    _EDGE_INPUTS,
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+)
+_ROWS = st.lists(
+    st.tuples(_ARRAY_INPUTS, _ARRAY_INPUTS, _ARRAY_INPUTS), min_size=1, max_size=6
+)
+_EXACT_FUNCS = ("sin", "cos", "sqrt", "abs")
+# numpy's exp, log, tan and pow differ from math's in the last ulp on
+# some inputs, so one such node is compared within a few ulps
+_INEXACT_FUNCS = ("tan", "exp", "log")
+_ULPS = 4
+
+
+def _array_outcome(call):
+    try:
+        return [repr(float(v)) for v in call()]
+    except Exception as exc:  # compare whatever either route raises
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _assert_array_agrees(tree, rows, same_value):
+    tree = parse(to_text(tree), _NAMES)  # the same tree, with byte offsets
+    fn = expr.as_function(tree, _NAMES)
+    afn = expr.as_array_function(tree, _NAMES)
+    want = [_outcome(lambda: fn(*row)) for row in rows]
+    got = _array_outcome(lambda: afn(*(np.array(col) for col in zip(*rows))))
+    errors = [w for w in want if isinstance(w, tuple)]
+    if errors:
+        # the scalar error at the lowest failing flat index
+        assert got == errors[0]
+        return
+    assert isinstance(got, list) and len(got) == len(want)
+    for g, w in zip(got, want):
+        assert same_value(float(g), float(w)), (to_text(tree), rows, got, want)
+
+
+def _within_ulps(got, want):
+    if got == want:  # also equal infinities
+        return True
+    return math.isclose(got, want, rel_tol=_ULPS * 2.0**-52, abs_tol=_ULPS * 5e-324)
+
+
+@given(_trees("+-*/", _EXACT_FUNCS), _ROWS)
+@example(BinOp("/", Var("t"), Var("z")),
+         [(1.0, 2.0, 0.0), (1.0, -0.0, 0.0), (0.0, 0.0, 0.0)])
+@example(BinOp("-", BinOp("*", Var("t"), Var("w")), BinOp("*", Var("t"), Var("w"))),
+         [(0.5, 0.0, 3.0), (1e308, 0.0, 3.0)])
+@example(Call("sqrt", BinOp("*", Var("t"), Var("z"))),
+         [(3.0, 3.0, 0.0), (-0.0, 3.0, 0.0)])
+@example(Call("sin", BinOp("*", Var("t"), Var("w"))),
+         [(1e308, 0.0, 3.0), (0.5, 0.0, 3.0)])
+@example(BinOp("+", Call("sqrt", Var("z")), BinOp("/", Num(1.0), Var("t"))),
+         [(3.0, 0.5, 0.0), (0.0, 0.5, 0.0), (3.0, -3.0, 0.0)])
+@settings(max_examples=500, deadline=None)
+def test_array_function_matches_compiled_exactly(tree, rows):
+    _assert_array_agrees(tree, rows, lambda g, w: repr(g) == repr(w))
+
+
+def _inexact_trees():
+    exact = _trees("+-*/", _EXACT_FUNCS)
+    return st.one_of(
+        st.tuples(st.sampled_from(_INEXACT_FUNCS), exact).map(lambda s: Call(*s)),
+        st.tuples(exact, exact).map(lambda s: BinOp("^", *s)),
+    )
+
+
+@given(_inexact_trees(), _ROWS)
+@example(BinOp("^", _TW, Num(0.5)),
+         [(-0.0, 0.0, 3.0), (-1e308, 0.0, 3.0), (3.0, 0.0, 3.0)])
+@example(BinOp("^", Var("t"), Var("z")),
+         [(-3.0, 3.0, 0.0), (-1e308, 3.0, 0.0), (3.0, 0.5, 0.0)])
+@example(BinOp("^", Var("t"), Var("z")),
+         [(2.0, 2.0, 0.0), (-0.0, -3.0, 0.0), (-3.0, 0.5, 0.0)])
+@example(BinOp("^", Var("t"), Num(0.0)), [(-0.0, 0.0, 0.0)])
+@example(BinOp("^", Var("z"), _TW), [(-1e308, 0.0, 3.0), (1e308, -0.0, 3.0)])
+@example(Call("log", Var("t")), [(3.0, 0.0, 0.0), (-0.0, 0.0, 0.0)])
+@example(Call("exp", _TW), [(1e308, 0.0, 3.0), (-1e308, 0.0, 3.0)])
+@example(Call("tan", _TW), [(3.0, 0.0, 0.5), (-1e308, 0.0, 3.0)])
+@settings(max_examples=500, deadline=None)
+def test_array_function_matches_compiled_within_ulps(tree, rows):
+    _assert_array_agrees(tree, rows, _within_ulps)
+
+
+def test_array_function_broadcasts_and_reports_the_lowest_flat_index():
+    names = ("r", "t")
+    fn = expr.as_array_function(parse("t*sqrt(3 - r)", names), names)
+    r = np.array([[0.0, 2.0, 4.0, 5.0]])
+    t = np.array([[1.0], [2.0]])
+    assert fn(np.array([[0.0, 3.0]]), t).shape == (2, 2)
+    with pytest.raises(DomainError) as e:
+        fn(r, t)
+    # flat index 2 of the (2, 4) grid fails first: sqrt(-1.0), at byte 2
+    assert str(e.value) == "sqrt(-1.0) outside real domain (at byte 2)"
+    # a constant or a bare argument comes back as a fresh array of the shape
+    one = expr.as_array_function(parse("1", names), names)(r, t)
+    assert one.shape == (2, 4) and np.all(one == 1.0)
+    same = expr.as_array_function(parse("r", names), names)
+    out = same(r[0], 0.0)
+    out[0] = 7.0
+    assert r[0, 0] == 0.0
+
+
+def test_array_function_leaks_no_warning():
+    names = ("z",)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn = expr.as_array_function(parse("exp(1000*z)/(z - 1)", names), names)
+        assert repr(float(fn(np.array([2.0]))[0])) == "inf"
+        with pytest.raises(DomainError):
+            fn(np.array([0.5, 1.0]))

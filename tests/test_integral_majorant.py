@@ -115,6 +115,28 @@ class TestClassification:
             }
             assert len(kinds) == 1
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_meaningless_tolerance_rejected(self, tol):
+        # z^2 with f = w + 1 blows up in value at t = 1; a zero, negative
+        # or NaN tol used to turn it into Global
+        spec = MajorantSpec(f=lambda t, w: w + 1.0, gamma=lambda z: z * z, name="z^2")
+        with pytest.raises(SpecValidationError, match="tol"):
+            classify_blowup(spec, tol=tol)
+        assert classify_blowup(spec).horizon == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("t_cap", 0.0), ("t_cap", -1.0), ("t_cap", math.nan), ("t_cap", math.inf),
+            ("omega_cap", 0.0), ("omega_cap", math.nan), ("omega_cap", math.inf),
+            ("octaves", 0), ("octaves", -3), ("octaves", 2.5), ("octaves", True),
+        ],
+    )
+    def test_meaningless_budget_rejected(self, key, value):
+        for spec in (TAN_SPEC, LINEAR_SPEC):
+            with pytest.raises(SpecValidationError, match=key):
+                classify_blowup(spec, **{key: value})
+
     def test_rate_negative_at_origin_rejected_eagerly(self):
         with pytest.raises(SpecValidationError):
             MajorantSpec(
