@@ -78,7 +78,6 @@ from .quadrature import (
     improper_integral,
     integral_to_pole,
     nested_integral,
-    trapezoid_weights,
 )
 
 __version__ = "0.1.0"
@@ -145,7 +144,6 @@ __all__ = [
     "solve_majorant",
     "solve_tangency",
     "to_text",
-    "trapezoid_weights",
     "verify_domination",
     "zero_trajectory",
 ]

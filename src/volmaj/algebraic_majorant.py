@@ -473,9 +473,9 @@ def _newton_node(
             # the horizon as closely as solve_tangency places it, but no
             # root to tol: the computed horizon may overshoot
             return r, k, False
-        raise NumericError(
-            f"branch diverges at t={t!r}; the node lies beyond the horizon"
-        )
+        # beyond the horizon, or f's domain ends the branch: the plain
+        # iteration names which
+        return _plain_node(spec, t, tol, max_iter)
     return r, max_iter, False
 
 
@@ -504,12 +504,13 @@ def majorant_branch(
     horizon and counts as converged; if g is only within the residual
     floor solve_tangency converges to, the node is the computed horizon,
     which may overshoot the true one by that much, and it is kept
-    unconverged.
+    unconverged.  A stall with g above the floor hands the node to the
+    plain iteration, which names why there is no root: the node lies
+    beyond the horizon, or f stops being evaluable below the root.
 
     The mask records which nodes met tol within max_iter iterations.  A
-    node beyond the horizon raises NumericError either way: the plain
-    iteration escapes the search box, the Newton iteration stalls with
-    g above the floor.
+    node beyond the horizon raises NumericError either way, as the plain
+    iteration escapes the search box.
     """
     newton = convexity is not None and convexity.passed
     values = np.zeros(mesh.nodes.size)

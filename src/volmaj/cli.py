@@ -51,14 +51,13 @@ from .integral_majorant import (
     BlowupReport,
     MajorantSolution,
     MajorantSpec,
-    _apply_gamma,
     classify_blowup,
     majorant_picard,
     solve_majorant,
 )
 from .picard import SolveStatus, solve_main, verify_domination
 from .problem import DenseOperator, KernelStage, VolterraProblem
-from .quadrature import graded_mesh, trapezoid_weights
+from .quadrature import WeightTable, graded_mesh, pointwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -265,16 +264,6 @@ def _read_config(cp: configparser.ConfigParser) -> dict[str, dict | None]:
     return config
 
 
-def _pointwise(fn, *args) -> np.ndarray:
-    """A scalar expression function over arrays that broadcast to (S, K),
-    as an (S, K, 1) array.  The arguments stream through map from flat
-    float buffers, which make one Python float at a time; lists of them
-    would hold every point's floats at once."""
-    shape = np.broadcast_shapes(*(a.shape for a in args))
-    flat = (memoryview(np.broadcast_to(a, shape).ravel()) for a in args)
-    return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(*shape, 1)
-
-
 def _renamed(tree: expr.Expr, names: dict) -> expr.Expr:
     """The tree with its variables renamed; offsets are kept."""
     if isinstance(tree, expr.Var):
@@ -326,9 +315,9 @@ def _separated_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
         if (product, names) not in cache:
             fn = expr.as_function(product, names)
             cache[product, names] = (
-                (lambda t: _pointwise(fn, t))
+                (lambda t: pointwise(fn, t)[..., None])
                 if names == ("t",)
-                else (lambda s, u: _pointwise(fn, s, u[..., 0]))
+                else (lambda s, u: pointwise(fn, s, u[..., 0])[..., None])
             )
         return cache[product, names]
 
@@ -368,7 +357,7 @@ def _inline_problem(v: dict) -> VolterraProblem:
     stages.append(
         KernelStage(
             1,
-            lambda t, s, u: _pointwise(k1, t, s[:, 0], u[..., 0, 0]),
+            lambda t, s, u: pointwise(k1, t, s[:, 0], u[..., 0, 0])[..., None],
             _separated_terms(tree1, [("s", "u")]),
         )
     )
@@ -379,9 +368,9 @@ def _inline_problem(v: dict) -> VolterraProblem:
         stages.append(
             KernelStage(
                 2,
-                lambda t, s, u: _pointwise(
+                lambda t, s, u: pointwise(
                     k2, t, s[:, 0], s[:, 1], u[..., 0, 0], u[..., 1, 0]
-                ),
+                )[..., None],
                 _separated_terms(tree2, [("s1", "u1"), ("s2", "u2")]),
             )
         )
@@ -390,7 +379,7 @@ def _inline_problem(v: dict) -> VolterraProblem:
     phi = expr.as_function(expr.parse(v["phi"], tuple(phi_vars)), tuple(phi_vars))
 
     def outer(t, integrals, u):
-        return _pointwise(phi, t, *(i[..., 0] for i in integrals), u[..., 0])
+        return pointwise(phi, t, *(i[..., 0] for i in integrals), u[..., 0])[..., None]
 
     try:
         return VolterraProblem(
@@ -561,7 +550,7 @@ def _majorant_pipeline(
         chain = majorant_picard(spec, mesh)
         found = [("classification", "skipped (rate degenerate at zero)")]
         header = ["t", "omega_last", "z_last"]
-        columns = [trapezoid_weights(mesh).prefix(_apply_gamma(spec, chain.final))]
+        columns = [WeightTable(mesh).prefix(pointwise(spec.gamma, chain.final))]
     pairs = [
         ("name", spec.name),
         *found,

@@ -28,15 +28,10 @@ import numpy as np
 
 from .algebraic_majorant import ConvexityReport, LyapunovSpec, check_convexity
 from .errors import DomainError, NumericError, SpecValidationError
-from .integral_majorant import (
-    MajorantSpec,
-    _apply_f,
-    _apply_gamma,
-    check_upper_solution,
-)
+from .integral_majorant import MajorantSpec, check_upper_solution
 from .meshes import Mesh, Trajectory
 from .problem import VolterraProblem, eval_residual
-from .quadrature import BLOCK_ELEMENTS, trapezoid_weights
+from .quadrature import BLOCK_ELEMENTS, WeightTable, pointwise
 
 __all__ = [
     "ConditionStatus",
@@ -160,13 +155,19 @@ def _nonlinear_part(
         return residual - values @ a.T
 
 
-def _slope(g, x: float) -> float:
-    """Central difference of g at x >= 0, one-sided forward where the
-    left sample would fall below zero."""
-    h = 1e-6 * (1.0 + abs(x))
-    if x - h < 0.0:
-        return (float(g(x + h)) - float(g(max(x, 0.0)))) / h
-    return (float(g(x + h)) - float(g(x - h))) / (2.0 * h)
+def _slope(g, x: np.ndarray, *fixed) -> np.ndarray:
+    """Central differences of g(*fixed, x) in x at every point of x >= 0,
+    one-sided forward where the left point would fall below zero; g runs
+    at every right point before any left one."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        h = 1e-6 * (1.0 + np.abs(x))
+        one_sided = x - h < 0.0
+        right = pointwise(g, *fixed, x + h)
+        # 0.0 > x keeps a -0.0 as Python's max(x, 0.0) did; np.maximum
+        # would not
+        left = np.where(one_sided, np.where(0.0 > x, 0.0, x), x - h)
+        left = pointwise(g, *fixed, left)
+        return np.where(one_sided, (right - left) / h, (right - left) / (2.0 * h))
 
 
 def _norms(values: np.ndarray) -> np.ndarray:
@@ -174,18 +175,22 @@ def _norms(values: np.ndarray) -> np.ndarray:
     return np.max(np.abs(values), axis=2)
 
 
+# The right sides below map f and gamma over the whole (S, n+1) stack,
+# each statement in the order a one-sample call runs it, so the re-run
+# of a failing block one sample at a time meets the same first failure;
+# a majorant that overflows leaves a side that is not finite, which the
+# check reports by name, with no numpy warning.
+
+
 def sample_margins_A(
     problem: VolterraProblem, spec: MajorantSpec, mesh: Mesh, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (lhs, rhs) for condition A on a stack of trajectories u
     of shape (S, n+1, dim); both have shape (S, n+1)."""
-    weights = trapezoid_weights(mesh)
     lhs = np.max(np.abs(_nonlinear_part(problem, mesh, u)), axis=2)
-    rhs = [
-        _apply_f(spec, mesh.nodes, weights.prefix(_apply_gamma(spec, norms)))
-        for norms in _norms(u)
-    ]
-    return lhs, np.array(rhs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        integrals = WeightTable(mesh).prefix(pointwise(spec.gamma, _norms(u)))
+        return lhs, pointwise(spec.f, mesh.nodes, integrals)
 
 
 def sample_margins_D(
@@ -195,21 +200,20 @@ def sample_margins_D(
     u: np.ndarray,
     du: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for the increment condition D on stacks."""
-    weights = trapezoid_weights(mesh)
+    """Per-node (lhs, rhs) for the increment condition D on stacks;
+    gamma runs at u before u + du, f at the wide integrals before the
+    low ones."""
+    weights = WeightTable(mesh)
     widened = _nonlinear_part(problem, mesh, u + du)
     base = _nonlinear_part(problem, mesh, u)
-    rhs = []
+    u_norms = _norms(u)
     # infinite parts give nan differences here, which the check reports
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = np.max(np.abs(widened - base), axis=2)
-        for u_norms, du_norms in zip(_norms(u), _norms(du)):
-            low = weights.prefix(_apply_gamma(spec, u_norms))
-            wide = weights.prefix(_apply_gamma(spec, u_norms + du_norms))
-            rhs.append(
-                _apply_f(spec, mesh.nodes, wide) - _apply_f(spec, mesh.nodes, low)
-            )
-    return lhs, np.array(rhs)
+        low = weights.prefix(pointwise(spec.gamma, u_norms))
+        wide = weights.prefix(pointwise(spec.gamma, u_norms + _norms(du)))
+        f_wide = pointwise(spec.f, mesh.nodes, wide)
+        return lhs, f_wide - pointwise(spec.f, mesh.nodes, low)
 
 
 def sample_margins_E(
@@ -224,28 +228,20 @@ def sample_margins_E(
     lhs is a central finite-difference directional derivative along v
     of the integral route through the outer map, taken with the direct
     slot frozen at u so the linear part drops out exactly; rhs is the
-    chain-rule bound built from the slopes of f and gamma.
+    chain-rule bound built from the slopes of f and gamma, taken by
+    _slope.
     """
-    weights = trapezoid_weights(mesh)
+    weights = WeightTable(mesh)
     eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
     step = eps[:, None, None] * v
     ahead = eval_residual(problem, mesh, u + step, u)
     behind = eval_residual(problem, mesh, u - step, u)
+    norms = _norms(u)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = np.max(np.abs(ahead - behind), axis=2) / (2.0 * eps[:, None])
-    rhs = []
-    for norms, v_norms in zip(_norms(u), _norms(v)):
-        integrals = weights.prefix(_apply_gamma(spec, norms))
-        slope_samples = np.array(
-            [_slope(spec.gamma, float(z)) * nv for z, nv in zip(norms, v_norms)]
-        )
-        weighted = weights.prefix(slope_samples)
-        slopes = [
-            _slope(lambda x: spec.f(t, x), float(w))
-            for t, w in zip(mesh.nodes.tolist(), integrals)
-        ]
-        rhs.append(np.array(slopes) * weighted)
-    return lhs, np.array(rhs)
+        integrals = weights.prefix(pointwise(spec.gamma, norms))
+        weighted = weights.prefix(_slope(spec.gamma, norms) * _norms(v))
+        return lhs, _slope(spec.f, integrals, mesh.nodes) * weighted
 
 
 class _SampledCheck:
@@ -388,7 +384,7 @@ def check_B(
             witness = Witness("B", tag_index, -1, coord, lo, hi)
 
     try:
-        g = _apply_gamma(spec, z_grid)
+        g = pointwise(spec.gamma, z_grid)
         count += g.size
         if float(np.min(g)) < -_SLACK:
             j = int(np.argmin(g))
@@ -403,12 +399,12 @@ def check_B(
         for j in range(1, g.size):
             update(0, float(z_grid[j]), float(g[j - 1]), float(g[j]))
         for t in t_grid:
-            row = np.array([float(spec.f(float(t), float(w))) for w in w_grid])
+            row = pointwise(spec.f, t, w_grid)
             count += row.size
             for j in range(1, row.size):
                 update(1, float(w_grid[j]), float(row[j - 1]), float(row[j]))
         for w in w_grid[:: max(points // 16, 1)]:
-            col = np.array([float(spec.f(float(t), float(w))) for t in t_grid])
+            col = pointwise(spec.f, t_grid, w)
             count += col.size
             for j in range(1, col.size):
                 update(2, float(t_grid[j]), float(col[j - 1]), float(col[j]))

@@ -32,13 +32,14 @@ import numpy as np
 from .errors import DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
+    WeightTable,
     _inverse_rate,
     _probe_rate,
     adaptive_quad,
     graded_mesh,
     improper_integral,
     integral_to_pole,
-    trapezoid_weights,
+    pointwise,
 )
 
 __all__ = [
@@ -180,16 +181,6 @@ class UpperSolutionReport:
     t: float
 
 
-def _apply_gamma(spec: MajorantSpec, z: np.ndarray) -> np.ndarray:
-    return np.array([float(spec.gamma(float(v))) for v in z])
-
-
-def _apply_f(spec: MajorantSpec, t_nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [float(spec.f(float(t), float(v))) for t, v in zip(t_nodes, w)]
-    )
-
-
 def majorant_picard(
     spec: MajorantSpec,
     mesh: Mesh,
@@ -201,15 +192,14 @@ def majorant_picard(
     The chain is nondecreasing node by node; it converges whenever the
     mesh ends strictly inside the existence window.
     """
-    weights = trapezoid_weights(mesh)
+    weights = WeightTable(mesh)
     z = np.zeros(mesh.nodes.size)
     iterates = [z]
     delta = math.inf
     converged = False
     for _ in range(n_max):
-        samples = _apply_gamma(spec, z)
-        integrals = weights.prefix(samples)
-        z_new = _apply_f(spec, mesh.nodes, integrals)
+        integrals = weights.prefix(pointwise(spec.gamma, z))
+        z_new = pointwise(spec.f, mesh.nodes, integrals)
         if not np.all(np.isfinite(z_new)):
             raise NumericError(
                 "majorant chain diverged on this mesh; its end time is at or"
@@ -475,7 +465,7 @@ def _autonomous_cauchy(
             w = w_new
         else:
             raise NumericError(f"time map inversion stalled at t={t!r}")
-    bound = _apply_f(spec, mesh.nodes, omega)
+    bound = pointwise(spec.f, mesh.nodes, omega)
 
     def fresh_phi(w: float) -> float:
         return adaptive_quad(h, 0.0, float(w), 1e-12)
@@ -526,7 +516,7 @@ def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
                 float(omega[j]),
                 float(mesh.gaps[j]),
             )
-        bound = _apply_f(spec, mesh.nodes, omega)
+        bound = pointwise(spec.f, mesh.nodes, omega)
         return CauchySolution(mesh, omega, bound, None)
     pole = spec.pole
     if pole is None:

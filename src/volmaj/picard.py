@@ -30,6 +30,10 @@ __all__ = [
     "verify_domination",
 ]
 
+# the most iterates a report keeps: past it the stored ones are thinned
+# to every other one, the last always kept
+_CHAIN_CAP = 50
+
 
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
@@ -73,20 +77,13 @@ def _solve(
     tol: float,
     n_max: int,
     majorant: MajorantSolution | None,
-    chain_cap: int,
     main: bool,
 ) -> SolveReport:
     mesh = start.mesh
-    if mesh.end > problem.t_max:
-        raise SpecValidationError(
-            f"mesh end {mesh.end!r} exceeds the problem window {problem.t_max!r}"
-        )
     if majorant is not None:
         _check_majorant_mesh(mesh, majorant)
     if n_max < 1:
         raise SpecValidationError(f"n_max must be >= 1, got {n_max}")
-    if chain_cap < 4:
-        raise SpecValidationError(f"chain_cap must be >= 4, got {chain_cap}")
     u = start
     stored: list[tuple[int, Trajectory]] = [(0, u)]
     status = SolveStatus.NOT_CONVERGED
@@ -100,7 +97,7 @@ def _solve(
         u = u_new
         iterations = n
         stored.append((n, u))
-        if len(stored) > chain_cap:
+        if len(stored) > _CHAIN_CAP:
             last = stored[-1]
             stored = stored[::2]
             if stored[-1][0] != last[0]:
@@ -147,13 +144,11 @@ def solve_main(
     tol: float = 1e-10,
     n_max: int = 200,
     majorant: MajorantSolution | None = None,
-    chain_cap: int = 50,
 ) -> SolveReport:
     """Iterate from the zero trajectory until the step or the certified
     tail drops below tol."""
     return _solve(
-        problem, zero_trajectory(mesh, problem.dim), tol, n_max, majorant,
-        chain_cap, main=True,
+        problem, zero_trajectory(mesh, problem.dim), tol, n_max, majorant, main=True
     )
 
 
@@ -162,14 +157,13 @@ def solve_from(
     start: Trajectory,
     tol: float = 1e-10,
     n_max: int = 200,
-    chain_cap: int = 50,
 ) -> SolveReport:
     """Iterate from an arbitrary start; no domination claims attach."""
     if start.dim != problem.dim:
         raise SpecValidationError(
             f"start dimension {start.dim} != problem dimension {problem.dim}"
         )
-    return _solve(problem, start, tol, n_max, None, chain_cap, main=False)
+    return _solve(problem, start, tol, n_max, None, main=False)
 
 
 def residual_norms(problem: VolterraProblem, trajectory: Trajectory) -> np.ndarray:

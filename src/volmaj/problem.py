@@ -186,8 +186,6 @@ class VolterraProblem:
     outer: OuterFn
     operator: DenseOperator | TridiagonalOperator
     inv_norm_bound: float
-    t_max: float = float("inf")
-    base_point: np.ndarray | None = None
     name: str = "problem"
 
     def __post_init__(self):
@@ -203,20 +201,15 @@ class VolterraProblem:
                 f"inverse-norm bound must be positive and finite,"
                 f" got {self.inv_norm_bound!r}"
             )
-        if not (self.t_max > 0):
-            raise SpecValidationError(f"t_max must be positive, got {self.t_max!r}")
         # fails loudly now rather than at the first sweep
         self.operator.inverse_inf_norm()
-        base = self.base_point
-        base = np.zeros(self.dim) if base is None else np.asarray(base, dtype=float)
-        if base.shape != (self.dim,):
-            raise SpecValidationError(
-                f"base point shape {base.shape} != ({self.dim},)"
-            )
-        object.__setattr__(self, "base_point", base)
-        zeros = tuple(np.zeros((1, 1, self.dim)) for _ in self.stages)
+        # the base point, the zero state where solve_main starts, must be
+        # a root at t = 0
+        zeros = np.zeros((1, 1, self.dim))
         try:
-            r = np.asarray(self.outer(np.zeros(1), zeros, base[None, None]), float)
+            r = np.asarray(
+                self.outer(np.zeros(1), (zeros,) * len(self.stages), zeros), float
+            )
         except EVAL_ERRORS as exc:
             raise SpecValidationError(
                 f"outer map is not evaluable at t = 0: {exc}"

@@ -21,7 +21,7 @@ from .meshes import Mesh
 __all__ = [
     "graded_mesh",
     "WeightTable",
-    "trapezoid_weights",
+    "pointwise",
     "nested_integral",
     "ImproperResult",
     "improper_integral",
@@ -93,21 +93,32 @@ class WeightTable:
         return w
 
     def prefix(self, samples: np.ndarray) -> np.ndarray:
-        """Integrals from 0 to every node of a sampled integrand."""
+        """Integrals from 0 to every node of a sampled integrand, along
+        the last axis, which holds one sample per node: a (S, n+1) stack
+        gives each row the integrals its 1-D call gives, bit for bit."""
         samples = np.asarray(samples, dtype=float)
-        if samples.shape != (self.mesh.nodes.size,):
+        if samples.shape[-1:] != (self.mesh.nodes.size,):
             raise SpecValidationError(
-                "prefix needs one sample per mesh node"
+                "prefix needs one sample per mesh node along the last axis"
             )
-        panels = self.mesh.gaps * (samples[:-1] + samples[1:]) / 2.0
+        panels = self.mesh.gaps * (samples[..., :-1] + samples[..., 1:]) / 2.0
         out = np.empty_like(samples)
-        out[0] = 0.0
-        np.cumsum(panels, out=out[1:])
+        out[..., 0] = 0.0
+        np.cumsum(panels, axis=-1, out=out[..., 1:])
         return out
 
 
-def trapezoid_weights(mesh: Mesh) -> WeightTable:
-    return WeightTable(mesh)
+def pointwise(fn, *args) -> np.ndarray:
+    """A scalar function over the broadcast of its arguments (arrays or
+    scalars), with the broadcast shape.  fn runs on one point at a time
+    in C order, so the first point that raises has the lowest flat
+    index; the arguments stream through map from flat float buffers,
+    which make one Python float at a time where lists of them would
+    hold every point's floats at once."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    flat = (memoryview(np.broadcast_to(a, shape).ravel()) for a in args)
+    return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
 def nested_integral(

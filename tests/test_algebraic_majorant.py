@@ -204,11 +204,12 @@ class TestNewtonBranch:
     def test_root_outside_the_domain_of_f_is_not_claimed(self):
         # the screen passes on r <= 0.29, but past t = 0.3 the smallest
         # root exceeds 0.3, where f stops being evaluable; halved steps
-        # creep up to 0.3 and must not count as convergence
+        # creep up to 0.3 and must not count as convergence; the stall
+        # names the domain, not the horizon, as the cause
         spec = inline("t*(r^2 + 1) + 0*sqrt(0.3 - r)", r_max=0.29, t_max=1.0)
         convexity = check_convexity(spec)
         assert convexity.passed
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="outside real domain"):
             majorant_branch(spec, graded_mesh(0.45, 9, 1.0), convexity=convexity)
 
     def test_failed_screen_keeps_the_plain_iteration(self):

@@ -412,6 +412,38 @@ class TestVerify:
                 "fail (left side is not finite (kernel overflow?); worst margin -inf"
             )
 
+    def test_overflowing_majorant_fails_by_name_without_warnings(self, tmp_path):
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = inline
+            kernel = u
+            phi = u - om1 - t
+
+            [majorant]
+            source = inline
+            f = w
+            gamma = exp(50*z)
+
+            [run]
+            sample_bound = 30
+            samples = 20
+            """,
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--config", cfg, "--out", str(out),
+                         "--no-timestamp"])
+        assert code == 5
+        text, pairs = summary(out, "verify_summary.txt")
+        assert pairs["failed"] == "A,D,E"
+        for label in "ADE":
+            assert pairs[f"condition_{label}"].startswith(
+                "fail (right side is not finite (majorant overflow?); worst margin -inf"
+            )
+
 
 class TestPartSources:
     def test_corpus_majorant_uses_its_own_entry(self, tmp_path):

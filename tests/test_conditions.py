@@ -6,22 +6,28 @@ import warnings
 import numpy as np
 import pytest
 
+from volmaj import expr
 from volmaj.conditions import (
     DEFAULT_SEED,
+    STREAM_DELTA,
     STREAM_U,
+    STREAM_V,
     ConditionStatus,
     TrajectorySampler,
+    _slope,
     check_A,
     check_D_and_E,
     run_suite,
     sample_margins_A,
+    sample_margins_D,
+    sample_margins_E,
 )
 from volmaj.corpus import corpus_build
 from volmaj.errors import DomainError, SpecValidationError
 from volmaj.integral_majorant import MajorantSpec
 from volmaj.meshes import Trajectory
 from volmaj.problem import DenseOperator, KernelStage, VolterraProblem
-from volmaj.quadrature import graded_mesh
+from volmaj.quadrature import WeightTable, graded_mesh
 
 
 def _sqrt_problem():
@@ -245,3 +251,173 @@ class TestSampler:
         a = sampler.draw(1, 0).values
         b = sampler.draw(2, 0).values
         assert not np.array_equal(a, b)
+
+
+# The per-sample right sides as the scalar code computed them, one
+# sample and one point at a time: the oracle for the array forms.
+
+
+def _scalar_slope(g, x):
+    h = 1e-6 * (1.0 + abs(x))
+    if x - h < 0.0:
+        return (float(g(x + h)) - float(g(max(x, 0.0)))) / h
+    return (float(g(x + h)) - float(g(x - h))) / (2.0 * h)
+
+
+def _scalar_gamma(spec, z):
+    return np.array([float(spec.gamma(float(v))) for v in z])
+
+
+def _scalar_f(spec, t_nodes, w):
+    return np.array([float(spec.f(float(t), float(v))) for t, v in zip(t_nodes, w)])
+
+
+def _norms(values):
+    return np.max(np.abs(values), axis=2)
+
+
+def _scalar_rhs_A(spec, mesh, u):
+    weights = WeightTable(mesh)
+    return np.array(
+        [
+            _scalar_f(spec, mesh.nodes, weights.prefix(_scalar_gamma(spec, norms)))
+            for norms in _norms(u)
+        ]
+    )
+
+
+def _scalar_rhs_D(spec, mesh, u, du):
+    weights = WeightTable(mesh)
+    rhs = []
+    for u_norms, du_norms in zip(_norms(u), _norms(du)):
+        low = weights.prefix(_scalar_gamma(spec, u_norms))
+        wide = weights.prefix(_scalar_gamma(spec, u_norms + du_norms))
+        rhs.append(_scalar_f(spec, mesh.nodes, wide) - _scalar_f(spec, mesh.nodes, low))
+    return np.array(rhs)
+
+
+def _scalar_rhs_E(spec, mesh, u, v):
+    weights = WeightTable(mesh)
+    rhs = []
+    for norms, v_norms in zip(_norms(u), _norms(v)):
+        integrals = weights.prefix(_scalar_gamma(spec, norms))
+        slope_samples = np.array(
+            [_scalar_slope(spec.gamma, float(z)) * nv for z, nv in zip(norms, v_norms)]
+        )
+        weighted = weights.prefix(slope_samples)
+        slopes = [
+            _scalar_slope(lambda x: spec.f(t, x), float(w))
+            for t, w in zip(mesh.nodes.tolist(), integrals)
+        ]
+        rhs.append(np.array(slopes) * weighted)
+    return np.array(rhs)
+
+
+def _linear_problem(dim):
+    return VolterraProblem(
+        dim=dim,
+        stages=(KernelStage(1, lambda t, s, u: u[..., 0, :]),),
+        outer=lambda t, integrals, u: u - 0.5 * integrals[0] - t[:, None],
+        operator=DenseOperator(np.eye(dim)),
+        inv_norm_bound=1.0,
+        name="linear",
+    )
+
+
+def _inline_majorant():
+    f = expr.parse("sqrt(w + 1) - 1 + t", ("t", "w"))
+    gamma = expr.parse("log(1 + z) + z^2", ("z",))
+    return MajorantSpec(
+        f=expr.as_function(f, ("t", "w")),
+        gamma=expr.as_function(gamma, ("z",)),
+        f_depends_on_t=True,
+        name="inline log/sqrt",
+    )
+
+
+_MAJORANTS = {
+    **{
+        name: lambda name=name: corpus_build(name).majorant
+        for name in ("linear_majorant", "power_family", "sine_bvp", "sqrt_pole")
+    },
+    "inline": _inline_majorant,
+}
+
+
+def _stacks(mesh, dim, size, bound, zero):
+    """Stacks u, du and v of the given size; with zero, the sample at
+    index size // 2 is all zero, where every stencil is one-sided."""
+    sampler = TrajectorySampler(mesh, dim, bound)
+
+    def draw(stream):
+        stack = np.stack([sampler.draw(stream, i).values for i in range(size)])
+        if zero:
+            stack[size // 2] = 0.0
+        return stack
+
+    return draw(STREAM_U), 0.5 * draw(STREAM_DELTA), draw(STREAM_V)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestArrayRightSides:
+    @pytest.mark.parametrize("size, zero", [(1, False), (1, True), (5, True)])
+    @pytest.mark.parametrize("name", sorted(_MAJORANTS))
+    def test_right_sides_match_the_per_sample_scalar_code(self, name, size, zero):
+        spec = _MAJORANTS[name]()
+        mesh = graded_mesh(0.4, 12, 0.9)
+        problem = _linear_problem(2)
+        u, du, v = _stacks(mesh, 2, size, 0.5, zero)
+        _same_bits(
+            sample_margins_A(problem, spec, mesh, u)[1], _scalar_rhs_A(spec, mesh, u)
+        )
+        _same_bits(
+            sample_margins_D(problem, spec, mesh, u, du)[1],
+            _scalar_rhs_D(spec, mesh, u, du),
+        )
+        _same_bits(
+            sample_margins_E(problem, spec, mesh, u, v)[1],
+            _scalar_rhs_E(spec, mesh, u, v),
+        )
+
+    @pytest.mark.parametrize(
+        "margins, oracle, second",
+        [
+            (sample_margins_A, _scalar_rhs_A, None),
+            (sample_margins_D, _scalar_rhs_D, 1),
+            (sample_margins_E, _scalar_rhs_E, 2),
+        ],
+    )
+    def test_a_raising_sample_raises_the_scalar_message(self, margins, oracle, second):
+        # the message names the point, so equal messages mean the same
+        # first failing point
+        gamma = expr.parse("1/sqrt(1 - z)", ("z",))
+        spec = MajorantSpec(
+            f=lambda t, w: w, gamma=expr.as_function(gamma, ("z",)), name="pole"
+        )
+        mesh = graded_mesh(0.4, 12, 1.0)
+        stacks = _stacks(mesh, 1, 1, 3.0, zero=False)
+        args = (stacks[0],) if second is None else (stacks[0], stacks[second])
+        with pytest.raises(DomainError) as want:
+            oracle(spec, mesh, *args)
+        with pytest.raises(DomainError) as got:
+            margins(_linear_problem(1), spec, mesh, *args)
+        assert str(got.value) == str(want.value)
+
+    def test_slope_stencil_matches_the_scalar_one_point_by_point(self):
+        # copysign tells a left point of -0.0 from one of +0.0, as
+        # Python's max(x, 0.0) keeps the first and np.maximum the second
+        def g(t, x):
+            return math.copysign(1.0, x) + x * x + t
+
+        x = np.array([-0.0, 0.0, 1e-7, 1e-6, 0.5, 3.0, -2.0, math.inf, math.nan])
+        t = np.linspace(0.0, 1.0, x.size)
+        pairs = zip(t.tolist(), x.tolist())
+        want = np.array([_scalar_slope(lambda z: g(ti, z), xi) for ti, xi in pairs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _same_bits(_slope(g, x, t), want)

@@ -15,12 +15,13 @@ from volmaj.meshes import Mesh, Trajectory
 from volmaj.problem import KernelStage
 from volmaj.quadrature import (
     BLOCK_ELEMENTS,
+    WeightTable,
     adaptive_quad,
     graded_mesh,
     improper_integral,
     integral_to_pole,
     nested_integral,
-    trapezoid_weights,
+    pointwise,
 )
 
 
@@ -30,7 +31,7 @@ def _traj(mesh, fn):
 
 def _row(mesh, j):
     """Trapezoid weights of the integral from 0 to t_j."""
-    return trapezoid_weights(mesh).rows([j])[0]
+    return WeightTable(mesh).rows([j])[0]
 
 
 def _integral_at(stage, trajectory, j, **kwargs):
@@ -59,13 +60,30 @@ class TestWeights:
 
     def test_prefix_matches_rows(self):
         mesh = graded_mesh(2.0, 9, 1.0)
-        w = trapezoid_weights(mesh)
+        w = WeightTable(mesh)
         samples = np.sin(mesh.nodes)
         prefix = w.prefix(samples)
         for j in range(mesh.n + 1):
             assert prefix[j] == pytest.approx(
                 float(_row(mesh, j) @ samples[: j + 1]), rel=1e-14, abs=1e-15
             )
+
+    def test_prefix_of_a_stack_is_each_row_bit_for_bit(self):
+        mesh = graded_mesh(2.0, 17, 0.9)
+        rng = np.random.default_rng(7)
+        stack = rng.uniform(-1e3, 1e3, (5, mesh.nodes.size))
+        stack[2] = -0.0  # signs of zero must match too
+        table = WeightTable(mesh)
+        got = table.prefix(stack)
+        want = np.array([table.prefix(row) for row in stack])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 5), (9, 3)])
+    def test_prefix_needs_one_sample_per_node_on_the_last_axis(self, shape):
+        mesh = graded_mesh(1.0, 8, 1.0)
+        with pytest.raises(SpecValidationError, match="last axis"):
+            WeightTable(mesh).prefix(np.zeros(shape))
 
     def test_sin_convergence_order(self):
         exact = 1.0 - math.cos(1.0)
@@ -494,3 +512,39 @@ def test_adaptive_quad_endpoint_injection():
         lambda x: math.sqrt(max(1.0 - x, 0.0)), 0.0, 1.0, 1e-12, fb=0.0
     )
     assert got == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+class TestPointwise:
+    def test_broadcast_shape_and_values(self):
+        t = np.linspace(0.0, 1.0, 4)
+        w = np.arange(6.0).reshape(2, 3, 1)
+        got = pointwise(lambda a, b: a * b + 1.0, t, w)
+        assert got.shape == (2, 3, 4)
+        assert np.array_equal(got, t * w + 1.0)
+
+    def test_calls_in_c_order(self):
+        seen = []
+        x = np.arange(6.0).reshape(2, 3)
+        y = np.array([10.0, 20.0, 30.0])
+        pointwise(lambda a, b: seen.append((a, b)) or 0.0, x, y)
+        assert seen == list(zip(x.ravel().tolist(), y.tolist() * 2))
+
+    def test_first_raising_point_has_the_lowest_flat_index(self):
+        def fn(z):
+            if z > 2.5:
+                raise ValueError(f"at {z!r}")
+            return z
+
+        with pytest.raises(ValueError, match=r"^at 3\.0$"):
+            pointwise(fn, np.array([[0.0, 1.0, 5.0], [3.0, 4.0, 2.0]]).T)
+
+    def test_scalar_arguments(self):
+        got = pointwise(lambda t, w: t + 2.0 * w, 1.5, np.array([1.0, 2.0]))
+        assert np.array_equal(got, [3.5, 5.5])
+        alone = pointwise(lambda t, w: t * w, 2.0, 3)
+        assert alone.shape == () and float(alone) == 6.0
+
+    def test_points_arrive_as_python_floats(self):
+        kinds = set()
+        pointwise(lambda a, b: kinds.update({type(a), type(b)}) or 0.0, 1, np.arange(3))
+        assert kinds == {float}
