@@ -35,9 +35,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh
-from .quadrature import graded_mesh
+from .quadrature import BLOCK_ELEMENTS, graded_mesh
 
 __all__ = [
     "LyapunovSpec",
@@ -50,9 +50,6 @@ __all__ = [
     "check_convexity",
     "solve_lyapunov",
 ]
-
-# what evaluating f or f_r at a point may raise
-_EVAL_ERRORS = (DomainError, OverflowError, ValueError, ZeroDivisionError)
 
 
 def _fd_slope(f: Callable[[float, float], float], r: float, t: float) -> float:
@@ -165,7 +162,7 @@ def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
         return None
     try:
         v = _residual(spec, r, t)
-    except _EVAL_ERRORS:
+    except EVAL_ERRORS:
         return None
     if not np.all(np.isfinite(v)):
         return None
@@ -238,7 +235,7 @@ def _branch_min(
     def phi(r: float) -> float:
         try:
             v = c * float(spec.f(r, t)) - r
-        except _EVAL_ERRORS:
+        except EVAL_ERRORS:
             return math.inf
         return v if math.isfinite(v) else math.inf
 
@@ -388,7 +385,7 @@ def _plain_node(
     for k in range(1, max_iter + 1):
         try:
             r_new = c * float(spec.f(r, t))
-        except _EVAL_ERRORS as exc:
+        except EVAL_ERRORS as exc:
             raise NumericError(f"branch iteration failed at t={t!r}: {exc}") from exc
         if not math.isfinite(r_new) or r_new > 10.0 * spec.r_max:
             raise NumericError(
@@ -414,7 +411,7 @@ def _below_root(
     try:
         g = c * float(spec.f(r, t)) - r
         dg = c * spec.slope(r, t) - 1.0
-    except _EVAL_ERRORS:
+    except EVAL_ERRORS:
         return None
     if not (0.0 <= g < math.inf and -math.inf < dg <= 0.0):
         return None
@@ -526,11 +523,6 @@ def majorant_branch(
     return BranchResult(values, iterations, mask)
 
 
-# grid samples per array call, so that an evaluation keeps only a few
-# small temporaries alive next to the two full grids
-_BLOCK = 4096
-
-
 def _on_grid(fn: Callable, r: np.ndarray, t: np.ndarray) -> np.ndarray:
     """fn over the (t, r) grid, rows indexed by t."""
     shape = (t.size, r.size)
@@ -550,7 +542,7 @@ def _array_grids(
     r_plus = r_grid + h
     # the third sample is r + 2h on one-sided columns, else r - h
     r_third = np.where(left, r_grid + 2.0 * h, r_grid - h)
-    rows = max(1, _BLOCK // r_grid.size)
+    rows = max(1, BLOCK_ELEMENTS // r_grid.size)
     for lo in range(0, t_grid.size, rows):
         block, t = slice(lo, lo + rows), t_grid[lo : lo + rows]
         fvals[block] = f = _on_grid(spec.f_array, r_grid, t)
@@ -577,7 +569,7 @@ def _pointwise_grids(
             try:
                 fvals[i, j] = float(spec.f(float(r), float(t)))
                 svals[i, j] = spec.slope(float(r), float(t))
-            except _EVAL_ERRORS:
+            except EVAL_ERRORS:
                 fvals[i, j] = svals[i, j] = math.nan
     return fvals, svals
 
@@ -614,7 +606,7 @@ def check_convexity(
         try:
             with np.errstate(all="ignore"):
                 grids = _array_grids(spec, r_grid, t_grid)
-        except _EVAL_ERRORS:
+        except EVAL_ERRORS:
             pass
     if grids is None:
         grids = _pointwise_grids(spec, r_grid, t_grid)
@@ -664,7 +656,7 @@ def _scan(
     on a block of rows or columns at a time; comparisons with nan are
     false, so non-finite samples violate nothing here."""
     h = np.diff(r_grid)
-    rows = max(1, _BLOCK // r_grid.size)
+    rows = max(1, BLOCK_ELEMENTS // r_grid.size)
     for lo in range(0, t_grid.size, rows):
         f, s = fvals[lo : lo + rows], svals[lo : lo + rows]
         with np.errstate(all="ignore"):
@@ -690,7 +682,7 @@ def _scan(
                 second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
                 if not note("f-not-convex-in-r", r_grid[j], t, second):
                     return
-    cols = max(1, _BLOCK // t_grid.size)
+    cols = max(1, BLOCK_ELEMENTS // t_grid.size)
     for lo in range(0, r_grid.size, cols):
         f, s = fvals[:, lo : lo + cols], svals[:, lo : lo + cols]
         with np.errstate(all="ignore"):

@@ -55,6 +55,7 @@ from .integral_majorant import (
     majorant_picard,
     solve_majorant,
 )
+from .meshes import Mesh
 from .picard import SolveStatus, solve_main, verify_domination
 from .problem import DenseOperator, KernelStage, VolterraProblem
 from .quadrature import WeightTable, graded_mesh, pointwise
@@ -450,7 +451,6 @@ class _Setup:
     def __init__(self, cp: configparser.ConfigParser):
         config = _read_config(cp)
         self.entry: CorpusEntry | None = None
-        self.majorant_classifiable = True
         for part, build in _INLINE_BUILDERS.items():
             values = config[part]
             if values is None:
@@ -472,8 +472,11 @@ class _Setup:
                         f"corpus entry {entry.name!r} has no {part} part"
                     )
             setattr(self, part, spec)
-            if part == "majorant" and entry is not None:
-                self.majorant_classifiable = entry.majorant_classifiable
+            if part == "majorant":
+                # a majorant whose horizon can be classified, not only iterated
+                self.majorant_classifiable = spec is not None and (
+                    entry is None or entry.majorant_classifiable
+                )
             if part != "lyapunov":
                 # the problem's entry, else the majorant's, sets mesh defaults
                 self.entry = self.entry or entry
@@ -490,9 +493,10 @@ class _Setup:
             return self.entry.default_nodes
         return 200
 
-    def resolve_t_end(self, horizon: float | None, fallback: float | None = None):
+    def resolve_t_end(self, horizon: float | None) -> float:
         """Explicit t_end, else an explicit horizon fraction, else the
-        entry default, else the default fraction, else the fallback."""
+        entry default, else the default fraction, else t = 1 when there
+        is no majorant."""
         if self.t_end is not None:
             return self.t_end
         usable = horizon is not None and math.isfinite(horizon)
@@ -502,8 +506,8 @@ class _Setup:
             return self.entry.default_t_end
         if usable:
             return self.theta * horizon
-        if fallback is not None:
-            return fallback
+        if self.majorant is None:
+            return 1.0
         raise SpecValidationError(
             "no end time: set [mesh] t_end (required when the bound exists"
             " globally or is not classified)"
@@ -520,23 +524,26 @@ class _Setup:
         return check_convexity(self.lyapunov)
 
     @functools.cached_property
+    def mesh(self) -> Mesh:
+        """The run mesh every pipeline shares; a classifiable majorant's
+        horizon bounds its end."""
+        horizon = self.blowup.horizon if self.majorant_classifiable else None
+        return graded_mesh(self.resolve_t_end(horizon), self.nodes(), self.ratio)
+
+    @functools.cached_property
     def majorant_solution(self) -> MajorantSolution:
         """The certified majorant on the run mesh, solved on first use."""
-        report = self.blowup
-        mesh = graded_mesh(self.resolve_t_end(report.horizon), self.nodes(), self.ratio)
-        return solve_majorant(self.majorant, mesh=mesh, classification=report)
+        return solve_majorant(self.majorant, self.mesh, classification=self.blowup)
 
 
-def _majorant_pipeline(
-    setup: _Setup, out: str, timestamp: bool
-) -> MajorantSolution | None:
-    """Write majorant_summary.txt / majorant_table.csv; returns the
-    solution when the majorant is classifiable, else None (chain only)."""
-    spec = setup.majorant
+def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
+    """Write majorant_summary.txt / majorant_table.csv; a majorant that
+    cannot be classified gets its chain alone."""
+    spec, mesh = setup.majorant, setup.mesh
     solution = None
     if setup.majorant_classifiable:
         solution = setup.majorant_solution
-        mesh, chain, report = solution.mesh, solution.chain, solution.classification
+        chain, report = solution.chain, solution.classification
         found = [
             ("classification", report.kind.value),
             ("horizon", format_number(report.horizon)),
@@ -546,7 +553,6 @@ def _majorant_pipeline(
         header = ["t", "omega_plus", "z_plus", "z_last"]
         columns = [solution.omega, solution.certificate_bound]
     else:
-        mesh = graded_mesh(setup.resolve_t_end(None), setup.nodes(), setup.ratio)
         chain = majorant_picard(spec, mesh)
         found = [("classification", "skipped (rate degenerate at zero)")]
         header = ["t", "omega_last", "z_last"]
@@ -569,18 +575,12 @@ def _majorant_pipeline(
     )
     rows = np.column_stack([mesh.nodes, *columns, chain.final]).tolist()
     _write_csv(os.path.join(out, "majorant_table.csv"), header, rows)
-    return solution
+    return EXIT_OK
 
 
 def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
-    problem = setup.problem
-    majorant_solution = None
-    if setup.majorant is not None and setup.majorant_classifiable:
-        majorant_solution = setup.majorant_solution
-        mesh = majorant_solution.mesh
-    else:
-        t_end = setup.resolve_t_end(None, fallback=1.0)
-        mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
+    problem, mesh = setup.problem, setup.mesh
+    majorant_solution = setup.majorant_solution if setup.majorant_classifiable else None
     result = solve_main(
         problem,
         mesh,
@@ -672,18 +672,13 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
 
 
 def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
-    mesh = None
-    if setup.problem is not None or setup.majorant is not None:
-        horizon = None
-        if setup.majorant is not None and setup.majorant_classifiable:
-            horizon = setup.blowup.horizon
-        t_end = setup.resolve_t_end(horizon, fallback=1.0)
-        mesh = graded_mesh(t_end, setup.nodes(), setup.ratio)
+    # conditions A, D and E sample the problem, C the majorant, on the run mesh
+    meshed = setup.problem is not None or setup.majorant is not None
     report = run_suite(
         problem=setup.problem,
         majorant=setup.majorant,
         lyapunov=setup.lyapunov,
-        mesh=mesh,
+        mesh=setup.mesh if meshed else None,
         n_samples=setup.samples,
         seed=setup.seed,
         bound=setup.sample_bound,
@@ -719,36 +714,41 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     return EXIT_CONDITION if failed else EXIT_OK
 
 
-def cmd_majorant(args) -> int:
+# subcommand -> (the parts it can run on, its pipeline, its help line);
+# corpus run runs every subcommand whose part its entry has, in this order
+_COMMANDS = {
+    "solve": (("problem",), _solve_pipeline, "iterate the main solution on a mesh"),
+    "majorant": (
+        ("majorant",),
+        _majorant_pipeline,
+        "classify and certify a scalar bound",
+    ),
+    "lyapunov": (
+        ("lyapunov",),
+        _lyapunov_pipeline,
+        "tangency radius/horizon and branch",
+    ),
+    "verify": (
+        tuple(_INLINE_BUILDERS),
+        _verify_pipeline,
+        "sample the structural conditions",
+    ),
+}
+
+
+def _runs_on(setup: _Setup, parts: tuple[str, ...]) -> bool:
+    return any(getattr(setup, part) is not None for part in parts)
+
+
+def cmd_config(args) -> int:
+    """Run one subcommand's pipeline on the setup its config describes."""
+    parts, pipeline, _ = _COMMANDS[args.command]
     setup = _Setup(_load_config(args.config))
-    if setup.majorant is None:
-        raise SpecValidationError("the majorant command needs a [majorant] section")
-    _majorant_pipeline(setup, args.out, not args.no_timestamp)
-    return EXIT_OK
-
-
-def cmd_solve(args) -> int:
-    setup = _Setup(_load_config(args.config))
-    if setup.problem is None:
-        raise SpecValidationError("the solve command needs a [problem] section")
-    return _solve_pipeline(setup, args.out, not args.no_timestamp)
-
-
-def cmd_lyapunov(args) -> int:
-    setup = _Setup(_load_config(args.config))
-    if setup.lyapunov is None:
-        raise SpecValidationError("the lyapunov command needs a [lyapunov] section")
-    return _lyapunov_pipeline(setup, args.out, not args.no_timestamp)
-
-
-def cmd_verify(args) -> int:
-    setup = _Setup(_load_config(args.config))
-    if setup.problem is None and setup.majorant is None and setup.lyapunov is None:
-        raise SpecValidationError(
-            "the verify command needs at least one of [problem], [majorant],"
-            " [lyapunov]"
-        )
-    return _verify_pipeline(setup, args.out, not args.no_timestamp)
+    if not _runs_on(setup, parts):
+        sections = ", ".join(f"[{part}]" for part in parts)
+        needs = f"at least one of {sections}" if parts[1:] else f"a {sections} section"
+        raise SpecValidationError(f"the {args.command} command needs {needs}")
+    return pipeline(setup, args.out, not args.no_timestamp)
 
 
 def _corpus_run_one(name: str, out_root: str, timestamp: bool) -> int:
@@ -760,15 +760,11 @@ def _corpus_run_one(name: str, out_root: str, timestamp: bool) -> int:
     cp = configparser.ConfigParser()
     cp.read_dict({section: {"source": "corpus", "entry": name}})
     setup = _Setup(cp)
-    worst = EXIT_OK
-    if entry.majorant is not None:
-        _majorant_pipeline(setup, out, timestamp)
-    if entry.problem is not None:
-        worst = max(worst, _solve_pipeline(setup, out, timestamp))
-    if entry.lyapunov is not None:
-        worst = max(worst, _lyapunov_pipeline(setup, out, timestamp))
-    worst = max(worst, _verify_pipeline(setup, out, timestamp))
-    return worst
+    return max(
+        pipeline(setup, out, timestamp)
+        for parts, pipeline, _ in _COMMANDS.values()
+        if _runs_on(setup, parts)
+    )
 
 
 def cmd_corpus(args) -> int:
@@ -815,38 +811,21 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=_EPILOG,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, _, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="INI config path")
+        p.set_defaults(func=cmd_config)
+    p = sub.add_parser("corpus", help="list or run the built-in examples")
+    p.add_argument("action", choices=["list", "run"])
+    p.add_argument("names", nargs="*", help="entries to run (default: all)")
+    p.set_defaults(func=cmd_corpus)
+    for p in sub.choices.values():
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--no-timestamp",
             action="store_true",
             help="omit timestamps so reruns are byte-identical",
         )
-
-    p = sub.add_parser("solve", help="iterate the main solution on a mesh")
-    add_common(p)
-    p.set_defaults(func=cmd_solve)
-    p = sub.add_parser("majorant", help="classify and certify a scalar bound")
-    add_common(p)
-    p.set_defaults(func=cmd_majorant)
-    p = sub.add_parser("lyapunov", help="tangency radius/horizon and branch")
-    add_common(p)
-    p.set_defaults(func=cmd_lyapunov)
-    p = sub.add_parser("verify", help="sample the structural conditions")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("corpus", help="list or run the built-in examples")
-    p.add_argument("action", choices=["list", "run"])
-    p.add_argument("names", nargs="*", help="entries to run (default: all)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit timestamps so reruns are byte-identical",
-    )
-    p.set_defaults(func=cmd_corpus)
     return parser
 
 
@@ -855,10 +834,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExprError as exc:
-        print(f"volmaj: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SpecValidationError as exc:
+    except (ExprError, SpecValidationError) as exc:
         print(f"volmaj: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebraic_majorant import ConvexityReport, LyapunovSpec, check_convexity
-from .errors import DomainError, NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .integral_majorant import MajorantSpec, check_upper_solution
 from .meshes import Mesh, Trajectory
 from .problem import VolterraProblem, eval_residual
@@ -263,7 +263,7 @@ class _SampledCheck:
         self.failure: CheckOutcome | None = None
 
     def feed(self, samples: range, *stacks: np.ndarray) -> None:
-        errors = (NumericError, DomainError, OverflowError, ValueError)
+        errors = (NumericError, *EVAL_ERRORS)
         try:
             lhs, rhs = self.margins(*stacks)
         except errors:
@@ -360,18 +360,19 @@ def check_D_and_E(
     return check_d.outcome(n_samples), check_e.outcome(n_samples)
 
 
-def check_B(
-    spec: MajorantSpec,
-    t_hi: float = 2.0,
-    points: int = 128,
-) -> CheckOutcome:
+# condition B's box: its t range and the points per z or w grid
+_B_T_HI = 2.0
+_B_POINTS = 128
+
+
+def check_B(spec: MajorantSpec) -> CheckOutcome:
     """Grid monotonicity of gamma on [0, z_max] and of f on
-    [0, t_hi] x [0, omega_max]."""
+    [0, _B_T_HI] x [0, omega_max]."""
     z_hi = spec.z_max if spec.z_max is not None else 4.0
     w_hi = spec.omega_max if spec.omega_max is not None else 4.0
-    z_grid = np.linspace(0.0, z_hi, points)
-    w_grid = np.linspace(0.0, w_hi, points)
-    t_grid = np.linspace(0.0, t_hi, max(points // 4, 2))
+    z_grid = np.linspace(0.0, z_hi, _B_POINTS)
+    w_grid = np.linspace(0.0, w_hi, _B_POINTS)
+    t_grid = np.linspace(0.0, _B_T_HI, _B_POINTS // 4)
     worst = math.inf
     witness: Witness | None = None
     count = 0
@@ -403,12 +404,12 @@ def check_B(
             count += row.size
             for j in range(1, row.size):
                 update(1, float(w_grid[j]), float(row[j - 1]), float(row[j]))
-        for w in w_grid[:: max(points // 16, 1)]:
+        for w in w_grid[:: _B_POINTS // 16]:
             col = pointwise(spec.f, t_grid, w)
             count += col.size
             for j in range(1, col.size):
                 update(2, float(t_grid[j]), float(col[j - 1]), float(col[j]))
-    except (NumericError, DomainError, OverflowError, ValueError) as exc:
+    except (NumericError, *EVAL_ERRORS) as exc:
         return _failed("B", count, f"evaluation failed inside the sampled box: {exc}")
     status = ConditionStatus.PASS if worst >= -_SLACK else ConditionStatus.FAIL
     reason = "" if status is ConditionStatus.PASS else "monotonicity violated"
@@ -424,7 +425,7 @@ def check_C(
         return _skipped("C", "no explicit upper solution declared")
     try:
         rep = check_upper_solution(spec, spec.upper_solution, mesh, slack)
-    except (NumericError, DomainError, OverflowError, ValueError) as exc:
+    except (NumericError, *EVAL_ERRORS) as exc:
         return _failed("C", 0, f"candidate bound not evaluable on the mesh: {exc}")
     witness = Witness("C", 0, rep.node, rep.t, -rep.worst_margin, 0.0)
     status = ConditionStatus.PASS if rep.holds else ConditionStatus.FAIL

@@ -61,3 +61,8 @@ class NumericError(VolmajError):
 class CostLimitError(NumericError):
     """A computation was abandoned because its projected cost exceeds the
     configured budget."""
+
+
+# what evaluating a kernel, an outer map or a majorant function may raise
+# when it leaves its domain
+EVAL_ERRORS = (DomainError, OverflowError, ValueError, ZeroDivisionError)

@@ -29,14 +29,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
     WeightTable,
     _inverse_rate,
     _probe_rate,
     adaptive_quad,
-    graded_mesh,
     improper_integral,
     integral_to_pole,
     pointwise,
@@ -303,7 +302,7 @@ def _classify_forward(
             big = _rk4(rate, t, w, h)
             half = _rk4(rate, t, w, 0.5 * h)
             small = _rk4(rate, t + 0.5 * h, half, 0.5 * h)
-        except (DomainError, OverflowError, ValueError, ZeroDivisionError):
+        except EVAL_ERRORS:
             h *= 0.5
             if h < 1e-14 * max(1.0, t):
                 raise NumericError(
@@ -593,44 +592,25 @@ def check_upper_solution(
 
 def solve_majorant(
     spec: MajorantSpec,
-    t_end: float | None = None,
-    n: int = 200,
-    ratio: float = 1.0,
+    mesh: Mesh,
     tol: float = 1e-12,
     n_max: int = 500,
-    horizon_fraction: float = 0.95,
     classification: BlowupReport | None = None,
-    mesh: Mesh | None = None,
 ) -> MajorantSolution:
-    """Classify, mesh, and certify a majorant in one call.
+    """Classify a majorant and certify it on a mesh in one call.
 
-    Without an explicit t_end the mesh covers horizon_fraction of a
-    finite horizon; a global majorant then has no natural end time and
-    the caller must provide one.  A prebuilt mesh overrides t_end / n /
-    ratio, which lets a solver and its certificate share exact nodes.
+    The mesh must end inside the existence window; passing the solver's
+    mesh lets a solver and its certificate share exact nodes.
     certificate_bound is the pointwise maximum of the two independent
     routes and is the array safe to certify against.
     """
     report = classification or classify_blowup(spec)
-    if mesh is not None:
-        t_end = mesh.end
-    elif t_end is None:
-        if not math.isfinite(report.horizon):
-            raise SpecValidationError(
-                "a global majorant needs an explicit end time"
-            )
-        if not (0 < horizon_fraction < 1):
-            raise SpecValidationError(
-                f"horizon fraction must sit in (0, 1), got {horizon_fraction!r}"
-            )
-        t_end = horizon_fraction * report.horizon
+    t_end = mesh.end
     if t_end >= report.horizon:
         raise SpecValidationError(
             f"end time {t_end!r} is not inside the existence window"
             f" [0, {report.horizon!r})"
         )
-    if mesh is None:
-        mesh = graded_mesh(t_end, n, ratio)
     cauchy = solve_cauchy(spec, mesh)
     chain = majorant_picard(spec, mesh, tol=tol, n_max=n_max)
     certificate = np.maximum(cauchy.bound, chain.final)

@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh, Trajectory
-from .quadrature import EVAL_ERRORS, nested_integral
+from .quadrature import nested_integral
 
 __all__ = [
     "KernelStage",
@@ -83,9 +83,6 @@ class DenseOperator:
     def matrix(self) -> np.ndarray:
         return self._a.copy()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.solve_many(np.asarray(rhs, dtype=float)[None, :])[0]
-
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = r for each row r of rhs; rows come back as rows."""
         rhs = np.asarray(rhs, dtype=float)
@@ -136,9 +133,6 @@ class TridiagonalOperator:
         if self.dim > 1:
             m += np.diag(self.lower, -1) + np.diag(self.upper, 1)
         return m
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.solve_many(np.asarray(rhs, dtype=float)[None, :])[0]
 
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

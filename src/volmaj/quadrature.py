@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CostLimitError, DomainError, NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, CostLimitError, NumericError, SpecValidationError
 from .meshes import Mesh
 
 __all__ = [
@@ -60,10 +60,6 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
         )
     return Mesh(nodes, grading="geometric", ratio=ratio)
 
-
-# what a kernel, a kernel factor or an outer map raises when it leaves
-# its domain
-EVAL_ERRORS = (DomainError, OverflowError, ZeroDivisionError, ValueError)
 
 # The most point x dim elements one kernel call, or one block of audit
 # samples, may hold: enough to amortise the per-call overhead over many
@@ -318,7 +314,7 @@ def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
         v = g(w)
     except OverflowError:
         return math.inf
-    except (DomainError, ValueError, ZeroDivisionError):
+    except EVAL_ERRORS:
         return None
     if isinstance(v, complex):
         return None
@@ -364,7 +360,9 @@ def improper_integral(
     Returns converged=True with the value (finite blow-up time) when the
     octave increments decay geometrically, or converged=False with value
     +inf when the running total passes cap or the octaves are exhausted,
-    which signals divergence (global existence).
+    which signals divergence (global existence).  Small increments end
+    the doubling only while they shrink: equal ones are a logarithmic
+    divergence.
     """
     for w in _PROBE_POINTS:
         r = _probe_rate(g, w)
@@ -400,7 +398,7 @@ def improper_integral(
         if len(incs) >= 2:
             scale = max(1.0, total)
             prev, last = incs[-2], incs[-1]
-            if prev < tol * scale and last < tol * scale:
+            if last < prev < tol * scale:
                 if prev > 0.0 and 0.0 < last / prev < 0.9:
                     ratio = last / prev
                     tail = last * ratio / (1.0 - ratio)

@@ -83,6 +83,27 @@ class TestSolve:
         _, pairs = summary(out, "solve_summary.txt")
         assert float(pairs["t_end"]) == pytest.approx(0.25 * math.pi / 2, abs=1e-6)
 
+    def test_subcritical_majorant_needs_t_end(self, tmp_path, capsys):
+        # the bound e^t - 1 exists globally: its frozen-rate tail diverges
+        # like a logarithm, so no horizon can set the end time
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = inline
+            kernel = u
+            phi = u - om1 - t
+
+            [majorant]
+            source = inline
+            f = w + t
+            gamma = z
+            """,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--no-timestamp"]) == 2
+        assert "no end time" in capsys.readouterr().err
+
     def test_inline_problem_tracks_exponential(self, tmp_path):
         cfg = ini(
             tmp_path,
@@ -376,6 +397,19 @@ class TestVerify:
         assert pairs["condition_D"].startswith("fail")
         assert "D" in pairs["failed"]
 
+    def test_global_majorant_without_t_end_exits_2(self, tmp_path, capsys):
+        # a global bound has no horizon to take a fraction of, so verify
+        # needs t_end as the other subcommands do
+        cfg = ini(tmp_path, "[majorant]\nsource = inline\nf = w + 1\ngamma = z\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == (
+            "volmaj: config error: no end time: set [mesh] t_end (required when"
+            " the bound exists globally or is not classified)\n"
+        )
+        assert not out.exists()
+
 
     def test_overflowing_kernel_fails_by_name_without_warnings(self, tmp_path):
         cfg = ini(
@@ -589,6 +623,24 @@ class TestConfigErrors:
         cfg = ini(tmp_path, "[majorant]\nsource = corpus\nentry = sqrt_pole\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "[problem] section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, needs",
+        [
+            ("solve", "a [problem] section"),
+            ("majorant", "a [majorant] section"),
+            ("lyapunov", "a [lyapunov] section"),
+            ("verify", "at least one of [problem], [majorant], [lyapunov]"),
+        ],
+    )
+    def test_each_command_names_the_part_it_lacks(
+        self, tmp_path, capsys, command, needs
+    ):
+        cfg = ini(tmp_path, "[mesh]\nn = 10\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"volmaj: config error: the {command} command needs {needs}\n"
+        )
 
     def test_bad_source_value(self, tmp_path, capsys):
         cfg = ini(tmp_path, "[majorant]\nsource = nowhere\n")

@@ -16,6 +16,8 @@ from volmaj.conditions import (
     TrajectorySampler,
     _slope,
     check_A,
+    check_B,
+    check_C,
     check_D_and_E,
     run_suite,
     sample_margins_A,
@@ -154,6 +156,39 @@ class TestConstructedFailures:
         assert outcome.reason == (
             "evaluation failed on sample 3: residual evaluation failed at node 7:"
             " sqrt(-1.0) outside real domain"
+        )
+
+    def test_zero_division_in_the_majorant_fails_its_sample_by_name(
+        self, monkeypatch
+    ):
+        mesh = graded_mesh(1.0, 12, 1.0)
+
+        def draw(self, stream, index):
+            return Trajectory(self.mesh, np.full((13, 1), 0.25))
+
+        monkeypatch.setattr(TrajectorySampler, "draw", draw)
+        spec = MajorantSpec(f=lambda t, w: w + t, gamma=lambda z: 1.0 / (0.25 - z))
+        outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=4)
+        assert outcome.status is ConditionStatus.FAIL
+        assert outcome.witness.sample == 0
+        assert outcome.reason == "evaluation failed on sample 0: float division by zero"
+
+    def test_zero_division_in_gamma_fails_B_by_name(self):
+        spec = MajorantSpec(f=lambda t, w: w, gamma=lambda z: 1.0 / (4.0 - z))
+        outcome = check_B(spec)
+        assert outcome.status is ConditionStatus.FAIL
+        assert outcome.reason == (
+            "evaluation failed inside the sampled box: float division by zero"
+        )
+
+    def test_zero_division_in_the_candidate_fails_C_by_name(self):
+        spec = MajorantSpec(
+            f=lambda t, w: w, gamma=lambda z: z, upper_solution=lambda t: 1.0 / (t - 0.5)
+        )
+        outcome = check_C(spec, graded_mesh(1.0, 4))
+        assert outcome.status is ConditionStatus.FAIL
+        assert outcome.reason == (
+            "candidate bound not evaluable on the mesh: float division by zero"
         )
 
     def test_non_finite_left_side_fails_at_its_sample_and_node(self):

@@ -84,6 +84,18 @@ class TestClassification:
         assert rep.kind is Blowup.GLOBAL
         assert rep.horizon == math.inf
 
+    @pytest.mark.parametrize(
+        "f, gamma, depends",
+        [
+            (lambda t, w: w + 1.0, lambda z: 1e6 * z, False),  # bound e^(1e6 t)
+            (lambda t, w: w + t, lambda z: z, True),  # bound e^t - 1
+        ],
+    )
+    def test_logarithmic_tail_is_global(self, f, gamma, depends):
+        rep = classify_blowup(MajorantSpec(f=f, gamma=gamma, f_depends_on_t=depends))
+        assert rep.kind is Blowup.GLOBAL
+        assert rep.horizon == math.inf
+
     def test_derivative_blowup_declared_pole(self):
         spec = MajorantSpec(
             f=lambda t, w: w,
@@ -386,17 +398,13 @@ class TestSolveMajorant:
         assert np.all(sol.certificate_bound >= sol.bound - 1e-15)
         assert np.all(sol.certificate_bound >= sol.chain.final - 1e-15)
 
-    def test_horizon_fraction_default_end(self):
-        sol = solve_majorant(TAN_SPEC, n=100)
-        assert sol.mesh.end == pytest.approx(0.95 * math.pi / 2, rel=1e-6)
-
     def test_mesh_beyond_horizon_rejected(self):
-        with pytest.raises(SpecValidationError):
-            solve_majorant(TAN_SPEC, t_end=1.6, n=50)
+        with pytest.raises(SpecValidationError, match="existence window"):
+            solve_majorant(TAN_SPEC, graded_mesh(1.6, 50))
 
     def test_halving_stability(self):
-        a = solve_majorant(TAN_SPEC, t_end=1.0, n=250)
-        b = solve_majorant(TAN_SPEC, t_end=1.0, n=500)
+        a = solve_majorant(TAN_SPEC, graded_mesh(1.0, 250))
+        b = solve_majorant(TAN_SPEC, graded_mesh(1.0, 500))
         assert a.classification.kind is b.classification.kind
         assert abs(a.bound[-1] - b.bound[-1]) < 1e-8  # ode route, not h^2
 

@@ -431,6 +431,13 @@ class TestImproper:
         assert not r.converged
         assert r.value == math.inf
 
+    def test_equal_small_increments_do_not_stop_the_doubling(self):
+        # every octave adds about log(2) / 1e6, below tol, yet the total
+        # grows without bound
+        r = improper_integral(lambda w: 1e6 * (w + 1.0))
+        assert not r.converged
+        assert r.value == math.inf
+
     def test_exponential_rate(self):
         r = improper_integral(lambda w: math.exp(w))
         assert r.converged
