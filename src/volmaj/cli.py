@@ -135,6 +135,7 @@ _REQUIRED = object()
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
 _NONZERO = ("finite and nonzero", lambda v: math.isfinite(v) and v != 0)
 _FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+_DOUBLES_FINITE = ("> 0 with twice it finite", lambda v: v > 0 and math.isfinite(2 * v))
 _SOURCE = (
     str.lower,
     "inline",
@@ -187,7 +188,7 @@ _SCHEMA = {
         "seed": (int, DEFAULT_SEED, _at_least(0)),
         # no sample drawn would leave every sampled condition "pass"
         "samples": (int, 100, _at_least(1)),
-        "sample_bound": (float, 1.0, _POSITIVE),
+        "sample_bound": (float, 1.0, _DOUBLES_FINITE),
     },
 }
 _TYPE_NAMES = {float: "a number", int: "an integer"}
@@ -398,19 +399,21 @@ def _inline_problem(v: dict) -> VolterraProblem:
 
 def _inline_majorant(v: dict) -> MajorantSpec:
     f_expr = expr.parse(v["f"], ("t", "w"))
-    gamma = expr.as_function(expr.parse(v["gamma"], ("z",)), ("z",))
+    gamma_expr = expr.parse(v["gamma"], ("z",))
     upper = None
     if v["zprime"] is not None:
         upper = expr.as_function(expr.parse(v["zprime"], ("t",)), ("t",))
     return MajorantSpec(
         f=expr.as_function(f_expr, ("t", "w")),
-        gamma=gamma,
+        gamma=expr.as_function(gamma_expr, ("z",)),
         pole=v["pole"],
         upper_solution=upper,
         f_depends_on_t="t" in expr.variables(f_expr),
         z_max=v["z_max"],
         omega_max=v["omega_max"],
         name="inline majorant",
+        f_array=expr.as_array_function(f_expr, ("t", "w")),
+        gamma_array=expr.as_array_function(gamma_expr, ("z",)),
     )
 
 
@@ -556,7 +559,7 @@ def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         chain = majorant_picard(spec, mesh)
         found = [("classification", "skipped (rate degenerate at zero)")]
         header = ["t", "omega_last", "z_last"]
-        columns = [WeightTable(mesh).prefix(pointwise(spec.gamma, chain.final))]
+        columns = [WeightTable(mesh).prefix(spec.map_gamma(chain.final))]
     pairs = [
         ("name", spec.name),
         *found,

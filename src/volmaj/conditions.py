@@ -31,7 +31,7 @@ from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .integral_majorant import MajorantSpec, check_upper_solution
 from .meshes import Mesh, Trajectory
 from .problem import VolterraProblem, eval_residual
-from .quadrature import BLOCK_ELEMENTS, WeightTable, pointwise
+from .quadrature import BLOCK_ELEMENTS, WeightTable
 
 __all__ = [
     "ConditionStatus",
@@ -128,8 +128,10 @@ class TrajectorySampler:
     def __init__(
         self, mesh: Mesh, dim: int, bound: float = 1.0, seed: int = DEFAULT_SEED
     ):
-        if not (bound > 0):
-            raise SpecValidationError(f"sample bound must be positive, got {bound!r}")
+        if not (bound > 0 and math.isfinite(2.0 * bound)):  # the draw range
+            raise SpecValidationError(
+                f"sample bound must be > 0 with 2 * bound finite, got {bound!r}"
+            )
         self.mesh = mesh
         self.dim = dim
         self.bound = bound
@@ -157,16 +159,15 @@ def _nonlinear_part(
 
 def _slope(g, x: np.ndarray, *fixed) -> np.ndarray:
     """Central differences of g(*fixed, x) in x at every point of x >= 0,
-    one-sided forward where the left point would fall below zero; g runs
-    at every right point before any left one."""
+    one-sided forward where the left point would fall below zero; g maps
+    arrays, and runs on every right point before any left one."""
     with np.errstate(invalid="ignore", over="ignore"):
         h = 1e-6 * (1.0 + np.abs(x))
         one_sided = x - h < 0.0
-        right = pointwise(g, *fixed, x + h)
+        right = g(*fixed, x + h)
         # 0.0 > x keeps a -0.0 as Python's max(x, 0.0) did; np.maximum
         # would not
-        left = np.where(one_sided, np.where(0.0 > x, 0.0, x), x - h)
-        left = pointwise(g, *fixed, left)
+        left = g(*fixed, np.where(one_sided, np.where(0.0 > x, 0.0, x), x - h))
         return np.where(one_sided, (right - left) / h, (right - left) / (2.0 * h))
 
 
@@ -189,8 +190,8 @@ def sample_margins_A(
     of shape (S, n+1, dim); both have shape (S, n+1)."""
     lhs = np.max(np.abs(_nonlinear_part(problem, mesh, u)), axis=2)
     with np.errstate(invalid="ignore", over="ignore"):
-        integrals = WeightTable(mesh).prefix(pointwise(spec.gamma, _norms(u)))
-        return lhs, pointwise(spec.f, mesh.nodes, integrals)
+        integrals = WeightTable(mesh).prefix(spec.map_gamma(_norms(u)))
+        return lhs, spec.map_f(mesh.nodes, integrals)
 
 
 def sample_margins_D(
@@ -210,10 +211,10 @@ def sample_margins_D(
     # infinite parts give nan differences here, which the check reports
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = np.max(np.abs(widened - base), axis=2)
-        low = weights.prefix(pointwise(spec.gamma, u_norms))
-        wide = weights.prefix(pointwise(spec.gamma, u_norms + _norms(du)))
-        f_wide = pointwise(spec.f, mesh.nodes, wide)
-        return lhs, f_wide - pointwise(spec.f, mesh.nodes, low)
+        low = weights.prefix(spec.map_gamma(u_norms))
+        wide = weights.prefix(spec.map_gamma(u_norms + _norms(du)))
+        f_wide = spec.map_f(mesh.nodes, wide)
+        return lhs, f_wide - spec.map_f(mesh.nodes, low)
 
 
 def sample_margins_E(
@@ -239,9 +240,9 @@ def sample_margins_E(
     norms = _norms(u)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = np.max(np.abs(ahead - behind), axis=2) / (2.0 * eps[:, None])
-        integrals = weights.prefix(pointwise(spec.gamma, norms))
-        weighted = weights.prefix(_slope(spec.gamma, norms) * _norms(v))
-        return lhs, _slope(spec.f, integrals, mesh.nodes) * weighted
+        integrals = weights.prefix(spec.map_gamma(norms))
+        weighted = weights.prefix(_slope(spec.map_gamma, norms) * _norms(v))
+        return lhs, _slope(spec.map_f, integrals, mesh.nodes) * weighted
 
 
 class _SampledCheck:
@@ -309,6 +310,9 @@ class _SampledCheck:
 def _sample_blocks(sampler: TrajectorySampler, n_samples: int):
     """Consecutive sample indices, as many per block as the budget holds,
     with a function drawing one stream's stack for the block."""
+    # no sample drawn would leave every sampled condition "pass"
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise SpecValidationError(f"n_samples must be an integer >= 1: {n_samples!r}")
     size = max(1, BLOCK_ELEMENTS // (sampler.mesh.nodes.size * sampler.dim))
     for start in range(0, n_samples, size):
         samples = range(start, min(start + size, n_samples))
@@ -366,26 +370,17 @@ _B_POINTS = 128
 
 
 def check_B(spec: MajorantSpec) -> CheckOutcome:
-    """Grid monotonicity of gamma on [0, z_max] and of f on
-    [0, _B_T_HI] x [0, omega_max]."""
-    z_hi = spec.z_max if spec.z_max is not None else 4.0
-    w_hi = spec.omega_max if spec.omega_max is not None else 4.0
-    z_grid = np.linspace(0.0, z_hi, _B_POINTS)
-    w_grid = np.linspace(0.0, w_hi, _B_POINTS)
+    """Grid monotonicity of gamma on [0, z_max] and of f on [0, _B_T_HI]
+    x [0, omega_max], one call per grid; the worst margin is the first
+    smallest difference in the order gamma, rows of fixed t, columns of
+    fixed w.  A grid that raises is re-run row by row to count samples."""
+    # z_max and omega_max are positive when given
+    z_grid = np.linspace(0.0, spec.z_max or 4.0, _B_POINTS)
+    w_grid = np.linspace(0.0, spec.omega_max or 4.0, _B_POINTS)
     t_grid = np.linspace(0.0, _B_T_HI, _B_POINTS // 4)
-    worst = math.inf
-    witness: Witness | None = None
-    count = 0
-
-    def update(tag_index: int, coord: float, lo: float, hi: float) -> None:
-        nonlocal worst, witness
-        margin = hi - lo
-        if margin < worst:
-            worst = margin
-            witness = Witness("B", tag_index, -1, coord, lo, hi)
-
+    count, worst, witness = 0, math.inf, None
     try:
-        g = pointwise(spec.gamma, z_grid)
+        g = spec.map_gamma(z_grid)
         count += g.size
         if float(np.min(g)) < -_SLACK:
             j = int(np.argmin(g))
@@ -397,20 +392,31 @@ def check_B(spec: MajorantSpec) -> CheckOutcome:
                 Witness("B", 0, -1, float(z_grid[j]), float(g[j]), 0.0),
                 reason="gamma takes negative values",
             )
-        for j in range(1, g.size):
-            update(0, float(z_grid[j]), float(g[j - 1]), float(g[j]))
-        for t in t_grid:
-            row = pointwise(spec.f, t, w_grid)
-            count += row.size
-            for j in range(1, row.size):
-                update(1, float(w_grid[j]), float(row[j - 1]), float(row[j]))
-        for w in w_grid[:: _B_POINTS // 16]:
-            col = pointwise(spec.f, t_grid, w)
-            count += col.size
-            for j in range(1, col.size):
-                update(2, float(t_grid[j]), float(col[j - 1]), float(col[j]))
+        parts = [(0, z_grid, g[None, :])]
+        for tag, coords, t, w in (
+            (1, w_grid, t_grid[:, None], w_grid),
+            (2, t_grid, t_grid, w_grid[:: _B_POINTS // 16, None]),
+        ):
+            try:
+                grid = spec.map_f(t, w)
+            except (NumericError, *EVAL_ERRORS):
+                for row in zip(*np.broadcast_arrays(t, w)):
+                    count += spec.map_f(*row).size
+                raise
+            count += grid.size
+            parts.append((tag, coords, grid))
     except (NumericError, *EVAL_ERRORS) as exc:
         return _failed("B", count, f"evaluation failed inside the sampled box: {exc}")
+    for tag, coords, grid in parts:
+        with np.errstate(invalid="ignore"):
+            margins = np.diff(grid, axis=1)
+        # a nan margin never lowers the worst one, as nan < worst is false
+        margins[np.isnan(margins)] = math.inf
+        r, j = np.unravel_index(np.argmin(margins), margins.shape)
+        if margins[r, j] < worst:
+            worst = float(margins[r, j])
+            lo, hi = float(grid[r, j]), float(grid[r, j + 1])
+            witness = Witness("B", tag, -1, float(coords[j + 1]), lo, hi)
     status = ConditionStatus.PASS if worst >= -_SLACK else ConditionStatus.FAIL
     reason = "" if status is ConditionStatus.PASS else "monotonicity violated"
     return CheckOutcome("B", status, count, worst, witness, reason=reason)

@@ -35,6 +35,12 @@ __all__ = [
 ]
 
 
+def _arithmetic_majorant(f: Callable, gamma: Callable, **kwargs) -> MajorantSpec:
+    """A majorant whose f and gamma are plain arithmetic, so each is its
+    own array form, bit for bit, unless kwargs give another."""
+    return MajorantSpec(f=f, gamma=gamma, **dict(f_array=f, gamma_array=gamma) | kwargs)
+
+
 @dataclass(frozen=True, eq=False)
 class CorpusEntry:
     name: str
@@ -79,9 +85,10 @@ def power_family(p: float = 2.0) -> CorpusEntry:
         inv_norm_bound=1.0,
         name=f"power_family(p={p:g})",
     )
-    majorant = MajorantSpec(
+    majorant = _arithmetic_majorant(
         f=lambda t, w: p * w,
         gamma=lambda z: max(z, 0.0) ** e,
+        gamma_array=None,  # numpy's pow is not Python's ** to the last ulp
         upper_solution=lambda t: t**p,
         name=f"power_family(p={p:g}) majorant",
     )
@@ -161,7 +168,7 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
         inv_norm_bound=1.0,
         name=f"sine_bvp(m={m})",
     )
-    majorant = MajorantSpec(
+    majorant = _arithmetic_majorant(
         f=lambda t, w: w + t,
         gamma=lambda z: z * z,
         f_depends_on_t=True,
@@ -217,7 +224,7 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
     With b = 0 the rate vanishes at the origin: the entry is flagged
     degenerate and classification is refused rather than guessed.
     """
-    majorant = MajorantSpec(
+    majorant = _arithmetic_majorant(
         f=lambda t, w: w + b,
         gamma=lambda z: a * z,
         upper_solution=lambda t: b * math.exp(a * t),
@@ -256,9 +263,10 @@ def sqrt_pole() -> CorpusEntry:
     def upper(t: float) -> float:
         return 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0)
 
-    majorant = MajorantSpec(
+    majorant = _arithmetic_majorant(
         f=lambda t, w: w,
         gamma=gamma,
+        gamma_array=lambda z: 1.0 / np.sqrt(1.0 - z),  # not finite past the pole
         pole=1.0,
         upper_solution=upper,
         z_max=0.999,

@@ -28,6 +28,7 @@ tan and pow) and, where that function raises, the same DomainError.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -320,10 +321,12 @@ def as_array_function(
     and up to numpy's last-ulp differences for exp, log, tan and pow.
     Overflow saturates to a signed infinity.  If the scalar function
     raises for any element, the call raises the DomainError it raises
-    (message and byte offset) for the lowest such flat index.
+    (message and byte offset) for the lowest such flat index.  The code
+    is generated on the first call, so a form never called costs nothing.
     """
     _check_bound(expr, names)
-    return _Compiler(names, array=True).compile(expr)
+    build = functools.cache(lambda: _Compiler(names, array=True).compile(expr))
+    return lambda *args: build()(*args)
 
 
 def _check_bound(expr: Expr, names: tuple[str, ...]) -> None:

@@ -73,6 +73,13 @@ class MajorantSpec:
     depend on t).  z_max / omega_max are optional box hints for the
     monotonicity sampler.  upper_solution is an optional closed-form
     candidate bound used by the dedicated audit.
+
+    f_array and gamma_array, optional array forms of f and gamma, return
+    on broadcastable arrays what f and gamma return, element by element
+    and to the last bit; map_f and map_gamma fall back to the scalar
+    form where one raises or gives a value that is not finite (see
+    quadrature.pointwise).  power_family's rate max(z, 0) ** e has none,
+    as numpy's pow differs from Python's ** in the last ulp.
     """
 
     f: Callable[[float, float], float]
@@ -83,6 +90,8 @@ class MajorantSpec:
     z_max: float | None = None
     omega_max: float | None = None
     name: str = "majorant"
+    f_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    gamma_array: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         try:
@@ -116,6 +125,14 @@ class MajorantSpec:
 
     def rate_at(self, t: float, w: float) -> float:
         return float(self.gamma(self.f(t, w)))
+
+    def map_f(self, t, w) -> np.ndarray:
+        """f over the broadcast of t and w, through f_array when it serves."""
+        return pointwise(self.f, t, w, array=self.f_array)
+
+    def map_gamma(self, z) -> np.ndarray:
+        """gamma over an array, through gamma_array when it serves."""
+        return pointwise(self.gamma, z, array=self.gamma_array)
 
 
 @dataclass(frozen=True)
@@ -197,8 +214,8 @@ def majorant_picard(
     delta = math.inf
     converged = False
     for _ in range(n_max):
-        integrals = weights.prefix(pointwise(spec.gamma, z))
-        z_new = pointwise(spec.f, mesh.nodes, integrals)
+        integrals = weights.prefix(spec.map_gamma(z))
+        z_new = spec.map_f(mesh.nodes, integrals)
         if not np.all(np.isfinite(z_new)):
             raise NumericError(
                 "majorant chain diverged on this mesh; its end time is at or"
@@ -464,7 +481,7 @@ def _autonomous_cauchy(
             w = w_new
         else:
             raise NumericError(f"time map inversion stalled at t={t!r}")
-    bound = pointwise(spec.f, mesh.nodes, omega)
+    bound = spec.map_f(mesh.nodes, omega)
 
     def fresh_phi(w: float) -> float:
         return adaptive_quad(h, 0.0, float(w), 1e-12)
@@ -515,7 +532,7 @@ def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
                 float(omega[j]),
                 float(mesh.gaps[j]),
             )
-        bound = pointwise(spec.f, mesh.nodes, omega)
+        bound = spec.map_f(mesh.nodes, omega)
         return CauchySolution(mesh, omega, bound, None)
     pole = spec.pole
     if pole is None:

@@ -9,6 +9,7 @@ scalar classification integrals, never for trajectory quadrature.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -66,6 +67,9 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
 # rows, small enough that peak memory stays flat.
 BLOCK_ELEMENTS = 2**13
 
+# on fewer points a scalar form beats a compiled expression's array form
+ARRAY_MIN_POINTS = 128
+
 
 class WeightTable:
     """Composite trapezoid weights on a mesh."""
@@ -104,15 +108,24 @@ class WeightTable:
         return out
 
 
-def pointwise(fn, *args) -> np.ndarray:
+def pointwise(fn, *args, array=None) -> np.ndarray:
     """A scalar function over the broadcast of its arguments (arrays or
     scalars), with the broadcast shape.  fn runs on one point at a time
     in C order, so the first point that raises has the lowest flat
     index; the arguments stream through map from flat float buffers,
     which make one Python float at a time where lists of them would
-    hold every point's floats at once."""
+    hold every point's floats at once.
+
+    array, fn's array form if given, runs once on ARRAY_MIN_POINTS or
+    more; its values stand if it raises nothing and all are finite."""
     args = [np.asarray(a, dtype=float) for a in args]
     shape = np.broadcast_shapes(*(a.shape for a in args))
+    if array is not None and math.prod(shape) >= ARRAY_MIN_POINTS:
+        out = np.empty(shape)
+        with contextlib.suppress(*EVAL_ERRORS, TypeError), np.errstate(all="ignore"):
+            out[...] = array(*args)
+            if np.isfinite(out).all():
+                return out
     flat = (memoryview(np.broadcast_to(a, shape).ravel()) for a in args)
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 

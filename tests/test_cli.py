@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pathlib
 import textwrap
 import warnings
 
@@ -16,6 +17,11 @@ from volmaj.corpus import corpus_names, corpus_param_types
 from volmaj.errors import ExprError, SpecValidationError
 from volmaj.problem import KernelStage
 from volmaj.quadrature import graded_mesh, nested_integral
+
+
+# corpus run --no-timestamp outputs; a change that moves a printed digit
+# updates these files in its own diff
+GOLDEN_CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus"
 
 
 def ini(tmp_path, text, name="run.ini"):
@@ -602,6 +608,18 @@ class TestCorpusCommand:
         ):
             assert (sub / fname).exists(), fname
 
+    def test_run_writes_the_golden_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        # exit 5: the power_family audit fails D and E by design
+        assert main(["corpus", "run", "--out", str(out), "--no-timestamp"]) == 5
+
+        def files(root):
+            return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+        assert files(out) == files(GOLDEN_CORPUS)
+        for rel in files(out):
+            assert (out / rel).read_bytes() == (GOLDEN_CORPUS / rel).read_bytes(), rel
+
     def test_unknown_entry_exits_2(self, tmp_path, capsys):
         assert main(["corpus", "run", "nonesuch", "--out", str(tmp_path)]) == 2
         assert "unknown corpus entry" in capsys.readouterr().err
@@ -803,6 +821,8 @@ class TestConfigErrors:
             ("tolerances", "n_max", "0"),
             ("run", "sample_bound", "nan"),
             ("run", "sample_bound", "-1"),
+            # twice this overflows the sampler's uniform range
+            ("run", "sample_bound", "1e308"),
             ("mesh", "ratio", "0"),
             ("mesh", "ratio", "inf"),
         ],

@@ -12,8 +12,10 @@ from volmaj.conditions import (
     STREAM_DELTA,
     STREAM_U,
     STREAM_V,
+    CheckOutcome,
     ConditionStatus,
     TrajectorySampler,
+    Witness,
     _slope,
     check_A,
     check_B,
@@ -25,11 +27,11 @@ from volmaj.conditions import (
     sample_margins_E,
 )
 from volmaj.corpus import corpus_build
-from volmaj.errors import DomainError, SpecValidationError
-from volmaj.integral_majorant import MajorantSpec
+from volmaj.errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
+from volmaj.integral_majorant import MajorantSpec, majorant_picard
 from volmaj.meshes import Trajectory
 from volmaj.problem import DenseOperator, KernelStage, VolterraProblem
-from volmaj.quadrature import WeightTable, graded_mesh
+from volmaj.quadrature import WeightTable, graded_mesh, pointwise
 
 
 def _sqrt_problem():
@@ -400,7 +402,11 @@ def _same_bits(got, want):
 
 
 class TestArrayRightSides:
-    @pytest.mark.parametrize("size, zero", [(1, False), (1, True), (5, True)])
+    # 12 samples of 13 nodes reach quadrature.ARRAY_MIN_POINTS, so the
+    # corpus entries' array forms run
+    @pytest.mark.parametrize(
+        "size, zero", [(1, False), (1, True), (5, True), (12, True)]
+    )
     @pytest.mark.parametrize("name", sorted(_MAJORANTS))
     def test_right_sides_match_the_per_sample_scalar_code(self, name, size, zero):
         spec = _MAJORANTS[name]()
@@ -455,4 +461,266 @@ class TestArrayRightSides:
         want = np.array([_scalar_slope(lambda z: g(ti, z), xi) for ti, xi in pairs])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _same_bits(_slope(g, x, t), want)
+            _same_bits(_slope(lambda *a: pointwise(g, *a), x, t), want)
+
+
+class TestSamplingArguments:
+    @pytest.mark.parametrize("bound", [1e308, math.inf, 0.0, math.nan])
+    def test_a_bound_whose_draw_range_overflows_is_refused(self, bound):
+        # rng.uniform(-bound, bound) needs 2 * bound finite
+        with pytest.raises(SpecValidationError, match="sample bound"):
+            TrajectorySampler(graded_mesh(1.0, 4), 1, bound)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_sample_drawn_is_refused_not_passed(self, n_samples):
+        entry, mesh = bvp_setup(nodes=10)
+        args = (entry.problem, entry.majorant, mesh, n_samples)
+        for run in (
+            lambda: check_A(*args),
+            lambda: check_D_and_E(*args),
+            lambda: run_suite(*args[:2], mesh=mesh, n_samples=n_samples),
+        ):
+            with pytest.raises(SpecValidationError, match="n_samples"):
+                run()
+
+
+# check_B as the point-by-point scan it replaced: the oracle for the
+# grid form, which must give the same CheckOutcome to the last bit.
+
+
+def _scan_check_B(spec):
+    z_hi = spec.z_max if spec.z_max is not None else 4.0
+    w_hi = spec.omega_max if spec.omega_max is not None else 4.0
+    z_grid = np.linspace(0.0, z_hi, 128)
+    w_grid = np.linspace(0.0, w_hi, 128)
+    t_grid = np.linspace(0.0, 2.0, 32)
+    worst = math.inf
+    witness = None
+    count = 0
+
+    def update(tag_index, coord, lo, hi):
+        nonlocal worst, witness
+        margin = hi - lo
+        if margin < worst:
+            worst = margin
+            witness = Witness("B", tag_index, -1, coord, lo, hi)
+
+    try:
+        g = pointwise(spec.gamma, z_grid)
+        count += g.size
+        if float(np.min(g)) < -1e-9:
+            j = int(np.argmin(g))
+            return CheckOutcome(
+                "B",
+                ConditionStatus.FAIL,
+                count,
+                float(g[j]),
+                Witness("B", 0, -1, float(z_grid[j]), float(g[j]), 0.0),
+                reason="gamma takes negative values",
+            )
+        for j in range(1, g.size):
+            update(0, float(z_grid[j]), float(g[j - 1]), float(g[j]))
+        for t in t_grid:
+            row = pointwise(spec.f, t, w_grid)
+            count += row.size
+            for j in range(1, row.size):
+                update(1, float(w_grid[j]), float(row[j - 1]), float(row[j]))
+        for w in w_grid[::8]:
+            col = pointwise(spec.f, t_grid, w)
+            count += col.size
+            for j in range(1, col.size):
+                update(2, float(t_grid[j]), float(col[j - 1]), float(col[j]))
+    except (NumericError, *EVAL_ERRORS) as exc:
+        return CheckOutcome(
+            "B",
+            ConditionStatus.FAIL,
+            count,
+            -math.inf,
+            None,
+            f"evaluation failed inside the sampled box: {exc}",
+        )
+    status = ConditionStatus.PASS if worst >= -1e-9 else ConditionStatus.FAIL
+    reason = "" if status is ConditionStatus.PASS else "monotonicity violated"
+    return CheckOutcome("B", status, count, worst, witness, reason=reason)
+
+
+def _step(x, at):
+    return 1.0 if x < at else 0.5
+
+
+_T_ROW_5 = float(np.linspace(0.0, 2.0, 32)[5])
+
+
+def _fails_from_row_5(t, w):
+    if t >= _T_ROW_5:
+        raise DomainError(f"no f at t={t!r}, w={w!r}")
+    return w + t
+
+
+_B_SPECS = {
+    **{
+        name: lambda name=name: corpus_build(name).majorant
+        for name in ("linear_majorant", "power_family", "sine_bvp", "sqrt_pole")
+    },
+    "row violation": lambda: MajorantSpec(
+        f=lambda t, w: math.sin(w) + t, gamma=lambda z: z
+    ),
+    "column violation": lambda: MajorantSpec(
+        f=lambda t, w: w + math.cos(t), gamma=lambda z: z
+    ),
+    # equal worst margins: the first in the order gamma, rows, columns wins
+    "tie of gamma and rows": lambda: MajorantSpec(
+        f=lambda t, w: _step(w, 2.0), gamma=lambda z: _step(z, 2.0)
+    ),
+    "tie of rows and columns": lambda: MajorantSpec(
+        f=lambda t, w: _step(w, 2.0) + _step(t, 1.0), gamma=lambda z: z
+    ),
+    "ties inside the rows": lambda: MajorantSpec(
+        f=lambda t, w: math.floor(w) + t, gamma=lambda z: z
+    ),
+    "f returns nan": lambda: MajorantSpec(
+        f=lambda t, w: math.nan if w > 3.0 else w + t, gamma=lambda z: z
+    ),
+    "f raises in row 5": lambda: MajorantSpec(f=_fails_from_row_5, gamma=lambda z: z),
+}
+
+
+class TestGridCheckB:
+    @pytest.mark.parametrize("name", sorted(_B_SPECS))
+    def test_outcome_is_the_point_by_point_scan(self, name):
+        spec = _B_SPECS[name]()
+        # repr tells nan, -0.0 and every bit of a float apart
+        assert repr(check_B(spec)) == repr(_scan_check_B(spec))
+
+    def test_power_family_witness_is_the_first_of_tied_zero_margins(self):
+        outcome = check_B(corpus_build("power_family").majorant)
+        # f = p * w is constant in t, so every column difference is 0:
+        # the first, in column 0 up to the second t node, is the witness
+        t_second = float(np.linspace(0.0, 2.0, 32)[1])
+        assert outcome.worst_margin == 0.0
+        assert (outcome.witness.sample, outcome.witness.t) == (2, t_second)
+
+    def test_a_raising_row_counts_the_rows_before_it(self):
+        outcome = check_B(_B_SPECS["f raises in row 5"]())
+        assert outcome.samples == 128 + 128 * 5
+        assert outcome.reason == (
+            f"evaluation failed inside the sampled box: no f at t={_T_ROW_5!r},"
+            " w=0.0"
+        )
+
+
+def _bits_agree(scalar, array, *args):
+    """array(*args) against scalar at every point: equal bits where the
+    scalar form returns, not finite where it raises."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    with np.errstate(all="ignore"):
+        got = np.broadcast_to(array(*args), args[0].shape)
+    raised = 0
+    for idx in np.ndindex(args[0].shape):
+        try:
+            want = float(scalar(*(float(a[idx]) for a in args)))
+        except EVAL_ERRORS:
+            assert not np.isfinite(got[idx])
+            raised += 1
+            continue
+        _same_bits(np.array(got[idx]), np.array(want))
+    return raised
+
+
+class TestDeclaredArrayForms:
+    @pytest.mark.parametrize(
+        "name, forms",
+        [
+            ("linear_majorant", (True, True)),
+            # numpy's pow is not Python's ** to the last ulp
+            ("power_family", (True, False)),
+            ("sine_bvp", (True, True)),
+            ("sqrt_pole", (True, True)),
+        ],
+    )
+    def test_array_forms_are_the_scalar_forms_bit_for_bit(self, name, forms):
+        entry = corpus_build(name)
+        spec = entry.majorant
+        assert (spec.f_array is not None, spec.gamma_array is not None) == forms
+        # check_B's grids
+        z_grid = np.linspace(0.0, spec.z_max or 4.0, 128)
+        w_grid = np.linspace(0.0, spec.omega_max or 4.0, 128)
+        t_grid = np.linspace(0.0, 2.0, 32)
+        # the norms the audit samples at the default bound, with their
+        # stencil neighbours and the integrals f is evaluated at
+        mesh = graded_mesh(entry.default_t_end or 0.5, 40)
+        u, du, _ = _stacks(mesh, 1, 8, 1.0, zero=True)
+        norms = np.concatenate([_norms(u), _norms(u) + _norms(du)])
+        h = 1e-6 * (1.0 + norms)
+        z = np.concatenate([z_grid, norms.ravel(), (norms + h).ravel()])
+        w = WeightTable(mesh).prefix(np.minimum(norms, 0.9))
+        if spec.gamma_array is not None:
+            _bits_agree(spec.gamma, spec.gamma_array, z)
+        _bits_agree(spec.f, spec.f_array, t_grid[:, None], w_grid)
+        _bits_agree(spec.f, spec.f_array, mesh.nodes, w)
+
+    def test_past_the_pole_the_array_form_is_not_finite(self):
+        spec = corpus_build("sqrt_pole").majorant
+        z = np.array([0.5, 1.0, 1.5])
+        assert _bits_agree(spec.gamma, spec.gamma_array, z) == 2
+
+
+def _raising(*args):
+    raise DomainError("array form failed")
+
+
+def _overflowing(*args):
+    return np.full(np.broadcast(*args).shape, math.inf)
+
+
+def _nan(*args):
+    return np.full(np.broadcast(*args).shape, math.nan)
+
+
+def _wrong_shape(*args):
+    return np.zeros(3)
+
+
+def _pole_majorant(**array_forms):
+    gamma = expr.parse("1/sqrt(1 - z) + z^2", ("z",))
+    return MajorantSpec(
+        f=lambda t, w: w + t,
+        gamma=expr.as_function(gamma, ("z",)),
+        f_depends_on_t=True,
+        name="pole",
+        **array_forms,
+    )
+
+
+class TestArrayFormFallback:
+    @pytest.mark.parametrize("bad", [_raising, _overflowing, _nan, _wrong_shape])
+    @pytest.mark.parametrize("bound", [0.3, 3.0])
+    def test_a_failing_array_form_gives_the_scalar_outcome(self, bad, bound):
+        # at bound 3 gamma's scalar form raises past z = 1, and that
+        # error with its message is what the audit reports either way;
+        # 6 samples of 41 nodes reach quadrature.ARRAY_MIN_POINTS
+        mesh = graded_mesh(0.4, 40, 1.0)
+        problem = _linear_problem(1)
+        scalar = _pole_majorant()
+        report = run_suite(problem, scalar, mesh=mesh, n_samples=6, bound=bound)
+        for spec in (
+            _pole_majorant(f_array=bad, gamma_array=bad),
+            _pole_majorant(f_array=lambda t, w: w + t, gamma_array=bad),
+            _pole_majorant(
+                f_array=bad,
+                gamma_array=expr.as_array_function(
+                    expr.parse("1/sqrt(1 - z) + z^2", ("z",)), ("z",)
+                ),
+            ),
+        ):
+            got = run_suite(problem, spec, mesh=mesh, n_samples=6, bound=bound)
+            assert repr(got) == repr(report)
+
+    @pytest.mark.parametrize("bad", [_raising, _overflowing, _nan, _wrong_shape])
+    def test_the_majorant_chain_keeps_the_scalar_iterates(self, bad):
+        mesh = graded_mesh(0.3, 200, 1.0)
+        want = majorant_picard(_pole_majorant(), mesh)
+        got = majorant_picard(_pole_majorant(f_array=bad, gamma_array=bad), mesh)
+        assert len(got.iterates) == len(want.iterates)
+        for a, b in zip(got.iterates, want.iterates):
+            _same_bits(a, b)

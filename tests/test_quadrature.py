@@ -14,6 +14,7 @@ from volmaj.errors import CostLimitError, NumericError, SpecValidationError
 from volmaj.meshes import Mesh, Trajectory
 from volmaj.problem import KernelStage
 from volmaj.quadrature import (
+    ARRAY_MIN_POINTS,
     BLOCK_ELEMENTS,
     WeightTable,
     adaptive_quad,
@@ -555,3 +556,32 @@ class TestPointwise:
         kinds = set()
         pointwise(lambda a, b: kinds.update({type(a), type(b)}) or 0.0, 1, np.arange(3))
         assert kinds == {float}
+
+    @pytest.mark.parametrize("points", [ARRAY_MIN_POINTS - 1, ARRAY_MIN_POINTS])
+    def test_the_array_form_runs_on_enough_points_only(self, points):
+        calls = []
+
+        def array(t, w):
+            calls.append(np.broadcast_shapes(t.shape, w.shape))
+            return t + w
+
+        w = np.arange(float(points))
+        got = pointwise(lambda t, w: t + w, 0.5, w, array=array)
+        assert np.array_equal(got, 0.5 + w)
+        assert calls == ([] if points < ARRAY_MIN_POINTS else [(points,)])
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            lambda z: np.full(z.shape, np.inf),
+            lambda z: np.sqrt(z - 100.0),  # nan below 100
+            lambda z: np.zeros(3),  # does not broadcast
+            lambda z: math.sqrt(z),  # a scalar form: TypeError on arrays
+        ],
+    )
+    def test_an_array_form_that_fails_defers_to_the_scalar_form(self, array):
+        z = np.linspace(0.0, 4.0, ARRAY_MIN_POINTS)
+        got = pointwise(lambda z: z * z, z, array=array)
+        assert np.array_equal(got, z * z)
+        with pytest.raises(ValueError, match="math domain error"):
+            pointwise(lambda z: math.sqrt(z - 1.0), z, array=array)
