@@ -21,14 +21,15 @@ below converges to that root monotonically and never overshoots
 (Kantorovich's majorant principle); each node then starts from the
 previous node's root, since r(t) is nondecreasing.
 
-The screen itself evaluates f over its 128 x 128 grid by array calls, a
-block of rows at a time, when the spec carries array forms of f (and
-f_r), and walks in Python only the rows and columns that hold a
+The screen itself evaluates f and f_r over its 128 x 128 grid by array
+calls, a block of rows at a time, when the spec carries array forms of
+both, and walks in Python only the rows and columns that hold a
 violation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -52,33 +53,30 @@ __all__ = [
 ]
 
 
-def _fd_slope(f: Callable[[float, float], float], r: float, t: float) -> float:
-    h = 1e-6 * max(1.0, abs(r))
-    if r - h < 0.0:
-        # one-sided second-order stencil keeps samples inside r >= 0
-        return (-3.0 * f(r, t) + 4.0 * f(r + h, t) - f(r + 2.0 * h, t)) / (2.0 * h)
-    return (f(r + h, t) - f(r - h, t)) / (2.0 * h)
+# the residual, relative to 1 + max(r, t), to which the tangency system
+# is solved
+_TANGENCY_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Algebraic majorant data.
 
-    f(r, t) must vanish at the origin and satisfy
-    inv_norm_bound * f_r(0, 0) < 1, otherwise even the zero state is
-    not dominated.  f_r may be omitted; a finite-difference slope is
-    substituted.  r_max / t_max bound the search box.
+    f(r, t) must vanish at the origin and its slope f_r = df/dr satisfy
+    inv_norm_bound * f_r(0, 0) in [0, 1), otherwise even the zero state
+    is not dominated; both must be evaluable there.  The inline config
+    derives f_r from f when fr is not given.  r_max / t_max bound the
+    search box.
 
     f_array and f_r_array, when given, are array forms of f and f_r:
     called on broadcastable arrays, they return the values f and f_r give
     element by element, and raise where those raise.  The convexity
     screen uses them to evaluate its grid by blocks of rows; without
-    them (or without f_r_array while f_r is given) it evaluates point by
-    point.
+    both it evaluates point by point.
     """
 
     f: Callable[[float, float], float]
-    f_r: Callable[[float, float], float] | None = None
+    f_r: Callable[[float, float], float]
     inv_norm_bound: float = 1.0
     r_max: float = 100.0
     t_max: float = 100.0
@@ -94,15 +92,18 @@ class LyapunovSpec:
             )
         if not (self.r_max > 0) or not (self.t_max > 0):
             raise SpecValidationError("r_max and t_max must be positive")
+        origin: list[float] = []
         try:
-            f00 = float(self.f(0.0, 0.0))
+            for fn in (self.f, self.f_r):
+                origin.append(float(fn(0.0, 0.0)))
         except Exception as exc:
-            raise SpecValidationError(f"f(0, 0) is not evaluable: {exc}") from exc
+            name = ("f", "f_r")[len(origin)]
+            raise SpecValidationError(f"{name}(0, 0) is not evaluable: {exc}") from exc
+        f00, slope0 = origin[0], self.inv_norm_bound * origin[1]
         if not (abs(f00) <= 1e-12):
             raise SpecValidationError(
                 f"f must vanish at the origin, got f(0, 0) = {f00!r}"
             )
-        slope0 = self.inv_norm_bound * self.slope(0.0, 0.0)
         if not (0.0 <= slope0 < 1.0):
             raise SpecValidationError(
                 f"contraction at the origin requires c * f_r(0, 0) in [0, 1),"
@@ -110,9 +111,7 @@ class LyapunovSpec:
             )
 
     def slope(self, r: float, t: float) -> float:
-        if self.f_r is not None:
-            return float(self.f_r(r, t))
-        return _fd_slope(self.f, r, t)
+        return float(self.f_r(r, t))
 
 
 @dataclass(frozen=True)
@@ -152,9 +151,7 @@ class LyapunovSolution:
 
 def _residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray:
     c = spec.inv_norm_bound
-    return np.array(
-        [c * float(spec.f(r, t)) - r, c * spec.slope(r, t) - 1.0]
-    )
+    return np.array([c * float(spec.f(r, t)) - r, c * spec.slope(r, t) - 1.0])
 
 
 def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
@@ -164,49 +161,34 @@ def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
         v = _residual(spec, r, t)
     except EVAL_ERRORS:
         return None
-    if not np.all(np.isfinite(v)):
-        return None
-    return v
-
-
-def _tangency_floor(spec: LyapunovSpec) -> float:
-    """The residual, relative to 1 + max(r, t), to which the tangency
-    system is solved: an FD slope carries eps/h cancellation noise near
-    1e-10, so it cannot be driven to the exact-slope tolerance."""
-    return 1e-13 if spec.f_r is not None else 3e-9
+    return v if np.all(np.isfinite(v)) else None
 
 
 def _newton_from(
     spec: LyapunovSpec, seed: tuple[float, float], max_iter: int = 80
 ) -> tuple[float, float, int] | None:
-    floor = _tangency_floor(spec)
     x = np.array(seed, dtype=float)
     res = _try_residual(spec, x[0], x[1])
     if res is None:
         return None
     for it in range(max_iter):
         nr = float(np.max(np.abs(res)))
-        if nr <= floor * (1.0 + float(np.max(np.abs(x)))):
+        if nr <= _TANGENCY_FLOOR * (1.0 + float(np.max(np.abs(x)))):
             return float(x[0]), float(x[1]), it
         jac = np.empty((2, 2))
-        ok = True
         for col in range(2):
             h = 1e-7 * max(1.0, abs(x[col]))
             bumped = x.copy()
             bumped[col] += h
             res_h = _try_residual(spec, bumped[0], bumped[1])
             if res_h is None:
-                ok = False
-                break
+                return None
             jac[:, col] = (res_h - res) / h
-        if not ok:
-            return None
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
-        accepted = False
         while lam >= 1e-6:
             cand = x + lam * step
             res_c = _try_residual(spec, cand[0], cand[1])
@@ -214,14 +196,10 @@ def _newton_from(
                 nc = float(np.max(np.abs(res_c)))
                 if nc < (1.0 - 0.25 * lam) * nr or nc < 1e-14:
                     x, res = cand, res_c
-                    accepted = True
                     break
             lam *= 0.5
-        if not accepted:
-            nr = float(np.max(np.abs(res)))
-            if nr <= floor * (1.0 + float(np.max(np.abs(x)))):
-                return float(x[0]), float(x[1]), it
-            return None
+        else:
+            return None  # no damped step lowers the residual
     return None
 
 
@@ -251,10 +229,9 @@ def _branch_min(
     return mid, phi(mid)
 
 
-def _polish_radius(spec: LyapunovSpec, r0: float, t: float) -> float:
+def _polish_radius(spec: LyapunovSpec, r: float, t: float) -> float:
     """1D Newton on c * f_r(r, t) = 1 in r, seeded at the ternary argmin."""
     c = spec.inv_norm_bound
-    r = r0
     for _ in range(60):
         g = c * spec.slope(r, t) - 1.0
         if abs(g) <= 1e-13:
@@ -283,17 +260,13 @@ def _fallback_tangency(spec: LyapunovSpec) -> tuple[float, float]:
         raise NumericError(
             "the majorant line already fails to cross at t=0; no branch exists"
         )
-    t_hi = None
-    t = spec.t_max
-    _, m_hi = _branch_min(spec, t)
-    if m_hi > 0.0:
-        t_hi = t
-    else:
+    _, m_hi = _branch_min(spec, spec.t_max)
+    if not m_hi > 0.0:
         raise NumericError(
             f"no tangency below t_max={spec.t_max!r}: the smallest root"
             " persists on the whole window (consider raising t_max)"
         )
-    t_lo = 0.0
+    t_lo, t_hi = 0.0, spec.t_max
     while t_hi - t_lo > 1e-11 * max(1.0, t_hi):
         mid = 0.5 * (t_lo + t_hi)
         _, m_mid = _branch_min(spec, mid)
@@ -303,8 +276,11 @@ def _fallback_tangency(spec: LyapunovSpec) -> tuple[float, float]:
             t_lo = mid
     horizon = 0.5 * (t_lo + t_hi)
     argmin, _ = _branch_min(spec, horizon)
-    radius = _polish_radius(spec, argmin, horizon)
-    return radius, horizon
+    return _polish_radius(spec, argmin, horizon), horizon
+
+
+def _near(a: float, b: float, rel: float) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a))
 
 
 def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
@@ -336,14 +312,7 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
         rr, tt, its = hit
         if rr <= 0.0 or tt <= 0.0:
             continue
-        dup = False
-        for er, et, _ in roots:
-            if abs(er - rr) <= 1e-6 * max(1.0, abs(er)) and abs(
-                et - tt
-            ) <= 1e-6 * max(1.0, abs(et)):
-                dup = True
-                break
-        if not dup:
+        if not any(_near(er, rr, 1e-6) and _near(et, tt, 1e-6) for er, et, _ in roots):
             roots.append((rr, tt, its))
     if not roots:
         raise NumericError(
@@ -356,11 +325,7 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
         raise NumericError(f"multiple tangency candidates: {listing}")
     radius, horizon, iterations = roots[0]
     fb_radius, fb_horizon = _fallback_tangency(spec)
-    scale_r = max(1.0, abs(radius))
-    scale_t = max(1.0, abs(horizon))
-    if abs(fb_radius - radius) > 1e-8 * scale_r or abs(
-        fb_horizon - horizon
-    ) > 1e-8 * scale_t:
+    if not (_near(radius, fb_radius, 1e-8) and _near(horizon, fb_horizon, 1e-8)):
         raise NumericError(
             f"tangency routes disagree: newton (r={radius!r}, t={horizon!r})"
             f" vs fallback (r={fb_radius!r}, t={fb_horizon!r})"
@@ -380,8 +345,7 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
 def _plain_node(
     spec: LyapunovSpec, t: float, tol: float, max_iter: int
 ) -> tuple[float, int, bool]:
-    c = spec.inv_norm_bound
-    r = 0.0
+    c, r = spec.inv_norm_bound, 0.0
     for k in range(1, max_iter + 1):
         try:
             r_new = c * float(spec.f(r, t))
@@ -391,10 +355,9 @@ def _plain_node(
             raise NumericError(
                 f"branch diverges at t={t!r}; the node lies beyond the horizon"
             )
-        done = abs(r_new - r) <= tol * (1.0 + abs(r_new))
+        if abs(r_new - r) <= tol * (1.0 + abs(r_new)):
+            return r_new, k, True
         r = r_new
-        if done:
-            return r, k, True
     return r, max_iter, False
 
 
@@ -413,9 +376,7 @@ def _below_root(
         dg = c * spec.slope(r, t) - 1.0
     except EVAL_ERRORS:
         return None
-    if not (0.0 <= g < math.inf and -math.inf < dg <= 0.0):
-        return None
-    return g, dg
+    return (g, dg) if 0.0 <= g < math.inf and -math.inf < dg <= 0.0 else None
 
 
 def _newton_step(
@@ -459,14 +420,13 @@ def _newton_node(
                 return r_new, k, True
             # g falls along admissible iterates until arithmetic noise
             # takes over; a step that does not lower it is a stall
-            falls = g_new < g
-            r, g = r_new, g_new
+            r, g, falls = r_new, g_new, g_new < g
             if falls:
                 continue
         # stalled at the minimum of g: no admissible step lowers it
         if g <= tol * (1.0 + r):
             return r, k, True  # a root to tol; at the horizon, the double one
-        if g <= _tangency_floor(spec) * (1.0 + max(r, t)):
+        if g <= _TANGENCY_FLOOR * (1.0 + max(r, t)):
             # the horizon as closely as solve_tangency places it, but no
             # root to tol: the computed horizon may overshoot
             return r, k, False
@@ -533,28 +493,14 @@ def _array_grids(
     spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """f and its slope over the grid from the array forms, a block of
-    rows per call, with the arithmetic of _fd_slope element by element
-    where f_r is absent."""
+    rows per call."""
     fvals = np.empty((t_grid.size, r_grid.size))
     svals = np.empty_like(fvals)
-    h = 1e-6 * np.maximum(1.0, np.abs(r_grid))
-    left = r_grid - h < 0.0  # one-sided stencil columns
-    r_plus = r_grid + h
-    # the third sample is r + 2h on one-sided columns, else r - h
-    r_third = np.where(left, r_grid + 2.0 * h, r_grid - h)
     rows = max(1, BLOCK_ELEMENTS // r_grid.size)
     for lo in range(0, t_grid.size, rows):
         block, t = slice(lo, lo + rows), t_grid[lo : lo + rows]
-        fvals[block] = f = _on_grid(spec.f_array, r_grid, t)
-        if spec.f_r is not None:
-            svals[block] = _on_grid(spec.f_r_array, r_grid, t)
-            continue
-        f_plus = _on_grid(spec.f_array, r_plus, t)
-        f_third = _on_grid(spec.f_array, r_third, t)
-        svals[block] = (f_plus - f_third) / (2.0 * h)
-        svals[block, left] = (
-            -3.0 * f[:, left] + 4.0 * f_plus[:, left] - f_third[:, left]
-        ) / (2.0 * h[left])
+        fvals[block] = _on_grid(spec.f_array, r_grid, t)
+        svals[block] = _on_grid(spec.f_r_array, r_grid, t)
     return fvals, svals
 
 
@@ -602,15 +548,10 @@ def check_convexity(
     if r_grid.size < 3 or t_grid.size < 2:
         raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
     grids = None
-    if spec.f_array is not None and (spec.f_r is None or spec.f_r_array is not None):
-        try:
-            with np.errstate(all="ignore"):
-                grids = _array_grids(spec, r_grid, t_grid)
-        except EVAL_ERRORS:
-            pass
-    if grids is None:
-        grids = _pointwise_grids(spec, r_grid, t_grid)
-    fvals, svals = grids
+    if spec.f_array is not None and spec.f_r_array is not None:
+        with contextlib.suppress(*EVAL_ERRORS), np.errstate(all="ignore"):
+            grids = _array_grids(spec, r_grid, t_grid)
+    fvals, svals = grids or _pointwise_grids(spec, r_grid, t_grid)
     violations: list[tuple[str, float, float, float]] = []
 
     def note(kind: str, r: float, t: float, v: float) -> bool:
@@ -628,12 +569,8 @@ def check_convexity(
     top = float(max(np.nanmax(fvals), -np.nanmin(fvals))) if any_finite else 0.0
     scale = max(1.0, top)
     degenerate = any_finite and top == 0.0
-    slack1 = 1e-12 * scale
-    # slope comparisons inherit eps/h cancellation noise when the slope
-    # is a finite difference, so they get a wider margin
-    slack2 = (1e-10 if spec.f_r is not None else 3e-9) * scale
     if len(violations) < 50:
-        _scan(fvals, svals, r_grid, t_grid, slack1, slack2, note)
+        _scan(fvals, svals, r_grid, t_grid, 1e-12 * scale, 1e-10 * scale, note)
     return ConvexityReport(
         passed=not violations,
         degenerate=degenerate,

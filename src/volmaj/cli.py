@@ -266,87 +266,24 @@ def _read_config(cp: configparser.ConfigParser) -> dict[str, dict | None]:
     return config
 
 
-def _renamed(tree: expr.Expr, names: dict) -> expr.Expr:
-    """The tree with its variables renamed; offsets are kept."""
-    if isinstance(tree, expr.Var):
-        return expr.Var(names.get(tree.name, tree.name), tree.offset)
-    if isinstance(tree, expr.Neg):
-        return expr.Neg(_renamed(tree.operand, names), tree.offset)
-    if isinstance(tree, expr.BinOp):
-        left, right = _renamed(tree.left, names), _renamed(tree.right, names)
-        return expr.BinOp(tree.op, left, right, tree.offset)
-    if isinstance(tree, expr.Call):
-        return expr.Call(tree.func, _renamed(tree.arg, names), tree.offset)
-    return tree
+def _stage_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
+    """The separated terms of a kernel tree as KernelStage terms, or None
+    when it does not separate; equal factor trees share one callable."""
+    terms = expr.separated_terms(tree, coordinates)
+    if terms is None:
+        return None
 
+    @functools.cache
+    def compiled(product: expr.Expr, names: tuple[str, ...]):
+        fn = expr.as_function(product, names)
+        if names == ("t",):
+            return lambda t: pointwise(fn, t)[..., None]
+        return lambda s, u: pointwise(fn, s, u[..., 0])[..., None]
 
-def _summands(tree: expr.Expr, negated: bool = False):
-    """(negated, term) for each term of the top-level sum."""
-    if isinstance(tree, expr.BinOp) and tree.op in "+-":
-        yield from _summands(tree.left, negated)
-        yield from _summands(tree.right, negated != (tree.op == "-"))
-    else:
-        yield negated, tree
-
-
-def _factors(tree: expr.Expr):
-    """The factors of a top-level product, a unary minus as -1."""
-    if isinstance(tree, expr.BinOp) and tree.op == "*":
-        yield from _factors(tree.left)
-        yield from _factors(tree.right)
-    elif isinstance(tree, expr.Neg):
-        yield expr.Num(-1.0, tree.offset)
-        yield from _factors(tree.operand)
-    else:
-        yield tree
-
-
-def _separated_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
-    """A kernel tree as KernelStage terms, or None when a factor of a
-    term mixes t with an inner coordinate or two inner coordinates.
-
-    coordinates names (s_c, u_c) for each fold c.  Factors in t alone or
-    in no variable go to a; factors in s_c and u_c go to b_c, renamed to
-    (s, u), so equal factors of different coordinates are one callable.
-    A fold-1 kernel free of t is one term, unsplit, which integrates bit
-    for bit as the direct route does."""
-    cache = {}
-
-    def compiled(factors, names):
-        product = functools.reduce(lambda x, y: expr.BinOp("*", x, y), factors)
-        if (product, names) not in cache:
-            fn = expr.as_function(product, names)
-            cache[product, names] = (
-                (lambda t: pointwise(fn, t)[..., None])
-                if names == ("t",)
-                else (lambda s, u: pointwise(fn, s, u[..., 0])[..., None])
-            )
-        return cache[product, names]
-
-    if len(coordinates) == 1 and "t" not in expr.variables(tree):
-        products = [[tree]]
-    else:
-        products = [
-            ([expr.Num(-1.0)] if negated else []) + list(_factors(term))
-            for negated, term in _summands(tree)
-        ]
-    terms = []
-    for factors in products:
-        a_group, b_groups = [], [[] for _ in coordinates]
-        for factor in factors:
-            names = expr.variables(factor)
-            owner = [c for c, pair in enumerate(coordinates) if names <= set(pair)]
-            if names <= {"t"}:
-                a_group.append(factor)
-            elif owner:
-                s, u = coordinates[owner[0]]
-                b_groups[owner[0]].append(_renamed(factor, {s: "s", u: "u"}))
-            else:
-                return None
-        a = compiled(a_group, ("t",)) if a_group else None
-        bs = [compiled(group or [expr.Num(1.0)], ("s", "u")) for group in b_groups]
-        terms.append((a, tuple(bs)))
-    return tuple(terms)
+    return tuple(
+        (a and compiled(a, ("t",)), tuple(compiled(b, ("s", "u")) for b in bs))
+        for a, bs in terms
+    )
 
 
 def _inline_problem(v: dict) -> VolterraProblem:
@@ -360,7 +297,7 @@ def _inline_problem(v: dict) -> VolterraProblem:
         KernelStage(
             1,
             lambda t, s, u: pointwise(k1, t, s[:, 0], u[..., 0, 0])[..., None],
-            _separated_terms(tree1, [("s", "u")]),
+            _stage_terms(tree1, [("s", "u")]),
         )
     )
     if v["kernel2"] is not None:
@@ -373,7 +310,7 @@ def _inline_problem(v: dict) -> VolterraProblem:
                 lambda t, s, u: pointwise(
                     k2, t, s[:, 0], s[:, 1], u[..., 0, 0], u[..., 1, 0]
                 )[..., None],
-                _separated_terms(tree2, [("s1", "u1"), ("s2", "u2")]),
+                _stage_terms(tree2, [("s1", "u1"), ("s2", "u2")]),
             )
         )
         phi_vars.append("om2")
@@ -420,21 +357,25 @@ def _inline_majorant(v: dict) -> MajorantSpec:
 def _inline_lyapunov(v: dict) -> LyapunovSpec:
     names = ("r", "t")
     f_tree = expr.parse(v["f"], names)
-    fr_fn = fr_array = None
-    if v["fr"] is not None:
-        fr_tree = expr.parse(v["fr"], names)
-        fr_fn = expr.as_function(fr_tree, names)
-        fr_array = expr.as_array_function(fr_tree, names)
-    return LyapunovSpec(
-        f=expr.as_function(f_tree, names),
-        f_r=fr_fn,
-        f_array=expr.as_array_function(f_tree, names),
-        f_r_array=fr_array,
-        inv_norm_bound=v["c"],
-        r_max=v["r_max"],
-        t_max=v["t_max"],
-        name="inline algebraic majorant",
-    )
+    # without fr the slope is the exact derivative of f
+    given = v["fr"] is not None
+    fr_tree = expr.parse(v["fr"], names) if given else expr.derivative(f_tree, "r")
+    try:
+        return LyapunovSpec(
+            f=expr.as_function(f_tree, names),
+            f_r=expr.as_function(fr_tree, names),
+            f_array=expr.as_array_function(f_tree, names),
+            f_r_array=expr.as_array_function(fr_tree, names),
+            inv_norm_bound=v["c"],
+            r_max=v["r_max"],
+            t_max=v["t_max"],
+            name="inline algebraic majorant",
+        )
+    except SpecValidationError as exc:
+        # c, r_max and t_max are checked by the schema, so what fails here
+        # is f or the slope at the origin
+        key = "fr" if given and "f_r" in str(exc) else "f"
+        raise SpecValidationError(f"[lyapunov] {key}: {exc}") from None
 
 
 _INLINE_BUILDERS = {
@@ -647,10 +588,7 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     tang = solution.tangency
     pairs = [
         ("name", setup.lyapunov.name),
-        (
-            "convexity",
-            "degenerate" if convexity.degenerate else "pass",
-        ),
+        ("convexity", "degenerate" if convexity.degenerate else "pass"),
         ("radius", format_number(tang.radius)),
         ("horizon", format_number(tang.horizon)),
         ("fixed_residual", format_number(tang.fixed_residual)),
@@ -659,10 +597,7 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         ("fallback_horizon", format_number(tang.fallback_horizon)),
         ("newton_iterations", str(tang.newton_iterations)),
         ("branch_nodes", str(solution.mesh.n)),
-        (
-            "branch_converged",
-            "all" if bool(np.all(solution.converged_mask)) else "partial",
-        ),
+        ("branch_converged", "all" if np.all(solution.converged_mask) else "partial"),
     ]
     _write_summary(
         os.path.join(out, "lyapunov_summary.txt"), "lyapunov", pairs, timestamp

@@ -24,15 +24,20 @@ the CLI calls only compiled functions.  ``as_array_function`` emits the
 same straight-line code over numpy arrays: element by element it gives
 the compiled function's value (up to the last ulp of numpy's exp, log,
 tan and pow) and, where that function raises, the same DomainError.
+
+Every pass over trees lives here as well: ``derivative`` gives the exact
+partial derivative of a tree, and ``separated_terms`` splits a kernel
+tree into sums of products of single-coordinate factors.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -51,6 +56,8 @@ __all__ = [
     "evaluate",
     "to_text",
     "variables",
+    "derivative",
+    "separated_terms",
     "as_function",
     "as_array_function",
 ]
@@ -125,24 +132,28 @@ class _Parser:
         return self.text[self.pos]
 
     def parse_sum(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            ch = self.peek()
-            if ch not in ("+", "-"):
-                return node
-            at = self.pos
-            self.pos += 1
-            node = BinOp(ch, node, self.parse_term(), offset=at)
+        return self.parse_chain(("+", "-"), self.parse_term)
 
     def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            ch = self.peek()
-            if ch not in ("*", "/"):
-                return node
+        return self.parse_chain(("*", "/"), self.parse_unary)
+
+    def parse_chain(self, ops: tuple[str, ...], operand: Callable[[], Expr]) -> Expr:
+        """operand (op operand)*, associating to the left."""
+        node = operand()
+        while self.peek() in ops:
             at = self.pos
             self.pos += 1
-            node = BinOp(ch, node, self.parse_unary(), offset=at)
+            node = BinOp(self.text[at], node, operand(), offset=at)
+        return node
+
+    def parse_group(self) -> Expr:
+        """A parenthesised sum, the parser standing on its '('."""
+        self.pos += 1
+        node = self.parse_sum()
+        if self.peek() != ")":
+            self.fail("expected ')'")
+        self.pos += 1
+        return node
 
     def parse_unary(self) -> Expr:
         if self.peek() == "-":
@@ -165,12 +176,7 @@ class _Parser:
             self.fail("unexpected end of input")
         at = self.pos
         if ch == "(":
-            self.pos += 1
-            node = self.parse_sum()
-            if self.peek() != ")":
-                self.fail("expected ')'")
-            self.pos += 1
-            return node
+            return self.parse_group()
         m = _NUM_RE.match(self.text, self.pos)
         if m:
             self.pos = m.end()
@@ -182,12 +188,7 @@ class _Parser:
             if name in FUNCTIONS:
                 if self.peek() != "(":
                     self.fail(f"function {name!r} must be followed by '('", at)
-                self.pos += 1
-                arg = self.parse_sum()
-                if self.peek() != ")":
-                    self.fail("expected ')'")
-                self.pos += 1
-                return Call(name, arg, offset=at)
+                return Call(name, self.parse_group(), offset=at)
             if name not in self.allowed:
                 raise UnknownVariableError(name, at)
             return Var(name, offset=at)
@@ -217,10 +218,13 @@ def parse(text: str, allowed_vars: Iterable[str] = ()) -> Expr:
     return node
 
 
-def _check_real(v: float, offset: int) -> float:
-    if isinstance(v, complex) or math.isnan(v):
-        raise DomainError("evaluation produced NaN", offset)
-    return v
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
 
 
 def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
@@ -239,39 +243,24 @@ def evaluate(expr: Expr, env: Mapping[str, float]) -> float:
         try:
             v = FUNCTIONS[expr.func](x)
         except ValueError:
-            raise DomainError(
-                f"{expr.func}({x!r}) outside real domain", expr.offset
-            ) from None
+            raise _call_error(expr.func, x, expr.offset) from None
         except OverflowError:
             v = math.inf
-        return _check_real(v, expr.offset)
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, env)
-        b = evaluate(expr.right, env)
-        if expr.op == "+":
-            v = a + b
-        elif expr.op == "-":
-            v = a - b
-        elif expr.op == "*":
-            v = a * b
-        elif expr.op == "/":
-            try:
-                v = a / b
-            except ZeroDivisionError:
-                raise DomainError("division by zero", expr.offset) from None
-        else:  # ^
-            try:
-                v = math.pow(a, b)
-            except ValueError:
-                raise DomainError(
-                    f"power {a!r}^{b!r} outside real domain", expr.offset
-                ) from None
-            except OverflowError:
-                # negative base reaches here only with an integer exponent
-                neg = a < 0 and float(b) == int(b) and int(b) % 2 == 1
-                v = -math.inf if neg else math.inf
-        return _check_real(v, expr.offset)
-    raise TypeError(f"not an expression node: {expr!r}")
+    elif isinstance(expr, BinOp):
+        a, b = evaluate(expr.left, env), evaluate(expr.right, env)
+        try:
+            v = _ARITHMETIC[expr.op](a, b)
+        except ZeroDivisionError:
+            raise _zero_division_error(expr.offset) from None
+        except ValueError:  # only ^ raises ValueError or OverflowError
+            raise _power_error(a, b, expr.offset) from None
+        except OverflowError:
+            v = _power_overflow(a, b)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if isinstance(v, complex) or math.isnan(v):
+        raise _nan_error(expr.offset)
+    return v
 
 
 def to_text(expr: Expr) -> str:
@@ -289,18 +278,156 @@ def to_text(expr: Expr) -> str:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _children(expr: Expr) -> dict[str, Expr]:
+    """The operand fields of a node, by name."""
+    names = ("operand", "left", "right", "arg")
+    return {name: getattr(expr, name) for name in names if hasattr(expr, name)}
+
+
 def variables(expr: Expr) -> set[str]:
-    if isinstance(expr, Num):
-        return set()
     if isinstance(expr, Var):
         return {expr.name}
+    return set().union(*map(variables, _children(expr).values()))
+
+
+# -- tree passes ------------------------------------------------------------
+
+
+def _is(node: Expr, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _fold(op: str, a: Expr, b: Expr, at: int) -> Expr:
+    """BinOp(op, a, b) with the constants 0 and 1 folded: x*0, 0*x and 0/x
+    are 0; x + 0, x - 0, x*1, x/1 and x^1 are x; 0 + x and 1*x are x."""
+    if op == "*" and (_is(a, 0.0) or _is(b, 0.0)) or op == "/" and _is(a, 0.0):
+        return Num(0.0)
+    if op in "+-" and _is(b, 0.0) or op in "*/^" and _is(b, 1.0):
+        return a
+    if op == "+" and _is(a, 0.0) or op == "*" and _is(a, 1.0):
+        return b
+    return Neg(b, at) if op == "-" and _is(a, 0.0) else BinOp(op, a, b, at)
+
+
+def derivative(expr: Expr, name: str) -> Expr:
+    """The partial derivative in the variable name, by the sum, product,
+    quotient, power and chain rules, with the constants 0 and 1 folded
+    (so a factor free of name drops out even where it would not
+    evaluate).  A derived node takes the byte offset of the node it comes
+    from, so a slope that fails names a byte of the text.
+
+    u^v with v free of name takes the power rule v*u^(v-1)*u'; otherwise
+    it is u^v*(v'*log(u) + v*u'/u), which needs u > 0.  The slopes of
+    sqrt and abs divide by the value, so they fail where it is 0."""
+    if isinstance(expr, Num):
+        return Num(0.0)
+    if isinstance(expr, Var):
+        return Num(1.0 if expr.name == name else 0.0)
+    at = expr.offset
     if isinstance(expr, Neg):
-        return variables(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables(expr.left) | variables(expr.right)
+        du = derivative(expr.operand, name)
+        return du if _is(du, 0.0) else Neg(du, at)
     if isinstance(expr, Call):
-        return variables(expr.arg)
-    raise TypeError(f"not an expression node: {expr!r}")
+        u, du = expr.arg, derivative(expr.arg, name)
+        if _is(du, 0.0):
+            return du
+        outer = {
+            "sin": Call("cos", u, at),
+            "cos": Neg(Call("sin", u, at), at),
+            "tan": BinOp("+", Num(1.0), BinOp("^", expr, Num(2.0), at), at),
+            "exp": expr,
+            "log": BinOp("/", Num(1.0), u, at),
+            "sqrt": BinOp("/", Num(0.5), expr, at),
+            "abs": BinOp("/", u, expr, at),
+        }[expr.func]
+        return _fold("*", outer, du, at)
+    a, b = expr.left, expr.right
+    da, db = derivative(a, name), derivative(b, name)
+    if expr.op in "+-":
+        return _fold(expr.op, da, db, at)
+    if expr.op == "*":
+        return _fold("+", _fold("*", da, b, at), _fold("*", a, db, at), at)
+    if expr.op == "/" and _is(db, 0.0):
+        return _fold("/", da, b, at)
+    if expr.op == "/":
+        top = _fold("-", _fold("*", da, b, at), _fold("*", a, db, at), at)
+        return _fold("/", top, BinOp("^", b, Num(2.0), at), at)
+    if _is(db, 0.0):  # u^v with v free of name
+        less = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, Num(1.0), at)
+        return _fold("*", _fold("*", b, _fold("^", a, less, at), at), da, at)
+    log_term = _fold("*", db, Call("log", a, at), at)
+    ratio_term = _fold("*", b, _fold("/", da, a, at), at)
+    return _fold("*", expr, _fold("+", log_term, ratio_term, at), at)
+
+
+def _renamed(tree: Expr, names: Mapping[str, str]) -> Expr:
+    """The tree with its variables renamed; offsets are kept."""
+    if isinstance(tree, Var):
+        return Var(names.get(tree.name, tree.name), tree.offset)
+    renamed = {k: _renamed(child, names) for k, child in _children(tree).items()}
+    return replace(tree, **renamed)
+
+
+def _summands(tree: Expr, negated: bool = False):
+    """(negated, term) for each term of the top-level sum."""
+    if isinstance(tree, BinOp) and tree.op in "+-":
+        yield from _summands(tree.left, negated)
+        yield from _summands(tree.right, negated != (tree.op == "-"))
+    else:
+        yield negated, tree
+
+
+def _factors(tree: Expr):
+    """The factors of a top-level product, a unary minus as -1."""
+    if isinstance(tree, BinOp) and tree.op == "*":
+        yield from _factors(tree.left)
+        yield from _factors(tree.right)
+    elif isinstance(tree, Neg):
+        yield Num(-1.0, tree.offset)
+        yield from _factors(tree.operand)
+    else:
+        yield tree
+
+
+def _product(factors: list[Expr]) -> Expr:
+    return functools.reduce(lambda x, y: BinOp("*", x, y), factors)
+
+
+def separated_terms(
+    tree: Expr, coordinates: list[tuple[str, str]]
+) -> tuple[tuple[Expr | None, tuple[Expr, ...]], ...] | None:
+    """A kernel tree as a sum of terms a(t)*b_1(s_1, u_1)*...*b_d(s_d, u_d),
+    or None when a factor of a term mixes t with an inner coordinate or
+    two inner coordinates.
+
+    coordinates names (s_c, u_c) for each fold c.  Each term is (a, bs):
+    a multiplies the factors in t alone or in no variable (None if there
+    is none), bs[c] those in s_c and u_c, renamed to (s, u), or is 1.  A
+    fold-1 tree free of t is one term, unsplit, which integrates bit for
+    bit as the tree itself does."""
+    if len(coordinates) == 1 and "t" not in variables(tree):
+        products = [[tree]]
+    else:
+        products = [
+            ([Num(-1.0)] if negated else []) + list(_factors(term))
+            for negated, term in _summands(tree)
+        ]
+    terms = []
+    for factors in products:
+        a_group, b_groups = [], [[] for _ in coordinates]
+        for factor in factors:
+            names = variables(factor)
+            owner = [c for c, pair in enumerate(coordinates) if names <= set(pair)]
+            if names <= {"t"}:
+                a_group.append(factor)
+            elif owner:
+                s, u = coordinates[owner[0]]
+                b_groups[owner[0]].append(_renamed(factor, {s: "s", u: "u"}))
+            else:
+                return None
+        a = _product(a_group) if a_group else None
+        terms.append((a, tuple(_product(group or [Num(1.0)]) for group in b_groups)))
+    return tuple(terms)
 
 
 def as_function(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from volmaj import expr
+from volmaj import cli
 from volmaj.algebraic_majorant import (
     ConvexityReport,
     LyapunovSpec,
@@ -29,17 +29,20 @@ QUAD = LyapunovSpec(
 
 
 def inline(text, **box):
-    """A spec compiled from config text as the CLI compiles it (no fr)."""
-    names = ("r", "t")
-    tree = expr.parse(text, names)
-    return LyapunovSpec(
-        f=expr.as_function(tree, names),
-        f_array=expr.as_array_function(tree, names),
-        r_max=box.get("r_max", 10.0),
-        t_max=box.get("t_max", 5.0),
-        name=text,
-    )
+    """The spec the CLI builds from an inline [lyapunov] f (no fr)."""
+    values = {"f": text, "fr": None, "c": 1.0, "r_max": 10.0, "t_max": 5.0, **box}
+    return dataclasses.replace(cli._inline_lyapunov(values), name=text)
 
+
+CONCAVE = LyapunovSpec(
+    f=lambda r, t: t * (math.sqrt(r + 1.0) - 1.0),
+    f_r=lambda r, t: 0.5 * t / math.sqrt(r + 1.0),
+    f_array=lambda r, t: t * (np.sqrt(r + 1.0) - 1.0),
+    f_r_array=lambda r, t: 0.5 * t / np.sqrt(r + 1.0),
+    r_max=1.0,
+    t_max=1.0,
+    name="concave",
+)
 
 EXP = LyapunovSpec(
     f=lambda r, t: t * math.exp(r),
@@ -92,19 +95,6 @@ class TestTangency:
         tng = solve_tangency(QUAD)
         assert abs(tng.radius - tng.fallback_radius) < 1e-8
         assert abs(tng.horizon - tng.fallback_horizon) < 1e-8
-
-    def test_finite_difference_slope_route(self):
-        spec = LyapunovSpec(
-            f=lambda r, t: t * r * r + t,
-            f_r=None,
-            inv_norm_bound=1.0,
-            r_max=10.0,
-            t_max=5.0,
-            name="fd slope",
-        )
-        tng = solve_tangency(spec)
-        assert tng.radius == pytest.approx(1.0, abs=1e-8)
-        assert tng.horizon == pytest.approx(0.5, abs=1e-8)
 
     def test_no_tangency_reported(self):
         spec = LyapunovSpec(
@@ -174,17 +164,24 @@ class TestNewtonBranch:
         assert sol.radii[-1] == pytest.approx(1.0, abs=1e-7)
         assert sol.radii[-1] <= 1.0
 
+    @pytest.mark.parametrize("k", [0.9, 1.0208, 1.1])
+    def test_derived_slope_places_the_horizon_on_the_closed_form(self, k):
+        # a finite-difference slope put the k = 1.0208 horizon 2.5e-10
+        # past 0.5/sqrt(k), where the last branch node has no root
+        spec = inline(f"t*(r^2 + {k!r})")
+        sol = solve_lyapunov(spec, n=400, convexity=check_convexity(spec))
+        exact = 0.5 / math.sqrt(k)
+        assert abs(sol.tangency.horizon - exact) <= 1e-15 * exact
+        assert np.all(sol.converged_mask)
+
     def test_overshooting_horizon_node_stays_unconverged(self):
-        # with a finite-difference slope the computed horizon lies about
-        # 1.2e-10 past the true one, so no root exists there to tol
-        spec = inline("t*(r^2 + 1.0208)")
-        convexity = check_convexity(spec)
-        horizon = solve_tangency(spec).horizon
-        assert horizon > 0.5 / math.sqrt(1.0208)
-        mesh = graded_mesh(horizon, 40, 1.0)
-        branch = majorant_branch(spec, mesh, convexity=convexity)
+        # the node lies 1e-14 past the horizon 0.5, inside the tangency
+        # floor but beyond a tolerance of 1e-15: no root exists there
+        mesh = graded_mesh(0.5 * (1.0 + 1e-14), 40, 1.0)
+        branch = majorant_branch(QUAD, mesh, tol=1e-15, convexity=check_convexity(QUAD))
+        assert np.all(branch.converged_mask[:-1])
         assert not branch.converged_mask[-1]
-        assert branch.values[-1] == pytest.approx(math.sqrt(1.0208), abs=1e-7)
+        assert branch.values[-1] == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize(
         "spec, end",
@@ -194,7 +191,7 @@ class TestNewtonBranch:
             (inline("t*(r^2 + 1)"), 0.5 * (1.0 + 1e-6)),
             (EXP, 0.5),
         ],
-        ids=["quad far", "quad near", "fd slope near", "exp"],
+        ids=["quad far", "quad near", "inline near", "exp"],
     )
     def test_divergence_past_horizon_under_the_screen(self, spec, end):
         mesh = graded_mesh(end, 4, 1.0)
@@ -229,15 +226,7 @@ class TestConvexity:
         assert report.violations == ()
 
     def test_concave_fails_with_location(self):
-        spec = LyapunovSpec(
-            f=lambda r, t: t * math.sqrt(r) if r > 0 else 0.0,
-            f_r=None,
-            inv_norm_bound=1.0,
-            r_max=1.0,
-            t_max=1.0,
-            name="concave",
-        )
-        report = check_convexity(spec)
+        report = check_convexity(_scalar_only(CONCAVE))
         assert not report.passed
         kind, r, t, margin = report.violations[0]
         assert margin < 0
@@ -287,8 +276,7 @@ def _loop_convexity(spec, r_grid=None, t_grid=None):
             fvals[i, j], svals[i, j] = fv, sv
     finite = fvals[np.isfinite(fvals)]
     scale = max(1.0, float(np.max(np.abs(finite)))) if finite.size else 1.0
-    slack1 = 1e-12 * scale
-    slack2 = (1e-10 if spec.f_r is not None else 3e-9) * scale
+    slack1, slack2 = 1e-12 * scale, 1e-10 * scale
     for i, t in enumerate(t_grid):
         row, srow = fvals[i], svals[i]
         for j in range(1, r_grid.size):
@@ -321,6 +309,19 @@ def _wiggle(r, t, sin):
     return 0.1 * r * r + 0.05 * r * (1.0 + sin(7.0 * t)) + 0.01 * t * sin(9.0 * r)
 
 
+def _wiggle_r(r, t, sin, cos):
+    return 0.2 * r + 0.05 * (1.0 + sin(7.0 * t)) + 0.09 * t * cos(9.0 * r)
+
+
+WIGGLE = LyapunovSpec(
+    f=lambda r, t: _wiggle(r, t, math.sin),
+    f_r=lambda r, t: _wiggle_r(r, t, math.sin, math.cos),
+    f_array=lambda r, t: _wiggle(r, t, np.sin),
+    f_r_array=lambda r, t: _wiggle_r(r, t, np.sin, np.cos),
+    r_max=2.0, t_max=1.5, name="wiggle",
+)
+
+
 _SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
 
 
@@ -331,12 +332,9 @@ class TestConvexityRoutes:
         "spec",
         [
             dataclasses.replace(QUAD, f_array=QUAD.f, f_r_array=QUAD.f_r),
-            dataclasses.replace(QUAD, f_r=None, f_array=QUAD.f),
-            LyapunovSpec(
-                f=lambda r, t: t * math.sqrt(r) if r > 0 else 0.0,
-                f_array=lambda r, t: t * np.sqrt(r),
-                r_max=1.0, t_max=1.0, name="concave",
-            ),
+            # an array f without an array slope evaluates point by point
+            dataclasses.replace(QUAD, f_array=QUAD.f),
+            CONCAVE,
             LyapunovSpec(
                 f=lambda r, t: r * r / (1.0 + t),
                 f_r=lambda r, t: 2.0 * r / (1.0 + t),
@@ -344,11 +342,7 @@ class TestConvexityRoutes:
                 f_r_array=lambda r, t: 2.0 * r / (1.0 + t),
                 r_max=2.0, t_max=1.5, name="decreasing in t",
             ),
-            LyapunovSpec(
-                f=lambda r, t: _wiggle(r, t, math.sin),
-                f_array=lambda r, t: _wiggle(r, t, np.sin),
-                r_max=2.0, t_max=1.5, name="wiggle",
-            ),
+            WIGGLE,
             inline("t*sqrt(3 - r)", r_max=4.0, t_max=1.0),
             inline("0.5*r + exp(100*t) - 1", r_max=1.0, t_max=10.0),
             inline("t*(r^2 + 1.0208)"),
@@ -365,11 +359,7 @@ class TestConvexityRoutes:
         assert repr(report) == repr(_loop_convexity(spec, **grids))
 
     def test_reports_list_violations_in_scan_order(self):
-        spec = LyapunovSpec(
-            f=lambda r, t: _wiggle(r, t, math.sin),
-            f_array=lambda r, t: _wiggle(r, t, np.sin),
-            r_max=2.0, t_max=1.5, name="wiggle",
-        )
+        spec = WIGGLE
         report = check_convexity(
             spec, r_grid=np.linspace(0.0, 2.0, 7), t_grid=np.linspace(0.0, 1.5, 5)
         )
@@ -421,7 +411,7 @@ def test_spec_validation():
     with pytest.raises(SpecValidationError):
         LyapunovSpec(
             f=lambda r, t: 1.0 + r,
-            f_r=None,
+            f_r=lambda r, t: 1.0,
             inv_norm_bound=1.0,
             r_max=1.0,
             t_max=1.0,
@@ -439,9 +429,11 @@ def test_spec_validation():
     with pytest.raises(SpecValidationError):
         LyapunovSpec(
             f=lambda r, t: t * r * r,
-            f_r=None,
+            f_r=lambda r, t: 2.0 * t * r,
             inv_norm_bound=-2.0,
             r_max=1.0,
             t_max=1.0,
             name="negative c",
         )
+    with pytest.raises(SpecValidationError, match=r"f_r\(0, 0\) is not evaluable"):
+        LyapunovSpec(f=lambda r, t: t * r * r, f_r=lambda r, t: 2.0 * t * r / r)

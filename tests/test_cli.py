@@ -325,7 +325,7 @@ class TestLyapunov:
             """
             [lyapunov]
             source = inline
-            f = t * sqrt(r)
+            f = t * (sqrt(r + 1) - 1)
             r_max = 4
             t_max = 2
             """,
@@ -334,6 +334,42 @@ class TestLyapunov:
                      "--no-timestamp"])
         assert code == 2
         assert "convexity/monotonicity screen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            # the slope given by fr divides by zero at the origin
+            ("f = t*r^2\nfr = t*2*r/r", "[lyapunov] fr: f_r(0, 0) is not evaluable:"
+             " division by zero (at byte 5)"),
+            # the derivative of sqrt(r) divides by sqrt(0), at the byte of sqrt
+            ("f = t*sqrt(r)", "[lyapunov] f: f_r(0, 0) is not evaluable:"
+             " division by zero (at byte 2)"),
+        ],
+        ids=["fr", "derived"],
+    )
+    def test_slope_not_evaluable_at_the_origin_exits_2(
+        self, tmp_path, capsys, keys, message
+    ):
+        cfg = ini(tmp_path, f"[lyapunov]\nsource = inline\n{keys}\n")
+        code = main(["lyapunov", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--no-timestamp"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0.9", "1.0208", "1.1"])
+    def test_derived_slope_converges_the_whole_branch(self, tmp_path, k):
+        cfg = ini(
+            tmp_path,
+            f"[lyapunov]\nsource = inline\nf = t*(r^2 + {k})\nr_max = 10\n"
+            "t_max = 5\n[mesh]\nn = 400\n",
+        )
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "lyapunov_summary.txt")
+        assert pairs["branch_converged"] == "all"
+        exact = 0.5 / math.sqrt(float(k))
+        assert float(pairs["horizon"]) == pytest.approx(exact, rel=1e-9)
 
     def test_no_tangency_exits_3(self, tmp_path, capsys):
         cfg = ini(

@@ -441,3 +441,118 @@ def test_array_function_leaks_no_warning():
         assert repr(float(fn(np.array([2.0]))[0])) == "inf"
         with pytest.raises(DomainError):
             fn(np.array([0.5, 1.0]))
+
+
+# exact derivatives against central differences of the reference evaluator
+
+_POINTS = st.tuples(*[st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)] * 3)
+
+
+def _central(tree, env, name, h):
+    def at(x):
+        return evaluate(tree, {**env, name: x})
+
+    return (at(env[name] + h) - at(env[name] - h)) / (2.0 * h)
+
+
+@given(_trees(), _POINTS, st.sampled_from(_NAMES))
+@example(Call("abs", Var("t")), (-0.5, 0.0, 0.0), "t")
+@example(BinOp("^", Var("t"), Var("z")), (1.5, 2.5, 0.0), "z")
+@example(BinOp("/", Call("log", Var("w")), Var("t")), (0.5, 0.0, 2.0), "t")
+@settings(max_examples=500, deadline=None)
+def test_derivative_matches_a_central_difference(tree, point, name):
+    tree = parse(to_text(tree), _NAMES)  # the same tree, with byte offsets
+    env = dict(zip(_NAMES, point))
+    h = 1e-4 * max(1.0, abs(env[name]))
+    slope_fn = expr.as_function(expr.derivative(tree, name), _NAMES)
+    try:
+        value = evaluate(tree, env)
+        fine = _central(tree, env, name, h)
+        coarse = _central(tree, env, name, 2.0 * h)
+        shifted = ({**env, name: env[name] + d} for d in (-h, 0.0, h))
+        slopes = [slope_fn(*at.values()) for at in shifted]
+    except DomainError:
+        return  # f or its slope is not evaluable this close to the point
+    slope = slopes[1]
+    if not all(map(math.isfinite, (value, fine, coarse, *slopes))):
+        return
+    # well inside the domain, f and its slope change little across the
+    # stencil: the two differences agree, and so do the three slopes
+    if abs(coarse - fine) > 1e-3 * (1.0 + abs(fine)) or any(
+        abs(s - slope) > 1e-3 * (1.0 + abs(slope)) for s in slopes
+    ):
+        return
+    noise = 1e-9 * (1.0 + abs(value)) / h
+    assert abs(slope - fine) <= 2.0 * abs(coarse - fine) + noise + 1e-9 * abs(fine), (
+        to_text(tree), name, point, slope, fine, coarse
+    )
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("sin(2*r)", lambda r, t: 2.0 * math.cos(2.0 * r)),
+        ("cos(r*t)", lambda r, t: -t * math.sin(r * t)),
+        ("tan(r)", lambda r, t: 1.0 + math.tan(r) ** 2),
+        ("exp(t*r)", lambda r, t: t * math.exp(t * r)),
+        ("log(1 + r)", lambda r, t: 1.0 / (1.0 + r)),
+        ("sqrt(r)", lambda r, t: 0.5 / math.sqrt(r)),
+        ("abs(r - 2)", lambda r, t: -1.0),
+        ("r^3", lambda r, t: 3.0 * r**2),  # constant exponent
+        ("r^t", lambda r, t: t * r ** (t - 1.0)),  # exponent free of r
+        ("t^r", lambda r, t: t**r * math.log(t)),  # variable exponent
+        ("r^r", lambda r, t: r**r * (math.log(r) + 1.0)),
+        ("(r - t)/(r + t)", lambda r, t: 2.0 * t / (r + t) ** 2),
+        ("-r*t + 1/t", lambda r, t: -t),
+    ],
+)
+def test_derivative_table(text, want):
+    names = ("r", "t")
+    slope = expr.derivative(parse(text, names), "r")
+    for r, t in [(0.7, 1.3), (1.9, 0.4)]:
+        got = expr.as_function(slope, names)(r, t)
+        assert got == pytest.approx(want(r, t), rel=1e-14, abs=1e-15), to_text(slope)
+        arr = expr.as_array_function(slope, names)(np.array([r]), np.array([t]))
+        assert float(arr[0]) == pytest.approx(got, rel=1e-15)
+
+
+def test_derivative_folds_to_the_hand_written_slope():
+    names = ("r", "t")
+    derived = expr.derivative(parse("t*(r^2 + 1.0208)", names), "r")
+    hand = parse("t*(2*r)", names)
+    assert derived == hand
+    r = np.linspace(0.0, 10.0, 41)[None, :]
+    t = np.linspace(0.0, 5.0, 21)[:, None]
+    for compile_ in (expr.as_function, expr.as_array_function):
+        got = np.vectorize(compile_(derived, names))(r, t)
+        assert np.array_equal(got, np.vectorize(compile_(hand, names))(r, t))
+    assert expr.derivative(parse("t + 0*r - 3", names), "r") == Num(0.0)
+
+
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("t*sqrt(r)", "division by zero", 2),
+        ("t*(r^0.5 + 1)", "power 0.0^-0.5 outside real domain", 4),
+        ("log(r) + t", "division by zero", 0),
+        ("t*abs(r)", "division by zero", 2),
+    ],
+)
+def test_a_failing_slope_names_a_byte_of_f(text, message, offset):
+    names = ("r", "t")
+    slope = expr.as_function(expr.derivative(parse(text, names), "r"), names)
+    with pytest.raises(DomainError) as e:
+        slope(0.0, 1.0)
+    assert str(e.value) == f"{message} (at byte {offset})"
+
+
+def test_separated_terms_split_sums_of_products():
+    names = ("t", "s1", "s2", "u1", "u2")
+    coords = [("s1", "u1"), ("s2", "u2")]
+    terms = expr.separated_terms(parse("2*t*u1*s2 - sin(u2)", names), coords)
+    (a1, b1), (a2, b2) = terms
+    assert a1 == parse("2*t", names) and b1 == (Var("u"), Var("s"))
+    assert a2 == Num(-1.0) and b2 == (Num(1.0), Call("sin", Var("u")))
+    assert expr.separated_terms(parse("u1*u2 + t*s1", names), coords) is not None
+    assert expr.separated_terms(parse("exp(u1*u2)", names), coords) is None
+    assert expr.separated_terms(parse("sin(t - s1)*u1", names), coords) is None
