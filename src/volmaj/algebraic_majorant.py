@@ -21,10 +21,9 @@ below converges to that root monotonically and never overshoots
 (Kantorovich's majorant principle); each node then starts from the
 previous node's root, since r(t) is nondecreasing.
 
-The screen itself evaluates f and f_r over its 128 x 128 grid by array
-calls, a block of rows at a time, when the spec carries array forms of
-both, and walks in Python only the rows and columns that hold a
-violation.
+The screen itself evaluates f and f_r over its 128 x 128 grid by one
+array call each when the spec carries array forms of both, and walks in
+Python only the rows and columns that hold a violation.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh
-from .quadrature import BLOCK_ELEMENTS, graded_mesh
+from .quadrature import ARRAY_ERRORS, graded_mesh
 
 __all__ = [
     "LyapunovSpec",
@@ -70,9 +69,9 @@ class LyapunovSpec:
 
     f_array and f_r_array, when given, are array forms of f and f_r:
     called on broadcastable arrays, they return the values f and f_r give
-    element by element, and raise where those raise.  The convexity
-    screen uses them to evaluate its grid by blocks of rows; without
-    both it evaluates point by point.
+    element by element, or raise if those raise anywhere.  The convexity
+    screen uses them to evaluate its grid in one call each; without both,
+    or when either raises, it evaluates point by point.
     """
 
     f: Callable[[float, float], float]
@@ -483,27 +482,6 @@ def majorant_branch(
     return BranchResult(values, iterations, mask)
 
 
-def _on_grid(fn: Callable, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """fn over the (t, r) grid, rows indexed by t."""
-    shape = (t.size, r.size)
-    return np.broadcast_to(np.asarray(fn(r[None, :], t[:, None]), dtype=float), shape)
-
-
-def _array_grids(
-    spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f and its slope over the grid from the array forms, a block of
-    rows per call."""
-    fvals = np.empty((t_grid.size, r_grid.size))
-    svals = np.empty_like(fvals)
-    rows = max(1, BLOCK_ELEMENTS // r_grid.size)
-    for lo in range(0, t_grid.size, rows):
-        block, t = slice(lo, lo + rows), t_grid[lo : lo + rows]
-        fvals[block] = _on_grid(spec.f_array, r_grid, t)
-        svals[block] = _on_grid(spec.f_r_array, r_grid, t)
-    return fvals, svals
-
-
 def _pointwise_grids(
     spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -532,10 +510,12 @@ def check_convexity(
     nondecreasing in r and in t.  A non-finite f is a violation of its
     own.  An identically zero f passes but is flagged degenerate.
 
-    f and the slope are evaluated once over the grid, by the spec's
-    array forms (a block of rows per call) when it has them and no call
-    raises, else point by point.  The checks are array comparisons; only rows and
-    columns that hold a violation are walked, so the violations come in
+    f and the slope are evaluated once over the grid, by one call of
+    each of the spec's array forms when it has both and neither raises
+    (on the errors quadrature.pointwise falls back on), else point by
+    point, so a failing array form leaves the report as the scalar forms
+    give it.  The checks are array comparisons; only rows and columns
+    that hold a violation are walked, so the violations come in
     the order of a point-by-point scan (not-finite values, then each t
     row, then each r column), capped at 50.
     """
@@ -549,8 +529,12 @@ def check_convexity(
         raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
     grids = None
     if spec.f_array is not None and spec.f_r_array is not None:
-        with contextlib.suppress(*EVAL_ERRORS), np.errstate(all="ignore"):
-            grids = _array_grids(spec, r_grid, t_grid)
+        r, t = r_grid[None, :], t_grid[:, None]
+        fvals, svals = np.empty((2, t_grid.size, r_grid.size))
+        with contextlib.suppress(*ARRAY_ERRORS), np.errstate(all="ignore"):
+            fvals[...] = spec.f_array(r, t)
+            svals[...] = spec.f_r_array(r, t)
+            grids = fvals, svals
     fvals, svals = grids or _pointwise_grids(spec, r_grid, t_grid)
     violations: list[tuple[str, float, float, float]] = []
 
@@ -590,52 +574,45 @@ def _scan(
 ) -> None:
     """Note the monotonicity and convexity violations, every t row first,
     then every r column, until note reports the cap.  The comparisons run
-    on a block of rows or columns at a time; comparisons with nan are
-    false, so non-finite samples violate nothing here."""
-    h = np.diff(r_grid)
-    rows = max(1, BLOCK_ELEMENTS // r_grid.size)
-    for lo in range(0, t_grid.size, rows):
-        f, s = fvals[lo : lo + rows], svals[lo : lo + rows]
-        with np.errstate(all="ignore"):
-            f_dec = np.diff(f, axis=1) < -slack1
-            s_dec = np.diff(s, axis=1) < -slack2
-            slopes = np.diff(f, axis=1) / h
-            concave = slopes[:, 1:] - slopes[:, :-1] < -slack2
-        hits = f_dec.any(axis=1) | s_dec.any(axis=1) | concave.any(axis=1)
-        for b in np.flatnonzero(hits):
-            row, srow, t = f[b], s[b], t_grid[lo + b]
-            for j in np.flatnonzero(f_dec[b] | s_dec[b]) + 1:
-                if f_dec[b, j - 1] and not note(
-                    "f-decreasing-in-r", r_grid[j], t, row[j] - row[j - 1]
-                ):
-                    return
-                if s_dec[b, j - 1] and not note(
-                    "slope-decreasing-in-r", r_grid[j], t, srow[j] - srow[j - 1]
-                ):
-                    return
-            for j in np.flatnonzero(concave[b]) + 1:
-                h1 = r_grid[j] - r_grid[j - 1]
-                h2 = r_grid[j + 1] - r_grid[j]
-                second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
-                if not note("f-not-convex-in-r", r_grid[j], t, second):
-                    return
-    cols = max(1, BLOCK_ELEMENTS // t_grid.size)
-    for lo in range(0, r_grid.size, cols):
-        f, s = fvals[:, lo : lo + cols], svals[:, lo : lo + cols]
-        with np.errstate(all="ignore"):
-            f_dec = np.diff(f, axis=0) < -slack1
-            s_dec = np.diff(s, axis=0) < -slack2
-        for b in np.flatnonzero(f_dec.any(axis=0) | s_dec.any(axis=0)):
-            col, scol, r = f[:, b], s[:, b], r_grid[lo + b]
-            for i in np.flatnonzero(f_dec[:, b] | s_dec[:, b]) + 1:
-                if f_dec[i - 1, b] and not note(
-                    "f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1]
-                ):
-                    return
-                if s_dec[i - 1, b] and not note(
-                    "slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1]
-                ):
-                    return
+    on the whole grid at once; comparisons with nan are false, so
+    non-finite samples violate nothing here."""
+    with np.errstate(all="ignore"):
+        f_dec = np.diff(fvals, axis=1) < -slack1
+        s_dec = np.diff(svals, axis=1) < -slack2
+        slopes = np.diff(fvals, axis=1) / np.diff(r_grid)
+        concave = slopes[:, 1:] - slopes[:, :-1] < -slack2
+    hits = f_dec.any(axis=1) | s_dec.any(axis=1) | concave.any(axis=1)
+    for i in np.flatnonzero(hits):
+        row, srow, t = fvals[i], svals[i], t_grid[i]
+        for j in np.flatnonzero(f_dec[i] | s_dec[i]) + 1:
+            if f_dec[i, j - 1] and not note(
+                "f-decreasing-in-r", r_grid[j], t, row[j] - row[j - 1]
+            ):
+                return
+            if s_dec[i, j - 1] and not note(
+                "slope-decreasing-in-r", r_grid[j], t, srow[j] - srow[j - 1]
+            ):
+                return
+        for j in np.flatnonzero(concave[i]) + 1:
+            h1 = r_grid[j] - r_grid[j - 1]
+            h2 = r_grid[j + 1] - r_grid[j]
+            second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
+            if not note("f-not-convex-in-r", r_grid[j], t, second):
+                return
+    with np.errstate(all="ignore"):
+        f_dec = np.diff(fvals, axis=0) < -slack1
+        s_dec = np.diff(svals, axis=0) < -slack2
+    for j in np.flatnonzero(f_dec.any(axis=0) | s_dec.any(axis=0)):
+        col, scol, r = fvals[:, j], svals[:, j], r_grid[j]
+        for i in np.flatnonzero(f_dec[:, j] | s_dec[:, j]) + 1:
+            if f_dec[i - 1, j] and not note(
+                "f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1]
+            ):
+                return
+            if s_dec[i - 1, j] and not note(
+                "slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1]
+            ):
+                return
 
 
 def solve_lyapunov(

@@ -23,7 +23,8 @@ function with the same strict semantics, results and error messages;
 the CLI calls only compiled functions.  ``as_array_function`` emits the
 same straight-line code over numpy arrays: element by element it gives
 the compiled function's value (up to the last ulp of numpy's exp, log,
-tan and pow) and, where that function raises, the same DomainError.
+tan and pow), and it raises a DomainError if that function raises for
+any element, so the caller can rerun the scalar form to name the point.
 
 Every pass over trees lives here as well: ``derivative`` gives the exact
 partial derivative of a tree, and ``separated_terms`` splits a kernel
@@ -446,10 +447,13 @@ def as_array_function(
     Each element of the result is the value ``as_function`` returns for
     that element's arguments: bitwise for + - * /, sin, cos, sqrt and abs,
     and up to numpy's last-ulp differences for exp, log, tan and pow.
-    Overflow saturates to a signed infinity.  If the scalar function
-    raises for any element, the call raises the DomainError it raises
-    (message and byte offset) for the lowest such flat index.  The code
-    is generated on the first call, so a form never called costs nothing.
+    Overflow saturates to a signed infinity.  The result broadcasts
+    against the arguments but may be one of them or a scalar, so callers
+    copy it.  If the scalar function raises for any element, the call
+    raises a DomainError at the byte offset of the first node where some
+    element fails; for one element that is where the scalar function
+    raises.  The code is generated on the first call, so a form never
+    called costs nothing.
     """
     _check_bound(expr, names)
     build = functools.cache(lambda: _Compiler(names, array=True).compile(expr))
@@ -512,17 +516,16 @@ _NAMESPACE = {
 
 # -- the array dialect ------------------------------------------------------
 #
-# numpy returns nan or inf where math raises, so after each node the
-# elements the scalar path would stop at are found by mask: a domain mask
-# per function, b == 0 for division, and the NaN check.
+# numpy returns nan or inf where math raises.  After each node one mask
+# test stops the whole call where some element fails: a NaN in the
+# node's value, plus a test for each failure numpy maps to inf, which a
+# later node could turn back into a number (1/inf = 0).  Every other
+# point where math raises (sqrt or log of a negative, sin, cos or tan of
+# inf, a negative base to a fractional power) already yields a NaN there.
 
-# elements where math.<func> raises ValueError; exp and abs never do
+# elements where math.<func> raises and numpy gives inf: log(0) = -inf
 _ARRAY_DOMAIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "sin": np.isinf,
-    "cos": np.isinf,
-    "tan": np.isinf,
-    "log": lambda x: np.less_equal(x, 0.0),
-    "sqrt": lambda x: np.less(x, 0.0),
+    "log": lambda x: np.equal(x, 0.0),
 }
 
 
@@ -541,94 +544,28 @@ _ZERO_TO_MINUS_INF_RAISES = sys.version_info < (3, 11)
 
 
 def _power_domain(a, b) -> np.ndarray:
-    """Elements where math.pow raises ValueError: a negative finite base
-    with a finite non-integer exponent, or a zero base with a negative
-    exponent (a finite one only, since Python 3.11)."""
-    finite_b = np.isfinite(b)
-    negative = (a < 0.0) & np.isfinite(a) & finite_b & (np.floor(b) != b)
-    zero_base = (a == 0.0) & (b < 0.0) & (finite_b | _ZERO_TO_MINUS_INF_RAISES)
-    return negative | zero_base
+    """Elements where math.pow raises and numpy's power gives inf: a zero
+    base with a negative exponent (a finite one only, since Python 3.11)."""
+    zero_base = np.equal(a, 0.0)
+    if not zero_base.any():
+        return zero_base  # the common case: no base can fail
+    return zero_base & (b < 0.0) & (np.isfinite(b) | _ZERO_TO_MINUS_INF_RAISES)
 
 
-def _shape_of(*args) -> tuple[int, ...]:
-    return np.broadcast_shapes(*(np.shape(a) for a in args))
-
-
-def _argument(a, shape: tuple[int, ...]) -> np.ndarray:
-    return np.broadcast_to(np.asarray(a, dtype=float), shape)
-
-
-def _result(v, shape: tuple[int, ...]) -> np.ndarray:
-    """A fresh float array of the broadcast shape: a node's own output is
-    returned as is, an argument or a constant is copied out."""
-    if isinstance(v, np.ndarray) and v.shape == shape and v.base is None:
-        return v
-    out = np.empty(shape)
-    out[...] = v
-    return out
-
-
-class _Failures:
-    """The lowest flat index at which some node has failed, with the
-    scalar path's error there, as the nodes run in evaluation order.
-
-    An element that failed earlier already holds an index no greater than
-    the current one, so a later node can lower the index only through an
-    element failing for the first time, which is where the scalar path
-    stops for it."""
-
-    __slots__ = ("shape", "index", "error")
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = shape
-        self.index = -1
-        self.error: DomainError | None = None
-
-    def _lowest(self, mask) -> int:
-        """The lowest flat index in mask if it beats the current one, else -1."""
-        if not mask.any():
-            return -1
-        i = int(np.argmax(np.broadcast_to(mask, self.shape)))  # first True
-        if self.error is not None and i >= self.index:
-            return -1
-        self.index = i
-        return i
-
-    def _at(self, x, i: int) -> float:
-        return float(np.broadcast_to(x, self.shape).flat[i])
-
-    def nan(self, v, offset: int) -> None:
-        if self._lowest(np.isnan(v)) >= 0:
-            self.error = _nan_error(offset)
-
-    def zero(self, b, offset: int) -> None:
-        if self._lowest(np.equal(b, 0.0)) >= 0:
-            self.error = _zero_division_error(offset)
-
-    def call(self, func: str, x, offset: int) -> None:
-        i = self._lowest(_ARRAY_DOMAIN[func](x))
-        if i >= 0:
-            self.error = _call_error(func, self._at(x, i), offset)
-
-    def power(self, a, b, offset: int) -> None:
-        if not np.any(np.less_equal(a, 0.0)):
-            return  # the common case: no base can fail
-        i = self._lowest(_power_domain(a, b))
-        if i >= 0:
-            self.error = _power_error(self._at(a, i), self._at(b, i), offset)
-
-    def check(self) -> None:
-        if self.error is not None:
-            raise self.error
+def _array_error(offset: int) -> DomainError:
+    return DomainError("some element is not evaluable", offset)
 
 
 _ARRAY_NAMESPACE = {
     "__builtins__": {},
+    "float": float,
+    "_asarray": np.asarray,
     "_errstate": np.errstate,
-    "_shape_of": _shape_of,
-    "_argument": _argument,
-    "_result": _result,
-    "_Failures": _Failures,
+    "_any": np.any,
+    "_isnan": np.isnan,
+    "_domain": _ARRAY_DOMAIN,
+    "_power_domain": _power_domain,
+    "_array_error": _array_error,
     "_pow": _array_power,
     "sin": np.sin,
     "cos": np.cos,
@@ -645,8 +582,8 @@ class _Compiler:
     once; a number or variable is read from its constant or argument slot.
 
     The scalar dialect guards each node with try/except and a NaN test;
-    the array dialect runs the same value lines on numpy arrays and hands
-    each node's failure masks to a _Failures record."""
+    the array dialect runs the same value lines on numpy arrays and
+    follows each node with one mask test that fails the whole call."""
 
     def __init__(self, names: tuple[str, ...], array: bool = False):
         self.slots = {name: i for i, name in enumerate(names)}
@@ -666,19 +603,12 @@ class _Compiler:
         args = [f"a{i}" for i in range(self.arity)]
         code.append(f"    def fn({', '.join(args)}):")
         if self.array:
-            code.append(f"        _shape = _shape_of({', '.join(args)})")
             code += [
-                f"        a{i} = _argument(a{i}, _shape)" for i in sorted(self.used)
+                f"        a{i} = _asarray(a{i}, dtype=float)" for i in sorted(self.used)
             ]
-            code += [
-                "        _fails = _Failures(_shape)",
-                "        with _errstate(all='ignore'):",
-            ]
+            code.append("        with _errstate(all='ignore'):")
             code += [f"            {line}" for line in self.lines or ["pass"]]
-            code += [
-                "        _fails.check()",
-                f"        return _result({result}, _shape)",
-            ]
+            code.append(f"        return {result}")
             namespace = {**_ARRAY_NAMESPACE}
             # numpy scalars, so that a constant-only node divides like an array
             consts = tuple(np.float64(c) for c in self.consts)
@@ -697,9 +627,12 @@ class _Compiler:
         self.locals += 1
         return f"v{self.locals - 1}"
 
-    def checked(self, v: str, offset: int) -> None:
+    def checked(self, v: str, offset: int, mask: str | None = None) -> None:
+        """Fail where v is NaN; in the array dialect also where mask,
+        the node's failures that numpy maps to inf, holds."""
         if self.array:
-            self.lines.append(f"_fails.nan({v}, {offset})")
+            test = f"_isnan({v})" if mask is None else f"(_isnan({v}) | {mask})"
+            self.lines.append(f"if _any({test}): raise _array_error({offset})")
         else:
             self.lines.append(f"if {v} != {v}: raise _nan_error({offset})")
 
@@ -723,11 +656,11 @@ class _Compiler:
                 raise ValueError(f"unknown function {expr.func!r}")
             x = self.emit(expr.arg)
             v, at = self.local(), int(expr.offset)
-            func = expr.func
+            func, mask = expr.func, None
             if self.array:
-                if func in _ARRAY_DOMAIN:
-                    self.lines.append(f"_fails.call({func!r}, {x}, {at})")
                 self.lines.append(f"{v} = {func}({x})")
+                if func in _ARRAY_DOMAIN:
+                    mask = f"_domain[{func!r}]({x})"
             else:
                 self.lines += [
                     f"try: {v} = {func}({x})",
@@ -735,17 +668,18 @@ class _Compiler:
                     f" raise _call_error({func!r}, {x}, {at}) from None",
                     f"except OverflowError: {v} = _inf",
                 ]
-            self.checked(v, at)
+            self.checked(v, at, mask)
             return v
         if isinstance(expr, BinOp):
             a = self.emit(expr.left)
             b = self.emit(expr.right)
-            v, at = self.local(), int(expr.offset)
+            v, at, mask = self.local(), int(expr.offset), None
             if expr.op in ("+", "-", "*"):
                 self.lines.append(f"{v} = {a} {expr.op} {b}")
             elif expr.op == "/":
                 if self.array:
-                    self.lines += [f"_fails.zero({b}, {at})", f"{v} = {a} / {b}"]
+                    self.lines.append(f"{v} = {a} / {b}")
+                    mask = f"({b} == 0.0)"
                 else:
                     self.lines += [
                         f"try: {v} = {a} / {b}",
@@ -754,10 +688,8 @@ class _Compiler:
                     ]
             elif expr.op == "^":
                 if self.array:
-                    self.lines += [
-                        f"_fails.power({a}, {b}, {at})",
-                        f"{v} = _pow({a}, {b})",
-                    ]
+                    self.lines.append(f"{v} = _pow({a}, {b})")
+                    mask = f"_power_domain({a}, {b})"
                 else:
                     self.lines += [
                         f"try: {v} = _pow({a}, {b})",
@@ -767,6 +699,6 @@ class _Compiler:
                     ]
             else:
                 raise ValueError(f"unknown operator {expr.op!r}")
-            self.checked(v, at)
+            self.checked(v, at, mask)
             return v
         raise TypeError(f"not an expression node: {expr!r}")

@@ -19,8 +19,6 @@ __all__ = ["Mesh", "Trajectory", "zero_trajectory"]
 @dataclass(frozen=True, eq=False)
 class Mesh:
     nodes: np.ndarray
-    grading: str = "uniform"
-    ratio: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -48,10 +46,7 @@ class Mesh:
         return np.diff(self.nodes)
 
     def __repr__(self) -> str:
-        return (
-            f"Mesh(n={self.n}, end={self.end!r}, grading={self.grading!r},"
-            f" ratio={self.ratio!r})"
-        )
+        return f"Mesh(n={self.n}, end={self.end!r})"
 
 
 @dataclass(frozen=True, eq=False)

@@ -193,31 +193,21 @@ def verify_domination(
     checked = 0
     violations: list[tuple[int, int, float, float]] = []
     top = majorant.chain.count - 1
-    for idx, traj in report.iterates:
-        z = majorant.chain.iterates[min(idx, top)]
-        norms = traj.norms
+    # (index, norms, bound): each stored iterate against its chain row,
+    # then the final trajectory against the certificate bound
+    audits = [
+        (idx, traj.norms, majorant.chain.iterates[min(idx, top)])
+        for idx, traj in report.iterates
+    ]
+    audits.append(
+        (report.iterations, report.trajectory.norms, majorant.certificate_bound)
+    )
+    for idx, norms, bound in audits:
+        margins = bound - norms
         checked += norms.size
-        margins = z - norms
         worst = min(worst, float(np.min(margins)))
-        for j in np.nonzero(margins < -slack)[0]:
-            if len(violations) < 20:
-                violations.append(
-                    (idx, int(j), float(norms[j]), float(z[j]))
-                )
-    final_norms = report.trajectory.norms
-    margins = majorant.certificate_bound - final_norms
-    checked += final_norms.size
-    worst = min(worst, float(np.min(margins)))
-    for j in np.nonzero(margins < -slack)[0]:
-        if len(violations) < 20:
-            violations.append(
-                (
-                    report.iterations,
-                    int(j),
-                    float(final_norms[j]),
-                    float(majorant.certificate_bound[j]),
-                )
-            )
+        for j in np.nonzero(margins < -slack)[0][: 20 - len(violations)]:
+            violations.append((idx, int(j), float(norms[j]), float(bound[j])))
     return DominationReport(
         holds=not violations,
         checked=checked,

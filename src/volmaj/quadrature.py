@@ -45,7 +45,7 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
         raise SpecValidationError(f"gap ratio must be positive, got {ratio!r}")
     if ratio == 1.0:
         nodes = np.linspace(0.0, t_end, n + 1)
-        return Mesh(nodes, grading="uniform", ratio=1.0)
+        return Mesh(nodes)
     k = np.arange(n + 1, dtype=float)
     try:
         with np.errstate(all="ignore"):
@@ -59,7 +59,7 @@ def graded_mesh(t_end: float, n: int, ratio: float = 1.0) -> Mesh:
             f"gap ratio {ratio!r} over n={n} gaps overflows or collapses"
             " the geometric mesh nodes"
         )
-    return Mesh(nodes, grading="geometric", ratio=ratio)
+    return Mesh(nodes)
 
 
 # The most point x dim elements one kernel call, or one block of audit
@@ -69,6 +69,10 @@ BLOCK_ELEMENTS = 2**13
 
 # on fewer points a scalar form beats a compiled expression's array form
 ARRAY_MIN_POINTS = 128
+
+# what an array form may raise to say it cannot serve; a numpy-unaware
+# form (math.sqrt on an array) raises TypeError.  The scalar form then runs.
+ARRAY_ERRORS = (*EVAL_ERRORS, TypeError)
 
 
 class WeightTable:
@@ -122,7 +126,7 @@ def pointwise(fn, *args, array=None) -> np.ndarray:
     shape = np.broadcast_shapes(*(a.shape for a in args))
     if array is not None and math.prod(shape) >= ARRAY_MIN_POINTS:
         out = np.empty(shape)
-        with contextlib.suppress(*EVAL_ERRORS, TypeError), np.errstate(all="ignore"):
+        with contextlib.suppress(*ARRAY_ERRORS), np.errstate(all="ignore"):
             out[...] = array(*args)
             if np.isfinite(out).all():
                 return out
@@ -277,6 +281,11 @@ def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
     return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
 
 
+# adaptive_quad's recursion depth and improper_integral's divergence cap
+_MAX_DEPTH = 48
+_IMPROPER_CAP = 1e8
+
+
 def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
@@ -300,7 +309,6 @@ def adaptive_quad(
     tol: float,
     fa: float | None = None,
     fb: float | None = None,
-    max_depth: int = 48,
 ) -> float:
     """Adaptive Simpson with Richardson correction.
 
@@ -317,7 +325,7 @@ def adaptive_quad(
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
 def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
@@ -365,17 +373,16 @@ def _inverse_rate(g: Callable[[float], float]) -> Callable[[float], float]:
 def improper_integral(
     g: Callable[[float], float],
     tol: float = 1e-6,
-    cap: float = 1e8,
     octaves: int = 60,
 ) -> ImproperResult:
     """Integral of 1/g over [0, inf) by octave doubling.
 
     Returns converged=True with the value (finite blow-up time) when the
     octave increments decay geometrically, or converged=False with value
-    +inf when the running total passes cap or the octaves are exhausted,
-    which signals divergence (global existence).  Small increments end
-    the doubling only while they shrink: equal ones are a logarithmic
-    divergence.
+    +inf when the running total passes _IMPROPER_CAP (1e8) or the octaves
+    are exhausted, which signals divergence (global existence).  Small
+    increments end the doubling only while they shrink: equal ones are a
+    logarithmic divergence.
     """
     for w in _PROBE_POINTS:
         r = _probe_rate(g, w)
@@ -405,7 +412,7 @@ def improper_integral(
             inc = adaptive_quad(mapped, 1.0 / hi, 1.0 / lo, panel_tol(total))
         total += inc
         trace.append((hi, total))
-        if total > cap:
+        if total > _IMPROPER_CAP:
             return ImproperResult(False, math.inf, tuple(trace))
         incs.append(inc)
         if len(incs) >= 2:

@@ -335,6 +335,12 @@ class TestConvexityRoutes:
             # an array f without an array slope evaluates point by point
             dataclasses.replace(QUAD, f_array=QUAD.f),
             CONCAVE,
+            # array forms that raise TypeError (math.sqrt on an array)
+            # fall back as quadrature.pointwise does
+            dataclasses.replace(
+                CONCAVE, f_array=CONCAVE.f, f_r_array=CONCAVE.f_r,
+                name="math on arrays",
+            ),
             LyapunovSpec(
                 f=lambda r, t: r * r / (1.0 + t),
                 f_r=lambda r, t: 2.0 * r / (1.0 + t),

@@ -309,12 +309,15 @@ def test_compiled_saturates_like_evaluate(text, want):
 def test_compiled_raises_like_evaluate(text, z, message, offset):
     tree = parse(text, ("z",))
     for call in (lambda: expr.as_function(tree, ("z",))(z),
-                 lambda: evaluate(tree, {"z": z}),
-                 lambda: expr.as_array_function(tree, ("z",))(np.array([z]))):
+                 lambda: evaluate(tree, {"z": z})):
         with pytest.raises(DomainError) as e:
             call()
         assert e.value.offset == offset
         assert str(e.value) == f"{message} (at byte {offset})"
+    # the array form only signals the failure, at the same node
+    with pytest.raises(DomainError) as e:
+        expr.as_array_function(tree, ("z",))(np.array([z]))
+    assert e.value.offset == offset
 
 
 @pytest.mark.parametrize(
@@ -344,11 +347,12 @@ _INEXACT_FUNCS = ("tan", "exp", "log")
 _ULPS = 4
 
 
-def _array_outcome(call):
+def _array_outcome(call, size):
+    """The values by repr, broadcast to size, or the DomainError raised."""
     try:
-        return [repr(float(v)) for v in call()]
-    except Exception as exc:  # compare whatever either route raises
-        return type(exc), str(exc), getattr(exc, "offset", None)
+        return [repr(float(v)) for v in np.broadcast_to(call(), (size,))]
+    except DomainError as exc:
+        return exc
 
 
 def _assert_array_agrees(tree, rows, same_value):
@@ -356,15 +360,22 @@ def _assert_array_agrees(tree, rows, same_value):
     fn = expr.as_function(tree, _NAMES)
     afn = expr.as_array_function(tree, _NAMES)
     want = [_outcome(lambda: fn(*row)) for row in rows]
-    got = _array_outcome(lambda: afn(*(np.array(col) for col in zip(*rows))))
+    got = _array_outcome(
+        lambda: afn(*(np.array(col) for col in zip(*rows))), len(rows)
+    )
     errors = [w for w in want if isinstance(w, tuple)]
     if errors:
-        # the scalar error at the lowest failing flat index
-        assert got == errors[0]
+        # the whole call fails; on one element, at the scalar form's node
+        assert isinstance(got, DomainError), (to_text(tree), rows, got, want)
+        if len(rows) == 1:
+            assert got.offset == errors[0][2], (to_text(tree), rows, got, want)
         return
     assert isinstance(got, list) and len(got) == len(want)
     for g, w in zip(got, want):
         assert same_value(float(g), float(w)), (to_text(tree), rows, got, want)
+
+
+_T_MINUS_T = BinOp("-", Var("t"), Var("t"))
 
 
 def _within_ulps(got, want):
@@ -384,6 +395,8 @@ def _within_ulps(got, want):
          [(1e308, 0.0, 3.0), (0.5, 0.0, 3.0)])
 @example(BinOp("+", Call("sqrt", Var("z")), BinOp("/", Num(1.0), Var("t"))),
          [(3.0, 0.5, 0.0), (0.0, 0.5, 0.0), (3.0, -3.0, 0.0)])
+# a failure whose inf would vanish before the output: 1/inf = 0
+@example(BinOp("/", Num(1.0), BinOp("/", Num(1.0), _T_MINUS_T)), [(2.0, 0.0, 0.0)])
 @settings(max_examples=500, deadline=None)
 def test_array_function_matches_compiled_exactly(tree, rows):
     _assert_array_agrees(tree, rows, lambda g, w: repr(g) == repr(w))
@@ -409,28 +422,33 @@ def _inexact_trees():
 @example(Call("log", Var("t")), [(3.0, 0.0, 0.0), (-0.0, 0.0, 0.0)])
 @example(Call("exp", _TW), [(1e308, 0.0, 3.0), (-1e308, 0.0, 3.0)])
 @example(Call("tan", _TW), [(3.0, 0.0, 0.5), (-1e308, 0.0, 3.0)])
+# failures whose inf or NaN would vanish before the output:
+# 1/log(0) = 1/-inf = -0, 1/0^-1 = 1/inf = 0 and nan^0 = 1
+@example(BinOp("/", Num(1.0), Call("log", _T_MINUS_T)), [(2.0, 0.0, 0.0)])
+@example(BinOp("/", Num(1.0), BinOp("^", _T_MINUS_T, Neg(Num(1.0)))), [(2.0, 0.0, 0.0)])
+@example(BinOp("^", Call("sqrt", Neg(Var("t"))), Num(0.0)), [(2.0, 0.0, 0.0)])
 @settings(max_examples=500, deadline=None)
 def test_array_function_matches_compiled_within_ulps(tree, rows):
     _assert_array_agrees(tree, rows, _within_ulps)
 
 
-def test_array_function_broadcasts_and_reports_the_lowest_flat_index():
+def test_array_function_broadcasts_and_raises():
     names = ("r", "t")
     fn = expr.as_array_function(parse("t*sqrt(3 - r)", names), names)
+    t = [[1.0], [2.0]]  # lists convert as arrays do
+    got = fn([[0.0, 3.0]], t)
+    root = math.sqrt(3.0)
+    assert np.array_equal(got, [[root, 0.0], [2.0 * root, 0.0]])
+    # sqrt(3 - 4) fails, so the whole call does, at the sqrt node (byte 2)
     r = np.array([[0.0, 2.0, 4.0, 5.0]])
-    t = np.array([[1.0], [2.0]])
-    assert fn(np.array([[0.0, 3.0]]), t).shape == (2, 2)
     with pytest.raises(DomainError) as e:
         fn(r, t)
-    # flat index 2 of the (2, 4) grid fails first: sqrt(-1.0), at byte 2
-    assert str(e.value) == "sqrt(-1.0) outside real domain (at byte 2)"
-    # a constant or a bare argument comes back as a fresh array of the shape
+    assert e.value.offset == 2
+    # a constant or a bare argument broadcasts against the arguments
     one = expr.as_array_function(parse("1", names), names)(r, t)
-    assert one.shape == (2, 4) and np.all(one == 1.0)
-    same = expr.as_array_function(parse("r", names), names)
-    out = same(r[0], 0.0)
-    out[0] = 7.0
-    assert r[0, 0] == 0.0
+    assert np.array_equal(np.broadcast_to(one, (2, 4)), np.ones((2, 4)))
+    same = expr.as_array_function(parse("r", names), names)(r, t)
+    assert np.array_equal(np.broadcast_to(same, (2, 4)), np.repeat(r, 2, axis=0))
 
 
 def test_array_function_leaks_no_warning():
