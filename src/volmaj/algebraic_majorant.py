@@ -22,13 +22,12 @@ below converges to that root monotonically and never overshoots
 previous node's root, since r(t) is nondecreasing.
 
 The screen itself evaluates f and f_r over its 128 x 128 grid by one
-array call each when the spec carries array forms of both, and walks in
-Python only the rows and columns that hold a violation.
+array call each where the spec carries an array form that serves, and
+walks in Python only the rows and columns that hold a violation.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -37,7 +36,7 @@ import numpy as np
 
 from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh
-from .quadrature import ARRAY_ERRORS, graded_mesh
+from .quadrature import graded_mesh, pointwise
 
 __all__ = [
     "LyapunovSpec",
@@ -56,6 +55,9 @@ __all__ = [
 # is solved
 _TANGENCY_FLOOR = 1e-13
 
+# the iterations majorant_branch allows one node
+_BRANCH_MAX_ITER = 50000
+
 
 @dataclass(frozen=True)
 class LyapunovSpec:
@@ -69,9 +71,10 @@ class LyapunovSpec:
 
     f_array and f_r_array, when given, are array forms of f and f_r:
     called on broadcastable arrays, they return the values f and f_r give
-    element by element, or raise if those raise anywhere.  The convexity
-    screen uses them to evaluate its grid in one call each; without both,
-    or when either raises, it evaluates point by point.
+    element by element, or fail (raise, or give a value that is not
+    finite) if those raise anywhere.  The convexity screen maps each form
+    through quadrature.pointwise, which falls back on the scalar form
+    where the array form fails.
     """
 
     f: Callable[[float, float], float]
@@ -108,9 +111,6 @@ class LyapunovSpec:
                 f"contraction at the origin requires c * f_r(0, 0) in [0, 1),"
                 f" got {slope0!r}"
             )
-
-    def slope(self, r: float, t: float) -> float:
-        return float(self.f_r(r, t))
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class LyapunovSolution:
 
 def _residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray:
     c = spec.inv_norm_bound
-    return np.array([c * float(spec.f(r, t)) - r, c * spec.slope(r, t) - 1.0])
+    return np.array([c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0])
 
 
 def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
@@ -232,13 +232,13 @@ def _polish_radius(spec: LyapunovSpec, r: float, t: float) -> float:
     """1D Newton on c * f_r(r, t) = 1 in r, seeded at the ternary argmin."""
     c = spec.inv_norm_bound
     for _ in range(60):
-        g = c * spec.slope(r, t) - 1.0
+        g = c * float(spec.f_r(r, t)) - 1.0
         if abs(g) <= 1e-13:
             return r
         h = 1e-6 * max(1.0, abs(r))
-        curv = (c * spec.slope(r + h, t) - c * spec.slope(max(r - h, 0.0), t)) / (
-            h + min(h, r)
-        )
+        curv = (
+            c * float(spec.f_r(r + h, t)) - c * float(spec.f_r(max(r - h, 0.0), t))
+        ) / (h + min(h, r))
         if not math.isfinite(curv) or abs(curv) < 1e-300:
             return r
         r_new = r - g / curv
@@ -341,11 +341,9 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
     )
 
 
-def _plain_node(
-    spec: LyapunovSpec, t: float, tol: float, max_iter: int
-) -> tuple[float, int, bool]:
+def _plain_node(spec: LyapunovSpec, t: float, tol: float) -> tuple[float, int, bool]:
     c, r = spec.inv_norm_bound, 0.0
-    for k in range(1, max_iter + 1):
+    for k in range(1, _BRANCH_MAX_ITER + 1):
         try:
             r_new = c * float(spec.f(r, t))
         except EVAL_ERRORS as exc:
@@ -357,7 +355,7 @@ def _plain_node(
         if abs(r_new - r) <= tol * (1.0 + abs(r_new)):
             return r_new, k, True
         r = r_new
-    return r, max_iter, False
+    return r, _BRANCH_MAX_ITER, False
 
 
 def _below_root(
@@ -372,7 +370,7 @@ def _below_root(
     c = spec.inv_norm_bound
     try:
         g = c * float(spec.f(r, t)) - r
-        dg = c * spec.slope(r, t) - 1.0
+        dg = c * float(spec.f_r(r, t)) - 1.0
     except EVAL_ERRORS:
         return None
     return (g, dg) if 0.0 <= g < math.inf and -math.inf < dg <= 0.0 else None
@@ -399,7 +397,7 @@ def _newton_step(
 
 
 def _newton_node(
-    spec: LyapunovSpec, t: float, r_prev: float, tol: float, max_iter: int
+    spec: LyapunovSpec, t: float, r_prev: float, tol: float
 ) -> tuple[float, int, bool]:
     r = r_prev
     start = _below_root(spec, r, t)
@@ -409,9 +407,9 @@ def _newton_node(
         if start is None:
             # not even the origin is admissible; the plain iteration
             # reports what goes wrong there
-            return _plain_node(spec, t, tol, max_iter)
+            return _plain_node(spec, t, tol)
     g, dg = start
-    for k in range(1, max_iter + 1):
+    for k in range(1, _BRANCH_MAX_ITER + 1):
         nxt = _newton_step(spec, t, r, g, dg)
         if nxt is not None:
             r_new, g_new, dg, full = nxt
@@ -431,15 +429,14 @@ def _newton_node(
             return r, k, False
         # beyond the horizon, or f's domain ends the branch: the plain
         # iteration names which
-        return _plain_node(spec, t, tol, max_iter)
-    return r, max_iter, False
+        return _plain_node(spec, t, tol)
+    return r, _BRANCH_MAX_ITER, False
 
 
 def majorant_branch(
     spec: LyapunovSpec,
     mesh: Mesh,
     tol: float = 1e-12,
-    max_iter: int = 50000,
     convexity: ConvexityReport | None = None,
 ) -> BranchResult:
     """Smallest-root branch r(t) at every mesh node.
@@ -464,9 +461,9 @@ def majorant_branch(
     plain iteration, which names why there is no root: the node lies
     beyond the horizon, or f stops being evaluable below the root.
 
-    The mask records which nodes met tol within max_iter iterations.  A
-    node beyond the horizon raises NumericError either way, as the plain
-    iteration escapes the search box.
+    The mask records which nodes met tol within _BRANCH_MAX_ITER
+    iterations.  A node beyond the horizon raises NumericError either
+    way, as the plain iteration escapes the search box.
     """
     newton = convexity is not None and convexity.passed
     values = np.zeros(mesh.nodes.size)
@@ -475,27 +472,23 @@ def majorant_branch(
     r = 0.0
     for j, t in enumerate(mesh.nodes):
         if newton:
-            r, k, done = _newton_node(spec, float(t), r, tol, max_iter)
+            r, k, done = _newton_node(spec, float(t), r, tol)
         else:
-            r, k, done = _plain_node(spec, float(t), tol, max_iter)
+            r, k, done = _plain_node(spec, float(t), tol)
         values[j], iterations[j], mask[j] = r, k, done
     return BranchResult(values, iterations, mask)
 
 
-def _pointwise_grids(
-    spec: LyapunovSpec, r_grid: np.ndarray, t_grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """f and its slope point by point; nan for both where either raises."""
-    fvals = np.empty((t_grid.size, r_grid.size))
-    svals = np.empty_like(fvals)
-    for i, t in enumerate(t_grid):
-        for j, r in enumerate(r_grid):
-            try:
-                fvals[i, j] = float(spec.f(float(r), float(t)))
-                svals[i, j] = spec.slope(float(r), float(t))
-            except EVAL_ERRORS:
-                fvals[i, j] = svals[i, j] = math.nan
-    return fvals, svals
+def _nan_on_error(fn: Callable[[float, float], float]) -> Callable:
+    """fn with an evaluation that raises read as nan."""
+
+    def scalar(r: float, t: float) -> float:
+        try:
+            return float(fn(r, t))
+        except EVAL_ERRORS:
+            return math.nan
+
+    return scalar
 
 
 def check_convexity(
@@ -510,14 +503,14 @@ def check_convexity(
     nondecreasing in r and in t.  A non-finite f is a violation of its
     own.  An identically zero f passes but is flagged degenerate.
 
-    f and the slope are evaluated once over the grid, by one call of
-    each of the spec's array forms when it has both and neither raises
-    (on the errors quadrature.pointwise falls back on), else point by
-    point, so a failing array form leaves the report as the scalar forms
-    give it.  The checks are array comparisons; only rows and columns
-    that hold a violation are walked, so the violations come in
-    the order of a point-by-point scan (not-finite values, then each t
-    row, then each r column), capped at 50.
+    f and the slope are each mapped over the grid by
+    quadrature.pointwise, through the spec's array form where it serves;
+    a sample where either raises or gives nan is nan in both, so the
+    report is the scalar forms' in every case.  The checks are array
+    comparisons; only rows and columns that hold a violation are walked,
+    so the violations come in the order of a point-by-point scan
+    (not-finite values, then each t row, then each r column), capped at
+    50.
     """
     if r_grid is None:
         r_grid = np.linspace(0.0, spec.r_max, 128)
@@ -527,15 +520,11 @@ def check_convexity(
     t_grid = np.asarray(t_grid, dtype=float)
     if r_grid.size < 3 or t_grid.size < 2:
         raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
-    grids = None
-    if spec.f_array is not None and spec.f_r_array is not None:
-        r, t = r_grid[None, :], t_grid[:, None]
-        fvals, svals = np.empty((2, t_grid.size, r_grid.size))
-        with contextlib.suppress(*ARRAY_ERRORS), np.errstate(all="ignore"):
-            fvals[...] = spec.f_array(r, t)
-            svals[...] = spec.f_r_array(r, t)
-            grids = fvals, svals
-    fvals, svals = grids or _pointwise_grids(spec, r_grid, t_grid)
+    r, t = r_grid[None, :], t_grid[:, None]
+    fvals = pointwise(_nan_on_error(spec.f), r, t, array=spec.f_array)
+    svals = pointwise(_nan_on_error(spec.f_r), r, t, array=spec.f_r_array)
+    failed = np.isnan(fvals) | np.isnan(svals)
+    fvals[failed] = svals[failed] = math.nan
     violations: list[tuple[str, float, float, float]] = []
 
     def note(kind: str, r: float, t: float, v: float) -> bool:
@@ -619,8 +608,6 @@ def solve_lyapunov(
     spec: LyapunovSpec,
     n: int = 200,
     t_end: float | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50000,
     convexity: ConvexityReport | None = None,
 ) -> LyapunovSolution:
     """Tangency point plus the branch on a uniform mesh up to t_end
@@ -639,9 +626,7 @@ def solve_lyapunov(
             f"end time {t_end!r} lies beyond the horizon {tangency.horizon!r}"
         )
     mesh = graded_mesh(t_end, n, 1.0)
-    branch = majorant_branch(
-        spec, mesh, tol=tol, max_iter=max_iter, convexity=convexity
-    )
+    branch = majorant_branch(spec, mesh, convexity=convexity)
     return LyapunovSolution(
         tangency=tangency,
         mesh=mesh,

@@ -58,7 +58,7 @@ from .integral_majorant import (
 from .meshes import Mesh
 from .picard import SolveStatus, solve_main, verify_domination
 from .problem import DenseOperator, KernelStage, VolterraProblem
-from .quadrature import WeightTable, graded_mesh, pointwise
+from .quadrature import WeightTable, _probe_rate, graded_mesh, pointwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,7 +174,7 @@ _SCHEMA = {
         "t_max": (float, 100.0, _POSITIVE),
     },
     "mesh": {
-        "n": (int, None, _at_least(1)),  # unset: the corpus entry's, else 200
+        "n": (int, None, _at_least(1)),  # unset: 40 for a corpus entry, else 200
         "t_end": (float, None, _POSITIVE),
         "theta": (float, 0.95, _FRACTION),
         "ratio": (float, 1.0, _POSITIVE),
@@ -192,6 +192,9 @@ _SCHEMA = {
     },
 }
 _TYPE_NAMES = {float: "a number", int: "an integer"}
+
+# [mesh] n for a corpus entry, when the config leaves it unset
+_CORPUS_NODES = 40
 
 
 def _read_value(section: str, key: str, given: dict, schema: tuple):
@@ -330,8 +333,10 @@ def _inline_problem(v: dict) -> VolterraProblem:
             name="inline",
         )
     except SpecValidationError as exc:
-        # a and c are checked by the schema, so what fails here is phi
-        raise SpecValidationError(f"[problem] phi: {exc}") from None
+        # the schema checks a and c alone, so what fails here is c against
+        # the inverse of a, or phi
+        key = "c" if "inverse-norm bound" in str(exc) else "phi"
+        raise SpecValidationError(f"[problem] {key}: {exc}") from None
 
 
 def _inline_majorant(v: dict) -> MajorantSpec:
@@ -416,11 +421,6 @@ class _Setup:
                         f"corpus entry {entry.name!r} has no {part} part"
                     )
             setattr(self, part, spec)
-            if part == "majorant":
-                # a majorant whose horizon can be classified, not only iterated
-                self.majorant_classifiable = spec is not None and (
-                    entry is None or entry.majorant_classifiable
-                )
             if part != "lyapunov":
                 # the problem's entry, else the majorant's, sets mesh defaults
                 self.entry = self.entry or entry
@@ -433,9 +433,7 @@ class _Setup:
     def nodes(self) -> int:
         if self.n is not None:
             return self.n
-        if self.entry is not None:
-            return self.entry.default_nodes
-        return 200
+        return 200 if self.entry is None else _CORPUS_NODES
 
     def resolve_t_end(self, horizon: float | None) -> float:
         """Explicit t_end, else an explicit horizon fraction, else the
@@ -455,6 +453,16 @@ class _Setup:
         raise SpecValidationError(
             "no end time: set [mesh] t_end (required when the bound exists"
             " globally or is not classified)"
+        )
+
+    @functools.cached_property
+    def majorant_classifiable(self) -> bool:
+        """Whether the majorant's horizon can be classified, not only
+        iterated: the autonomous route integrates 1/rate from omega = 0,
+        so it needs a positive rate there."""
+        spec = self.majorant
+        return spec is not None and (
+            spec.f_depends_on_t or _probe_rate(spec.rate, 0.0) is not None
         )
 
     @functools.cached_property
@@ -629,7 +637,7 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
             pairs.append((f"condition_{label}", f"skipped ({o.reason})"))
         else:
             margin = format_number(o.worst_margin)
-            detail = f"worst margin {margin}; {o.note}"
+            detail = f"worst margin {margin}; sampled, not proven"
             if o.reason:
                 detail = f"{o.reason}; {detail}"
             pairs.append((f"condition_{label}", f"{o.status.value} ({detail})"))

@@ -8,12 +8,15 @@ as a witness that replays bit-for-bit from (seed, stream, index).
 
 Conditions, by label as they appear in reports:
 
-  A  nonlinearity domination: |F(u) - Au| <= f(t, int gamma(|u|))
+  A  nonlinearity domination: c |F(u) - Au| <= f(t, int gamma(|u|))
   B  monotonicity of gamma and of f in both arguments
   C  a declared closed-form bound really is an upper solution
   D  increment domination for pairs (u, u + du)
   E  directional-derivative domination along sampled directions
   G  convexity/monotonicity of the algebraic majorant f(r, t)
+
+The left sides of A, D and E are scaled by c, the problem's bound on
+the norm of A^{-1}, since each sweep applies A^{-1} to F.
 
 All verdicts are "sampled, not proven".
 """
@@ -86,7 +89,6 @@ class CheckOutcome:
     worst_margin: float
     witness: Witness | None
     reason: str = ""
-    note: str = "sampled, not proven"
 
 
 @dataclass(frozen=True)
@@ -188,8 +190,9 @@ def sample_margins_A(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (lhs, rhs) for condition A on a stack of trajectories u
     of shape (S, n+1, dim); both have shape (S, n+1)."""
-    lhs = np.max(np.abs(_nonlinear_part(problem, mesh, u)), axis=2)
+    nonlinear = _nonlinear_part(problem, mesh, u)
     with np.errstate(invalid="ignore", over="ignore"):
+        lhs = problem.inv_norm_bound * np.max(np.abs(nonlinear), axis=2)
         integrals = WeightTable(mesh).prefix(spec.map_gamma(_norms(u)))
         return lhs, spec.map_f(mesh.nodes, integrals)
 
@@ -210,7 +213,7 @@ def sample_margins_D(
     u_norms = _norms(u)
     # infinite parts give nan differences here, which the check reports
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs = np.max(np.abs(widened - base), axis=2)
+        lhs = problem.inv_norm_bound * np.max(np.abs(widened - base), axis=2)
         low = weights.prefix(spec.map_gamma(u_norms))
         wide = weights.prefix(spec.map_gamma(u_norms + _norms(du)))
         f_wide = spec.map_f(mesh.nodes, wide)
@@ -226,10 +229,10 @@ def sample_margins_E(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (lhs, rhs) for the derivative condition E on stacks.
 
-    lhs is a central finite-difference directional derivative along v
-    of the integral route through the outer map, taken with the direct
-    slot frozen at u so the linear part drops out exactly; rhs is the
-    chain-rule bound built from the slopes of f and gamma, taken by
+    lhs is c times a central finite-difference directional derivative
+    along v of the integral route through the outer map, taken with the
+    direct slot frozen at u so the linear part drops out exactly; rhs is
+    the chain-rule bound built from the slopes of f and gamma, taken by
     _slope.
     """
     weights = WeightTable(mesh)
@@ -239,7 +242,8 @@ def sample_margins_E(
     behind = eval_residual(problem, mesh, u - step, u)
     norms = _norms(u)
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs = np.max(np.abs(ahead - behind), axis=2) / (2.0 * eps[:, None])
+        spread = np.max(np.abs(ahead - behind), axis=2)
+        lhs = problem.inv_norm_bound * spread / (2.0 * eps[:, None])
         integrals = weights.prefix(spec.map_gamma(norms))
         weighted = weights.prefix(_slope(spec.map_gamma, norms) * _norms(v))
         return lhs, _slope(spec.map_f, integrals, mesh.nodes) * weighted
@@ -422,15 +426,11 @@ def check_B(spec: MajorantSpec) -> CheckOutcome:
     return CheckOutcome("B", status, count, worst, witness, reason=reason)
 
 
-def check_C(
-    spec: MajorantSpec,
-    mesh: Mesh,
-    slack: float = 1e-10,
-) -> CheckOutcome:
+def check_C(spec: MajorantSpec, mesh: Mesh) -> CheckOutcome:
     if spec.upper_solution is None:
         return _skipped("C", "no explicit upper solution declared")
     try:
-        rep = check_upper_solution(spec, spec.upper_solution, mesh, slack)
+        rep = check_upper_solution(spec, spec.upper_solution, mesh)
     except (NumericError, *EVAL_ERRORS) as exc:
         return _failed("C", 0, f"candidate bound not evaluable on the mesh: {exc}")
     witness = Witness("C", 0, rep.node, rep.t, -rep.worst_margin, 0.0)

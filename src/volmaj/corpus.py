@@ -50,10 +50,7 @@ class CorpusEntry:
     lyapunov: LyapunovSpec | None
     closed_forms: dict
     notes: str
-    majorant_classifiable: bool = True
-    degenerate: bool = False
     default_t_end: float | None = None
-    default_nodes: int = 40
 
 
 def power_family(p: float = 2.0) -> CorpusEntry:
@@ -112,7 +109,6 @@ def power_family(p: float = 2.0) -> CorpusEntry:
             " classification does not apply and the chain from zero is"
             " identically zero"
         ),
-        majorant_classifiable=False,
         default_t_end=1.0,
     )
 
@@ -221,8 +217,8 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
 def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
     """Majorant-only entry z = b + integral of a*z, bound b * exp(a t).
 
-    With b = 0 the rate vanishes at the origin: the entry is flagged
-    degenerate and classification is refused rather than guessed.
+    With b = 0 the rate vanishes at the origin, so the bound is not
+    classified, only iterated.
     """
     majorant = _arithmetic_majorant(
         f=lambda t, w: w + b,
@@ -230,7 +226,6 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
         upper_solution=lambda t: b * math.exp(a * t),
         name=f"linear_majorant(a={a:g}, b={b:g})",
     )
-    degenerate = b == 0.0
     return CorpusEntry(
         name="linear_majorant",
         params={"a": a, "b": b},
@@ -238,12 +233,10 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
         majorant=majorant,
         lyapunov=None,
         closed_forms={"bound": lambda t: b * math.exp(a * t)},
-        notes="globally existing linear bound" if not degenerate else (
+        notes="globally existing linear bound" if b != 0.0 else (
             "degenerate linear bound: starts at zero and stays there; the"
             " classification integral is singular at the origin"
         ),
-        majorant_classifiable=not degenerate,
-        degenerate=degenerate,
         default_t_end=1.0,
     )
 

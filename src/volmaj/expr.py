@@ -532,10 +532,13 @@ _ARRAY_DOMAIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 def _array_power(a, b):
     v = np.power(a, b)
     # numpy takes sqrt for the exponent 0.5, which maps -0.0 and -inf to
-    # -0.0 and nan where math.pow gives 0.0 and inf
-    fix = (b == 0.5) & ((a == 0.0) | (a == -math.inf))
-    if fix.any():
-        v = np.where(fix, np.power(np.abs(a), b), v)
+    # -0.0 and nan where math.pow gives 0.0 and inf; the mask is built
+    # only when some exponent is 0.5, as a constant one rarely is
+    half = np.equal(b, 0.5)
+    if half.any():
+        fix = half & ((a == 0.0) | (a == -math.inf))
+        if fix.any():
+            v = np.where(fix, np.power(np.abs(a), b), v)
     return v
 
 

@@ -58,6 +58,17 @@ __all__ = [
 ]
 
 
+# classify_blowup's budgets: the forward route's time and bound caps,
+# and the octaves of the inverse-rate integral
+_T_CAP = 1e8
+_OMEGA_CAP = 1e12
+_OCTAVES = 60
+
+# the roundoff check_upper_solution and certified_tail forgive
+_UPPER_SLACK = 1e-10
+_TAIL_SLACK = 1e-12
+
+
 class Blowup(enum.Enum):
     VALUE = "ValueBlowUp"
     DERIVATIVE = "DerivativeBlowUp"
@@ -284,14 +295,12 @@ def _frozen_tail(spec: MajorantSpec, t: float, omega: float) -> float:
     return res.value if res.converged else math.inf
 
 
-def _classify_forward(
-    spec: MajorantSpec, t_cap: float, omega_cap: float
-) -> BlowupReport:
+def _classify_forward(spec: MajorantSpec) -> BlowupReport:
     rate = spec.rate_at
     t, w, h = 0.0, 0.0, 1e-3
     rtol = 1e-10
     for _ in range(400000):
-        if w >= omega_cap:
+        if w >= _OMEGA_CAP:
             tail = _frozen_tail(spec, t, w)
             if math.isfinite(tail):
                 return BlowupReport(
@@ -305,10 +314,10 @@ def _classify_forward(
                 Blowup.GLOBAL,
                 math.inf,
                 None,
-                f"bound exceeded {omega_cap:.1e} at t={t:.6g} but the"
+                f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
                 " frozen-rate tail diverges, so growth is subcritical",
             )
-        if t >= t_cap:
+        if t >= _T_CAP:
             return BlowupReport(
                 Blowup.GLOBAL,
                 math.inf,
@@ -344,13 +353,7 @@ def _classify_forward(
     raise NumericError("forward integration exceeded its step budget")
 
 
-def classify_blowup(
-    spec: MajorantSpec,
-    tol: float = 1e-6,
-    t_cap: float = 1e8,
-    omega_cap: float = 1e12,
-    octaves: int = 60,
-) -> BlowupReport:
+def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     """Decide value blow-up / derivative blow-up / global existence and
     compute the horizon.
 
@@ -359,24 +362,20 @@ def classify_blowup(
     global) unless the rate has a pole, in which case the slope escapes
     while the bound stays below f(pole) (derivative blow-up) and the
     horizon is the integral of the inverse rate up to the pole.  A
-    time-dependent f is integrated forward instead.
+    time-dependent f is integrated forward instead, up to t = _T_CAP or
+    a bound of _OMEGA_CAP.
 
-    tol, t_cap and omega_cap must be finite and positive and octaves a
-    positive integer; anything else raises SpecValidationError naming it.
+    tol must be finite and positive; anything else raises
+    SpecValidationError naming it.
     """
-    for label, v in (("tol", tol), ("t_cap", t_cap), ("omega_cap", omega_cap)):
-        if not (0.0 < v < math.inf):
-            raise SpecValidationError(f"{label} must be finite and > 0, got {v!r}")
-    if isinstance(octaves, bool) or not isinstance(octaves, int) or octaves < 1:
-        raise SpecValidationError(
-            f"octaves must be a positive integer, got {octaves!r}"
-        )
+    if not (0.0 < tol < math.inf):
+        raise SpecValidationError(f"tol must be finite and > 0, got {tol!r}")
     if spec.f_depends_on_t:
         if spec.pole is not None:
             raise SpecValidationError(
                 "a declared rate pole combines only with time-independent f"
             )
-        return _classify_forward(spec, t_cap, omega_cap)
+        return _classify_forward(spec)
     rate = spec.rate
     if spec.pole is not None:
         horizon = integral_to_pole(rate, spec.pole, tol)
@@ -392,7 +391,7 @@ def classify_blowup(
         return BlowupReport(
             Blowup.DERIVATIVE, horizon, pole, f"detected rate pole near w={pole!r}"
         )
-    res = improper_integral(rate, tol=tol, octaves=octaves)
+    res = improper_integral(rate, tol=tol, octaves=_OCTAVES)
     if res.converged:
         return BlowupReport(
             Blowup.VALUE,
@@ -540,12 +539,10 @@ def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
     return _autonomous_cauchy(spec, mesh, pole)
 
 
-def certified_tail(
-    chain: PicardChain, z_plus: np.ndarray, slack: float = 1e-12
-) -> np.ndarray:
+def certified_tail(chain: PicardChain, z_plus: np.ndarray) -> np.ndarray:
     """Per-iterate certified error bounds: row n holds z_plus - z_n.
 
-    Requires every iterate to sit below z_plus (within slack) and the
+    Requires every iterate to sit below z_plus (within _TAIL_SLACK) and the
     rows to be nonincreasing in n, which is exactly the domination
     structure the chain guarantees; violations raise NumericError.
     """
@@ -556,14 +553,14 @@ def certified_tail(
     for n, z in enumerate(chain.iterates):
         diff = z_plus - z
         low = float(np.min(diff))
-        if low < -slack:
+        if low < -_TAIL_SLACK:
             raise NumericError(
                 f"iterate {n} exceeds the certified bound by {-low:.3e}"
             )
         rows.append(np.maximum(diff, 0.0))
     tails = np.vstack(rows)
     drops = np.diff(tails, axis=0)
-    if drops.size and float(np.max(drops)) > slack:
+    if drops.size and float(np.max(drops)) > _TAIL_SLACK:
         raise NumericError(
             "certified tails are not nonincreasing along the chain"
         )
@@ -574,12 +571,11 @@ def check_upper_solution(
     spec: MajorantSpec,
     upper: Callable[[float], float],
     mesh: Mesh,
-    slack: float = 1e-10,
 ) -> UpperSolutionReport:
     """Audit a candidate closed-form bound on a mesh.
 
     The candidate passes when upper(t) >= f(t, integral of
-    gamma(upper)) - slack at every node; the running integral is
+    gamma(upper)) - _UPPER_SLACK at every node; the running integral is
     accumulated with per-gap adaptive quadrature on the continuous
     candidate, not on mesh samples, so equality cases survive the
     audit.  On failure the report points at the first violating node
@@ -599,7 +595,7 @@ def check_upper_solution(
             )
         margin = float(upper(float(t))) - float(spec.f(float(t), running))
         worst = min(worst, margin)
-        if margin < -slack and first_bad is None:
+        if margin < -_UPPER_SLACK and first_bad is None:
             first_bad = j
     node = 0 if first_bad is None else first_bad
     return UpperSolutionReport(
@@ -611,7 +607,6 @@ def solve_majorant(
     spec: MajorantSpec,
     mesh: Mesh,
     tol: float = 1e-12,
-    n_max: int = 500,
     classification: BlowupReport | None = None,
 ) -> MajorantSolution:
     """Classify a majorant and certify it on a mesh in one call.
@@ -629,7 +624,7 @@ def solve_majorant(
             f" [0, {report.horizon!r})"
         )
     cauchy = solve_cauchy(spec, mesh)
-    chain = majorant_picard(spec, mesh, tol=tol, n_max=n_max)
+    chain = majorant_picard(spec, mesh, tol=tol)
     certificate = np.maximum(cauchy.bound, chain.final)
     return MajorantSolution(
         classification=report,

@@ -7,7 +7,7 @@ max-abs norm, which is the norm used throughout for error bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class Mesh:
 class Trajectory:
     mesh: Mesh
     values: np.ndarray
-    certified_bounds: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -67,15 +66,6 @@ class Trajectory:
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if self.certified_bounds is not None:
-            b = np.asarray(self.certified_bounds, dtype=float)
-            if b.shape != (self.mesh.nodes.size,):
-                raise SpecValidationError(
-                    "certified_bounds must hold one value per mesh node"
-                )
-            b = b.copy()
-            b.flags.writeable = False
-            object.__setattr__(self, "certified_bounds", b)
 
     @property
     def dim(self) -> int:

@@ -34,6 +34,9 @@ __all__ = [
 # to every other one, the last always kept
 _CHAIN_CAP = 50
 
+# the roundoff verify_domination forgives
+_DOMINATION_SLACK = 1e-9
+
 
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
@@ -120,8 +123,6 @@ def _solve(
         certified = np.maximum(
             majorant.certificate_bound - majorant.chain.iterates[k], 0.0
         )
-        u = Trajectory(mesh, u.values, certified_bounds=certified)
-        stored[-1] = (stored[-1][0], u)
     norms = residual_norms(problem, u)
     return SolveReport(
         trajectory=u,
@@ -174,9 +175,7 @@ def residual_norms(problem: VolterraProblem, trajectory: Trajectory) -> np.ndarr
 
 
 def verify_domination(
-    report: SolveReport,
-    majorant: MajorantSolution,
-    slack: float = 1e-9,
+    report: SolveReport, majorant: MajorantSolution
 ) -> DominationReport:
     """Audit that every stored iterate sits under its chain iterate and
     the final iterate under the certificate bound.
@@ -206,7 +205,7 @@ def verify_domination(
         margins = bound - norms
         checked += norms.size
         worst = min(worst, float(np.min(margins)))
-        for j in np.nonzero(margins < -slack)[0][: 20 - len(violations)]:
+        for j in np.nonzero(margins < -_DOMINATION_SLACK)[0][: 20 - len(violations)]:
             violations.append((idx, int(j), float(norms[j]), float(bound[j])))
     return DominationReport(
         holds=not violations,

@@ -170,6 +170,9 @@ class TridiagonalOperator:
 class VolterraProblem:
     """F(u) = 0 with linear part A and nested Volterra integrals.
 
+    inv_norm_bound is a bound c >= ||A^{-1}|| in the max norm (within
+    rounding); the sampled conditions scale their left sides by it.
+
     outer(t, integrals, u) takes the node times t with shape (N,), one
     integral array per stage and the states u, both with shape
     (S, N, dim), and returns F at those nodes with shape (S, N, dim).
@@ -195,8 +198,14 @@ class VolterraProblem:
                 f"inverse-norm bound must be positive and finite,"
                 f" got {self.inv_norm_bound!r}"
             )
-        # fails loudly now rather than at the first sweep
-        self.operator.inverse_inf_norm()
+        # fails loudly now rather than at the first sweep; the audit
+        # scales by inv_norm_bound, so it must bound the norm it stands for
+        norm = self.operator.inverse_inf_norm()
+        if self.inv_norm_bound < norm * (1.0 - 1e-12):
+            raise SpecValidationError(
+                f"inverse-norm bound {self.inv_norm_bound!r} is below the"
+                f" max-norm of the inverse linear part, {norm!r}"
+            )
         # the base point, the zero state where solve_main starts, must be
         # a root at t = 0
         zeros = np.zeros((1, 1, self.dim))

@@ -134,13 +134,12 @@ def pointwise(fn, *args, array=None) -> np.ndarray:
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 
-def nested_integral(
-    stage,
-    mesh: Mesh,
-    values: np.ndarray,
-    max_evals: float = 2e7,
-    rows=None,
-) -> np.ndarray:
+# the most kernel points the direct route of nested_integral spends on
+# one node
+_MAX_EVALS = 2e7
+
+
+def nested_integral(stage, mesh: Mesh, values: np.ndarray, rows=None) -> np.ndarray:
     """Tensor-product trapezoid values of one integral stage at every
     node, for a stack of S trajectories.
 
@@ -165,10 +164,10 @@ def nested_integral(
     fold = stage.fold
     rows = np.arange(mesh.nodes.size) if rows is None else np.asarray(rows)
     for j in rows.tolist():
-        if float(j + 1) ** fold > max_evals:
+        if float(j + 1) ** fold > _MAX_EVALS:
             raise CostLimitError(
                 f"nested integral needs {(j + 1) ** fold:.3g} kernel calls"
-                f" at node {j}, above the budget {max_evals:.3g}"
+                f" at node {j}, above the budget {_MAX_EVALS:.3g}"
             )
     stack, _, dim = values.shape
     out = np.zeros((stack, rows.size, dim))

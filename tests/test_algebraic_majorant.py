@@ -267,9 +267,11 @@ def _loop_convexity(spec, r_grid=None, t_grid=None):
         for j, r in enumerate(r_grid):
             try:
                 fv = float(spec.f(float(r), float(t)))
-                sv = spec.slope(float(r), float(t))
+                sv = float(spec.f_r(float(r), float(t)))
             except (DomainError, OverflowError, ValueError, ZeroDivisionError):
                 fv = sv = math.nan
+            if math.isnan(fv) or math.isnan(sv):
+                fv = sv = math.nan  # a failed sample fails in both
             if not math.isfinite(fv):
                 note("not-finite", r, t, fv)
                 fv = math.nan
@@ -325,6 +327,22 @@ WIGGLE = LyapunovSpec(
 _SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
 
 
+def _cut_f(r, t, sqrt):
+    # sqrt(1.5 - r) * 0 leaves f = t*r^2 where r <= 1.5 and fails past it
+    return t * r * r + 0.0 * sqrt(1.5 - r)
+
+
+# f's array form gives nan where its scalar form raises; the slope drops
+# past r = 1.5, which a screen that kept it there would report
+CUT = LyapunovSpec(
+    f=lambda r, t: _cut_f(r, t, math.sqrt),
+    f_r=lambda r, t: 2.0 * t * r if r <= 1.5 else 0.0,
+    f_array=lambda r, t: _cut_f(r, t, np.sqrt),
+    f_r_array=lambda r, t: np.where(r <= 1.5, 2.0 * t * r, 0.0),
+    r_max=2.0, t_max=1.5, name="nan for a raise",
+)
+
+
 class TestConvexityRoutes:
     """The array screen and the point-by-point fill give equal reports."""
 
@@ -349,6 +367,7 @@ class TestConvexityRoutes:
                 r_max=2.0, t_max=1.5, name="decreasing in t",
             ),
             WIGGLE,
+            CUT,
             inline("t*sqrt(3 - r)", r_max=4.0, t_max=1.0),
             inline("0.5*r + exp(100*t) - 1", r_max=1.0, t_max=10.0),
             inline("t*(r^2 + 1.0208)"),

@@ -43,6 +43,25 @@ def csv_header(out, fname):
     return (out / fname).read_text().splitlines()[0]
 
 
+# A = 0.5 and F(u) - Au = -om1 - t, which f = w + t bounds with equality:
+# only c |F(u) - Au| with c = 1/|a| = 2 exceeds it
+HALF_A = """
+    [problem]
+    source = inline
+    a = 0.5
+    kernel = u
+    phi = 0.5*u - om1 - t
+
+    [majorant]
+    source = inline
+    f = w + t
+    gamma = z
+
+    [mesh]
+    t_end = 1
+    n = 40
+"""
+
 BVP_SOLVE = """
     [problem]
     source = corpus
@@ -216,6 +235,34 @@ class TestMajorant:
         assert pairs["classification"] == "DerivativeBlowUp"
         assert float(pairs["horizon"]) == pytest.approx(2.0 / 3.0, abs=1e-4)
         assert float(pairs["pole"]) == 1.0
+
+    @pytest.mark.parametrize("command", ["majorant", "verify"])
+    def test_inline_zero_rate_skips_classification(self, tmp_path, command):
+        # gamma(f(0, 0)) = 0: the corpus's skip, not a numeric failure
+        text = "[majorant]\nsource = inline\nf = w\ngamma = z\n[mesh]\nt_end = 1\n"
+        out = tmp_path / "out"
+        assert main([command, "--config", ini(tmp_path, text), "--out", str(out),
+                     "--no-timestamp"]) == 0
+        if command == "majorant":
+            _, pairs = summary(out, "majorant_summary.txt")
+            assert pairs["classification"] == "skipped (rate degenerate at zero)"
+
+    @pytest.mark.parametrize(
+        "section, params, classifiable",
+        [
+            ("majorant", "entry = linear_majorant", True),
+            ("majorant", "entry = linear_majorant\nb = 0", False),
+            ("problem", "entry = power_family", False),
+            ("problem", "entry = power_family\np = 3", False),
+            ("problem", "entry = sine_bvp", True),
+            ("majorant", "entry = sqrt_pole", True),
+        ],
+    )
+    def test_classifiability_is_derived_from_the_rate(
+        self, tmp_path, section, params, classifiable
+    ):
+        cfg = ini(tmp_path, f"[{section}]\nsource = corpus\n{params}\n")
+        assert _Setup(_load_config(cfg)).majorant_classifiable is classifiable
 
     def test_degenerate_rate_skips_classification(self, tmp_path):
         cfg = ini(
@@ -416,6 +463,14 @@ class TestVerify:
         )
         lines = (out / "verify_witnesses.csv").read_text().splitlines()
         assert len(lines) == 7
+
+    def test_audit_scales_by_the_inverse_norm_bound(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify", "--config", ini(tmp_path, HALF_A), "--out",
+                     str(out), "--no-timestamp"]) == 5
+        _, pairs = summary(out, "verify_summary.txt")
+        assert pairs["condition_A"].startswith("fail")
+        assert "A" in pairs["failed"].split(",")
 
     def test_power_family_fails_exit_5(self, tmp_path):
         cfg = ini(
@@ -977,6 +1032,15 @@ class TestConfigErrors:
         assert f"[{section}] {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_c_below_the_inverse_norm_names_c(self, tmp_path, capsys, command):
+        cfg = ini(tmp_path, HALF_A.replace("a = 0.5", "a = 0.5\n    c = 1"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[problem] c: inverse-norm bound 1.0 is below" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(

@@ -108,11 +108,13 @@ class TestEntryClosedForms:
         assert entry.majorant.upper_solution(0.7) == bound(0.7)
 
     def test_linear_degenerate_flagging(self):
+        # with b = 0 the rate vanishes at the origin, and the notes say so
         entry = corpus_build("linear_majorant", {"b": 0})
-        assert entry.degenerate
-        assert not entry.majorant_classifiable
+        assert entry.majorant.rate(0.0) == 0.0
+        assert entry.notes.startswith("degenerate")
         live = corpus_build("linear_majorant")
-        assert not live.degenerate and live.majorant_classifiable
+        assert live.majorant.rate(0.0) > 0.0
+        assert not live.notes.startswith("degenerate")
 
     def test_sqrt_pole_horizon_and_bound(self):
         entry = corpus_build("sqrt_pole")

@@ -103,7 +103,6 @@ class TestSolveMain:
         res = solve_main(entry.problem, mesh, tol=1e-10, n_max=60, majorant=maj)
         assert res.certified_bounds is not None
         assert np.all(res.certified_bounds >= 0.0)
-        assert res.trajectory.certified_bounds is not None
 
     def test_mesh_mismatch_rejected(self):
         entry = corpus_build("sine_bvp")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from volmaj import quadrature
 from volmaj.errors import CostLimitError, NumericError, SpecValidationError
 from volmaj.meshes import Mesh, Trajectory
 from volmaj.problem import KernelStage
@@ -35,10 +36,10 @@ def _row(mesh, j):
     return WeightTable(mesh).rows([j])[0]
 
 
-def _integral_at(stage, trajectory, j, **kwargs):
+def _integral_at(stage, trajectory, j):
     """One stage's integral at node j of one trajectory."""
     values = trajectory.values[None]
-    return nested_integral(stage, trajectory.mesh, values, rows=[j], **kwargs)[0, 0]
+    return nested_integral(stage, trajectory.mesh, values, rows=[j])[0, 0]
 
 
 class TestWeights:
@@ -155,12 +156,13 @@ class TestNested:
         single = _integral_at(one, tr, j)
         assert got == pytest.approx(single * single, rel=1e-10)
 
-    def test_cost_cap(self):
+    def test_cost_cap(self, monkeypatch):
         mesh = graded_mesh(1.0, 100, 1.0)
         tr = _traj(mesh, lambda t: 0.0)
         stage = KernelStage(2, _ones)
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 1000)
         with pytest.raises(CostLimitError):
-            _integral_at(stage, tr, mesh.n, max_evals=1000)
+            _integral_at(stage, tr, mesh.n)
 
 
 def _per_tuple_reference(stage, trajectory, j):
@@ -398,15 +400,16 @@ def test_rows_take_the_direct_route():
     assert np.array_equal(got, nested_integral(_direct(stage), mesh, values)[:, [3, 6]])
 
 
-def test_separated_route_is_not_cost_limited():
+def test_separated_route_is_not_cost_limited(monkeypatch):
     # 2001**2 points exceed the budget of the direct route
     mesh = graded_mesh(1.0, 2000, 1.0)
     stage = KernelStage(2, _ones, ((None, (_B_FACTORS[0], _B_FACTORS[0])),))
     values = np.full((1, 2001, 1), 2.0)
-    got = nested_integral(stage, mesh, values, max_evals=1e5)
+    monkeypatch.setattr(quadrature, "_MAX_EVALS", 1e5)
+    got = nested_integral(stage, mesh, values)
     assert got[0, -1, 0] == pytest.approx(4.0, rel=1e-13)
     with pytest.raises(CostLimitError):
-        nested_integral(_direct(stage), mesh, values, max_evals=1e5)
+        nested_integral(_direct(stage), mesh, values)
 
 
 def test_malformed_terms_are_rejected():
