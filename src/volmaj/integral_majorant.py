@@ -12,8 +12,8 @@ are distinguished: the bound itself escapes to infinity at a finite
 time (value blow-up), the bound stays finite while its slope escapes at
 a finite rate pole (derivative blow-up), or the bound exists globally.
 
-Two independent routes compute the bound on a mesh: direct integration
-of the initial value problem (solve_cauchy) and successive
+Two independent routes compute the bound on a mesh: one adaptive
+forward march of the initial value problem (solve_cauchy) and successive
 approximation from zero (majorant_picard).  The chain from zero is
 nondecreasing and converges to the minimal bound from below, so the
 pointwise maximum of the two routes is itself a valid bound; that
@@ -33,7 +33,6 @@ from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
     WeightTable,
-    _inverse_rate,
     _probe_rate,
     adaptive_quad,
     improper_integral,
@@ -63,6 +62,14 @@ __all__ = [
 _T_CAP = 1e8
 _OMEGA_CAP = 1e12
 _OCTAVES = 60
+
+# the forward march of w' = gamma(f(t, w)): its steps per call, its
+# first step, and its relative tolerances when it classifies and when
+# it solves on a mesh
+_MARCH_BUDGET = 400000
+_FIRST_STEP = 1e-3
+_CLASSIFY_RTOL = 1e-10
+_CAUCHY_RTOL = 1e-12
 
 # the roundoff check_upper_solution and certified_tail forgive
 _UPPER_SLACK = 1e-10
@@ -174,19 +181,12 @@ class PicardChain:
 
 @dataclass(frozen=True, eq=False)
 class CauchySolution:
-    """Nodewise solution of w' = gamma(f(t, w)), w(0) = 0.
-
-    phi, present only for time-independent f, is a fresh evaluator of
-    the time map: phi(w) recomputes the integral of 1/rate from 0 to w
-    without reusing any cached state (neither the knot table nor the
-    forward march that produced omega), so phi(omega[j]) ~ t_j is a
-    real round-trip check.
-    """
+    """Nodewise solution of w' = gamma(f(t, w)), w(0) = 0, and the
+    bound z = f(t, w) it gives."""
 
     mesh: Mesh
     omega: np.ndarray
     bound: np.ndarray
-    phi: Callable[[float], float] | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +197,6 @@ class MajorantSolution:
     bound: np.ndarray
     chain: PicardChain
     certificate_bound: np.ndarray
-    phi: Callable[[float], float] | None
 
 
 @dataclass(frozen=True)
@@ -295,62 +294,77 @@ def _frozen_tail(spec: MajorantSpec, t: float, omega: float) -> float:
     return res.value if res.converged else math.inf
 
 
-def _classify_forward(spec: MajorantSpec) -> BlowupReport:
-    rate = spec.rate_at
-    t, w, h = 0.0, 0.0, 1e-3
-    rtol = 1e-10
-    for _ in range(400000):
-        if w >= _OMEGA_CAP:
-            tail = _frozen_tail(spec, t, w)
-            if math.isfinite(tail):
-                return BlowupReport(
-                    Blowup.VALUE,
-                    t + tail,
-                    None,
-                    f"forward integration reached w={w:.3e} at t={t:.12g};"
-                    f" frozen-rate tail {tail:.3e}",
-                )
-            return BlowupReport(
-                Blowup.GLOBAL,
-                math.inf,
-                None,
-                f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
-                " frozen-rate tail diverges, so growth is subcritical",
-            )
-        if t >= _T_CAP:
-            return BlowupReport(
-                Blowup.GLOBAL,
-                math.inf,
-                None,
-                f"bound still {w:.3e} at t={t:.3e}",
-            )
+def _march(
+    rate: Callable[[float, float], float],
+    t: float,
+    w: float,
+    h: float,
+    t_stop: float,
+    rtol: float,
+    w_cap: float = math.inf,
+) -> tuple[float, float, float]:
+    """Integrate w' = rate(t, w) from (t, w) until t reaches t_stop
+    exactly or w reaches w_cap; returns (t, w, h), h the next step.
+
+    Adaptive step-doubling RK4 with Richardson correction (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.4): a step is accepted when the
+    full step and two half steps agree to rtol, relative to max(1, |w|).
+    A rejected step below 1e-14 max(1, t) means the march cannot go on.
+    """
+    for _ in range(_MARCH_BUDGET):
+        if t >= t_stop or w >= w_cap:
+            return t, w, h
+        step = min(h, t_stop - t)
         try:
-            big = _rk4(rate, t, w, h)
-            half = _rk4(rate, t, w, 0.5 * h)
-            small = _rk4(rate, t + 0.5 * h, half, 0.5 * h)
+            big = _rk4(rate, t, w, step)
+            half = _rk4(rate, t, w, 0.5 * step)
+            small = _rk4(rate, t + 0.5 * step, half, 0.5 * step)
         except EVAL_ERRORS:
-            h *= 0.5
-            if h < 1e-14 * max(1.0, t):
-                raise NumericError(
-                    f"forward integration stalled at t={t!r}: the rate stops"
-                    " being evaluable ahead of the current state"
-                ) from None
-            continue
-        if math.isfinite(small) and math.isfinite(big):
-            err = abs(small - big) / 15.0
-            scale = rtol * max(1.0, abs(small))
+            h = step * 0.5
         else:
-            err, scale = math.inf, 0.0
-        if err <= scale:
-            t += h
-            w = small + (small - big) / 15.0
-            h *= min(4.0, max(0.5, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-        else:
-            if err == math.inf:
-                h *= 0.1
+            if math.isfinite(small) and math.isfinite(big):
+                err = abs(small - big) / 15.0
+                scale = rtol * max(1.0, abs(small))
             else:
-                h *= max(0.1, 0.9 * (scale / err) ** 0.2)
+                err, scale = math.inf, 0.0
+            if err <= scale:
+                t = t_stop if step == t_stop - t else t + step
+                w = small + (small - big) / 15.0
+                h = step * min(4.0, max(0.5, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
+                continue
+            # a non-finite trial has scale / err = 0: the step shrinks by 10
+            h = step * max(0.1, 0.9 * (scale / err) ** 0.2)
+        if h < 1e-14 * max(1.0, t):
+            raise NumericError(
+                f"forward integration stalled at t={t!r}: the bound escapes"
+                " or the rate stops being evaluable ahead of it"
+            )
     raise NumericError("forward integration exceeded its step budget")
+
+
+def _classify_forward(spec: MajorantSpec) -> BlowupReport:
+    t, w, _ = _march(
+        spec.rate_at, 0.0, 0.0, _FIRST_STEP, _T_CAP, _CLASSIFY_RTOL, _OMEGA_CAP
+    )
+    if w >= _OMEGA_CAP:
+        tail = _frozen_tail(spec, t, w)
+        if math.isfinite(tail):
+            return BlowupReport(
+                Blowup.VALUE,
+                t + tail,
+                None,
+                f"forward integration reached w={w:.3e} at t={t:.12g};"
+                f" frozen-rate tail {tail:.3e}",
+            )
+        return BlowupReport(
+            Blowup.GLOBAL,
+            math.inf,
+            None,
+            f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
+            " frozen-rate tail diverges, so growth is subcritical",
+        )
+    detail = f"bound still {w:.3e} at t={t:.3e}"
+    return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
 
 
 def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
@@ -362,8 +376,9 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     global) unless the rate has a pole, in which case the slope escapes
     while the bound stays below f(pole) (derivative blow-up) and the
     horizon is the integral of the inverse rate up to the pole.  A
-    time-dependent f is integrated forward instead, up to t = _T_CAP or
-    a bound of _OMEGA_CAP.
+    time-dependent f is marched forward instead (solve_cauchy's march,
+    at _CLASSIFY_RTOL) up to t = _T_CAP or a bound of _OMEGA_CAP; a
+    march that stalls first raises NumericError.
 
     tol must be finite and positive; anything else raises
     SpecValidationError naming it.
@@ -404,139 +419,20 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     )
 
 
-def _autonomous_cauchy(
-    spec: MajorantSpec, mesh: Mesh, pole: float | None
-) -> CauchySolution:
-    rate = spec.rate
-    h = _inverse_rate(rate)
-    target = mesh.end
-    knots = [0.0]
-    phis = [0.0]
-    panel_tol = 1e-15 * max(1.0, target)
-    while phis[-1] <= target:
-        w_last = knots[-1]
-        if pole is not None:
-            w_next = w_last + 0.3 * (pole - w_last)
-            if pole - w_next <= 1e-13 * pole:
-                raise NumericError(
-                    "mesh end time is not reachable below the rate pole; the"
-                    " mesh extends to or past the horizon"
-                )
-        else:
-            w_next = 1e-2 if w_last == 0.0 else 1.3 * w_last
-            if w_next > 1e18:
-                raise NumericError(
-                    "time map failed to reach the mesh end below w=1e18; the"
-                    " mesh extends to or past the horizon"
-                )
-        knots.append(w_next)
-        phis.append(phis[-1] + adaptive_quad(h, w_last, w_next, panel_tol))
-        if len(knots) > 4000:
-            raise NumericError("time map knot table exceeded its budget")
-    phis_arr = np.array(phis)
-    # The inversion marches forward from a current point (cur_w, cur_p),
-    # cur_p = phi(cur_w) to panel accuracy.  Each Newton or bisection
-    # step integrates 1/rate over the signed piece from cur_w to the new
-    # iterate, whose 1/rate sample is also the Newton slope and the next
-    # piece's start.  A node continues from the last accepted point while
-    # it is in the same knot panel with phi <= t, and re-anchors to the
-    # knot table otherwise, so quadrature errors add up over one panel
-    # at most.  Newton starts from the in-panel interpolant, not from the
-    # last point, so the accepted omega matches a knot-anchored inversion
-    # to quadrature error.
-    omega = np.zeros(mesh.nodes.size)
-    cur_i, cur_w, cur_p, cur_h = -1, 0.0, 0.0, None
-    for j, t in enumerate(mesh.nodes.tolist()):
-        if t <= 0.0:
-            continue
-        i = int(np.searchsorted(phis_arr, t, side="right")) - 1
-        i = max(0, min(i, len(knots) - 2))
-        lo_w, hi_w = knots[i], knots[i + 1]
-        lo_p, hi_p = phis[i], phis[i + 1]
-        if i != cur_i or cur_p > t:
-            cur_i, cur_w, cur_p, cur_h = i, lo_w, lo_p, None
-        frac = (t - lo_p) / (hi_p - lo_p) if hi_p > lo_p else 0.5
-        w = lo_w + frac * (hi_w - lo_w)
-        blo, bhi = lo_w, hi_w
-        quad_tol = 1e-15 * max(1.0, t)
-        for _ in range(200):
-            h_w = h(w)
-            if w >= cur_w:
-                cur_p += adaptive_quad(h, cur_w, w, quad_tol, fa=cur_h, fb=h_w)
-            else:
-                cur_p -= adaptive_quad(h, w, cur_w, quad_tol, fa=h_w, fb=cur_h)
-            cur_w, cur_h = w, h_w
-            err = cur_p - t
-            if abs(err) <= 1e-11 * max(1.0, t):
-                omega[j] = w
-                break
-            if err > 0.0:
-                bhi = min(bhi, w)
-            else:
-                blo = max(blo, w)
-            w_new = w - err / h_w if h_w > 0.0 else None
-            if w_new is None or not (blo < w_new < bhi):
-                w_new = 0.5 * (blo + bhi)
-            w = w_new
-        else:
-            raise NumericError(f"time map inversion stalled at t={t!r}")
-    bound = spec.map_f(mesh.nodes, omega)
-
-    def fresh_phi(w: float) -> float:
-        return adaptive_quad(h, 0.0, float(w), 1e-12)
-
-    return CauchySolution(mesh, omega, bound, fresh_phi)
-
-
-def _gap_rk4(
-    rate: Callable[[float, float], float], t0: float, w0: float, gap: float
-) -> float:
-    prev = None
-    n = 4
-    while n <= 2**22:
-        w = w0
-        sub = gap / n
-        for i in range(n):
-            w = _rk4(rate, t0 + i * sub, w, sub)
-        if not math.isfinite(w):
-            raise NumericError(
-                f"bound integration left the finite range inside the gap"
-                f" starting at t={t0!r}"
-            )
-        if prev is not None and abs(w - prev) <= 1e-12 * max(1.0, abs(w)):
-            return w + (w - prev) / 15.0
-        prev = w
-        n *= 2
-    raise NumericError(f"gap integration did not settle at t={t0!r}")
-
-
 def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
     """Solve the reduced initial value problem at every mesh node.
 
-    Time-independent f goes through the monotone time map (integral of
-    the inverse rate) inverted by bracketed Newton steps.  The inversion
-    marches forward through the nodes, integrating only the short piece
-    between successive iterates and re-anchoring at each knot panel, so
-    its adaptive work grows linearly with the node count; the result
-    carries a fresh from-zero phi for round-trip audits.  Time-dependent
-    f falls back to per-gap Runge-Kutta with Richardson control and
-    phi=None.
+    One forward march (the classifier's, at _CAUCHY_RTOL) goes gap by
+    gap, lands on each node exactly and carries its step into the next
+    gap, for any f.  A mesh that reaches the horizon stalls the march
+    there and raises NumericError.
     """
-    if spec.f_depends_on_t:
-        omega = np.zeros(mesh.nodes.size)
-        for j in range(mesh.n):
-            omega[j + 1] = _gap_rk4(
-                spec.rate_at,
-                float(mesh.nodes[j]),
-                float(omega[j]),
-                float(mesh.gaps[j]),
-            )
-        bound = spec.map_f(mesh.nodes, omega)
-        return CauchySolution(mesh, omega, bound, None)
-    pole = spec.pole
-    if pole is None:
-        pole = _detect_pole(spec.rate)
-    return _autonomous_cauchy(spec, mesh, pole)
+    omega = np.zeros(mesh.nodes.size)
+    t, w, h = 0.0, 0.0, _FIRST_STEP
+    for j, t_node in enumerate(mesh.nodes[1:].tolist(), start=1):
+        t, w, h = _march(spec.rate_at, t, w, h, t_node, _CAUCHY_RTOL)
+        omega[j] = w
+    return CauchySolution(mesh, omega, spec.map_f(mesh.nodes, omega))
 
 
 def certified_tail(chain: PicardChain, z_plus: np.ndarray) -> np.ndarray:
@@ -633,5 +529,4 @@ def solve_majorant(
         bound=cauchy.bound,
         chain=chain,
         certificate_bound=certificate,
-        phi=cauchy.phi,
     )

@@ -1,11 +1,11 @@
 """Successive approximation of the main solution with certified stops.
 
 The main solution is the limit of u_0 = 0, u_{n+1} = u_n - A^{-1}F(u_n).
-When a certified majorant on the same mesh is supplied, each iterate
-norm is dominated by the matching chain iterate and the distance to the
-limit by (certified bound - chain iterate), so iteration can stop as
-soon as that tail drops below tolerance even if the step size alone
-would not justify stopping.
+When a certified majorant on the same mesh is supplied and its chain
+dominates an iterate's norms, the distance to the limit is bounded by
+(certified bound - chain iterate), so iteration can stop as soon as that
+tail drops below tolerance even if the step size alone would not justify
+stopping; an undominated iterate earns no tail.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .integral_majorant import MajorantSolution
+from .integral_majorant import MajorantSolution, certified_tail
 from .meshes import Mesh, Trajectory, zero_trajectory
 from .problem import VolterraProblem, eval_residual, picard_step
 
@@ -74,6 +74,18 @@ def _check_majorant_mesh(mesh: Mesh, majorant: MajorantSolution) -> None:
         )
 
 
+def _tail_row(
+    majorant: MajorantSolution | None, tails: np.ndarray | None, u: Trajectory, n: int
+) -> np.ndarray | None:
+    """Row n of the certified tails when chain row n dominates iterate n's
+    norms, the rule verify_domination applies; None otherwise."""
+    if majorant is None:
+        return None
+    k = min(n, majorant.chain.count - 1)
+    dominated = np.all(u.norms <= majorant.chain.iterates[k] + _DOMINATION_SLACK)
+    return tails[k] if dominated else None
+
+
 def _solve(
     problem: VolterraProblem,
     start: Trajectory,
@@ -83,8 +95,10 @@ def _solve(
     main: bool,
 ) -> SolveReport:
     mesh = start.mesh
+    tails = None
     if majorant is not None:
         _check_majorant_mesh(mesh, majorant)
+        tails = certified_tail(majorant.chain, majorant.certificate_bound)
     if n_max < 1:
         raise SpecValidationError(f"n_max must be >= 1, got {n_max}")
     u = start
@@ -92,7 +106,6 @@ def _solve(
     status = SolveStatus.NOT_CONVERGED
     stop_reason = "max-iterations"
     final_step = np.inf
-    final_tail: float | None = None
     iterations = 0
     for n in range(1, n_max + 1):
         u_new = picard_step(problem, u)
@@ -105,24 +118,16 @@ def _solve(
             stored = stored[::2]
             if stored[-1][0] != last[0]:
                 stored.append(last)
-        if majorant is not None:
-            k = min(n, majorant.chain.count - 1)
-            tail_arr = majorant.certificate_bound - majorant.chain.iterates[k]
-            final_tail = float(np.max(tail_arr))
         if final_step <= tol * (1.0 + u.max_norm):
             status = SolveStatus.CONVERGED
             stop_reason = "step"
             break
-        if final_tail is not None and final_tail <= tol:
+        tail = _tail_row(majorant, tails, u, n)
+        if tail is not None and float(np.max(tail)) <= tol:
             status = SolveStatus.CONVERGED
             stop_reason = "certified-tail"
             break
-    certified = None
-    if majorant is not None:
-        k = min(iterations, majorant.chain.count - 1)
-        certified = np.maximum(
-            majorant.certificate_bound - majorant.chain.iterates[k], 0.0
-        )
+    certified = _tail_row(majorant, tails, u, iterations)
     norms = residual_norms(problem, u)
     return SolveReport(
         trajectory=u,
@@ -134,7 +139,7 @@ def _solve(
         iterates=tuple(stored),
         stop_reason=stop_reason,
         final_step=final_step,
-        final_tail=final_tail,
+        final_tail=None if certified is None else float(np.max(certified)),
         main_solution=main,
     )
 
@@ -146,8 +151,8 @@ def solve_main(
     n_max: int = 200,
     majorant: MajorantSolution | None = None,
 ) -> SolveReport:
-    """Iterate from the zero trajectory until the step or the certified
-    tail drops below tol."""
+    """Iterate from the zero trajectory until the step, or the certified
+    tail of an iterate the majorant's chain dominates, drops below tol."""
     return _solve(
         problem, zero_trajectory(mesh, problem.dim), tol, n_max, majorant, main=True
     )

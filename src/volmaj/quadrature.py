@@ -306,20 +306,19 @@ def adaptive_quad(
     a: float,
     b: float,
     tol: float,
-    fa: float | None = None,
     fb: float | None = None,
 ) -> float:
     """Adaptive Simpson with Richardson correction.
 
-    fa / fb override the endpoint samples, which lets callers force a
-    known limit value at an endpoint the integrand cannot be evaluated
-    at (for example a pole of the underlying rate).
+    fb overrides the sample at b, which lets a caller force a known limit
+    value at an endpoint the integrand cannot be evaluated at (the pole
+    of a rate, where 1/rate tends to 0).
     """
     if b == a:
         return 0.0
     if b < a:
         raise SpecValidationError("integration bounds must satisfy a <= b")
-    fa = g(a) if fa is None else fa
+    fa = g(a)
     fb = g(b) if fb is None else fb
     m = 0.5 * (a + b)
     fm = g(m)

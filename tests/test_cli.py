@@ -171,6 +171,20 @@ class TestSolve:
         assert pairs["stop_reason"] == "max-iterations"
 
 
+    def test_undominated_solve_claims_no_tail(self, tmp_path):
+        # the a = 0.5 solution outgrows the chain of f = w + t, gamma = z,
+        # whose tail shrinks below tol first; it must not end the solve
+        cfg = ini(tmp_path, HALF_A)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "solve_summary.txt")
+        assert pairs["stop_reason"] == "step"
+        assert pairs["final_tail"] == "none"
+        assert pairs["domination"] == "violated"
+        assert csv_header(out, "solve_table.csv") == "t,norm,residual"
+
+
 class TestMajorant:
     def test_inline_linear_is_global(self, tmp_path):
         cfg = ini(
@@ -303,6 +317,23 @@ class TestMajorant:
                      "--no-timestamp"])
         assert code == 2
         assert "existence window" in capsys.readouterr().err
+
+    def test_escaping_bound_stalls_with_exit_3(self, tmp_path, capsys):
+        # exp(z) overflows once w passes about 710, far below the bound
+        # cap, so the forward march stalls where the bound escapes
+        cfg = ini(
+            tmp_path,
+            """
+            [majorant]
+            source = inline
+            f = w + t
+            gamma = exp(z) - 1 + z^1.5
+            """,
+        )
+        code = main(["majorant", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--no-timestamp"])
+        assert code == 3
+        assert "the bound escapes" in capsys.readouterr().err
 
 
 class TestLyapunov:

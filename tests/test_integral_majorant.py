@@ -2,6 +2,8 @@
 value problem."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from volmaj.integral_majorant import (
     solve_cauchy,
     solve_majorant,
 )
-from volmaj.quadrature import _inverse_rate, _probe_rate, adaptive_quad, graded_mesh
+from volmaj.quadrature import _inverse_rate, adaptive_quad, graded_mesh
 
 TAN_SPEC = MajorantSpec(
     f=lambda t, w: w + t,
@@ -172,7 +174,7 @@ class TestCauchyRoute:
         mesh = graded_mesh(1.4, 120, 0.97)
         sol = solve_cauchy(spec, mesh)
         for t, w in zip(mesh.nodes, sol.omega):
-            assert sol.phi(float(w)) == pytest.approx(float(t), abs=1e-8)
+            assert _time_map(spec, float(w)) == pytest.approx(float(t), abs=1e-8)
 
     def test_omega_nondecreasing(self):
         mesh = graded_mesh(1.0, 80, 1.0)
@@ -180,50 +182,10 @@ class TestCauchyRoute:
         assert np.all(np.diff(sol.omega) >= 0.0)
 
 
-def _knot_anchored_omega(spec, mesh):
-    """Reference inversion without the forward march: every Newton or
-    bisection step re-integrates 1/rate from the panel's knot."""
-    rate, pole = spec.rate, spec.pole
-    h = _inverse_rate(rate)
-    knots, phis = [0.0], [0.0]
-    panel_tol = 1e-15 * max(1.0, mesh.end)
-    while phis[-1] <= mesh.end:
-        w_last = knots[-1]
-        if pole is not None:
-            w_next = w_last + 0.3 * (pole - w_last)
-        else:
-            w_next = 1e-2 if w_last == 0.0 else 1.3 * w_last
-        knots.append(w_next)
-        phis.append(phis[-1] + adaptive_quad(h, w_last, w_next, panel_tol))
-    phis_arr, knots_arr = np.array(phis), np.array(knots)
-
-    def omega_at(t):
-        if t <= 0.0:
-            return 0.0
-        i = int(np.searchsorted(phis_arr, t, side="right")) - 1
-        i = max(0, min(i, len(knots_arr) - 2))
-        lo_w, hi_w = knots_arr[i], knots_arr[i + 1]
-        lo_p, hi_p = phis_arr[i], phis_arr[i + 1]
-        frac = (t - lo_p) / (hi_p - lo_p) if hi_p > lo_p else 0.5
-        w = lo_w + frac * (hi_w - lo_w)
-        blo, bhi = lo_w, hi_w
-        quad_tol = 1e-15 * max(1.0, t)
-        for _ in range(200):
-            err = lo_p + adaptive_quad(h, lo_w, w, quad_tol) - t
-            if abs(err) <= 1e-11 * max(1.0, t):
-                return float(w)
-            if err > 0.0:
-                bhi = min(bhi, w)
-            else:
-                blo = max(blo, w)
-            r = _probe_rate(rate, w)
-            w_new = w - err * r if r is not None and math.isfinite(r) else None
-            if w_new is None or not (blo < w_new < bhi):
-                w_new = 0.5 * (blo + bhi)
-            w = w_new
-        raise NumericError(f"time map inversion stalled at t={t!r}")
-
-    return np.array([omega_at(float(t)) for t in mesh.nodes])
+def _time_map(spec, w):
+    """phi(w), the time the bound of an autonomous spec takes to reach
+    w: the integral of 1/rate from 0 to w, independent of the march."""
+    return adaptive_quad(_inverse_rate(spec.rate), 0.0, w, 1e-12)
 
 
 def _counted(gamma, calls):
@@ -234,11 +196,16 @@ def _counted(gamma, calls):
     return counted
 
 
-# (gamma, declared pole, mesh end): 1 + z^2 has horizon pi/2 and no pole,
-# 1/sqrt(1 - z) has horizon 2/3 and a pole at 1
+# (gamma, declared pole, mesh end, closed-form omega): 1 + z^2 has
+# horizon pi/2 and no pole, 1/sqrt(1 - z) has horizon 2/3 and a pole at 1
 INVERSION_CASES = {
-    "arctan": (lambda z: 1.0 + z * z, None, 1.4),
-    "sqrt_pole": (lambda z: (1.0 - z) ** -0.5, 1.0, 0.6),
+    "arctan": (lambda z: 1.0 + z * z, None, 1.4, math.tan),
+    "sqrt_pole": (
+        lambda z: (1.0 - z) ** -0.5,
+        1.0,
+        0.6,
+        lambda t: 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0),
+    ),
 }
 
 
@@ -246,7 +213,7 @@ INVERSION_CASES = {
 @pytest.mark.parametrize("case", sorted(INVERSION_CASES))
 class TestForwardInversion:
     def _solve(self, case, ratio):
-        gamma, pole, end = INVERSION_CASES[case]
+        gamma, pole, end, _ = INVERSION_CASES[case]
         calls = [0]
         spec = MajorantSpec(
             f=lambda t, w: w, gamma=_counted(gamma, calls), pole=pole, name=case
@@ -257,24 +224,58 @@ class TestForwardInversion:
         return spec, mesh, sol, calls[0]
 
     def test_round_trip(self, case, ratio):
-        _, mesh, sol, _ = self._solve(case, ratio)
+        spec, mesh, sol, _ = self._solve(case, ratio)
         for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
-            assert abs(sol.phi(w) - t) <= 2e-11 * max(1.0, t)
+            assert abs(_time_map(spec, w) - t) <= 2e-11 * max(1.0, t)
 
     def test_omega_nondecreasing(self, case, ratio):
         _, _, sol, _ = self._solve(case, ratio)
         assert sol.omega[0] == 0.0
         assert np.all(np.diff(sol.omega) >= 0.0)
 
-    def test_matches_knot_anchored_inversion(self, case, ratio):
-        spec, mesh, sol, _ = self._solve(case, ratio)
-        reference = _knot_anchored_omega(spec, mesh)
-        assert np.max(np.abs(sol.omega - reference)) <= 1e-10
+    def test_matches_closed_form(self, case, ratio):
+        _, mesh, sol, _ = self._solve(case, ratio)
+        exact = INVERSION_CASES[case][3]
+        for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
+            want = exact(t)
+            assert abs(w - want) <= 1e-11 * max(1.0, want)
 
     def test_rate_calls_linear_in_nodes(self, case, ratio):
-        # the knot-anchored inversion makes at least 460 calls per node here
+        # one step of 12 rate calls covers most gaps of these meshes
         _, mesh, _, calls = self._solve(case, ratio)
-        assert calls <= 60 * mesh.nodes.size
+        assert calls <= 20 * mesh.nodes.size
+
+
+@pytest.mark.parametrize(
+    "f, gamma, pole, depends, end, horizon",
+    [
+        pytest.param(
+            lambda t, w: w + 1.0, lambda z: z * z, None, False, 1.2, 1.0,
+            id="value_blowup",
+        ),
+        pytest.param(
+            lambda t, w: w,
+            lambda z: 1.0 / math.sqrt(1.0 - z),
+            1.0,
+            False,
+            0.7,
+            2.0 / 3.0,
+            id="rate_pole",
+        ),
+        pytest.param(
+            lambda t, w: w + t, lambda z: z * z, None, True, 1.6, math.pi / 2,
+            id="time_dependent",
+        ),
+    ],
+)
+def test_mesh_past_horizon_stalls_there(f, gamma, pole, depends, end, horizon):
+    spec = MajorantSpec(f=f, gamma=gamma, pole=pole, f_depends_on_t=depends)
+    start = time.perf_counter()
+    with pytest.raises(NumericError, match="stalled at t=") as info:
+        solve_cauchy(spec, graded_mesh(end, 40, 1.0))
+    assert time.perf_counter() - start < 1.0
+    t = float(re.search(r"stalled at t=([^:]+):", str(info.value)).group(1))
+    assert abs(t - horizon) <= 1e-6
 
 
 @pytest.mark.parametrize(

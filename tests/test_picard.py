@@ -96,6 +96,22 @@ class TestSolveMain:
         assert res.iterations == 1
         assert res.final_tail is not None and res.final_tail <= 1e-6
 
+    def test_undominated_iterate_earns_no_tail(self):
+        # u = 2 int u + t outgrows e^t - 1, the bound of f = w + t and
+        # gamma = z, whose chain tail drops below tol long before the step
+        spec = MajorantSpec(
+            f=lambda t, w: w + t, gamma=lambda z: z, f_depends_on_t=True,
+            name="too slow",
+        )
+        mesh = graded_mesh(1.0, 40, 1.0)
+        maj = solve_majorant(spec, mesh=mesh)
+        res = solve_main(linear_problem(rate=2.0), mesh, tol=1e-10, n_max=60,
+                         majorant=maj)
+        assert res.stop_reason == "step"
+        assert res.final_tail is None
+        assert res.certified_bounds is None
+        assert not verify_domination(res, maj).holds
+
     def test_certified_bounds_attached_and_nonnegative(self):
         entry = corpus_build("sine_bvp")
         mesh = graded_mesh(0.4, 80, 1.0)
@@ -157,7 +173,6 @@ class TestDomination:
             bound=zeros,
             chain=PicardChain(mesh, (zeros,), True, 0.0),
             certificate_bound=zeros,
-            phi=None,
         )
         report = verify_domination(res, flat)
         assert not report.holds
