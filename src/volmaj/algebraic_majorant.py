@@ -206,7 +206,8 @@ def _branch_min(
     spec: LyapunovSpec, t: float, iters: int = 200
 ) -> tuple[float, float]:
     """Minimum of c*f(r, t) - r over r in [0, r_max] by ternary search;
-    returns (argmin, min).  Non-finite samples push the search away."""
+    returns (argmin, min).  Non-finite samples push the search away; the
+    search stops at its fixed point, where the bracket no longer moves."""
     c = spec.inv_norm_bound
 
     def phi(r: float) -> float:
@@ -220,10 +221,10 @@ def _branch_min(
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
-            hi = m2
-        else:
-            lo = m1
+        bracket = (lo, m2) if phi(m1) <= phi(m2) else (m1, hi)
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     mid = 0.5 * (lo + hi)
     return mid, phi(mid)
 

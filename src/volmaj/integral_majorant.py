@@ -11,6 +11,9 @@ whose maximal existence time is the certified horizon.  Three outcomes
 are distinguished: the bound itself escapes to infinity at a finite
 time (value blow-up), the bound stays finite while its slope escapes at
 a finite rate pole (derivative blow-up), or the bound exists globally.
+When f depends on t the horizon comes from a forward march, in t until
+w reaches 1 and then in L = log(1 + w) with t as the unknown, which
+nears a blow-up time T smoothly in L while w grows like 1/(T - t) in t.
 
 Two independent routes compute the bound on a mesh: one adaptive
 forward march of the initial value problem (solve_cauchy) and successive
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EVAL_ERRORS, NumericError, SpecValidationError
+from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
     WeightTable,
@@ -139,10 +142,13 @@ class MajorantSpec:
 
     def rate(self, w: float) -> float:
         """Reduced rate at t = 0 (the autonomous rate)."""
-        return float(self.gamma(self.f(0.0, w)))
+        return self.rate_at(0.0, w)
 
     def rate_at(self, t: float, w: float) -> float:
-        return float(self.gamma(self.f(t, w)))
+        v = self.gamma(self.f(t, w))
+        if isinstance(v, complex):
+            raise DomainError(f"rate {v!r} at t={t!r}, w={w!r} is not real")
+        return float(v)
 
     def map_f(self, t, w) -> np.ndarray:
         """f over the broadcast of t and w, through f_array when it serves."""
@@ -279,8 +285,7 @@ def _detect_pole(rate: Callable[[float], float]) -> float | None:
     return lo
 
 
-def _rk4(fn: Callable[[float, float], float], t: float, w: float, h: float) -> float:
-    k1 = fn(t, w)
+def _rk4(fn: Callable, t: float, w: float, h: float, k1: float) -> float:
     k2 = fn(t + 0.5 * h, w + 0.5 * h * k1)
     k3 = fn(t + 0.5 * h, w + 0.5 * h * k2)
     k4 = fn(t + h, w + h * k3)
@@ -302,23 +307,29 @@ def _march(
     t_stop: float,
     rtol: float,
     w_cap: float = math.inf,
+    swapped: bool = False,
 ) -> tuple[float, float, float]:
     """Integrate w' = rate(t, w) from (t, w) until t reaches t_stop
     exactly or w reaches w_cap; returns (t, w, h), h the next step.
 
     Adaptive step-doubling RK4 with Richardson correction (Hairer,
     Norsett & Wanner, Solving ODEs I, II.4): a step is accepted when the
-    full step and two half steps agree to rtol, relative to max(1, |w|).
-    A rejected step below 1e-14 max(1, t) means the march cannot go on.
+    full step and two half steps agree to rtol, relative to max(1, |w|);
+    the full and first half step share k1.  A rejected step below 1e-14
+    max(1, t) stalls the march at t (at w if swapped: w is the time).
     """
+    k1 = None
     for _ in range(_MARCH_BUDGET):
         if t >= t_stop or w >= w_cap:
             return t, w, h
         step = min(h, t_stop - t)
         try:
-            big = _rk4(rate, t, w, step)
-            half = _rk4(rate, t, w, 0.5 * step)
-            small = _rk4(rate, t + 0.5 * step, half, 0.5 * step)
+            if k1 is None:
+                k1 = rate(t, w)
+            big = _rk4(rate, t, w, step, k1)
+            half = _rk4(rate, t, w, 0.5 * step, k1)
+            mid = t + 0.5 * step
+            small = _rk4(rate, mid, half, 0.5 * step, rate(mid, half))
         except EVAL_ERRORS:
             h = step * 0.5
         else:
@@ -330,23 +341,35 @@ def _march(
             if err <= scale:
                 t = t_stop if step == t_stop - t else t + step
                 w = small + (small - big) / 15.0
+                k1 = None
                 h = step * min(4.0, max(0.5, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
                 continue
             # a non-finite trial has scale / err = 0: the step shrinks by 10
             h = step * max(0.1, 0.9 * (scale / err) ** 0.2)
         if h < 1e-14 * max(1.0, t):
             raise NumericError(
-                f"forward integration stalled at t={t!r}: the bound escapes"
-                " or the rate stops being evaluable ahead of it"
+                f"forward integration stalled at t={w if swapped else t!r}: the"
+                " bound escapes or the rate stops being evaluable ahead of it"
             )
     raise NumericError("forward integration exceeded its step budget")
 
 
 def _classify_forward(spec: MajorantSpec) -> BlowupReport:
-    t, w, _ = _march(
-        spec.rate_at, 0.0, 0.0, _FIRST_STEP, _T_CAP, _CLASSIFY_RTOL, _OMEGA_CAP
-    )
-    if w >= _OMEGA_CAP:
+    def slope(L: float, t: float) -> float:
+        # dt/dL, L = log(1 + w): a rate not finite and positive fails the step
+        w = math.expm1(L)
+        r = spec.rate_at(t, w)
+        if not 0.0 < r < math.inf:
+            raise DomainError(f"rate {r!r} at w={w!r} is not finite and positive")
+        return (1.0 + w) / r
+
+    t, w, h = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, _T_CAP, _CLASSIFY_RTOL, 1.0)
+    L, L_cap = math.log1p(w), math.log1p(_OMEGA_CAP)
+    if w >= 1.0 and t < _T_CAP:
+        # past w = 1, t is marched in L, where it nears the horizon smoothly
+        L, t, _ = _march(slope, L, t, h, L_cap, _CLASSIFY_RTOL, _T_CAP, swapped=True)
+        w = math.expm1(L)
+    if L >= L_cap:
         tail = _frozen_tail(spec, t, w)
         if math.isfinite(tail):
             return BlowupReport(
@@ -377,8 +400,9 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     while the bound stays below f(pole) (derivative blow-up) and the
     horizon is the integral of the inverse rate up to the pole.  A
     time-dependent f is marched forward instead (solve_cauchy's march,
-    at _CLASSIFY_RTOL) up to t = _T_CAP or a bound of _OMEGA_CAP; a
-    march that stalls first raises NumericError.
+    at _CLASSIFY_RTOL): in t up to a bound of 1, then in L = log(1 + w)
+    up to t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L; a
+    march that stalls first raises NumericError naming the time.
 
     tol must be finite and positive; anything else raises
     SpecValidationError naming it.

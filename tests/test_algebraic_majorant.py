@@ -10,6 +10,7 @@ from volmaj import cli
 from volmaj.algebraic_majorant import (
     ConvexityReport,
     LyapunovSpec,
+    _branch_min,
     check_convexity,
     majorant_branch,
     solve_lyapunov,
@@ -107,6 +108,44 @@ class TestTangency:
         )
         with pytest.raises(NumericError):
             solve_tangency(spec)
+
+
+def _ternary_200(spec, t):
+    """The ternary search of _branch_min run for all of its 200 steps."""
+
+    def phi(r):
+        try:
+            v = spec.inv_norm_bound * float(spec.f(r, t)) - r
+        except (DomainError, OverflowError, ValueError, ZeroDivisionError):
+            return math.inf
+        return v if math.isfinite(v) else math.inf
+
+    lo, hi = 0.0, spec.r_max
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if phi(m1) <= phi(m2):
+            hi = m2
+        else:
+            lo = m1
+    mid = 0.5 * (lo + hi)
+    return mid, phi(mid)
+
+
+@pytest.mark.parametrize("spec", [QUAD, EXP, CONCAVE], ids=lambda s: s.name)
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.45, 1.0])
+def test_branch_min_stops_at_its_fixed_point(spec, t):
+    # once an iteration leaves the bracket unchanged, later ones repeat it,
+    # so stopping there returns the 200-step result bit for bit
+    calls = [0]
+
+    def counted(r, t):
+        calls[0] += 1
+        return spec.f(r, t)
+
+    got = _branch_min(dataclasses.replace(spec, f=counted), t)
+    assert got == _ternary_200(spec, t)
+    assert calls[0] < 2 * 200
 
 
 class TestBranch:

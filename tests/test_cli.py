@@ -333,7 +333,11 @@ class TestMajorant:
         code = main(["majorant", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--no-timestamp"])
         assert code == 3
-        assert "the bound escapes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "the bound escapes" in err
+        # the stall names the time the bound escapes at, not log(1 + w)
+        t = float(err.split("stalled at t=")[1].split(":")[0])
+        assert abs(t - 0.8202552) <= 1e-6
 
 
 class TestLyapunov:

@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 
+from volmaj import expr
+from volmaj.corpus import corpus_build
 from volmaj.errors import NumericError, SpecValidationError
 from volmaj.integral_majorant import (
     Blowup,
@@ -91,6 +93,9 @@ class TestClassification:
         [
             (lambda t, w: w + 1.0, lambda z: 1e6 * z, False),  # bound e^(1e6 t)
             (lambda t, w: w + t, lambda z: z, True),  # bound e^t - 1
+            # the bound passes 1e12 at t = 23.5, where the frozen-rate tail
+            # diverges
+            (lambda t, w: w + t, lambda z: 1.0 + z**1.01, True),
         ],
     )
     def test_logarithmic_tail_is_global(self, f, gamma, depends):
@@ -150,6 +155,74 @@ class TestClassification:
         )
         with pytest.raises((NumericError, SpecValidationError)):
             classify_blowup(spec)
+
+
+# the integral of 1/(1 + z + z^2), and of 1/(1 + z^3), over z > 0
+_CUBIC_HORIZON = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
+
+
+def _forward_spec(gamma):
+    return MajorantSpec(f=lambda t, w: w + t, gamma=gamma, f_depends_on_t=True)
+
+
+class TestForwardClassification:
+    """The forward route for time-dependent f: a march in t up to w = 1,
+    then in L = log(1 + w) with t as the unknown."""
+
+    @pytest.mark.parametrize(
+        "gamma, horizon",
+        [
+            # a z^2 has horizon pi / (2 sqrt(a))
+            pytest.param(lambda z: 2.0 * z * z, math.pi / math.sqrt(8.0), id="2z^2"),
+            pytest.param(lambda z: 0.5 * z * z, math.pi / math.sqrt(2.0), id="z^2/2"),
+            pytest.param(lambda z: z + z * z, _CUBIC_HORIZON, id="z+z^2"),
+            pytest.param(lambda z: z**3, _CUBIC_HORIZON, id="z^3"),
+        ],
+    )
+    def test_horizon_matches_closed_form(self, gamma, horizon):
+        # z = w + t solves z' = 1 + gamma(z), so the horizon is the
+        # integral of 1/(1 + gamma(z)) over z > 0
+        rep = classify_blowup(_forward_spec(gamma))
+        assert rep.kind is Blowup.VALUE
+        assert abs(rep.horizon - horizon) <= 3e-10 * horizon
+
+    def test_sine_bvp_horizon_in_under_2000_rate_calls(self, monkeypatch):
+        spec = corpus_build("sine_bvp").majorant
+        calls = [0]
+        rate_at = MajorantSpec.rate_at
+
+        def counted(self, t, w):
+            calls[0] += 1
+            return rate_at(self, t, w)
+
+        monkeypatch.setattr(MajorantSpec, "rate_at", counted)
+        rep = classify_blowup(spec)
+        assert rep.kind is Blowup.VALUE
+        assert abs(rep.horizon - math.pi / 2) <= 3e-10 * math.pi / 2
+        assert 0 < calls[0] <= 2000
+        # the cap is decided in L = log(1 + w), which lands on it exactly
+        assert rep.detail.startswith("forward integration reached w=1.000e+12 ")
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [
+            # math.exp raises OverflowError; the compiled expression gives inf
+            pytest.param(lambda z: math.exp(z) - 1.0 + z**1.5, id="python"),
+            pytest.param(
+                expr.as_function(expr.parse("exp(z) - 1 + z^1.5", ("z",)), ("z",)),
+                id="expression",
+            ),
+        ],
+    )
+    def test_overflowing_rate_stalls_at_the_time_of_escape(self, gamma):
+        # exp(z) overflows once the bound passes about 710: the march in L
+        # must not read the overflow as a rate so fast the time freezes,
+        # which would turn the escape into Global
+        spec = _forward_spec(gamma)
+        with pytest.raises(NumericError, match="stalled at t=") as info:
+            classify_blowup(spec)
+        t = float(re.search(r"stalled at t=([^:]+):", str(info.value)).group(1))
+        assert abs(t - 0.8202552) <= 1e-6
 
 
 class TestCauchyRoute:
@@ -261,6 +334,17 @@ class TestForwardInversion:
             0.7,
             2.0 / 3.0,
             id="rate_pole",
+        ),
+        pytest.param(
+            # past its branch point this rate turns complex instead of
+            # raising, which the march takes as a failed evaluation
+            lambda t, w: w,
+            lambda z: (1.0 - z) ** -0.5,
+            1.0,
+            False,
+            0.7,
+            2.0 / 3.0,
+            id="complex_rate",
         ),
         pytest.param(
             lambda t, w: w + t, lambda z: z * z, None, True, 1.6, math.pi / 2,
