@@ -24,6 +24,10 @@ previous node's root, since r(t) is nondecreasing.
 The screen itself evaluates f and f_r over its 128 x 128 grid by one
 array call each where the spec carries an array form that serves, and
 walks in Python only the rows and columns that hold a violation.
+
+The tangency scan and Newton runs work on Python floats, a residual
+being a pair.  Only the 2x2 Newton system goes to np.linalg.solve: a
+hand-written solve would not round as LAPACK's pivoted one does.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ _TANGENCY_FLOOR = 1e-13
 
 # the iterations majorant_branch allows one node
 _BRANCH_MAX_ITER = 50000
+
+# the damped Newton steps one tangency seed is allowed, and the ternary
+# steps _branch_min allows one time
+_NEWTON_MAX_ITER = 80
+_BRANCH_MIN_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -148,53 +157,55 @@ class LyapunovSolution:
     iterations: np.ndarray
 
 
-def _residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray:
+def _residual(spec: LyapunovSpec, r: float, t: float) -> tuple[float, float]:
     c = spec.inv_norm_bound
-    return np.array([c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0])
+    return c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0
 
 
-def _try_residual(spec: LyapunovSpec, r: float, t: float) -> np.ndarray | None:
+def _try_residual(spec: LyapunovSpec, r: float, t: float) -> tuple[float, float] | None:
     if r < 0.0 or t < 0.0 or r > 10.0 * spec.r_max or t > 10.0 * spec.t_max:
         return None
     try:
-        v = _residual(spec, r, t)
+        g, dg = _residual(spec, r, t)
     except EVAL_ERRORS:
         return None
-    return v if np.all(np.isfinite(v)) else None
+    return (g, dg) if math.isfinite(g) and math.isfinite(dg) else None
 
 
 def _newton_from(
-    spec: LyapunovSpec, seed: tuple[float, float], max_iter: int = 80
+    spec: LyapunovSpec, seed: tuple[float, float]
 ) -> tuple[float, float, int] | None:
-    x = np.array(seed, dtype=float)
-    res = _try_residual(spec, x[0], x[1])
+    r, t = seed
+    res = _try_residual(spec, r, t)
     if res is None:
         return None
-    for it in range(max_iter):
-        nr = float(np.max(np.abs(res)))
-        if nr <= _TANGENCY_FLOOR * (1.0 + float(np.max(np.abs(x)))):
-            return float(x[0]), float(x[1]), it
-        jac = np.empty((2, 2))
-        for col in range(2):
-            h = 1e-7 * max(1.0, abs(x[col]))
-            bumped = x.copy()
-            bumped[col] += h
-            res_h = _try_residual(spec, bumped[0], bumped[1])
-            if res_h is None:
-                return None
-            jac[:, col] = (res_h - res) / h
+    for it in range(_NEWTON_MAX_ITER):
+        g, dg = res
+        nr = max(abs(g), abs(dg))
+        if nr <= _TANGENCY_FLOOR * (1.0 + max(abs(r), abs(t))):
+            return r, t, it
+        # forward differences, bumping r before t
+        hr, ht = 1e-7 * max(1.0, abs(r)), 1e-7 * max(1.0, abs(t))
+        res_r = _try_residual(spec, r + hr, t)
+        res_t = None if res_r is None else _try_residual(spec, r, t + ht)
+        if res_t is None:
+            return None
+        jac = [
+            [(res_r[0] - g) / hr, (res_t[0] - g) / ht],
+            [(res_r[1] - dg) / hr, (res_t[1] - dg) / ht],
+        ]
         try:
-            step = np.linalg.solve(jac, -res)
+            dr, dt = np.linalg.solve(jac, [-g, -dg]).tolist()
         except np.linalg.LinAlgError:
             return None
         lam = 1.0
         while lam >= 1e-6:
-            cand = x + lam * step
-            res_c = _try_residual(spec, cand[0], cand[1])
+            cand = r + lam * dr, t + lam * dt
+            res_c = _try_residual(spec, *cand)
             if res_c is not None:
-                nc = float(np.max(np.abs(res_c)))
+                nc = max(abs(res_c[0]), abs(res_c[1]))
                 if nc < (1.0 - 0.25 * lam) * nr or nc < 1e-14:
-                    x, res = cand, res_c
+                    (r, t), res = cand, res_c
                     break
             lam *= 0.5
         else:
@@ -202,9 +213,7 @@ def _newton_from(
     return None
 
 
-def _branch_min(
-    spec: LyapunovSpec, t: float, iters: int = 200
-) -> tuple[float, float]:
+def _branch_min(spec: LyapunovSpec, t: float) -> tuple[float, float]:
     """Minimum of c*f(r, t) - r over r in [0, r_max] by ternary search;
     returns (argmin, min).  Non-finite samples push the search away; the
     search stops at its fixed point, where the bracket no longer moves."""
@@ -218,7 +227,7 @@ def _branch_min(
         return v if math.isfinite(v) else math.inf
 
     lo, hi = 0.0, spec.r_max
-    for _ in range(iters):
+    for _ in range(_BRANCH_MIN_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         bracket = (lo, m2) if phi(m1) <= phi(m2) else (m1, hi)
@@ -293,14 +302,14 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
     NumericError, as does disagreement beyond 1e-8 with the
     derivative-free fallback.
     """
-    r_grid = np.geomspace(1e-4, 1.0, 24) * spec.r_max
-    t_grid = np.geomspace(1e-4, 1.0, 24) * spec.t_max
+    r_grid = (np.geomspace(1e-4, 1.0, 24) * spec.r_max).tolist()
+    t_grid = (np.geomspace(1e-4, 1.0, 24) * spec.t_max).tolist()
     scored: list[tuple[float, float, float]] = []
     for r in r_grid:
         for t in t_grid:
-            res = _try_residual(spec, float(r), float(t))
+            res = _try_residual(spec, r, t)
             if res is not None:
-                scored.append((float(np.max(np.abs(res))), float(r), float(t)))
+                scored.append((max(abs(res[0]), abs(res[1])), r, t))
     if not scored:
         raise NumericError("tangency scan found no evaluable point")
     scored.sort()
@@ -330,12 +339,12 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
             f"tangency routes disagree: newton (r={radius!r}, t={horizon!r})"
             f" vs fallback (r={fb_radius!r}, t={fb_horizon!r})"
         )
-    res = _residual(spec, radius, horizon)
+    fixed_residual, slope_residual = _residual(spec, radius, horizon)
     return TangencyResult(
         radius=radius,
         horizon=horizon,
-        fixed_residual=float(res[0]),
-        slope_residual=float(res[1]),
+        fixed_residual=fixed_residual,
+        slope_residual=slope_residual,
         fallback_radius=fb_radius,
         fallback_horizon=fb_horizon,
         newton_iterations=iterations,

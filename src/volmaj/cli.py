@@ -6,6 +6,10 @@ text and CSV outputs use %.9g; files are written atomically; with
 --no-timestamp two runs of the same command produce byte-identical
 outputs.
 
+Float tables are written one "%.9g,...,%.9g" format per row: %.9g writes
+only digits, a sign, ".", "e", "inf" or "nan", which never need csv
+quoting.  verify_witnesses.csv, whose text cells can, keeps csv.writer.
+
 Exit codes: 0 ok, 2 bad config or spec, 3 numeric failure,
 4 not converged, 5 sampled condition failed.
 """
@@ -112,6 +116,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(
             [format_number(c) if isinstance(c, float) else c for c in row]
         )
+    _atomic_write(path, buf.getvalue())
+
+
+def _write_table(path: str, header: list[str], columns: list) -> None:
+    """Float columns, one %.9g format per row; ragged columns raise."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    buf.writelines(line % tuple(row) for row in table.tolist())
     _atomic_write(path, buf.getvalue())
 
 
@@ -525,8 +539,8 @@ def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     _write_summary(
         os.path.join(out, "majorant_summary.txt"), "majorant", pairs, timestamp
     )
-    rows = np.column_stack([mesh.nodes, *columns, chain.final]).tolist()
-    _write_csv(os.path.join(out, "majorant_table.csv"), header, rows)
+    table = [mesh.nodes, *columns, chain.final]
+    _write_table(os.path.join(out, "majorant_table.csv"), header, table)
     return EXIT_OK
 
 
@@ -573,8 +587,7 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         m = setup.entry.params["m"]
         header += ["d0", "d1", "d2"]
         columns += bvp_divided_differences(result.trajectory.values, 1.0 / (m + 1))
-    rows = np.column_stack(columns).tolist()
-    _write_csv(os.path.join(out, "solve_table.csv"), header, rows)
+    _write_table(os.path.join(out, "solve_table.csv"), header, columns)
     return (
         EXIT_OK if result.status is SolveStatus.CONVERGED else EXIT_NOT_CONVERGED
     )
@@ -610,10 +623,8 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     _write_summary(
         os.path.join(out, "lyapunov_summary.txt"), "lyapunov", pairs, timestamp
     )
-    rows = [
-        [float(t), float(r)] for t, r in zip(solution.mesh.nodes, solution.radii)
-    ]
-    _write_csv(os.path.join(out, "lyapunov_branch.csv"), ["t", "r"], rows)
+    branch = [solution.mesh.nodes, solution.radii]
+    _write_table(os.path.join(out, "lyapunov_branch.csv"), ["t", "r"], branch)
     return EXIT_OK
 
 

@@ -286,23 +286,27 @@ class _SampledCheck:
         # a nan margin compares false with everything, so it never
         # lowers the worst margin: fail it by name instead
         finite = np.isfinite(lhs) & np.isfinite(margin)
-        for k, i in enumerate(samples):
-            bad = np.flatnonzero(~finite[k])
-            j = int(bad[0]) if bad.size else int(np.argmin(margin[k]))
-            t, left, right = self.nodes[j], lhs[k, j], rhs[k, j]
-            witness = Witness(
-                self.condition, i, j, float(t), float(left), float(right)
+        rows_ok = finite.all(axis=1)
+        good = len(samples) if rows_ok.all() else int(np.argmin(rows_ok))
+        # the rows before the first bad one, as a sample-by-sample scan with
+        # a strict < takes them: the first smallest row minimum wins
+        cols = np.argmin(margin[:good], axis=1)
+        lows = margin[np.arange(good), cols]
+        if good and lows.min() < self.worst:
+            k = int(np.argmin(lows))
+            self.worst = float(lows[k])
+            self.witness = self._witness(samples, k, int(cols[k]), lhs, rhs)
+        if good < len(samples):
+            w = self._witness(samples, good, int(np.argmin(finite[good])), lhs, rhs)
+            side, cause = (
+                ("right", "majorant") if math.isfinite(w.lhs) else ("left", "kernel")
             )
-            if bad.size:
-                side, cause = (
-                    ("right", "majorant") if np.isfinite(left) else ("left", "kernel")
-                )
-                reason = f"{side} side is not finite ({cause} overflow?)"
-                self.failure = _failed(self.condition, i + 1, reason, witness)
-                return
-            if margin[k, j] < self.worst:
-                self.worst = float(margin[k, j])
-                self.witness = witness
+            reason = f"{side} side is not finite ({cause} overflow?)"
+            self.failure = _failed(self.condition, w.sample + 1, reason, w)
+
+    def _witness(self, samples: range, k: int, j: int, lhs, rhs) -> Witness:
+        t, left = float(self.nodes[j]), float(lhs[k, j])
+        return Witness(self.condition, samples[k], j, t, left, float(rhs[k, j]))
 
     def outcome(self, n_samples: int) -> CheckOutcome:
         if self.failure is not None:

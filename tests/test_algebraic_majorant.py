@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from volmaj import cli
+from volmaj import algebraic_majorant, cli
 from volmaj.algebraic_majorant import (
     ConvexityReport,
     LyapunovSpec,
@@ -16,7 +16,8 @@ from volmaj.algebraic_majorant import (
     solve_lyapunov,
     solve_tangency,
 )
-from volmaj.errors import DomainError, NumericError, SpecValidationError
+from volmaj.corpus import corpus_build
+from volmaj.errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from volmaj.quadrature import graded_mesh
 
 QUAD = LyapunovSpec(
@@ -146,6 +147,98 @@ def test_branch_min_stops_at_its_fixed_point(spec, t):
     got = _branch_min(dataclasses.replace(spec, f=counted), t)
     assert got == _ternary_200(spec, t)
     assert calls[0] < 2 * 200
+
+
+# The tangency system on numpy arrays, as solve_tangency ran it before its
+# scan and Newton runs moved to Python floats: the reference route.
+
+
+def _residual_np(spec, r, t):
+    c = spec.inv_norm_bound
+    return np.array([c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0])
+
+
+def _try_residual_np(spec, r, t):
+    if r < 0.0 or t < 0.0 or r > 10.0 * spec.r_max or t > 10.0 * spec.t_max:
+        return None
+    try:
+        v = _residual_np(spec, r, t)
+    except EVAL_ERRORS:
+        return None
+    return v if np.all(np.isfinite(v)) else None
+
+
+def _newton_from_np(spec, seed, max_iter=80):
+    x = np.array(seed, dtype=float)
+    res = _try_residual_np(spec, x[0], x[1])
+    if res is None:
+        return None
+    for it in range(max_iter):
+        nr = float(np.max(np.abs(res)))
+        if nr <= 1e-13 * (1.0 + float(np.max(np.abs(x)))):
+            return float(x[0]), float(x[1]), it
+        jac = np.empty((2, 2))
+        for col in range(2):
+            h = 1e-7 * max(1.0, abs(x[col]))
+            bumped = x.copy()
+            bumped[col] += h
+            res_h = _try_residual_np(spec, bumped[0], bumped[1])
+            if res_h is None:
+                return None
+            jac[:, col] = (res_h - res) / h
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        while lam >= 1e-6:
+            cand = x + lam * step
+            res_c = _try_residual_np(spec, cand[0], cand[1])
+            if res_c is not None:
+                nc = float(np.max(np.abs(res_c)))
+                if nc < (1.0 - 0.25 * lam) * nr or nc < 1e-14:
+                    x, res = cand, res_c
+                    break
+            lam *= 0.5
+        else:
+            return None
+    return None
+
+
+def _numpy_route(monkeypatch):
+    for name, fn in [
+        ("_residual", _residual_np),
+        ("_try_residual", _try_residual_np),
+        ("_newton_from", _newton_from_np),
+    ]:
+        monkeypatch.setattr(algebraic_majorant, name, fn)
+
+
+TANGENCY_SPECS = [
+    *(inline(f"t*(r^2 + {k})") for k in (0.9, 0.951, 1.0208, 1.1)),
+    corpus_build("sine_bvp").lyapunov,
+    inline("t*r^3 + t"),
+    inline("t*(exp(r) - 1) + t"),
+]
+
+
+class TestTangencyOnFloats:
+    @pytest.mark.parametrize("spec", TANGENCY_SPECS, ids=lambda s: s.name)
+    def test_every_field_equals_the_numpy_route(self, spec, monkeypatch):
+        got = solve_tangency(spec)
+        _numpy_route(monkeypatch)
+        want = solve_tangency(spec)
+        for field in dataclasses.fields(want):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_disagreeing_routes_raise_the_numpy_route_message(self, monkeypatch):
+        spec = inline("t*exp(r) - t")
+        with pytest.raises(NumericError, match="tangency routes disagree") as got:
+            solve_tangency(spec)
+        _numpy_route(monkeypatch)
+        with pytest.raises(NumericError) as want:
+            solve_tangency(spec)
+        assert str(got.value) == str(want.value)
 
 
 class TestBranch:

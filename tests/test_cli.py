@@ -1,6 +1,8 @@
 """End-to-end command line checks on temporary configs and outputs."""
 
+import csv
 import dataclasses
+import io
 import math
 import pathlib
 import textwrap
@@ -12,7 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from volmaj import algebraic_majorant
-from volmaj.cli import _SCHEMA, _inline_problem, _load_config, _Setup, main
+from volmaj.cli import (
+    _SCHEMA,
+    _inline_problem,
+    _load_config,
+    _Setup,
+    _write_table,
+    format_number,
+    main,
+)
 from volmaj.corpus import corpus_names, corpus_param_types
 from volmaj.errors import ExprError, SpecValidationError
 from volmaj.problem import KernelStage
@@ -22,6 +32,9 @@ from volmaj.quadrature import graded_mesh, nested_integral
 # corpus run --no-timestamp outputs; a change that moves a printed digit
 # updates these files in its own diff
 GOLDEN_CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus"
+# lyapunov on f = t*(r^2 + 1.0208): its fixed_residual depends on the last
+# bits of the Newton root, and its branch is a 401-row table
+GOLDEN_K1_0208 = pathlib.Path(__file__).parent / "golden" / "lyapunov_k1.0208"
 
 
 def ini(tmp_path, text, name="run.ini"):
@@ -452,6 +465,10 @@ class TestLyapunov:
         assert pairs["branch_converged"] == "all"
         exact = 0.5 / math.sqrt(float(k))
         assert float(pairs["horizon"]) == pytest.approx(exact, rel=1e-9)
+        if k == "1.0208":
+            for fname in ("lyapunov_summary.txt", "lyapunov_branch.csv"):
+                golden = (GOLDEN_K1_0208 / fname).read_bytes()
+                assert (out / fname).read_bytes() == golden, fname
 
     def test_no_tangency_exits_3(self, tmp_path, capsys):
         cfg = ini(
@@ -1275,3 +1292,48 @@ def test_inline_fold1_kernel_terms(kernel, terms):
         assert np.array_equal(got, want)
     else:
         assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def _reference_table(header, columns):
+    """The table as csv.writer writes it with one format_number per cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in np.column_stack(columns).tolist():
+        writer.writerow([format_number(c) for c in row])
+    return buf.getvalue().encode()
+
+
+_EDGE_FLOATS = [
+    math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1e-308, -1e-308, 1e308, -1e308, 1.7976931348623157e308,
+]
+
+
+@given(
+    width=st.integers(1, 5),
+    cells=st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(width=64)), max_size=60
+    ),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_table_writer_matches_the_csv_writer(tmp_path, width, cells):
+    rows = len(cells) // width
+    columns = [
+        np.array(cells[j * rows : (j + 1) * rows], dtype=float) for j in range(width)
+    ]
+    header = [f"c{j}" for j in range(width)]
+    path = tmp_path / "table.csv"
+    _write_table(str(path), header, columns)
+    assert path.read_bytes() == _reference_table(header, columns)
+
+
+def test_table_writer_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        _write_table(str(path), ["t", "r"], [np.zeros(3), np.zeros(4)])
+    assert not path.exists()

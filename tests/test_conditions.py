@@ -16,6 +16,8 @@ from volmaj.conditions import (
     ConditionStatus,
     TrajectorySampler,
     Witness,
+    _failed,
+    _SampledCheck,
     _slope,
     check_A,
     check_B,
@@ -724,3 +726,69 @@ class TestArrayFormFallback:
         assert len(got.iterates) == len(want.iterates)
         for a, b in zip(got.iterates, want.iterates):
             _same_bits(a, b)
+
+
+class _LoopCheck(_SampledCheck):
+    """feed as the sample-by-sample loop it replaced: the reference."""
+
+    def feed(self, samples, *stacks):
+        lhs, rhs = self.margins(*stacks)
+        with np.errstate(invalid="ignore"):
+            margin = rhs - lhs
+        finite = np.isfinite(lhs) & np.isfinite(margin)
+        for k, i in enumerate(samples):
+            bad = np.flatnonzero(~finite[k])
+            j = int(bad[0]) if bad.size else int(np.argmin(margin[k]))
+            t, left, right = self.nodes[j], lhs[k, j], rhs[k, j]
+            witness = Witness(
+                self.condition, i, j, float(t), float(left), float(right)
+            )
+            if bad.size:
+                side, cause = (
+                    ("right", "majorant") if np.isfinite(left) else ("left", "kernel")
+                )
+                reason = f"{side} side is not finite ({cause} overflow?)"
+                self.failure = _failed(self.condition, i + 1, reason, witness)
+                return
+            if margin[k, j] < self.worst:
+                self.worst = float(margin[k, j])
+                self.witness = witness
+
+
+def _random_block(rng, rows, nodes, spoil):
+    """lhs and rhs on a coarse value grid, so minima tie within and across
+    rows; with spoil, a few cells turn nan or infinite on either side."""
+    lhs = rng.integers(-3, 4, (rows, nodes)) * 0.5
+    rhs = rng.integers(-3, 4, (rows, nodes)) * 0.5
+    if spoil:
+        for _ in range(rng.integers(1, 4)):
+            side = lhs if rng.random() < 0.5 else rhs
+            side[rng.integers(rows), rng.integers(nodes)] = rng.choice(
+                [math.nan, math.inf, -math.inf]
+            )
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_feed_equals_the_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    mesh = graded_mesh(1.0, 6, 1.0)
+
+    def sides(lhs, rhs):
+        return lhs, rhs
+
+    checks = [_SampledCheck("A", mesh, sides), _LoopCheck("A", mesh, sides)]
+    start = 0
+    for call in range(int(rng.integers(1, 6))):
+        rows = int(rng.integers(1, 9))
+        lhs, rhs = _random_block(rng, rows, mesh.nodes.size, rng.random() < 0.3)
+        samples = range(start, start + rows)
+        for check in checks:
+            if check.failure is None:
+                check.feed(samples, lhs, rhs)
+        start += rows
+    got, want = checks
+    # repr, so nan fields of a failure witness compare equal
+    assert repr(got.worst) == repr(want.worst)
+    assert repr(got.witness) == repr(want.witness)
+    assert repr(got.failure) == repr(want.failure)
