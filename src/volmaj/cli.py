@@ -143,6 +143,8 @@ def _load_config(path: str) -> configparser.ConfigParser:
 # The config schema: section -> key -> (type, default, accepted range).
 # A range is (description, predicate) and None accepts any value of the
 # type; a _REQUIRED default marks an expression source = inline must give.
+# An expression key's type is the tuple of variables it may use: its
+# text must parse over them, and an error names the key.
 # A [problem], [majorant] or [lyapunov] section lists its inline keys;
 # with source = corpus it holds entry and the entry's parameters.
 _REQUIRED = object()
@@ -166,23 +168,23 @@ _SCHEMA = {
         "source": _SOURCE,
         "a": (float, 1.0, _NONZERO),
         "c": (float, None, _POSITIVE),  # unset: 1 / |a|
-        "kernel": (str, _REQUIRED, None),
-        "kernel2": (str, None, None),
-        "phi": (str, _REQUIRED, None),
+        "kernel": (("t", "s", "u"), _REQUIRED, None),
+        "kernel2": (("t", "s1", "s2", "u1", "u2"), None, None),
+        "phi": (("t", "om1", "om2", "u"), _REQUIRED, None),  # om2 with kernel2
     },
     "majorant": {
         "source": _SOURCE,
-        "f": (str, _REQUIRED, None),
-        "gamma": (str, _REQUIRED, None),
+        "f": (("t", "w"), _REQUIRED, None),
+        "gamma": (("z",), _REQUIRED, None),
         "pole": (float, None, _POSITIVE),
-        "zprime": (str, None, None),
+        "zprime": (("t",), None, None),
         "z_max": (float, None, _POSITIVE),
         "omega_max": (float, None, _POSITIVE),
     },
     "lyapunov": {
         "source": _SOURCE,
-        "f": (str, _REQUIRED, None),
-        "fr": (str, None, None),
+        "f": (("r", "t"), _REQUIRED, None),
+        "fr": (("r", "t"), None, None),
         "c": (float, 1.0, _POSITIVE),
         "r_max": (float, 100.0, _POSITIVE),
         "t_max": (float, 100.0, _POSITIVE),
@@ -217,6 +219,12 @@ def _read_value(section: str, key: str, given: dict, schema: tuple):
         if default is _REQUIRED:
             raise SpecValidationError(f"[{section}] source=inline needs {key}=<expr>")
         return default
+    if isinstance(kind, tuple):
+        try:
+            expr.parse(given[key], kind)
+        except ExprError as exc:
+            raise SpecValidationError(f"[{section}] {key}: {exc}") from None
+        return given[key]
     try:
         value = kind(given[key])
     except ValueError:
@@ -332,7 +340,10 @@ def _inline_problem(v: dict) -> VolterraProblem:
         )
         phi_vars.append("om2")
     phi_vars.append("u")
-    phi = expr.as_function(expr.parse(v["phi"], tuple(phi_vars)), tuple(phi_vars))
+    phi_tree = expr.parse(v["phi"], ("t", "om1", "om2", "u"))
+    if v["kernel2"] is None and "om2" in expr.variables(phi_tree):
+        raise SpecValidationError("[problem] phi: om2 needs kernel2")
+    phi = expr.as_function(phi_tree, tuple(phi_vars))
 
     def outer(t, integrals, u):
         return pointwise(phi, t, *(i[..., 0] for i in integrals), u[..., 0])[..., None]
@@ -354,23 +365,8 @@ def _inline_problem(v: dict) -> VolterraProblem:
 
 
 def _inline_majorant(v: dict) -> MajorantSpec:
-    f_expr = expr.parse(v["f"], ("t", "w"))
-    gamma_expr = expr.parse(v["gamma"], ("z",))
-    upper = None
-    if v["zprime"] is not None:
-        upper = expr.as_function(expr.parse(v["zprime"], ("t",)), ("t",))
-    return MajorantSpec(
-        f=expr.as_function(f_expr, ("t", "w")),
-        gamma=expr.as_function(gamma_expr, ("z",)),
-        pole=v["pole"],
-        upper_solution=upper,
-        f_depends_on_t="t" in expr.variables(f_expr),
-        z_max=v["z_max"],
-        omega_max=v["omega_max"],
-        name="inline majorant",
-        f_array=expr.as_array_function(f_expr, ("t", "w")),
-        gamma_array=expr.as_array_function(gamma_expr, ("z",)),
-    )
+    given = {key: v[key] for key in ("f", "gamma", "pole", "z_max", "omega_max")}
+    return MajorantSpec(**given, upper_solution=v["zprime"], name="inline majorant")
 
 
 def _inline_lyapunov(v: dict) -> LyapunovSpec:
@@ -405,15 +401,17 @@ _INLINE_BUILDERS = {
 
 
 class _Setup:
-    """Everything a subcommand can need, resolved from one config."""
+    """Everything a subcommand can need, resolved from one config; entry,
+    if given, is a corpus entry already built that supplies every part
+    the config leaves out."""
 
     problem: VolterraProblem | None
     majorant: MajorantSpec | None
     lyapunov: LyapunovSpec | None
 
-    def __init__(self, cp: configparser.ConfigParser):
+    def __init__(self, cp: configparser.ConfigParser, entry: CorpusEntry | None = None):
         config = _read_config(cp)
-        self.entry: CorpusEntry | None = None
+        self.entry = entry
         for part, build in _INLINE_BUILDERS.items():
             values = config[part]
             if values is None:
@@ -476,7 +474,7 @@ class _Setup:
         so it needs a positive rate there."""
         spec = self.majorant
         return spec is not None and (
-            spec.f_depends_on_t or _probe_rate(spec.rate, 0.0) is not None
+            spec.depends_on_t or _probe_rate(spec.rate, 0.0) is not None
         )
 
     @functools.cached_property
@@ -522,7 +520,7 @@ def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         chain = majorant_picard(spec, mesh)
         found = [("classification", "skipped (rate degenerate at zero)")]
         header = ["t", "omega_last", "z_last"]
-        columns = [WeightTable(mesh).prefix(spec.map_gamma(chain.final))]
+        columns = [WeightTable(mesh).prefix(spec.gamma_form.map(chain.final))]
     pairs = [
         ("name", spec.name),
         *found,
@@ -709,14 +707,9 @@ def cmd_config(args) -> int:
 
 
 def _corpus_run_one(name: str, out_root: str, timestamp: bool) -> int:
-    entry = corpus_build(name)
     out = os.path.join(out_root, name)
     os.makedirs(out, exist_ok=True)
-    # name the entry's first part; the later parts come from the same entry
-    section = next(p for p in _INLINE_BUILDERS if getattr(entry, p) is not None)
-    cp = configparser.ConfigParser()
-    cp.read_dict({section: {"source": "corpus", "entry": name}})
-    setup = _Setup(cp)
+    setup = _Setup(configparser.ConfigParser(), corpus_build(name))
     return max(
         pipeline(setup, out, timestamp)
         for parts, pipeline, _ in _COMMANDS.values()

@@ -159,20 +159,6 @@ def _nonlinear_part(
         return residual - values @ a.T
 
 
-def _slope(g, x: np.ndarray, *fixed) -> np.ndarray:
-    """Central differences of g(*fixed, x) in x at every point of x >= 0,
-    one-sided forward where the left point would fall below zero; g maps
-    arrays, and runs on every right point before any left one."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        h = 1e-6 * (1.0 + np.abs(x))
-        one_sided = x - h < 0.0
-        right = g(*fixed, x + h)
-        # 0.0 > x keeps a -0.0 as Python's max(x, 0.0) did; np.maximum
-        # would not
-        left = g(*fixed, np.where(one_sided, np.where(0.0 > x, 0.0, x), x - h))
-        return np.where(one_sided, (right - left) / h, (right - left) / (2.0 * h))
-
-
 def _norms(values: np.ndarray) -> np.ndarray:
     """Per-node max-abs norms of a stack of trajectories: (S, n+1)."""
     return np.max(np.abs(values), axis=2)
@@ -193,8 +179,8 @@ def sample_margins_A(
     nonlinear = _nonlinear_part(problem, mesh, u)
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = problem.inv_norm_bound * np.max(np.abs(nonlinear), axis=2)
-        integrals = WeightTable(mesh).prefix(spec.map_gamma(_norms(u)))
-        return lhs, spec.map_f(mesh.nodes, integrals)
+        integrals = WeightTable(mesh).prefix(spec.gamma_form.map(_norms(u)))
+        return lhs, spec.f_form.map(mesh.nodes, integrals)
 
 
 def sample_margins_D(
@@ -214,10 +200,10 @@ def sample_margins_D(
     # infinite parts give nan differences here, which the check reports
     with np.errstate(invalid="ignore", over="ignore"):
         lhs = problem.inv_norm_bound * np.max(np.abs(widened - base), axis=2)
-        low = weights.prefix(spec.map_gamma(u_norms))
-        wide = weights.prefix(spec.map_gamma(u_norms + _norms(du)))
-        f_wide = spec.map_f(mesh.nodes, wide)
-        return lhs, f_wide - spec.map_f(mesh.nodes, low)
+        low = weights.prefix(spec.gamma_form.map(u_norms))
+        wide = weights.prefix(spec.gamma_form.map(u_norms + _norms(du)))
+        f_wide = spec.f_form.map(mesh.nodes, wide)
+        return lhs, f_wide - spec.f_form.map(mesh.nodes, low)
 
 
 def sample_margins_E(
@@ -232,8 +218,9 @@ def sample_margins_E(
     lhs is c times a central finite-difference directional derivative
     along v of the integral route through the outer map, taken with the
     direct slot frozen at u so the linear part drops out exactly; rhs is
-    the chain-rule bound built from the slopes of f and gamma, taken by
-    _slope.
+    the chain-rule bound built from the exact slopes df/dw and gamma'.
+    Node 0's integral weights are 0, so its right side is 0 whatever the
+    slope of f there, which may be singular at w = 0.
     """
     weights = WeightTable(mesh)
     eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
@@ -244,9 +231,10 @@ def sample_margins_E(
     with np.errstate(invalid="ignore", over="ignore"):
         spread = np.max(np.abs(ahead - behind), axis=2)
         lhs = problem.inv_norm_bound * spread / (2.0 * eps[:, None])
-        integrals = weights.prefix(spec.map_gamma(norms))
-        weighted = weights.prefix(_slope(spec.map_gamma, norms) * _norms(v))
-        return lhs, _slope(spec.map_f, integrals, mesh.nodes) * weighted
+        integrals = weights.prefix(spec.gamma_form.map(norms))
+        weighted = weights.prefix(spec.gamma_z_form.map(norms) * _norms(v))
+        f_w = spec.f_w_form.map(mesh.nodes[1:], integrals[:, 1:])
+        return lhs, np.pad(f_w * weighted[:, 1:], ((0, 0), (1, 0)))
 
 
 class _SampledCheck:
@@ -388,7 +376,7 @@ def check_B(spec: MajorantSpec) -> CheckOutcome:
     t_grid = np.linspace(0.0, _B_T_HI, _B_POINTS // 4)
     count, worst, witness = 0, math.inf, None
     try:
-        g = spec.map_gamma(z_grid)
+        g = spec.gamma_form.map(z_grid)
         count += g.size
         if float(np.min(g)) < -_SLACK:
             j = int(np.argmin(g))
@@ -406,10 +394,10 @@ def check_B(spec: MajorantSpec) -> CheckOutcome:
             (2, t_grid, t_grid, w_grid[:: _B_POINTS // 16, None]),
         ):
             try:
-                grid = spec.map_f(t, w)
+                grid = spec.f_form.map(t, w)
             except (NumericError, *EVAL_ERRORS):
                 for row in zip(*np.broadcast_arrays(t, w)):
-                    count += spec.map_f(*row).size
+                    count += spec.f_form.map(*row).size
                 raise
             count += grid.size
             parts.append((tag, coords, grid))
@@ -434,7 +422,7 @@ def check_C(spec: MajorantSpec, mesh: Mesh) -> CheckOutcome:
     if spec.upper_solution is None:
         return _skipped("C", "no explicit upper solution declared")
     try:
-        rep = check_upper_solution(spec, spec.upper_solution, mesh)
+        rep = check_upper_solution(spec, mesh)
     except (NumericError, *EVAL_ERRORS) as exc:
         return _failed("C", 0, f"candidate bound not evaluable on the mesh: {exc}")
     witness = Witness("C", 0, rep.node, rep.t, -rep.worst_margin, 0.0)

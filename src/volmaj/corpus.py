@@ -35,12 +35,6 @@ __all__ = [
 ]
 
 
-def _arithmetic_majorant(f: Callable, gamma: Callable, **kwargs) -> MajorantSpec:
-    """A majorant whose f and gamma are plain arithmetic, so each is its
-    own array form, bit for bit, unless kwargs give another."""
-    return MajorantSpec(f=f, gamma=gamma, **dict(f_array=f, gamma_array=gamma) | kwargs)
-
-
 @dataclass(frozen=True, eq=False)
 class CorpusEntry:
     name: str
@@ -82,11 +76,10 @@ def power_family(p: float = 2.0) -> CorpusEntry:
         inv_norm_bound=1.0,
         name=f"power_family(p={p:g})",
     )
-    majorant = _arithmetic_majorant(
-        f=lambda t, w: p * w,
-        gamma=lambda z: max(z, 0.0) ** e,
-        gamma_array=None,  # numpy's pow is not Python's ** to the last ulp
-        upper_solution=lambda t: t**p,
+    majorant = MajorantSpec(
+        f=f"{p!r}*w",
+        gamma=f"z^{e!r}",  # only met on z >= 0
+        upper_solution=f"t^{p!r}",
         name=f"power_family(p={p:g}) majorant",
     )
 
@@ -164,11 +157,10 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
         inv_norm_bound=1.0,
         name=f"sine_bvp(m={m})",
     )
-    majorant = _arithmetic_majorant(
-        f=lambda t, w: w + t,
-        gamma=lambda z: z * z,
-        f_depends_on_t=True,
-        upper_solution=math.tan,
+    majorant = MajorantSpec(
+        f="w + t",
+        gamma="z*z",
+        upper_solution="tan(t)",
         name=f"sine_bvp(m={m}) majorant",
     )
 
@@ -220,10 +212,10 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
     With b = 0 the rate vanishes at the origin, so the bound is not
     classified, only iterated.
     """
-    majorant = _arithmetic_majorant(
-        f=lambda t, w: w + b,
-        gamma=lambda z: a * z,
-        upper_solution=lambda t: b * math.exp(a * t),
+    majorant = MajorantSpec(
+        f=f"w + {b!r}",
+        gamma=f"{a!r}*z",
+        upper_solution=f"{b!r}*exp({a!r}*t)",
         name=f"linear_majorant(a={a:g}, b={b:g})",
     )
     return CorpusEntry(
@@ -248,20 +240,11 @@ def sqrt_pole() -> CorpusEntry:
     slope-escape case; the horizon is the integral of sqrt(1 - w) from
     0 to 1, exactly 2/3.
     """
-
-    def gamma(z: float) -> float:
-        # math.sqrt keeps arithmetic real and raises past the pole
-        return 1.0 / math.sqrt(1.0 - z)
-
-    def upper(t: float) -> float:
-        return 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0)
-
-    majorant = _arithmetic_majorant(
-        f=lambda t, w: w,
-        gamma=gamma,
-        gamma_array=lambda z: 1.0 / np.sqrt(1.0 - z),  # not finite past the pole
+    majorant = MajorantSpec(
+        f="w",
+        gamma="1/sqrt(1 - z)",
         pole=1.0,
-        upper_solution=upper,
+        upper_solution="1 - (1 - 1.5*t)^(2/3)",
         z_max=0.999,
         omega_max=0.999,
         name="sqrt_pole majorant",
@@ -273,7 +256,7 @@ def sqrt_pole() -> CorpusEntry:
         majorant=majorant,
         lyapunov=None,
         closed_forms={
-            "bound": upper,
+            "bound": lambda t: 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0),
             "horizon": 2.0 / 3.0,
         },
         notes="slope escapes at a finite rate pole while the bound stays"

@@ -431,11 +431,17 @@ def separated_terms(
     return tuple(terms)
 
 
-def as_function(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
+def as_function(expr: Expr, names: tuple[str, ...], let=None) -> Callable[..., float]:
     """Compile an expression into a function of positional arguments in
-    the given order, with the strict semantics of ``evaluate``."""
-    _check_bound(expr, names)
-    return _Compiler(names).compile(expr)
+    the given order, with the strict semantics of ``evaluate``.
+
+    let, a pair (name, inner) with inner a tree over names, computes
+    inner first and binds expr's variable name to its value: one
+    function gives expr at inner, with inner computed once."""
+    _check_bound(expr, names if let is None else (*names, let[0]))
+    if let is not None:
+        _check_bound(let[1], names)
+    return _Compiler(names).compile(expr, let)
 
 
 def as_array_function(
@@ -582,33 +588,36 @@ _ARRAY_NAMESPACE = {
 
 class _Compiler:
     """Emit one local per operator node in evaluation order, then exec
-    once; a number or variable is read from its constant or argument slot.
+    once; a number or variable is read from its constant or argument slot,
+    a variable bound by let from the local holding the bound value.
 
     The scalar dialect guards each node with try/except and a NaN test;
     the array dialect runs the same value lines on numpy arrays and
     follows each node with one mask test that fails the whole call."""
 
     def __init__(self, names: tuple[str, ...], array: bool = False):
-        self.slots = {name: i for i, name in enumerate(names)}
-        self.arity = len(names)
+        self.args = [f"a{i}" for i in range(len(names))]
+        # variable name -> the slot or local holding its value
+        self.slots = dict(zip(names, self.args))
         self.array = array
-        self.used: set[int] = set()
+        self.used: set[str] = set()
         self.consts: list[float] = []
         self.lines: list[str] = []
         self.locals = 0
 
-    def compile(self, expr: Expr) -> Callable[..., float]:
+    def compile(self, expr: Expr, let=None) -> Callable[..., float]:
+        if let is not None:
+            name, inner = let
+            self.slots[name] = self.emit(inner)
         result = self.emit(expr)
         code = ["def _build():"]
         if self.consts:
             slots = "".join(f"c{i}, " for i in range(len(self.consts)))
             code.append(f"    {slots}= _consts")
-        args = [f"a{i}" for i in range(self.arity)]
-        code.append(f"    def fn({', '.join(args)}):")
+        used = [a for a in self.args if a in self.used]
+        code.append(f"    def fn({', '.join(self.args)}):")
         if self.array:
-            code += [
-                f"        a{i} = _asarray(a{i}, dtype=float)" for i in sorted(self.used)
-            ]
+            code += [f"        {a} = _asarray({a}, dtype=float)" for a in used]
             code.append("        with _errstate(all='ignore'):")
             code += [f"            {line}" for line in self.lines or ["pass"]]
             code.append(f"        return {result}")
@@ -616,7 +625,7 @@ class _Compiler:
             # numpy scalars, so that a constant-only node divides like an array
             consts = tuple(np.float64(c) for c in self.consts)
         else:
-            code += [f"        a{i} = float(a{i})" for i in sorted(self.used)]
+            code += [f"        {a} = float({a})" for a in used]
             code += [f"        {line}" for line in self.lines]
             code.append(f"        return {result}")
             namespace = {**_NAMESPACE}
@@ -647,7 +656,7 @@ class _Compiler:
         if isinstance(expr, Var):
             slot = self.slots[expr.name]
             self.used.add(slot)
-            return f"a{slot}"
+            return slot
         if isinstance(expr, Neg):
             x = self.emit(expr.operand)
             v = self.local()

@@ -26,12 +26,14 @@ maximum is what gets certified.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import expr
 from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
@@ -85,78 +87,107 @@ class Blowup(enum.Enum):
     GLOBAL = "Global"
 
 
+class _Form:
+    """An expression over named arguments, from text or a tree, compiled
+    on first use: scalar is its function of floats, map runs it over
+    arrays."""
+
+    def __init__(self, source: str | expr.Expr, names: tuple[str, ...]):
+        self.tree = expr.parse(source, names) if isinstance(source, str) else source
+        self.names = names
+
+    @functools.cached_property
+    def scalar(self) -> Callable[..., float]:
+        return expr.as_function(self.tree, self.names)
+
+    @functools.cached_property
+    def array(self) -> Callable[..., np.ndarray]:
+        return expr.as_array_function(self.tree, self.names)
+
+    def map(self, *args) -> np.ndarray:
+        """The form over the broadcast of its arguments, through the array
+        form where it serves (see quadrature.pointwise)."""
+        # the scalar form is compiled only when pointwise first takes it
+        scalar = self.__dict__.get("scalar") or (lambda *a: self.scalar(*a))
+        return pointwise(scalar, *args, array=self.array)
+
+
 @dataclass(frozen=True)
 class MajorantSpec:
-    """Scalar majorant data: outer function f(t, w) and rate gamma(z).
+    """Scalar majorant data as expression text: the outer function f over
+    (t, w) and the rate gamma over z.
 
     pole, if given, is the point where the reduced rate
     gamma(f(0, w)) stops being finite (only meaningful when f does not
     depend on t).  z_max / omega_max are optional box hints for the
-    monotonicity sampler.  upper_solution is an optional closed-form
-    candidate bound used by the dedicated audit.
+    monotonicity sampler.  upper_solution, text over t, is an optional
+    closed-form candidate bound used by the dedicated audit.
 
-    f_array and gamma_array, optional array forms of f and gamma, return
-    on broadcastable arrays what f and gamma return, element by element
-    and to the last bit; map_f and map_gamma fall back to the scalar
-    form where one raises or gives a value that is not finite (see
-    quadrature.pointwise).  power_family's rate max(z, 0) ** e has none,
-    as numpy's pow differs from Python's ** in the last ulp.
+    Every text parses at construction; the forms derived from the trees
+    (f_form, gamma_form, upper_form, the exact slopes f_w_form = df/dw and
+    gamma_z_form = gamma', and rate_at's gamma(f(t, w))) compile on first
+    use.  A form's map runs its array form, the scalar form's values bit
+    for bit for + - * /, sin, cos, sqrt and abs and within numpy's last
+    ulp for exp, log, tan and ^, and the scalar form where that fails.
     """
 
-    f: Callable[[float, float], float]
-    gamma: Callable[[float], float]
+    f: str
+    gamma: str
     pole: float | None = None
-    upper_solution: Callable[[float], float] | None = None
-    f_depends_on_t: bool = False
+    upper_solution: str | None = None
     z_max: float | None = None
     omega_max: float | None = None
     name: str = "majorant"
-    f_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    gamma_array: Callable[[np.ndarray], np.ndarray] | None = None
+
+    f_form = functools.cached_property(lambda self: _Form(self.f, ("t", "w")))
+    gamma_form = functools.cached_property(lambda self: _Form(self.gamma, ("z",)))
+    f_w_form = functools.cached_property(
+        lambda self: _Form(expr.derivative(self.f_form.tree, "w"), ("t", "w"))
+    )
+    gamma_z_form = functools.cached_property(
+        lambda self: _Form(expr.derivative(self.gamma_form.tree, "z"), ("z",))
+    )
+
+    @functools.cached_property
+    def upper_form(self) -> _Form | None:
+        text = self.upper_solution
+        return None if text is None else _Form(text, ("t",))
 
     def __post_init__(self):
-        try:
-            f00 = float(self.f(0.0, 0.0))
-        except Exception as exc:
-            raise SpecValidationError(f"f(0, 0) is not evaluable: {exc}") from exc
-        if not math.isfinite(f00) or f00 < -1e-12:
-            raise SpecValidationError(
-                f"f(0, 0) must be finite and nonnegative, got {f00!r}"
-            )
-        try:
-            g0 = float(self.gamma(max(f00, 0.0)))
-        except Exception as exc:
-            raise SpecValidationError(
-                f"gamma is not evaluable at the initial bound: {exc}"
-            ) from exc
-        if not math.isfinite(g0) or g0 < -1e-12:
-            raise SpecValidationError(
-                f"gamma at the initial bound must be finite and nonnegative,"
-                f" got {g0!r}"
-            )
-        if self.pole is not None and not (self.pole > 0):
-            raise SpecValidationError(f"pole must be positive, got {self.pole!r}")
-        for label, v in (("z_max", self.z_max), ("omega_max", self.omega_max)):
+        # f(0, 0), then gamma there, by the tree walker: nothing compiles
+        env = {"t": 0.0, "w": 0.0}
+        origin = (("f(0, 0)", self.f_form), ("gamma(f(0, 0))", self.gamma_form))
+        for label, form in origin:
+            try:
+                v = expr.evaluate(form.tree, env)
+            except DomainError as exc:
+                raise SpecValidationError(f"{label} is not evaluable: {exc}") from exc
+            if not -1e-12 <= v < math.inf:
+                raise SpecValidationError(
+                    f"{label} must be finite and nonnegative, got {v!r}"
+                )
+            env = {"z": max(v, 0.0)}
+        for label in ("pole", "z_max", "omega_max"):
+            v = getattr(self, label)
             if v is not None and not (v > 0):
                 raise SpecValidationError(f"{label} must be positive, got {v!r}")
+        self.upper_form  # parses upper_solution, so bad text fails here
+
+    depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
+
+    @functools.cached_property
+    def _rate(self) -> Callable[[float, float], float]:
+        # f computed first and once, its value gamma's z
+        f = ("z", self.f_form.tree)
+        return expr.as_function(self.gamma_form.tree, ("t", "w"), let=f)
 
     def rate(self, w: float) -> float:
         """Reduced rate at t = 0 (the autonomous rate)."""
         return self.rate_at(0.0, w)
 
     def rate_at(self, t: float, w: float) -> float:
-        v = self.gamma(self.f(t, w))
-        if isinstance(v, complex):
-            raise DomainError(f"rate {v!r} at t={t!r}, w={w!r} is not real")
-        return float(v)
-
-    def map_f(self, t, w) -> np.ndarray:
-        """f over the broadcast of t and w, through f_array when it serves."""
-        return pointwise(self.f, t, w, array=self.f_array)
-
-    def map_gamma(self, z) -> np.ndarray:
-        """gamma over an array, through gamma_array when it serves."""
-        return pointwise(self.gamma, z, array=self.gamma_array)
+        """gamma(f(t, w)), in one compiled call."""
+        return self._rate(t, w)
 
 
 @dataclass(frozen=True)
@@ -230,8 +261,8 @@ def majorant_picard(
     delta = math.inf
     converged = False
     for _ in range(n_max):
-        integrals = weights.prefix(spec.map_gamma(z))
-        z_new = spec.map_f(mesh.nodes, integrals)
+        integrals = weights.prefix(spec.gamma_form.map(z))
+        z_new = spec.f_form.map(mesh.nodes, integrals)
         if not np.all(np.isfinite(z_new)):
             raise NumericError(
                 "majorant chain diverged on this mesh; its end time is at or"
@@ -409,7 +440,7 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     """
     if not (0.0 < tol < math.inf):
         raise SpecValidationError(f"tol must be finite and > 0, got {tol!r}")
-    if spec.f_depends_on_t:
+    if spec.depends_on_t:
         if spec.pole is not None:
             raise SpecValidationError(
                 "a declared rate pole combines only with time-independent f"
@@ -456,7 +487,7 @@ def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
     for j, t_node in enumerate(mesh.nodes[1:].tolist(), start=1):
         t, w, h = _march(spec.rate_at, t, w, h, t_node, _CAUCHY_RTOL)
         omega[j] = w
-    return CauchySolution(mesh, omega, spec.map_f(mesh.nodes, omega))
+    return CauchySolution(mesh, omega, spec.f_form.map(mesh.nodes, omega))
 
 
 def certified_tail(chain: PicardChain, z_plus: np.ndarray) -> np.ndarray:
@@ -487,12 +518,9 @@ def certified_tail(chain: PicardChain, z_plus: np.ndarray) -> np.ndarray:
     return tails
 
 
-def check_upper_solution(
-    spec: MajorantSpec,
-    upper: Callable[[float], float],
-    mesh: Mesh,
-) -> UpperSolutionReport:
-    """Audit a candidate closed-form bound on a mesh.
+def check_upper_solution(spec: MajorantSpec, mesh: Mesh) -> UpperSolutionReport:
+    """Audit the spec's closed-form upper solution (which it must give) on
+    a mesh.
 
     The candidate passes when upper(t) >= f(t, integral of
     gamma(upper)) - _UPPER_SLACK at every node; the running integral is
@@ -501,19 +529,16 @@ def check_upper_solution(
     audit.  On failure the report points at the first violating node
     while the margin stays the worst one seen anywhere.
     """
+    upper, gamma, f = spec.upper_form.scalar, spec.gamma_form.scalar, spec.f_form.scalar
     running = 0.0
     worst = math.inf
     first_bad = None
     for j, t in enumerate(mesh.nodes):
         if j > 0:
             a, b = float(mesh.nodes[j - 1]), float(t)
-            running += adaptive_quad(
-                lambda s: float(spec.gamma(upper(s))),
-                a,
-                b,
-                1e-14 * max(1.0, running),
-            )
-        margin = float(upper(float(t))) - float(spec.f(float(t), running))
+            tol = 1e-14 * max(1.0, running)
+            running += adaptive_quad(lambda s: gamma(upper(s)), a, b, tol)
+        margin = upper(float(t)) - f(float(t), running)
         worst = min(worst, margin)
         if margin < -_UPPER_SLACK and first_bad is None:
             first_bad = j

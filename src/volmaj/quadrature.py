@@ -335,8 +335,6 @@ def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
         return math.inf
     except EVAL_ERRORS:
         return None
-    if isinstance(v, complex):
-        return None
     v = float(v)
     if math.isnan(v) or v <= 0.0:
         return None

@@ -46,7 +46,7 @@ def _pass(label: str, detail: str) -> None:
 
 def test_01_value_blowup_horizon():
     start = time.perf_counter()
-    spec = MajorantSpec(f=lambda t, w: w, gamma=lambda z: 1.0 + z * z)
+    spec = MajorantSpec(f="w", gamma="1 + z*z")
     report = classify_blowup(spec)
     elapsed = time.perf_counter() - start
     assert report.kind is Blowup.VALUE
@@ -58,12 +58,7 @@ def test_01_value_blowup_horizon():
 
 def test_02_tan_bound_by_both_routes():
     start = time.perf_counter()
-    spec = MajorantSpec(
-        f=lambda t, w: w + t,
-        gamma=lambda z: z * z,
-        f_depends_on_t=True,
-        upper_solution=math.tan,
-    )
+    spec = MajorantSpec(f="w + t", gamma="z*z", upper_solution="tan(t)")
     tol = 1e-12
     mesh = graded_mesh(1.45, 2000, 0.998)
     solution = solve_majorant(spec, mesh=mesh, tol=tol)
@@ -132,9 +127,7 @@ def test_04_branch_matches_closed_form():
 
 
 def test_05_linear_bound_global_exponential():
-    spec = MajorantSpec(
-        f=lambda t, w: w + 1.0, gamma=lambda z: z, upper_solution=math.exp
-    )
+    spec = MajorantSpec(f="w + 1", gamma="z", upper_solution="exp(t)")
     report = classify_blowup(spec)
     assert report.kind is Blowup.GLOBAL
     mesh = graded_mesh(1.0, 2000, 1.0)
@@ -222,7 +215,7 @@ def test_09a_iterate_chains_monotone():
 
 def test_09b_time_map_roundtrip():
     specs = {
-        "tangent": MajorantSpec(f=lambda t, w: w, gamma=lambda z: 1.0 + z * z),
+        "tangent": MajorantSpec(f="w", gamma="1 + z*z"),
         "sqrt_pole": corpus_build("sqrt_pole").majorant,
     }
     worst = 0.0

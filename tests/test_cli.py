@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from volmaj import algebraic_majorant
+from volmaj import algebraic_majorant, cli
 from volmaj.cli import (
     _SCHEMA,
     _inline_problem,
@@ -763,12 +763,60 @@ class TestCorpusCommand:
         for rel in files(out):
             assert (out / rel).read_bytes() == (GOLDEN_CORPUS / rel).read_bytes(), rel
 
+    def test_run_builds_each_entry_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.corpus_build
+
+        def counted(name, params=None):
+            built.append(name)
+            return build(name, params)
+
+        monkeypatch.setattr(cli, "corpus_build", counted)
+        out = str(tmp_path / "out")
+        assert main(["corpus", "run", "--out", out, "--no-timestamp"]) == 5
+        assert built == sorted(corpus_names())
+
     def test_unknown_entry_exits_2(self, tmp_path, capsys):
         assert main(["corpus", "run", "nonesuch", "--out", str(tmp_path)]) == 2
         assert "unknown corpus entry" in capsys.readouterr().err
 
 
+# a valid inline config of each part, and per expression key a config
+# whose text for that key does not parse
+_PROBLEM = "[problem]\nsource = inline\nkernel = u\nphi = u - om1 - t\n"
+_MAJORANT = "[majorant]\nsource = inline\nf = w + t\ngamma = z\n"
+_LYAPUNOV = "[lyapunov]\nsource = inline\nf = t*(r^2 + 1)\n"
+_BAD_KEYS = [
+    ("solve", _PROBLEM.replace("kernel = u", "kernel = u**2"), "[problem] kernel"),
+    ("solve", _PROBLEM + "kernel2 = u1*", "[problem] kernel2"),
+    ("solve", _PROBLEM.replace("phi = u - om1 - t", "phi = u - om3"), "[problem] phi"),
+    ("majorant", _MAJORANT.replace("f = w + t", "f = w + + "), "[majorant] f"),
+    ("majorant", _MAJORANT.replace("gamma = z", "gamma = z)"), "[majorant] gamma"),
+    ("majorant", _MAJORANT + "zprime = tan(", "[majorant] zprime"),
+    ("lyapunov", _LYAPUNOV.replace("f = t*(r^2 + 1)", "f = t*r@2"), "[lyapunov] f"),
+    ("lyapunov", _LYAPUNOV + "fr = 2*t*w", "[lyapunov] fr"),
+]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "command, text, key", _BAD_KEYS, ids=[key for _, _, key in _BAD_KEYS]
+    )
+    def test_an_expression_error_names_its_key(
+        self, tmp_path, capsys, command, text, key
+    ):
+        cfg = ini(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"volmaj: config error: {key}: syntax error at byte ")
+
+    def test_om2_without_kernel2_names_phi(self, tmp_path, capsys):
+        cfg = ini(tmp_path, _PROBLEM.replace("phi = u - om1 - t", "phi = u - om2"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "volmaj: config error: [problem] phi: om2 needs kernel2\n"
+        )
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["solve", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path)])

@@ -1,9 +1,12 @@
 """Worked-example wiring checked against hand-derived oracles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volmaj.conditions import ConditionStatus, check_A, check_B
 from volmaj.corpus import (
@@ -105,7 +108,7 @@ class TestEntryClosedForms:
         bound = entry.closed_forms["bound"]
         for t in (0.0, 0.3, 1.0):
             assert bound(t) == pytest.approx(3.0 * math.exp(2.0 * t), rel=1e-15)
-        assert entry.majorant.upper_solution(0.7) == bound(0.7)
+        assert entry.majorant.upper_form.scalar(0.7) == bound(0.7)
 
     def test_linear_degenerate_flagging(self):
         # with b = 0 the rate vanishes at the origin, and the notes say so
@@ -203,3 +206,83 @@ class TestBuilderValidation:
         assert types == {"m": int}
         types["m"] = float
         assert corpus_param_types("sine_bvp") == {"m": int}
+
+
+# The corpus majorants as plain Python lambdas: the oracle for the
+# compiled text forms.  Each entry gives, for its parameters, (f, gamma,
+# upper solution) and the domain of z (sqrt_pole's rate has its pole at 1)
+# and t (sqrt_pole's bound ends at 2/3).
+
+
+def _lambda_power_family(p):
+    e = (p - 1.0) / p
+    return (lambda t, w: p * w, lambda z: max(z, 0.0) ** e, lambda t: t**p)
+
+
+def _lambda_sqrt_pole():
+    return (
+        lambda t, w: w,
+        lambda z: 1.0 / math.sqrt(1.0 - z),
+        lambda t: 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0),
+    )
+
+
+def _lambda_linear_majorant(a, b):
+    return (lambda t, w: w + b, lambda z: a * z, lambda t: b * math.exp(a * t))
+
+
+def _lambda_sine_bvp():
+    return (lambda t, w: w + t, lambda z: z * z, math.tan)
+
+
+# entry -> (parameter strategies, lambdas, (z range, t range))
+_LAMBDA_MAJORANTS = {
+    "linear_majorant": (
+        {"a": st.floats(1e-3, 10.0), "b": st.floats(0.0, 10.0)},
+        _lambda_linear_majorant,
+        (10.0, 10.0),
+    ),
+    "power_family": (
+        {"p": st.floats(1.0, 10.0, exclude_min=True)},
+        _lambda_power_family,
+        (10.0, 10.0),
+    ),
+    "sine_bvp": ({}, _lambda_sine_bvp, (10.0, 1.5)),
+    "sqrt_pole": ({}, _lambda_sqrt_pole, (0.999, 2.0 / 3.0)),
+}
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("name", sorted(_LAMBDA_MAJORANTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_forms_are_the_lambdas(name, data):
+    params, lambdas, (z_hi, t_hi) = _LAMBDA_MAJORANTS[name]
+    drawn = {key: data.draw(strategy, label=key) for key, strategy in params.items()}
+    spec = corpus_build(name, drawn).majorant
+    f, gamma, upper = lambdas(*drawn.values())
+    points = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)
+    t = np.array(data.draw(points, label="t")) * t_hi
+    w = np.array(data.draw(points, label="w"))[: t.size] * 10.0
+    t = t[: w.size]
+    z = np.array(data.draw(points, label="z")) * z_hi
+    want_f = [f(a, b) for a, b in zip(t.tolist(), w.tolist())]
+    want_gamma = [gamma(x) for x in z.tolist()]
+    # scalar forms: bit for bit
+    got = [spec.f_form.scalar(a, b) for a, b in zip(t.tolist(), w.tolist())]
+    assert list(map(_bits, got)) == list(map(_bits, want_f))
+    got = [spec.gamma_form.scalar(x) for x in z.tolist()]
+    assert list(map(_bits, got)) == list(map(_bits, want_gamma))
+    got = [spec.upper_form.scalar(x) for x in t.tolist()]
+    assert list(map(_bits, got)) == list(map(_bits, map(upper, t.tolist())))
+    # array forms: bit for bit, but numpy's pow for power_family's z^e
+    got = np.broadcast_to(spec.f_form.array(t, w), t.shape)
+    assert list(map(_bits, got.tolist())) == list(map(_bits, want_f))
+    got = np.broadcast_to(spec.gamma_form.array(z), z.shape)
+    if name == "power_family":
+        assert np.all(np.abs(got - want_gamma) <= np.spacing(np.array(want_gamma)))
+    else:
+        assert list(map(_bits, got.tolist())) == list(map(_bits, want_gamma))

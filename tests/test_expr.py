@@ -321,6 +321,28 @@ def test_compiled_raises_like_evaluate(text, z, message, offset):
 
 
 @pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ("z*z + log(z)", "w + t"),  # z read twice, inner computed once
+        ("3", "w"),  # outer free of z: inner still runs
+        ("1/z", "w - t"),  # outer fails where inner is 0
+        ("z", "sqrt(w - 1) + t"),  # inner fails first
+        ("t*z + w", "2*w"),  # outer reads the arguments too
+    ],
+)
+def test_let_binds_a_variable_to_an_inner_tree(outer, inner):
+    names = ("t", "w")
+    outer_tree, inner_tree = parse(outer, ("z", *names)), parse(inner, names)
+    composed = expr.as_function(outer_tree, names, let=("z", inner_tree))
+    f = expr.as_function(inner_tree, names)
+    g = expr.as_function(outer_tree, ("z", *names))
+    for t, w in [(0.0, 0.0), (0.5, 0.5), (0.25, 2.0), (1.0, 3.5)]:
+        assert _outcome(lambda: composed(t, w)) == _outcome(lambda: g(f(t, w), t, w))
+    with pytest.raises(ValueError, match="unbound"):
+        expr.as_function(outer_tree, ("t",), let=("z", inner_tree))
+
+
+@pytest.mark.parametrize(
     "tree",
     [Call("__import__", Num(1.0)), BinOp("**", Num(2.0), Num(3.0))],
 )

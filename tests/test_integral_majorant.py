@@ -1,8 +1,10 @@
 """Scalar bound chains, blow-up classification, and the reduced initial
 value problem."""
 
+import dataclasses
 import math
 import re
+import struct
 import time
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 
 from volmaj import expr
 from volmaj.corpus import corpus_build
-from volmaj.errors import NumericError, SpecValidationError
+from volmaj.errors import DomainError, ExprError, NumericError, SpecValidationError
 from volmaj.integral_majorant import (
     Blowup,
     MajorantSpec,
@@ -24,18 +26,10 @@ from volmaj.integral_majorant import (
 from volmaj.quadrature import _inverse_rate, adaptive_quad, graded_mesh
 
 TAN_SPEC = MajorantSpec(
-    f=lambda t, w: w + t,
-    gamma=lambda z: z * z,
-    f_depends_on_t=True,
-    upper_solution=math.tan,
-    name="quadratic growth",
+    f="w + t", gamma="z*z", upper_solution="tan(t)", name="quadratic growth"
 )
 
-LINEAR_SPEC = MajorantSpec(
-    f=lambda t, w: w + 1.0,
-    gamma=lambda z: z,
-    name="linear growth",
-)
+LINEAR_SPEC = MajorantSpec(f="w + 1", gamma="z", name="linear growth")
 
 
 class TestPicardChain:
@@ -51,7 +45,7 @@ class TestPicardChain:
         assert chain.final[-1] == pytest.approx(math.e, abs=1e-4)
 
     def test_degenerate_rate_stops_after_one_iterate(self):
-        spec = MajorantSpec(f=lambda t, w: w, gamma=lambda z: 0.0, name="flat")
+        spec = MajorantSpec(f="w", gamma="0", name="flat")
         chain = majorant_picard(spec, graded_mesh(1.0, 10, 1.0))
         assert chain.count <= 2
         assert np.all(chain.final == 0.0)
@@ -71,9 +65,7 @@ class TestPicardChain:
 
 class TestClassification:
     def test_value_blowup(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w, gamma=lambda z: 1.0 + z * z, name="arctan map"
-        )
+        spec = MajorantSpec(f="w", gamma="1 + z*z", name="arctan map")
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.VALUE
         assert rep.horizon == pytest.approx(math.pi / 2, abs=1e-6)
@@ -89,38 +81,30 @@ class TestClassification:
         assert rep.horizon == math.inf
 
     @pytest.mark.parametrize(
-        "f, gamma, depends",
+        "f, gamma",
         [
-            (lambda t, w: w + 1.0, lambda z: 1e6 * z, False),  # bound e^(1e6 t)
-            (lambda t, w: w + t, lambda z: z, True),  # bound e^t - 1
+            ("w + 1", "1e6*z"),  # bound e^(1e6 t)
+            ("w + t", "z"),  # bound e^t - 1
             # the bound passes 1e12 at t = 23.5, where the frozen-rate tail
             # diverges
-            (lambda t, w: w + t, lambda z: 1.0 + z**1.01, True),
+            ("w + t", "1 + z^1.01"),
         ],
     )
-    def test_logarithmic_tail_is_global(self, f, gamma, depends):
-        rep = classify_blowup(MajorantSpec(f=f, gamma=gamma, f_depends_on_t=depends))
+    def test_logarithmic_tail_is_global(self, f, gamma):
+        rep = classify_blowup(MajorantSpec(f=f, gamma=gamma))
         assert rep.kind is Blowup.GLOBAL
         assert rep.horizon == math.inf
 
     def test_derivative_blowup_declared_pole(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w,
-            gamma=lambda z: (1.0 - z) ** -0.5,
-            pole=1.0,
-            name="rate pole",
-        )
+        spec = MajorantSpec(f="w", gamma="(1 - z)^-0.5", pole=1.0, name="rate pole")
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.DERIVATIVE
         assert rep.horizon == pytest.approx(2.0 / 3.0, abs=1e-6)
         assert rep.pole == 1.0
 
     def test_derivative_blowup_detected_pole(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w,
-            gamma=lambda z: (1.0 - z) ** -0.5 if z < 1.0 else math.nan,
-            name="undeclared rate pole",
-        )
+        # the rate raises at and past w = 1
+        spec = MajorantSpec(f="w", gamma="(1 - z)^-0.5", name="undeclared rate pole")
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.DERIVATIVE
         assert rep.pole == pytest.approx(1.0, abs=1e-9)
@@ -138,21 +122,17 @@ class TestClassification:
     def test_meaningless_tolerance_rejected(self, tol):
         # z^2 with f = w + 1 blows up in value at t = 1; a zero, negative
         # or NaN tol used to turn it into Global
-        spec = MajorantSpec(f=lambda t, w: w + 1.0, gamma=lambda z: z * z, name="z^2")
+        spec = MajorantSpec(f="w + 1", gamma="z*z", name="z^2")
         with pytest.raises(SpecValidationError, match="tol"):
             classify_blowup(spec, tol=tol)
         assert classify_blowup(spec).horizon == pytest.approx(1.0, abs=1e-6)
 
     def test_rate_negative_at_origin_rejected_eagerly(self):
         with pytest.raises(SpecValidationError):
-            MajorantSpec(
-                f=lambda t, w: w + 1.0, gamma=lambda z: z - 10.0, name="bad rate"
-            )
+            MajorantSpec(f="w + 1", gamma="z - 10", name="bad rate")
 
     def test_rate_crossing_zero_rejected_during_classification(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w, gamma=lambda z: 1.0 - z, name="vanishing rate"
-        )
+        spec = MajorantSpec(f="w", gamma="1 - z", name="vanishing rate")
         with pytest.raises((NumericError, SpecValidationError)):
             classify_blowup(spec)
 
@@ -162,7 +142,20 @@ _CUBIC_HORIZON = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
 
 
 def _forward_spec(gamma):
-    return MajorantSpec(f=lambda t, w: w + t, gamma=gamma, f_depends_on_t=True)
+    return MajorantSpec(f="w + t", gamma=gamma)
+
+
+def _count_rate_calls(monkeypatch):
+    """A one-item list counting MajorantSpec.rate_at calls from now on."""
+    calls = [0]
+    rate_at = MajorantSpec.rate_at
+
+    def counted(self, t, w):
+        calls[0] += 1
+        return rate_at(self, t, w)
+
+    monkeypatch.setattr(MajorantSpec, "rate_at", counted)
+    return calls
 
 
 class TestForwardClassification:
@@ -173,10 +166,10 @@ class TestForwardClassification:
         "gamma, horizon",
         [
             # a z^2 has horizon pi / (2 sqrt(a))
-            pytest.param(lambda z: 2.0 * z * z, math.pi / math.sqrt(8.0), id="2z^2"),
-            pytest.param(lambda z: 0.5 * z * z, math.pi / math.sqrt(2.0), id="z^2/2"),
-            pytest.param(lambda z: z + z * z, _CUBIC_HORIZON, id="z+z^2"),
-            pytest.param(lambda z: z**3, _CUBIC_HORIZON, id="z^3"),
+            pytest.param("2*z*z", math.pi / math.sqrt(8.0), id="2z^2"),
+            pytest.param("0.5*z*z", math.pi / math.sqrt(2.0), id="z^2/2"),
+            pytest.param("z + z*z", _CUBIC_HORIZON, id="z+z^2"),
+            pytest.param("z^3", _CUBIC_HORIZON, id="z^3"),
         ],
     )
     def test_horizon_matches_closed_form(self, gamma, horizon):
@@ -188,14 +181,7 @@ class TestForwardClassification:
 
     def test_sine_bvp_horizon_in_under_2000_rate_calls(self, monkeypatch):
         spec = corpus_build("sine_bvp").majorant
-        calls = [0]
-        rate_at = MajorantSpec.rate_at
-
-        def counted(self, t, w):
-            calls[0] += 1
-            return rate_at(self, t, w)
-
-        monkeypatch.setattr(MajorantSpec, "rate_at", counted)
+        calls = _count_rate_calls(monkeypatch)
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.VALUE
         assert abs(rep.horizon - math.pi / 2) <= 3e-10 * math.pi / 2
@@ -203,22 +189,11 @@ class TestForwardClassification:
         # the cap is decided in L = log(1 + w), which lands on it exactly
         assert rep.detail.startswith("forward integration reached w=1.000e+12 ")
 
-    @pytest.mark.parametrize(
-        "gamma",
-        [
-            # math.exp raises OverflowError; the compiled expression gives inf
-            pytest.param(lambda z: math.exp(z) - 1.0 + z**1.5, id="python"),
-            pytest.param(
-                expr.as_function(expr.parse("exp(z) - 1 + z^1.5", ("z",)), ("z",)),
-                id="expression",
-            ),
-        ],
-    )
-    def test_overflowing_rate_stalls_at_the_time_of_escape(self, gamma):
-        # exp(z) overflows once the bound passes about 710: the march in L
-        # must not read the overflow as a rate so fast the time freezes,
-        # which would turn the escape into Global
-        spec = _forward_spec(gamma)
+    def test_overflowing_rate_stalls_at_the_time_of_escape(self):
+        # exp(z) overflows to inf once the bound passes about 710: the march
+        # in L must not read the overflow as a rate so fast the time
+        # freezes, which would turn the escape into Global
+        spec = _forward_spec("exp(z) - 1 + z^1.5")
         with pytest.raises(NumericError, match="stalled at t=") as info:
             classify_blowup(spec)
         t = float(re.search(r"stalled at t=([^:]+):", str(info.value)).group(1))
@@ -227,9 +202,7 @@ class TestForwardClassification:
 
 class TestCauchyRoute:
     def test_arctan_inversion(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w, gamma=lambda z: 1.0 + z * z, name="arctan map"
-        )
+        spec = MajorantSpec(f="w", gamma="1 + z*z", name="arctan map")
         mesh = graded_mesh(math.pi / 4, 64, 1.0)
         sol = solve_cauchy(spec, mesh)
         assert sol.omega[0] == 0.0
@@ -241,9 +214,7 @@ class TestCauchyRoute:
         assert sol.omega[-1] == pytest.approx(math.e - 1.0, abs=1e-8)
 
     def test_time_map_round_trip(self):
-        spec = MajorantSpec(
-            f=lambda t, w: w, gamma=lambda z: 1.0 + z * z, name="arctan map"
-        )
+        spec = MajorantSpec(f="w", gamma="1 + z*z", name="arctan map")
         mesh = graded_mesh(1.4, 120, 0.97)
         sol = solve_cauchy(spec, mesh)
         for t, w in zip(mesh.nodes, sol.omega):
@@ -261,20 +232,12 @@ def _time_map(spec, w):
     return adaptive_quad(_inverse_rate(spec.rate), 0.0, w, 1e-12)
 
 
-def _counted(gamma, calls):
-    def counted(z):
-        calls[0] += 1
-        return gamma(z)
-
-    return counted
-
-
 # (gamma, declared pole, mesh end, closed-form omega): 1 + z^2 has
 # horizon pi/2 and no pole, 1/sqrt(1 - z) has horizon 2/3 and a pole at 1
 INVERSION_CASES = {
-    "arctan": (lambda z: 1.0 + z * z, None, 1.4, math.tan),
+    "arctan": ("1 + z*z", None, 1.4, math.tan),
     "sqrt_pole": (
-        lambda z: (1.0 - z) ** -0.5,
+        "(1 - z)^-0.5",
         1.0,
         0.6,
         lambda t: 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0),
@@ -287,73 +250,44 @@ INVERSION_CASES = {
 class TestForwardInversion:
     def _solve(self, case, ratio):
         gamma, pole, end, _ = INVERSION_CASES[case]
-        calls = [0]
-        spec = MajorantSpec(
-            f=lambda t, w: w, gamma=_counted(gamma, calls), pole=pole, name=case
-        )
+        spec = MajorantSpec(f="w", gamma=gamma, pole=pole, name=case)
         mesh = graded_mesh(end, 400, ratio)
-        calls[0] = 0
-        sol = solve_cauchy(spec, mesh)
-        return spec, mesh, sol, calls[0]
+        return spec, mesh, solve_cauchy(spec, mesh)
 
     def test_round_trip(self, case, ratio):
-        spec, mesh, sol, _ = self._solve(case, ratio)
+        spec, mesh, sol = self._solve(case, ratio)
         for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
             assert abs(_time_map(spec, w) - t) <= 2e-11 * max(1.0, t)
 
     def test_omega_nondecreasing(self, case, ratio):
-        _, _, sol, _ = self._solve(case, ratio)
+        _, _, sol = self._solve(case, ratio)
         assert sol.omega[0] == 0.0
         assert np.all(np.diff(sol.omega) >= 0.0)
 
     def test_matches_closed_form(self, case, ratio):
-        _, mesh, sol, _ = self._solve(case, ratio)
+        _, mesh, sol = self._solve(case, ratio)
         exact = INVERSION_CASES[case][3]
         for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
             want = exact(t)
             assert abs(w - want) <= 1e-11 * max(1.0, want)
 
-    def test_rate_calls_linear_in_nodes(self, case, ratio):
+    def test_rate_calls_linear_in_nodes(self, case, ratio, monkeypatch):
         # one step of 12 rate calls covers most gaps of these meshes
-        _, mesh, _, calls = self._solve(case, ratio)
-        assert calls <= 20 * mesh.nodes.size
+        calls = _count_rate_calls(monkeypatch)
+        _, mesh, _ = self._solve(case, ratio)
+        assert calls[0] <= 20 * mesh.nodes.size
 
 
 @pytest.mark.parametrize(
-    "f, gamma, pole, depends, end, horizon",
+    "f, gamma, pole, end, horizon",
     [
-        pytest.param(
-            lambda t, w: w + 1.0, lambda z: z * z, None, False, 1.2, 1.0,
-            id="value_blowup",
-        ),
-        pytest.param(
-            lambda t, w: w,
-            lambda z: 1.0 / math.sqrt(1.0 - z),
-            1.0,
-            False,
-            0.7,
-            2.0 / 3.0,
-            id="rate_pole",
-        ),
-        pytest.param(
-            # past its branch point this rate turns complex instead of
-            # raising, which the march takes as a failed evaluation
-            lambda t, w: w,
-            lambda z: (1.0 - z) ** -0.5,
-            1.0,
-            False,
-            0.7,
-            2.0 / 3.0,
-            id="complex_rate",
-        ),
-        pytest.param(
-            lambda t, w: w + t, lambda z: z * z, None, True, 1.6, math.pi / 2,
-            id="time_dependent",
-        ),
+        pytest.param("w + 1", "z*z", None, 1.2, 1.0, id="value_blowup"),
+        pytest.param("w", "1/sqrt(1 - z)", 1.0, 0.7, 2.0 / 3.0, id="rate_pole"),
+        pytest.param("w + t", "z*z", None, 1.6, math.pi / 2, id="time_dependent"),
     ],
 )
-def test_mesh_past_horizon_stalls_there(f, gamma, pole, depends, end, horizon):
-    spec = MajorantSpec(f=f, gamma=gamma, pole=pole, f_depends_on_t=depends)
+def test_mesh_past_horizon_stalls_there(f, gamma, pole, end, horizon):
+    spec = MajorantSpec(f=f, gamma=gamma, pole=pole)
     start = time.perf_counter()
     with pytest.raises(NumericError, match="stalled at t=") as info:
         solve_cauchy(spec, graded_mesh(end, 40, 1.0))
@@ -366,24 +300,24 @@ def test_mesh_past_horizon_stalls_there(f, gamma, pole, depends, end, horizon):
     "gamma, f, pole, end, closed_form",
     [
         pytest.param(
-            lambda z: 1.1 * z * z,
-            lambda t, w: w + 0.9,
+            "1.1*z*z",
+            "w + 0.9",
             None,
             0.95 / (1.1 * 0.9),
             lambda t: 0.9 / (1.0 - 1.1 * 0.9 * t),
             id="value_blowup",
         ),
         pytest.param(
-            lambda z: 1.1 * z,
-            lambda t, w: w + 0.9,
+            "1.1*z",
+            "w + 0.9",
             None,
             1.0,
             lambda t: 0.9 * math.exp(1.1 * t),
             id="global",
         ),
         pytest.param(
-            lambda z: 1.0 / math.sqrt(1.05 - z),
-            lambda t, w: w,
+            "1/sqrt(1.05 - z)",
+            "w",
             1.05,
             0.95 * 1.05**1.5 / 1.5,
             lambda t: 1.05 - (1.05**1.5 - 1.5 * t) ** (2.0 / 3.0),
@@ -440,20 +374,21 @@ class TestCertifiedTail:
 class TestUpperSolution:
     def test_tan_is_an_upper_solution(self):
         mesh = graded_mesh(1.4, 150, 1.0)
-        report = check_upper_solution(TAN_SPEC, math.tan, mesh)
+        report = check_upper_solution(TAN_SPEC, mesh)
         assert report.holds
         assert report.worst_margin >= -1e-10
 
     def test_zero_fails_for_positive_forcing(self):
         mesh = graded_mesh(1.0, 20, 1.0)
-        report = check_upper_solution(TAN_SPEC, lambda t: 0.0, mesh)
+        spec = dataclasses.replace(TAN_SPEC, upper_solution="0")
+        report = check_upper_solution(spec, mesh)
         assert not report.holds
         assert report.node == 1  # first positive node
 
     def test_zero_holds_for_degenerate_map(self):
-        spec = MajorantSpec(f=lambda t, w: w, gamma=lambda z: z, name="flat zero")
+        spec = MajorantSpec(f="w", gamma="z", upper_solution="0", name="flat zero")
         mesh = graded_mesh(1.0, 20, 1.0)
-        report = check_upper_solution(spec, lambda t: 0.0, mesh)
+        report = check_upper_solution(spec, mesh)
         assert report.holds
 
 
@@ -483,10 +418,67 @@ class TestSolveMajorant:
 
 def test_spec_validation():
     with pytest.raises(SpecValidationError):
-        MajorantSpec(f=lambda t, w: w - 1.0, gamma=lambda z: z, name="f(0,0)<0")
+        MajorantSpec(f="w - 1", gamma="z", name="f(0,0)<0")
     with pytest.raises(SpecValidationError):
-        MajorantSpec(
-            f=lambda t, w: w, gamma=lambda z: -1.0, name="negative rate"
+        MajorantSpec(f="w", gamma="-1", name="negative rate")
+    with pytest.raises(SpecValidationError):
+        MajorantSpec(f="w", gamma="z", pole=-1.0, name="bad pole")
+
+
+class TestSpecFromText:
+    def test_fields_are_the_texts_and_their_settings(self):
+        names = [field.name for field in dataclasses.fields(MajorantSpec)]
+        assert names == [
+            "f", "gamma", "pole", "upper_solution", "z_max", "omega_max", "name"
+        ]
+
+    @pytest.mark.parametrize(
+        "text, depends", [("w + t", True), ("2*w + 1", False), ("w*sin(t)", True)]
+    )
+    def test_time_dependence_is_read_from_f(self, text, depends):
+        assert MajorantSpec(f=text, gamma="z").depends_on_t is depends
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("f", "w +"), ("gamma", "z @ 2"), ("upper_solution", "tan(t"),
+         ("f", "w + z"), ("upper_solution", "w")],
+    )
+    def test_bad_text_fails_at_construction(self, field, text):
+        given = {"f": "w", "gamma": "z", field: text}
+        with pytest.raises(ExprError, match="syntax error at byte"):
+            MajorantSpec(**given)
+
+    @pytest.mark.parametrize(
+        "f, gamma",
+        [("w + t", "z*z"), ("sqrt(w + 1) - 1 + t", "log(1 + z) + z^2"),
+         ("w", "1/sqrt(1 - z)"), ("2.5*w", "z^0.6")],
+    )
+    def test_rate_is_gamma_of_f_bit_for_bit(self, f, gamma):
+        spec = MajorantSpec(f=f, gamma=gamma)
+        for t, w in [(0.0, 0.0), (0.3, 0.25), (1.0, 0.5), (2.0, 0.999)]:
+            try:
+                want = spec.gamma_form.scalar(spec.f_form.scalar(t, w))
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    spec.rate_at(t, w)
+                continue
+            assert struct.pack("<d", spec.rate_at(t, w)) == struct.pack("<d", want)
+
+    def test_a_solve_compiles_no_upper_solution_and_no_slope(self, monkeypatch):
+        compiled = []
+        for attr in ("as_function", "as_array_function"):
+            build = getattr(expr, attr)
+
+            def counted(tree, names, *args, build=build, **kwargs):
+                compiled.append(expr.to_text(tree))
+                return build(tree, names, *args, **kwargs)
+
+            monkeypatch.setattr(expr, attr, counted)
+        spec = corpus_build("sine_bvp").majorant
+        assert compiled == []  # construction compiles nothing
+        for n in (40, 160):
+            solve_majorant(spec, graded_mesh(0.4, n))
+        # the rate, then f and gamma on 41 nodes (scalar) and 161 (array)
+        assert sorted(compiled) == sorted(
+            ["(z * z)", "(w + t)", "(z * z)", "(w + t)", "(z * z)"]
         )
-    with pytest.raises(SpecValidationError):
-        MajorantSpec(f=lambda t, w: w, gamma=lambda z: z, pole=-1.0, name="bad pole")

@@ -86,9 +86,7 @@ class TestSolveMain:
         # nearly linear kernel: the chain certifies 1e-8 accuracy after
         # one iterate while the raw step delta is still order one
         problem = linear_problem(rate=1e-8)
-        spec = MajorantSpec(
-            f=lambda t, w: w + 1.0, gamma=lambda z: 1e-8 * z, name="tiny growth"
-        )
+        spec = MajorantSpec(f="w + 1", gamma="1e-8*z", name="tiny growth")
         mesh = graded_mesh(1.0, 120, 1.0)
         maj = solve_majorant(spec, mesh=mesh)
         res = solve_main(problem, mesh, tol=1e-6, n_max=50, majorant=maj)
@@ -99,10 +97,7 @@ class TestSolveMain:
     def test_undominated_iterate_earns_no_tail(self):
         # u = 2 int u + t outgrows e^t - 1, the bound of f = w + t and
         # gamma = z, whose chain tail drops below tol long before the step
-        spec = MajorantSpec(
-            f=lambda t, w: w + t, gamma=lambda z: z, f_depends_on_t=True,
-            name="too slow",
-        )
+        spec = MajorantSpec(f="w + t", gamma="z", name="too slow")
         mesh = graded_mesh(1.0, 40, 1.0)
         maj = solve_majorant(spec, mesh=mesh)
         res = solve_main(linear_problem(rate=2.0), mesh, tol=1e-10, n_max=60,
