@@ -441,7 +441,7 @@ def as_function(expr: Expr, names: tuple[str, ...], let=None) -> Callable[..., f
     _check_bound(expr, names if let is None else (*names, let[0]))
     if let is not None:
         _check_bound(let[1], names)
-    return _Compiler(names).compile(expr, let)
+    return _compiled(repr((expr, let)), names, False, expr, let)
 
 
 def as_array_function(
@@ -462,8 +462,15 @@ def as_array_function(
     called costs nothing.
     """
     _check_bound(expr, names)
-    build = functools.cache(lambda: _Compiler(names, array=True).compile(expr))
+    build = functools.cache(lambda: _compiled(repr(expr), names, True, expr))
     return lambda *args: build()(*args)
+
+
+# a tree compiles once per process for each argument order and dialect,
+# keyed by its repr, which unlike == tells -0.0 from 0.0 and offsets apart
+@functools.lru_cache(maxsize=256)
+def _compiled(key: str, names: tuple[str, ...], array: bool, expr: Expr, let=None):
+    return _Compiler(names, array).compile(expr, let)
 
 
 def _check_bound(expr: Expr, names: tuple[str, ...]) -> None:

@@ -89,26 +89,26 @@ class Blowup(enum.Enum):
 
 class _Form:
     """An expression over named arguments, from text or a tree, compiled
-    on first use: scalar is its function of floats, map runs it over
-    arrays."""
+    on first use: scalar is its function of floats, array its function of
+    arrays, and map runs it over arrays."""
 
     def __init__(self, source: str | expr.Expr, names: tuple[str, ...]):
         self.tree = expr.parse(source, names) if isinstance(source, str) else source
         self.names = names
+        self.array = expr.as_array_function(self.tree, names)
+        self._scalar: Callable[..., float] | None = None
 
-    @functools.cached_property
+    @property
     def scalar(self) -> Callable[..., float]:
-        return expr.as_function(self.tree, self.names)
-
-    @functools.cached_property
-    def array(self) -> Callable[..., np.ndarray]:
-        return expr.as_array_function(self.tree, self.names)
+        if self._scalar is None:
+            self._scalar = expr.as_function(self.tree, self.names)
+        return self._scalar
 
     def map(self, *args) -> np.ndarray:
         """The form over the broadcast of its arguments, through the array
         form where it serves (see quadrature.pointwise)."""
-        # the scalar form is compiled only when pointwise first takes it
-        scalar = self.__dict__.get("scalar") or (lambda *a: self.scalar(*a))
+        # the scalar form compiles only when pointwise first calls it
+        scalar = self._scalar or (lambda *a: self.scalar(*a))
         return pointwise(scalar, *args, array=self.array)
 
 

@@ -335,10 +335,7 @@ def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
         return math.inf
     except EVAL_ERRORS:
         return None
-    v = float(v)
-    if math.isnan(v) or v <= 0.0:
-        return None
-    return v
+    return v if v > 0.0 else None  # nan is not > 0
 
 
 @dataclass(frozen=True)
@@ -359,9 +356,7 @@ def _inverse_rate(g: Callable[[float], float]) -> Callable[[float], float]:
                 f"rate is not positive at omega={w!r}; classification needs a"
                 " positive rate away from a declared pole"
             )
-        if r == math.inf:
-            return 0.0
-        return 1.0 / r
+        return 1.0 / r  # 0.0 at an overflowed rate
 
     return h
 

@@ -241,6 +241,19 @@ def test_variables_listing():
     assert expr.variables(tree) == {"t", "z"}
 
 
+def test_compiled_code_is_shared_only_by_trees_of_one_repr():
+    # == holds between Num(0.0) and Num(-0.0) and ignores byte offsets,
+    # which the compiled code returns and names
+    zero, negative_zero = (expr.as_function(Num(v), ("t",)) for v in (0.0, -0.0))
+    assert math.copysign(1.0, zero(1.0)) == 1.0
+    assert math.copysign(1.0, negative_zero(1.0)) == -1.0
+    for text, offset in (("sqrt(t)", 0), ("  sqrt(t)", 2)):
+        fn = expr.as_function(parse(text, ("t",)), ("t",))
+        with pytest.raises(DomainError, match=f"at byte {offset}"):
+            fn(-1.0)
+        assert expr.as_function(parse(text, ("t",)), ("t",)) is fn
+
+
 def test_as_function_rejects_unbound():
     tree = parse("t + z", ("t", "z"))
     with pytest.raises(ValueError):

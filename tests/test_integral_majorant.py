@@ -466,19 +466,21 @@ class TestSpecFromText:
 
     def test_a_solve_compiles_no_upper_solution_and_no_slope(self, monkeypatch):
         compiled = []
-        for attr in ("as_function", "as_array_function"):
-            build = getattr(expr, attr)
+        compile_ = expr._Compiler.compile
 
-            def counted(tree, names, *args, build=build, **kwargs):
-                compiled.append(expr.to_text(tree))
-                return build(tree, names, *args, **kwargs)
+        def counted(self, tree, *args):
+            compiled.append(expr.to_text(tree))
+            return compile_(self, tree, *args)
 
-            monkeypatch.setattr(expr, attr, counted)
+        monkeypatch.setattr(expr._Compiler, "compile", counted)
+        expr._compiled.cache_clear()  # no code compiled by an earlier test
         spec = corpus_build("sine_bvp").majorant
         assert compiled == []  # construction compiles nothing
         for n in (40, 160):
             solve_majorant(spec, graded_mesh(0.4, n))
         # the rate, then f and gamma on 41 nodes (scalar) and 161 (array)
-        assert sorted(compiled) == sorted(
-            ["(z * z)", "(w + t)", "(z * z)", "(w + t)", "(z * z)"]
-        )
+        want = ["(z * z)", "(w + t)", "(z * z)", "(w + t)", "(z * z)"]
+        assert sorted(compiled) == sorted(want)
+        # the same texts built again reuse the code
+        solve_majorant(corpus_build("sine_bvp").majorant, graded_mesh(0.4, 160))
+        assert len(compiled) == len(want)
