@@ -4,7 +4,7 @@ Every certificate in this package leans on monotonicity and domination
 properties of the supplied majorant data.  These cannot be proven from
 black-box callables, but they can be stress-sampled with reproducible
 random trajectories; a failed sample is a hard counterexample, recorded
-as a witness that replays bit-for-bit from (seed, stream, index).
+as a witness whose sample replays bit for bit from (seed, stream, index).
 
 Conditions, by label as they appear in reports:
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,10 +122,11 @@ def _failed(
 class TrajectorySampler:
     """Reproducible random trajectories in a max-norm ball.
 
-    draw(stream, index) is a pure function of (seed, stream, index):
-    uniform box noise smoothed once with the (1/4, 1/2, 1/4) kernel,
-    endpoints blended (3/4, 1/4), so samples are mildly continuous but
-    still adversarial.
+    Sample i of (seed, stream) is the i-th run of (n+1)·dim uniform draws
+    of the stream's one PCG64 generator.  block jumps to its first sample
+    and draws the whole block in one call; draw(stream, i) is the
+    one-sample block, so a witness replays in O(1).  The noise is smoothed
+    by the (1/4, 1/2, 1/4) kernel, ends blended (3/4, 1/4).
     """
 
     def __init__(
@@ -139,14 +141,20 @@ class TrajectorySampler:
         self.bound = bound
         self.seed = seed
 
-    def draw(self, stream: int, index: int) -> Trajectory:
-        rng = np.random.default_rng([self.seed, stream, index])
-        raw = rng.uniform(-self.bound, self.bound, (self.mesh.nodes.size, self.dim))
+    def block(self, stream: int, samples: range) -> np.ndarray:
+        """The stack of samples, consecutive indices, shape (S, n+1, dim)."""
+        shape = (len(samples), self.mesh.nodes.size, self.dim)
+        rng = np.random.default_rng([self.seed, stream])
+        rng.bit_generator.advance(samples.start * shape[1] * shape[2])
+        raw = rng.uniform(-self.bound, self.bound, shape)
         out = np.empty_like(raw)
-        out[1:-1] = 0.25 * raw[:-2] + 0.5 * raw[1:-1] + 0.25 * raw[2:]
-        out[0] = 0.75 * raw[0] + 0.25 * raw[1]
-        out[-1] = 0.75 * raw[-1] + 0.25 * raw[-2]
-        return Trajectory(self.mesh, out)
+        out[:, 1:-1] = 0.25 * raw[:, :-2] + 0.5 * raw[:, 1:-1] + 0.25 * raw[:, 2:]
+        out[:, 0] = 0.75 * raw[:, 0] + 0.25 * raw[:, 1]
+        out[:, -1] = 0.75 * raw[:, -1] + 0.25 * raw[:, -2]
+        return out
+
+    def draw(self, stream: int, index: int) -> Trajectory:
+        return Trajectory(self.mesh, self.block(stream, range(index, index + 1))[0])
 
 
 def _nonlinear_part(
@@ -304,17 +312,13 @@ class _SampledCheck:
 
 
 def _sample_blocks(sampler: TrajectorySampler, n_samples: int):
-    """Consecutive sample indices, as many per block as the budget holds,
-    with a function drawing one stream's stack for the block."""
+    """Consecutive sample indices, as many per block as the budget holds."""
     # no sample drawn would leave every sampled condition "pass"
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
         raise SpecValidationError(f"n_samples must be an integer >= 1: {n_samples!r}")
     size = max(1, BLOCK_ELEMENTS // (sampler.mesh.nodes.size * sampler.dim))
     for start in range(0, n_samples, size):
-        samples = range(start, min(start + size, n_samples))
-        yield samples, lambda stream, samples=samples: np.stack(
-            [sampler.draw(stream, i).values for i in samples]
-        )
+        yield range(start, min(start + size, n_samples))
 
 
 def check_A(
@@ -326,10 +330,10 @@ def check_A(
     bound: float = 1.0,
 ) -> CheckOutcome:
     sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    check = _SampledCheck("A", mesh, lambda u: sample_margins_A(problem, spec, mesh, u))
-    for samples, draw in _sample_blocks(sampler, n_samples):
+    check = _SampledCheck("A", mesh, partial(sample_margins_A, problem, spec, mesh))
+    for samples in _sample_blocks(sampler, n_samples):
         if check.failure is None:
-            check.feed(samples, draw(STREAM_A))
+            check.feed(samples, sampler.block(STREAM_A, samples))
     return check.outcome(n_samples)
 
 
@@ -343,20 +347,16 @@ def check_D_and_E(
 ) -> tuple[CheckOutcome, CheckOutcome]:
     """Returns (outcome for D, outcome for E) on shared samples."""
     sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    check_d = _SampledCheck(
-        "D", mesh, lambda u, du: sample_margins_D(problem, spec, mesh, u, du)
-    )
-    check_e = _SampledCheck(
-        "E", mesh, lambda u, v: sample_margins_E(problem, spec, mesh, u, v)
-    )
-    for samples, draw in _sample_blocks(sampler, n_samples):
+    check_d = _SampledCheck("D", mesh, partial(sample_margins_D, problem, spec, mesh))
+    check_e = _SampledCheck("E", mesh, partial(sample_margins_E, problem, spec, mesh))
+    for samples in _sample_blocks(sampler, n_samples):
         if check_d.failure is None or check_e.failure is None:
             # draws are pure, so one draw of u serves both conditions
-            u = draw(STREAM_U)
+            u = sampler.block(STREAM_U, samples)
         if check_d.failure is None:
-            check_d.feed(samples, u, 0.5 * draw(STREAM_DELTA))
+            check_d.feed(samples, u, 0.5 * sampler.block(STREAM_DELTA, samples))
         if check_e.failure is None:
-            check_e.feed(samples, u, draw(STREAM_V))
+            check_e.feed(samples, u, sampler.block(STREAM_V, samples))
     return check_d.outcome(n_samples), check_e.outcome(n_samples)
 
 

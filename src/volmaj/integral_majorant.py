@@ -34,7 +34,13 @@ from typing import Callable
 import numpy as np
 
 from . import expr
-from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
+from .errors import (
+    EVAL_ERRORS,
+    DomainError,
+    ExprError,
+    NumericError,
+    SpecValidationError,
+)
 from .meshes import Mesh
 from .quadrature import (
     WeightTable,
@@ -154,6 +160,14 @@ class MajorantSpec:
         return None if text is None else _Form(text, ("t",))
 
     def __post_init__(self):
+        # every text parses here, so a bad one fails at once, by its field
+        forms = {"f": "f_form", "gamma": "gamma_form", "upper_solution": "upper_form"}
+        for field, form in forms.items():
+            try:
+                getattr(self, form)
+            except ExprError as exc:
+                exc.args = (f"{field}: {exc}",)
+                raise
         # f(0, 0), then gamma there, by the tree walker: nothing compiles
         env = {"t": 0.0, "w": 0.0}
         origin = (("f(0, 0)", self.f_form), ("gamma(f(0, 0))", self.gamma_form))
@@ -171,7 +185,6 @@ class MajorantSpec:
             v = getattr(self, label)
             if v is not None and not (v > 0):
                 raise SpecValidationError(f"{label} must be positive, got {v!r}")
-        self.upper_form  # parses upper_solution, so bad text fails here
 
     depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
 

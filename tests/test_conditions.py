@@ -9,6 +9,7 @@ import pytest
 
 from volmaj.conditions import (
     DEFAULT_SEED,
+    STREAM_A,
     STREAM_DELTA,
     STREAM_U,
     STREAM_V,
@@ -30,7 +31,6 @@ from volmaj.conditions import (
 from volmaj.corpus import corpus_build
 from volmaj.errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from volmaj.integral_majorant import MajorantSpec, majorant_picard
-from volmaj.meshes import Trajectory
 from volmaj.problem import DenseOperator, KernelStage, VolterraProblem
 from volmaj.quadrature import WeightTable, graded_mesh, pointwise
 
@@ -141,14 +141,14 @@ class TestConstructedFailures:
         mesh = graded_mesh(1.0, 12, 1.0)
         bad = {(3, 7): -1.0, (3, 9): -2.0, (5, 2): -3.0}
 
-        def draw(self, stream, index):
-            values = np.full((13, 1), 0.25)
+        def block(self, stream, samples):
+            values = np.full((len(samples), 13, 1), 0.25)
             for (i, j), v in bad.items():
-                if i == index:
-                    values[j] = v
-            return Trajectory(self.mesh, values)
+                if i in samples:
+                    values[i - samples.start, j] = v
+            return values
 
-        monkeypatch.setattr(TrajectorySampler, "draw", draw)
+        monkeypatch.setattr(TrajectorySampler, "block", block)
         spec = MajorantSpec(f="w + t", gamma="z", name="linear")
         outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=8)
         assert outcome.status is ConditionStatus.FAIL
@@ -164,10 +164,10 @@ class TestConstructedFailures:
     ):
         mesh = graded_mesh(1.0, 12, 1.0)
 
-        def draw(self, stream, index):
-            return Trajectory(self.mesh, np.full((13, 1), 0.25))
+        def block(self, stream, samples):
+            return np.full((len(samples), 13, 1), 0.25)
 
-        monkeypatch.setattr(TrajectorySampler, "draw", draw)
+        monkeypatch.setattr(TrajectorySampler, "block", block)
         spec = MajorantSpec(f="w + t", gamma="1/(0.25 - z)")
         outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=4)
         assert outcome.status is ConditionStatus.FAIL
@@ -231,21 +231,46 @@ class TestConstructedFailures:
 
 
 class TestWitnessReplay:
+    # power_family on the mesh of TestSuiteOnCorpus, where D and E fail.
+    # A one-sample replay maps the majorant through its scalar forms (61
+    # points, under ARRAY_MIN_POINTS), the audit's 40-sample block through
+    # the array forms; power_family's agree on these witnesses, but can
+    # differ in the last bit elsewhere (its E witness at 200 samples)
     def test_margins_reproduce_from_stream(self):
-        entry, mesh = bvp_setup()
-        outcome = check_A(entry.problem, entry.majorant, mesh, n_samples=15)
-        assert outcome.status is ConditionStatus.PASS
-        sampler = TrajectorySampler(mesh, entry.problem.dim, seed=DEFAULT_SEED)
-        # margins for any sample index can be recomputed bit for bit
-        tr = sampler.draw(STREAM_U, 7)
-        lhs_a, rhs_a = sample_margins_A(
-            entry.problem, entry.majorant, mesh, tr.values[None]
+        for name, t_end in (("sine_bvp", 0.4), ("power_family", 1.0)):
+            entry = corpus_build(name)
+            self._replay(entry.problem, entry.majorant, graded_mesh(t_end, 60, 1.0))
+
+    @staticmethod
+    def _replay(problem, spec, mesh):
+        """Each witness's sides recomputed from its sample's draws alone."""
+        sampler = TrajectorySampler(mesh, problem.dim, seed=DEFAULT_SEED)
+
+        def draw(stream, i):
+            return sampler.draw(stream, i).values[None]
+
+        a = check_A(problem, spec, mesh, n_samples=40)
+        d, e = check_D_and_E(problem, spec, mesh, n_samples=40)
+        replays = (
+            (a, lambda i: sample_margins_A(problem, spec, mesh, draw(STREAM_A, i))),
+            (
+                d,
+                lambda i: sample_margins_D(
+                    problem, spec, mesh, draw(STREAM_U, i), 0.5 * draw(STREAM_DELTA, i)
+                ),
+            ),
+            (
+                e,
+                lambda i: sample_margins_E(
+                    problem, spec, mesh, draw(STREAM_U, i), draw(STREAM_V, i)
+                ),
+            ),
         )
-        lhs_b, rhs_b = sample_margins_A(
-            entry.problem, entry.majorant, mesh, sampler.draw(STREAM_U, 7).values[None]
-        )
-        assert np.array_equal(lhs_a, lhs_b)
-        assert np.array_equal(rhs_a, rhs_b)
+        for outcome, margins in replays:
+            w = outcome.witness
+            lhs, rhs = margins(w.sample)
+            assert (lhs[0, w.node], rhs[0, w.node]) == (w.lhs, w.rhs)
+            assert rhs[0, w.node] - lhs[0, w.node] == outcome.worst_margin
 
     def test_suite_deterministic(self):
         entry, mesh = bvp_setup(nodes=40)
@@ -268,9 +293,15 @@ class TestWitnessReplay:
 
     def test_seed_changes_samples(self):
         entry, mesh = bvp_setup(nodes=30)
+        dim = entry.problem.dim
+        one, two = (TrajectorySampler(mesh, dim, seed=seed) for seed in (1, 2))
+        samples = range(10)
+        assert not np.any(one.block(STREAM_A, samples) == two.block(STREAM_A, samples))
         a = check_A(entry.problem, entry.majorant, mesh, n_samples=10, seed=1)
         b = check_A(entry.problem, entry.majorant, mesh, n_samples=10, seed=2)
-        assert a.worst_margin != b.worst_margin
+        wa = one.draw(STREAM_A, a.witness.sample).values
+        wb = two.draw(STREAM_A, b.witness.sample).values
+        assert not np.any(wa == wb)
 
 
 class TestSampler:
@@ -283,10 +314,36 @@ class TestSampler:
 
     def test_distinct_streams_distinct_draws(self):
         mesh = graded_mesh(1.0, 20, 1.0)
-        sampler = TrajectorySampler(mesh, 2, DEFAULT_SEED)
+        sampler = TrajectorySampler(mesh, 2, seed=DEFAULT_SEED)
         a = sampler.draw(1, 0).values
         b = sampler.draw(2, 0).values
         assert not np.array_equal(a, b)
+
+    # blocks that start mid-stream, as every block after an audit's first
+    @pytest.mark.parametrize("dim", [1, 21])
+    @pytest.mark.parametrize("start, stop", [(0, 1), (0, 9), (1, 2), (7, 19), (9, 10)])
+    def test_a_block_is_its_stacked_draws(self, dim, start, stop):
+        sampler = TrajectorySampler(graded_mesh(1.0, 12, 1.0), dim, 0.8, seed=3)
+        got = sampler.block(STREAM_U, range(start, stop))
+        draws = [sampler.draw(STREAM_U, i).values for i in range(start, stop)]
+        _same_bits(got, np.stack(draws))
+        _same_bits(got, _stream_samples(sampler, STREAM_U, stop)[start:])
+
+
+def _stream_samples(sampler, stream, stop):
+    """Samples 0 to stop - 1 by definition: consecutive runs of (n+1)·dim
+    uniform draws from the stream's one generator, each smoothed alone."""
+    rng = np.random.default_rng([sampler.seed, stream])
+    size = (sampler.mesh.nodes.size, sampler.dim)
+    samples = []
+    for _ in range(stop):
+        raw = rng.uniform(-sampler.bound, sampler.bound, size)
+        out = np.empty_like(raw)
+        out[1:-1] = 0.25 * raw[:-2] + 0.5 * raw[1:-1] + 0.25 * raw[2:]
+        out[0] = 0.75 * raw[0] + 0.25 * raw[1]
+        out[-1] = 0.75 * raw[-1] + 0.25 * raw[-2]
+        samples.append(out)
+    return np.stack(samples)
 
 
 # The per-sample right sides as the scalar code computed them, one
@@ -383,7 +440,7 @@ def _stacks(mesh, dim, size, bound, zero):
     sampler = TrajectorySampler(mesh, dim, bound)
 
     def draw(stream):
-        stack = np.stack([sampler.draw(stream, i).values for i in range(size)])
+        stack = sampler.block(stream, range(size))
         if zero:
             stack[size // 2] = 0.0
         return stack

@@ -445,7 +445,7 @@ class TestSpecFromText:
     )
     def test_bad_text_fails_at_construction(self, field, text):
         given = {"f": "w", "gamma": "z", field: text}
-        with pytest.raises(ExprError, match="syntax error at byte"):
+        with pytest.raises(ExprError, match=f"^{field}: syntax error at byte"):
             MajorantSpec(**given)
 
     @pytest.mark.parametrize(
