@@ -22,8 +22,8 @@ below converges to that root monotonically and never overshoots
 previous node's root, since r(t) is nondecreasing.
 
 The screen itself evaluates f and f_r over its 128 x 128 grid by one
-array call each where the spec carries an array form that serves, and
-walks in Python only the rows and columns that hold a violation.
+call each of their compiled array forms where those serve, and walks in
+Python only the rows and columns that hold a violation.
 
 The tangency scan and Newton runs work on Python floats, a residual
 being a pair.  Only the 2x2 Newton system goes to np.linalg.solve: a
@@ -32,13 +32,15 @@ hand-written solve would not round as LAPACK's pivoted one does.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EVAL_ERRORS, NumericError, SpecValidationError
+from . import expr
+from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import graded_mesh, pointwise
 
@@ -67,33 +69,43 @@ _BRANCH_MAX_ITER = 50000
 _NEWTON_MAX_ITER = 80
 _BRANCH_MIN_ITERS = 200
 
+# the arguments of f and f_r, in order
+_NAMES = ("r", "t")
+
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Algebraic majorant data.
+    """Algebraic majorant data as expression text over (r, t): the growth
+    map f and its slope f_r = df/dr, which is the exact derivative of f
+    when not given.
 
-    f(r, t) must vanish at the origin and its slope f_r = df/dr satisfy
-    inv_norm_bound * f_r(0, 0) in [0, 1), otherwise even the zero state
-    is not dominated; both must be evaluable there.  The inline config
-    derives f_r from f when fr is not given.  r_max / t_max bound the
+    f must vanish at the origin and c * f_r(0, 0), c being
+    inv_norm_bound, lie in [0, 1), otherwise even the zero state is not
+    dominated; both must be evaluable there.  r_max / t_max bound the
     search box.
 
-    f_array and f_r_array, when given, are array forms of f and f_r:
-    called on broadcastable arrays, they return the values f and f_r give
-    element by element, or fail (raise, or give a value that is not
-    finite) if those raise anywhere.  The convexity screen maps each form
-    through quadrature.pointwise, which falls back on the scalar form
-    where the array form fails.
+    Both texts parse at construction, and the origin is checked by the
+    tree walker; f_form and f_r_form compile on first use.  The
+    convexity screen maps each form through its array form, which gives
+    the scalar form's values bit for bit for + - * /, sin, cos, sqrt and
+    abs and within numpy's last ulp for exp, log, tan and ^; the tangency
+    solve and the branch call the scalar forms.
     """
 
-    f: Callable[[float, float], float]
-    f_r: Callable[[float, float], float]
+    f: str
+    f_r: str | None = None
     inv_norm_bound: float = 1.0
     r_max: float = 100.0
     t_max: float = 100.0
     name: str = "lyapunov"
-    f_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    f_r_array: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    f_form = functools.cached_property(lambda self: expr.Form(self.f, _NAMES, "f"))
+
+    @functools.cached_property
+    def f_r_form(self) -> expr.Form:
+        if self.f_r is None:
+            return expr.Form(expr.derivative(self.f_form.tree, "r"), _NAMES)
+        return expr.Form(self.f_r, _NAMES, "f_r")
 
     def __post_init__(self):
         if not (self.inv_norm_bound > 0) or not math.isfinite(self.inv_norm_bound):
@@ -101,15 +113,18 @@ class LyapunovSpec:
                 f"inverse-norm bound must be positive and finite,"
                 f" got {self.inv_norm_bound!r}"
             )
-        if not (self.r_max > 0) or not (self.t_max > 0):
-            raise SpecValidationError("r_max and t_max must be positive")
-        origin: list[float] = []
-        try:
-            for fn in (self.f, self.f_r):
-                origin.append(float(fn(0.0, 0.0)))
-        except Exception as exc:
-            name = ("f", "f_r")[len(origin)]
-            raise SpecValidationError(f"{name}(0, 0) is not evaluable: {exc}") from exc
+        for label in ("r_max", "t_max"):
+            v = getattr(self, label)
+            if not 0 < v < math.inf:
+                raise SpecValidationError(
+                    f"{label} must be positive and finite, got {v!r}"
+                )
+        origin = []
+        for label, form in (("f", self.f_form), ("f_r", self.f_r_form)):
+            try:
+                origin.append(expr.evaluate(form.tree, {"r": 0.0, "t": 0.0}))
+            except DomainError as exc:
+                raise SpecValidationError(f"{label}(0, 0) is not evaluable: {exc}") from exc
         f00, slope0 = origin[0], self.inv_norm_bound * origin[1]
         if not (abs(f00) <= 1e-12):
             raise SpecValidationError(
@@ -159,7 +174,7 @@ class LyapunovSolution:
 
 def _residual(spec: LyapunovSpec, r: float, t: float) -> tuple[float, float]:
     c = spec.inv_norm_bound
-    return c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0
+    return c * spec.f_form.scalar(r, t) - r, c * spec.f_r_form.scalar(r, t) - 1.0
 
 
 def _try_residual(spec: LyapunovSpec, r: float, t: float) -> tuple[float, float] | None:
@@ -217,11 +232,11 @@ def _branch_min(spec: LyapunovSpec, t: float) -> tuple[float, float]:
     """Minimum of c*f(r, t) - r over r in [0, r_max] by ternary search;
     returns (argmin, min).  Non-finite samples push the search away; the
     search stops at its fixed point, where the bracket no longer moves."""
-    c = spec.inv_norm_bound
+    c, f = spec.inv_norm_bound, spec.f_form.scalar
 
     def phi(r: float) -> float:
         try:
-            v = c * float(spec.f(r, t)) - r
+            v = c * f(r, t) - r
         except EVAL_ERRORS:
             return math.inf
         return v if math.isfinite(v) else math.inf
@@ -240,15 +255,13 @@ def _branch_min(spec: LyapunovSpec, t: float) -> tuple[float, float]:
 
 def _polish_radius(spec: LyapunovSpec, r: float, t: float) -> float:
     """1D Newton on c * f_r(r, t) = 1 in r, seeded at the ternary argmin."""
-    c = spec.inv_norm_bound
+    c, f_r = spec.inv_norm_bound, spec.f_r_form.scalar
     for _ in range(60):
-        g = c * float(spec.f_r(r, t)) - 1.0
+        g = c * f_r(r, t) - 1.0
         if abs(g) <= 1e-13:
             return r
         h = 1e-6 * max(1.0, abs(r))
-        curv = (
-            c * float(spec.f_r(r + h, t)) - c * float(spec.f_r(max(r - h, 0.0), t))
-        ) / (h + min(h, r))
+        curv = (c * f_r(r + h, t) - c * f_r(max(r - h, 0.0), t)) / (h + min(h, r))
         if not math.isfinite(curv) or abs(curv) < 1e-300:
             return r
         r_new = r - g / curv
@@ -352,10 +365,10 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
 
 
 def _plain_node(spec: LyapunovSpec, t: float, tol: float) -> tuple[float, int, bool]:
-    c, r = spec.inv_norm_bound, 0.0
+    c, f, r = spec.inv_norm_bound, spec.f_form.scalar, 0.0
     for k in range(1, _BRANCH_MAX_ITER + 1):
         try:
-            r_new = c * float(spec.f(r, t))
+            r_new = c * f(r, t)
         except EVAL_ERRORS as exc:
             raise NumericError(f"branch iteration failed at t={t!r}: {exc}") from exc
         if not math.isfinite(r_new) or r_new > 10.0 * spec.r_max:
@@ -379,8 +392,8 @@ def _below_root(
         return None
     c = spec.inv_norm_bound
     try:
-        g = c * float(spec.f(r, t)) - r
-        dg = c * float(spec.f_r(r, t)) - 1.0
+        g = c * spec.f_form.scalar(r, t) - r
+        dg = c * spec.f_r_form.scalar(r, t) - 1.0
     except EVAL_ERRORS:
         return None
     return (g, dg) if 0.0 <= g < math.inf and -math.inf < dg <= 0.0 else None
@@ -489,12 +502,13 @@ def majorant_branch(
     return BranchResult(values, iterations, mask)
 
 
-def _nan_on_error(fn: Callable[[float, float], float]) -> Callable:
-    """fn with an evaluation that raises read as nan."""
+def _nan_on_error(form: expr.Form) -> Callable[[float, float], float]:
+    """The scalar form with an evaluation that raises read as nan; it
+    compiles on its first call."""
 
     def scalar(r: float, t: float) -> float:
         try:
-            return float(fn(r, t))
+            return form.scalar(r, t)
         except EVAL_ERRORS:
             return math.nan
 
@@ -531,8 +545,8 @@ def check_convexity(
     if r_grid.size < 3 or t_grid.size < 2:
         raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
     r, t = r_grid[None, :], t_grid[:, None]
-    fvals = pointwise(_nan_on_error(spec.f), r, t, array=spec.f_array)
-    svals = pointwise(_nan_on_error(spec.f_r), r, t, array=spec.f_r_array)
+    fvals = pointwise(_nan_on_error(spec.f_form), r, t, array=spec.f_form.array)
+    svals = pointwise(_nan_on_error(spec.f_r_form), r, t, array=spec.f_r_form.array)
     failed = np.isnan(fvals) | np.isnan(svals)
     fvals[failed] = svals[failed] = math.nan
     violations: list[tuple[str, float, float, float]] = []

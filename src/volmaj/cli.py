@@ -370,17 +370,10 @@ def _inline_majorant(v: dict) -> MajorantSpec:
 
 
 def _inline_lyapunov(v: dict) -> LyapunovSpec:
-    names = ("r", "t")
-    f_tree = expr.parse(v["f"], names)
-    # without fr the slope is the exact derivative of f
-    given = v["fr"] is not None
-    fr_tree = expr.parse(v["fr"], names) if given else expr.derivative(f_tree, "r")
     try:
         return LyapunovSpec(
-            f=expr.as_function(f_tree, names),
-            f_r=expr.as_function(fr_tree, names),
-            f_array=expr.as_array_function(f_tree, names),
-            f_r_array=expr.as_array_function(fr_tree, names),
+            f=v["f"],
+            f_r=v["fr"],  # without fr the slope is the exact derivative of f
             inv_norm_bound=v["c"],
             r_max=v["r_max"],
             t_max=v["t_max"],
@@ -389,7 +382,7 @@ def _inline_lyapunov(v: dict) -> LyapunovSpec:
     except SpecValidationError as exc:
         # c, r_max and t_max are checked by the schema, so what fails here
         # is f or the slope at the origin
-        key = "fr" if given and "f_r" in str(exc) else "f"
+        key = "fr" if v["fr"] is not None and "f_r" in str(exc) else "f"
         raise SpecValidationError(f"[lyapunov] {key}: {exc}") from None
 
 

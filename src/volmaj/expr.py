@@ -28,7 +28,9 @@ any element, so the caller can rerun the scalar form to name the point.
 
 Every pass over trees lives here as well: ``derivative`` gives the exact
 partial derivative of a tree, and ``separated_terms`` splits a kernel
-tree into sums of products of single-coordinate factors.
+tree into sums of products of single-coordinate factors.  ``Form`` holds
+one tree of a spec with its two compiled functions, each built on first
+use.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnknownVariableError
+from .errors import DomainError, ExprError, ExprSyntaxError, UnknownVariableError
+from .quadrature import pointwise
 
 __all__ = [
     "Expr",
@@ -61,6 +64,7 @@ __all__ = [
     "separated_terms",
     "as_function",
     "as_array_function",
+    "Form",
 ]
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -464,6 +468,36 @@ def as_array_function(
     _check_bound(expr, names)
     build = functools.cache(lambda: _compiled(repr(expr), names, True, expr))
     return lambda *args: build()(*args)
+
+
+class Form:
+    """An expression over named arguments, from text or a tree, compiled
+    on first use: scalar is its function of floats, array its function of
+    arrays, and map runs it over arrays.  Text parses at once; a spec
+    passes the field it comes from, which prefixes a parse error."""
+
+    def __init__(self, source: str | Expr, names: tuple[str, ...], field: str = ""):
+        if isinstance(source, str):
+            try:
+                source = parse(source, names)
+            except ExprError as exc:
+                if field:
+                    exc.args = (f"{field}: {exc}",)
+                raise
+        self.tree = source
+        self.names = names
+        self.array = as_array_function(source, names)
+
+    @functools.cached_property
+    def scalar(self) -> Callable[..., float]:
+        return as_function(self.tree, self.names)
+
+    def map(self, *args) -> np.ndarray:
+        """The form over the broadcast of its arguments, through the array
+        form where it serves (see quadrature.pointwise)."""
+        # the scalar form compiles only when pointwise first calls it
+        scalar = vars(self).get("scalar") or (lambda *a: self.scalar(*a))
+        return pointwise(scalar, *args, array=self.array)
 
 
 # a tree compiles once per process for each argument order and dialect,

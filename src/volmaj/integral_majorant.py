@@ -34,13 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr
-from .errors import (
-    EVAL_ERRORS,
-    DomainError,
-    ExprError,
-    NumericError,
-    SpecValidationError,
-)
+from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
     WeightTable,
@@ -48,7 +42,6 @@ from .quadrature import (
     adaptive_quad,
     improper_integral,
     integral_to_pole,
-    pointwise,
 )
 
 __all__ = [
@@ -93,31 +86,6 @@ class Blowup(enum.Enum):
     GLOBAL = "Global"
 
 
-class _Form:
-    """An expression over named arguments, from text or a tree, compiled
-    on first use: scalar is its function of floats, array its function of
-    arrays, and map runs it over arrays."""
-
-    def __init__(self, source: str | expr.Expr, names: tuple[str, ...]):
-        self.tree = expr.parse(source, names) if isinstance(source, str) else source
-        self.names = names
-        self.array = expr.as_array_function(self.tree, names)
-        self._scalar: Callable[..., float] | None = None
-
-    @property
-    def scalar(self) -> Callable[..., float]:
-        if self._scalar is None:
-            self._scalar = expr.as_function(self.tree, self.names)
-        return self._scalar
-
-    def map(self, *args) -> np.ndarray:
-        """The form over the broadcast of its arguments, through the array
-        form where it serves (see quadrature.pointwise)."""
-        # the scalar form compiles only when pointwise first calls it
-        scalar = self._scalar or (lambda *a: self.scalar(*a))
-        return pointwise(scalar, *args, array=self.array)
-
-
 @dataclass(frozen=True)
 class MajorantSpec:
     """Scalar majorant data as expression text: the outer function f over
@@ -145,29 +113,26 @@ class MajorantSpec:
     omega_max: float | None = None
     name: str = "majorant"
 
-    f_form = functools.cached_property(lambda self: _Form(self.f, ("t", "w")))
-    gamma_form = functools.cached_property(lambda self: _Form(self.gamma, ("z",)))
+    f_form = functools.cached_property(lambda self: expr.Form(self.f, ("t", "w"), "f"))
+    gamma_form = functools.cached_property(
+        lambda self: expr.Form(self.gamma, ("z",), "gamma")
+    )
     f_w_form = functools.cached_property(
-        lambda self: _Form(expr.derivative(self.f_form.tree, "w"), ("t", "w"))
+        lambda self: expr.Form(expr.derivative(self.f_form.tree, "w"), ("t", "w"))
     )
     gamma_z_form = functools.cached_property(
-        lambda self: _Form(expr.derivative(self.gamma_form.tree, "z"), ("z",))
+        lambda self: expr.Form(expr.derivative(self.gamma_form.tree, "z"), ("z",))
     )
 
     @functools.cached_property
-    def upper_form(self) -> _Form | None:
+    def upper_form(self) -> expr.Form | None:
         text = self.upper_solution
-        return None if text is None else _Form(text, ("t",))
+        return None if text is None else expr.Form(text, ("t",), "upper_solution")
 
     def __post_init__(self):
         # every text parses here, so a bad one fails at once, by its field
-        forms = {"f": "f_form", "gamma": "gamma_form", "upper_solution": "upper_form"}
-        for field, form in forms.items():
-            try:
-                getattr(self, form)
-            except ExprError as exc:
-                exc.args = (f"{field}: {exc}",)
-                raise
+        for form in ("f_form", "gamma_form", "upper_form"):
+            getattr(self, form)
         # f(0, 0), then gamma there, by the tree walker: nothing compiles
         env = {"t": 0.0, "w": 0.0}
         origin = (("f(0, 0)", self.f_form), ("gamma(f(0, 0))", self.gamma_form))
@@ -183,8 +148,10 @@ class MajorantSpec:
             env = {"z": max(v, 0.0)}
         for label in ("pole", "z_max", "omega_max"):
             v = getattr(self, label)
-            if v is not None and not (v > 0):
-                raise SpecValidationError(f"{label} must be positive, got {v!r}")
+            if v is not None and not 0 < v < math.inf:
+                raise SpecValidationError(
+                    f"{label} must be positive and finite, got {v!r}"
+                )
 
     depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
 

@@ -70,10 +70,6 @@ BLOCK_ELEMENTS = 2**13
 # on fewer points a scalar form beats a compiled expression's array form
 ARRAY_MIN_POINTS = 128
 
-# what an array form may raise to say it cannot serve; a numpy-unaware
-# form (math.sqrt on an array) raises TypeError.  The scalar form then runs.
-ARRAY_ERRORS = (*EVAL_ERRORS, TypeError)
-
 
 class WeightTable:
     """Composite trapezoid weights on a mesh."""
@@ -126,7 +122,7 @@ def pointwise(fn, *args, array=None) -> np.ndarray:
     shape = np.broadcast_shapes(*(a.shape for a in args))
     if array is not None and math.prod(shape) >= ARRAY_MIN_POINTS:
         out = np.empty(shape)
-        with contextlib.suppress(*ARRAY_ERRORS), np.errstate(all="ignore"):
+        with contextlib.suppress(*EVAL_ERRORS), np.errstate(all="ignore"):
             out[...] = array(*args)
             if np.isfinite(out).all():
                 return out

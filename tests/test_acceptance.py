@@ -88,8 +88,8 @@ def test_02_tan_bound_by_both_routes():
 def test_03_tangency_point_two_scalings():
     start = time.perf_counter()
     base = dict(
-        f=lambda r, t: t * r * r + t,
-        f_r=lambda r, t: 2.0 * t * r,
+        f="t*r*r + t",
+        f_r="2*t*r",
         r_max=10.0,
         t_max=5.0,
     )

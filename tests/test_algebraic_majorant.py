@@ -2,11 +2,15 @@
 
 import dataclasses
 import math
+import struct
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from volmaj import algebraic_majorant, cli
+from volmaj import algebraic_majorant, cli, expr
 from volmaj.algebraic_majorant import (
     ConvexityReport,
     LyapunovSpec,
@@ -17,12 +21,20 @@ from volmaj.algebraic_majorant import (
     solve_tangency,
 )
 from volmaj.corpus import corpus_build
-from volmaj.errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
+from volmaj.errors import (
+    EVAL_ERRORS,
+    DomainError,
+    ExprError,
+    NumericError,
+    SpecValidationError,
+)
+from volmaj.integral_majorant import MajorantSpec, solve_majorant
+from volmaj.picard import solve_main
 from volmaj.quadrature import graded_mesh
 
 QUAD = LyapunovSpec(
-    f=lambda r, t: t * r * r + t,
-    f_r=lambda r, t: 2.0 * t * r,
+    f="t*r*r + t",
+    f_r="2*t*r",
     inv_norm_bound=1.0,
     r_max=10.0,
     t_max=5.0,
@@ -37,18 +49,16 @@ def inline(text, **box):
 
 
 CONCAVE = LyapunovSpec(
-    f=lambda r, t: t * (math.sqrt(r + 1.0) - 1.0),
-    f_r=lambda r, t: 0.5 * t / math.sqrt(r + 1.0),
-    f_array=lambda r, t: t * (np.sqrt(r + 1.0) - 1.0),
-    f_r_array=lambda r, t: 0.5 * t / np.sqrt(r + 1.0),
+    f="t*(sqrt(r + 1) - 1)",
+    f_r="0.5*t/sqrt(r + 1)",
     r_max=1.0,
     t_max=1.0,
     name="concave",
 )
 
 EXP = LyapunovSpec(
-    f=lambda r, t: t * math.exp(r),
-    f_r=lambda r, t: t * math.exp(r),
+    f="t*exp(r)",
+    f_r="t*exp(r)",
     inv_norm_bound=1.0,
     r_max=10.0,
     t_max=5.0,
@@ -67,29 +77,14 @@ class TestTangency:
         assert tng.horizon == pytest.approx(0.5, abs=1e-10)
 
     def test_doubled_inverse_bound(self):
-        spec = LyapunovSpec(
-            f=QUAD.f,
-            f_r=QUAD.f_r,
-            inv_norm_bound=2.0,
-            r_max=10.0,
-            t_max=5.0,
-            name="doubled",
-        )
+        spec = dataclasses.replace(QUAD, inv_norm_bound=2.0, name="doubled")
         tng = solve_tangency(spec)
         # eliminating the slope equation by hand: r = 1/(4t) gives t = 1/4
         assert tng.radius == pytest.approx(1.0, abs=1e-9)
         assert tng.horizon == pytest.approx(0.25, abs=1e-9)
 
     def test_exponential_growth(self):
-        spec = LyapunovSpec(
-            f=lambda r, t: t * math.exp(r),
-            f_r=lambda r, t: t * math.exp(r),
-            inv_norm_bound=1.0,
-            r_max=10.0,
-            t_max=5.0,
-            name="exponential",
-        )
-        tng = solve_tangency(spec)
+        tng = solve_tangency(EXP)
         assert tng.radius == pytest.approx(1.0, abs=1e-9)
         assert tng.horizon == pytest.approx(1.0 / math.e, abs=1e-9)
 
@@ -100,8 +95,7 @@ class TestTangency:
 
     def test_no_tangency_reported(self):
         spec = LyapunovSpec(
-            f=lambda r, t: t + 0.1 * r,
-            f_r=lambda r, t: 0.1,
+            f="t + 0.1*r",
             inv_norm_bound=1.0,
             r_max=50.0,
             t_max=100.0,
@@ -116,7 +110,7 @@ def _ternary_200(spec, t):
 
     def phi(r):
         try:
-            v = spec.inv_norm_bound * float(spec.f(r, t)) - r
+            v = spec.inv_norm_bound * spec.f_form.scalar(r, t) - r
         except (DomainError, OverflowError, ValueError, ZeroDivisionError):
             return math.inf
         return v if math.isfinite(v) else math.inf
@@ -139,12 +133,15 @@ def test_branch_min_stops_at_its_fixed_point(spec, t):
     # once an iteration leaves the bracket unchanged, later ones repeat it,
     # so stopping there returns the 200-step result bit for bit
     calls = [0]
+    copy = dataclasses.replace(spec)
+    scalar = copy.f_form.scalar
 
     def counted(r, t):
         calls[0] += 1
-        return spec.f(r, t)
+        return scalar(r, t)
 
-    got = _branch_min(dataclasses.replace(spec, f=counted), t)
+    copy.f_form.scalar = counted
+    got = _branch_min(copy, t)
     assert got == _ternary_200(spec, t)
     assert calls[0] < 2 * 200
 
@@ -155,7 +152,8 @@ def test_branch_min_stops_at_its_fixed_point(spec, t):
 
 def _residual_np(spec, r, t):
     c = spec.inv_norm_bound
-    return np.array([c * float(spec.f(r, t)) - r, c * float(spec.f_r(r, t)) - 1.0])
+    f, f_r = spec.f_form.scalar, spec.f_r_form.scalar
+    return np.array([c * f(r, t) - r, c * f_r(r, t) - 1.0])
 
 
 def _try_residual_np(spec, r, t):
@@ -358,7 +356,7 @@ class TestConvexity:
         assert report.violations == ()
 
     def test_concave_fails_with_location(self):
-        report = check_convexity(_scalar_only(CONCAVE))
+        report = check_convexity(CONCAVE)
         assert not report.passed
         kind, r, t, margin = report.violations[0]
         assert margin < 0
@@ -366,8 +364,7 @@ class TestConvexity:
 
     def test_identically_zero_is_degenerate_pass(self):
         spec = LyapunovSpec(
-            f=lambda r, t: 0.0,
-            f_r=lambda r, t: 0.0,
+            f="0",
             inv_norm_bound=1.0,
             r_max=1.0,
             t_max=1.0,
@@ -376,10 +373,6 @@ class TestConvexity:
         report = check_convexity(spec)
         assert report.passed
         assert report.degenerate
-
-
-def _scalar_only(spec):
-    return dataclasses.replace(spec, f_array=None, f_r_array=None)
 
 
 def _loop_convexity(spec, r_grid=None, t_grid=None):
@@ -398,8 +391,8 @@ def _loop_convexity(spec, r_grid=None, t_grid=None):
     for i, t in enumerate(t_grid):
         for j, r in enumerate(r_grid):
             try:
-                fv = float(spec.f(float(r), float(t)))
-                sv = float(spec.f_r(float(r), float(t)))
+                fv = spec.f_form.scalar(float(r), float(t))
+                sv = spec.f_r_form.scalar(float(r), float(t))
             except (DomainError, OverflowError, ValueError, ZeroDivisionError):
                 fv = sv = math.nan
             if math.isnan(fv) or math.isnan(sv):
@@ -439,19 +432,9 @@ def _loop_convexity(spec, r_grid=None, t_grid=None):
     )
 
 
-def _wiggle(r, t, sin):
-    return 0.1 * r * r + 0.05 * r * (1.0 + sin(7.0 * t)) + 0.01 * t * sin(9.0 * r)
-
-
-def _wiggle_r(r, t, sin, cos):
-    return 0.2 * r + 0.05 * (1.0 + sin(7.0 * t)) + 0.09 * t * cos(9.0 * r)
-
-
 WIGGLE = LyapunovSpec(
-    f=lambda r, t: _wiggle(r, t, math.sin),
-    f_r=lambda r, t: _wiggle_r(r, t, math.sin, math.cos),
-    f_array=lambda r, t: _wiggle(r, t, np.sin),
-    f_r_array=lambda r, t: _wiggle_r(r, t, np.sin, np.cos),
+    f="0.1*r*r + 0.05*r*(1 + sin(7*t)) + 0.01*t*sin(9*r)",
+    f_r="0.2*r + 0.05*(1 + sin(7*t)) + 0.09*t*cos(9*r)",
     r_max=2.0, t_max=1.5, name="wiggle",
 )
 
@@ -459,18 +442,12 @@ WIGGLE = LyapunovSpec(
 _SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
 
 
-def _cut_f(r, t, sqrt):
-    # sqrt(1.5 - r) * 0 leaves f = t*r^2 where r <= 1.5 and fails past it
-    return t * r * r + 0.0 * sqrt(1.5 - r)
-
-
-# f's array form gives nan where its scalar form raises; the slope drops
-# past r = 1.5, which a screen that kept it there would report
+# sqrt(1.5 - r) * 0 leaves f = t*r^2 where r <= 1.5 and fails past it,
+# where f's array form gives nan; the slope, 2*t*r up to r = 1.5 and
+# 2*t*(3 - r) past it, drops there, which a screen that kept it would report
 CUT = LyapunovSpec(
-    f=lambda r, t: _cut_f(r, t, math.sqrt),
-    f_r=lambda r, t: 2.0 * t * r if r <= 1.5 else 0.0,
-    f_array=lambda r, t: _cut_f(r, t, np.sqrt),
-    f_r_array=lambda r, t: np.where(r <= 1.5, 2.0 * t * r, 0.0),
+    f="t*r*r + 0*sqrt(1.5 - r)",
+    f_r="2*t*(r - (r - 1.5 + abs(r - 1.5)))",
     r_max=2.0, t_max=1.5, name="nan for a raise",
 )
 
@@ -481,21 +458,10 @@ class TestConvexityRoutes:
     @pytest.mark.parametrize(
         "spec",
         [
-            dataclasses.replace(QUAD, f_array=QUAD.f, f_r_array=QUAD.f_r),
-            # an array f without an array slope evaluates point by point
-            dataclasses.replace(QUAD, f_array=QUAD.f),
+            QUAD,
             CONCAVE,
-            # array forms that raise TypeError (math.sqrt on an array)
-            # fall back as quadrature.pointwise does
-            dataclasses.replace(
-                CONCAVE, f_array=CONCAVE.f, f_r_array=CONCAVE.f_r,
-                name="math on arrays",
-            ),
             LyapunovSpec(
-                f=lambda r, t: r * r / (1.0 + t),
-                f_r=lambda r, t: 2.0 * r / (1.0 + t),
-                f_array=lambda r, t: r * r / (1.0 + t),
-                f_r_array=lambda r, t: 2.0 * r / (1.0 + t),
+                f="r*r/(1 + t)", f_r="2*r/(1 + t)",
                 r_max=2.0, t_max=1.5, name="decreasing in t",
             ),
             WIGGLE,
@@ -512,18 +478,12 @@ class TestConvexityRoutes:
     def test_array_and_pointwise_reports_are_equal(self, spec, grids):
         report = check_convexity(spec, **grids)
         # repr, so that nan margins of not-finite samples compare equal
-        assert repr(report) == repr(check_convexity(_scalar_only(spec), **grids))
         assert repr(report) == repr(_loop_convexity(spec, **grids))
 
     def test_reports_list_violations_in_scan_order(self):
-        spec = WIGGLE
-        report = check_convexity(
-            spec, r_grid=np.linspace(0.0, 2.0, 7), t_grid=np.linspace(0.0, 1.5, 5)
-        )
-        assert report.violations == check_convexity(
-            _scalar_only(spec), r_grid=np.linspace(0.0, 2.0, 7),
-            t_grid=np.linspace(0.0, 1.5, 5),
-        ).violations
+        grids = {"r_grid": np.linspace(0.0, 2.0, 7), "t_grid": np.linspace(0.0, 1.5, 5)}
+        report = check_convexity(WIGGLE, **grids)
+        assert report.violations == _loop_convexity(WIGGLE, **grids).violations
         kinds = [v[0] for v in report.violations]
         assert len(kinds) < 50  # below the cap, so every violation is listed
         assert set(kinds) == {
@@ -565,32 +525,78 @@ class TestSolveLyapunov:
 
 
 def test_spec_validation():
-    with pytest.raises(SpecValidationError):
-        LyapunovSpec(
-            f=lambda r, t: 1.0 + r,
-            f_r=lambda r, t: 1.0,
-            inv_norm_bound=1.0,
-            r_max=1.0,
-            t_max=1.0,
-            name="nonzero origin",
-        )
-    with pytest.raises(SpecValidationError):
-        LyapunovSpec(
-            f=lambda r, t: 2.0 * r,
-            f_r=lambda r, t: 2.0,
-            inv_norm_bound=1.0,
-            r_max=1.0,
-            t_max=1.0,
-            name="slope above one",
-        )
-    with pytest.raises(SpecValidationError):
-        LyapunovSpec(
-            f=lambda r, t: t * r * r,
-            f_r=lambda r, t: 2.0 * t * r,
-            inv_norm_bound=-2.0,
-            r_max=1.0,
-            t_max=1.0,
-            name="negative c",
-        )
+    with pytest.raises(SpecValidationError, match="must vanish"):
+        LyapunovSpec(f="1 + r", r_max=1.0, t_max=1.0, name="nonzero origin")
+    with pytest.raises(SpecValidationError, match="contraction"):
+        LyapunovSpec(f="2*r", r_max=1.0, t_max=1.0, name="slope above one")
+    with pytest.raises(SpecValidationError, match="inverse-norm bound"):
+        LyapunovSpec(f="t*r*r", inv_norm_bound=-2.0, name="negative c")
     with pytest.raises(SpecValidationError, match=r"f_r\(0, 0\) is not evaluable"):
-        LyapunovSpec(f=lambda r, t: t * r * r, f_r=lambda r, t: 2.0 * t * r / r)
+        LyapunovSpec(f="t*r*r", f_r="2*t*r/r")
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [("f", {"f": "t*r@2"}), ("f_r", {"f": "t*r*r", "f_r": "2*t*w"})],
+)
+def test_a_bad_text_names_its_field(field, text):
+    with pytest.raises(ExprError, match=f"^{field}: syntax error at byte"):
+        LyapunovSpec(**text)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (LyapunovSpec, "r_max"),
+        (LyapunovSpec, "t_max"),
+        (MajorantSpec, "z_max"),
+        (MajorantSpec, "omega_max"),
+        (MajorantSpec, "pole"),
+    ],
+)
+def test_a_box_value_that_is_not_finite_is_refused_by_name(build, field):
+    texts = {"f": "t*r*r + t"} if build is LyapunovSpec else {"f": "w", "gamma": "z + 1"}
+    with pytest.raises(SpecValidationError, match=f"^{field} must be positive and finite"):
+        build(**texts, **{field: math.inf})
+
+
+def _bits(x):
+    return struct.pack("<d", float(x))
+
+
+class TestSineBvpForms:
+    """sine_bvp's growth map is the text t*r*r + t with the derived slope."""
+
+    SPEC = corpus_build("sine_bvp").lyapunov
+
+    @given(st.floats(0.0, 10.0), st.floats(0.0, 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_forms_equal_the_hand_written_pair(self, r, t):
+        # doubling t*r before or after its rounding differs only where
+        # t*r is subnormal
+        assume(t * r >= sys.float_info.min or 0.0 in (r, t))
+        f, f_r = self.SPEC.f_form, self.SPEC.f_r_form
+        want_f, want_r = t * r * r + t, 2.0 * t * r
+        assert _bits(f.scalar(r, t)) == _bits(want_f)
+        assert _bits(f_r.scalar(r, t)) == _bits(want_r)
+        r_arr, t_arr = np.array([r]), np.array([t])
+        assert _bits(f.array(r_arr, t_arr)[0]) == _bits(want_f)
+        assert _bits(f_r.array(r_arr, t_arr)[0]) == _bits(want_r)
+
+    def test_the_entry_and_a_solve_compile_no_algebraic_form(self, monkeypatch):
+        compiled = []
+        compile_ = expr._Compiler.compile
+
+        def counted(self, tree, *args):
+            compiled.append(expr.variables(tree))
+            return compile_(self, tree, *args)
+
+        monkeypatch.setattr(expr._Compiler, "compile", counted)
+        expr._compiled.cache_clear()  # no code compiled by an earlier test
+        entry = corpus_build("sine_bvp")
+        assert compiled == []  # construction compiles nothing
+        mesh = graded_mesh(0.4, 40, 1.0)
+        bound = solve_majorant(entry.majorant, mesh=mesh)
+        solve_main(entry.problem, mesh, tol=1e-10, majorant=bound)
+        assert compiled  # the majorant compiled its forms
+        assert not any("r" in names for names in compiled)

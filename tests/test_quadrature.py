@@ -579,7 +579,6 @@ class TestPointwise:
             lambda z: np.full(z.shape, np.inf),
             lambda z: np.sqrt(z - 100.0),  # nan below 100
             lambda z: np.zeros(3),  # does not broadcast
-            lambda z: math.sqrt(z),  # a scalar form: TypeError on arrays
         ],
     )
     def test_an_array_form_that_fails_defers_to_the_scalar_form(self, array):
