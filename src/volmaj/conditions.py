@@ -16,7 +16,10 @@ Conditions, by label as they appear in reports:
   G  convexity/monotonicity of the algebraic majorant f(r, t)
 
 The left sides of A, D and E are scaled by c, the problem's bound on
-the norm of A^{-1}, since each sweep applies A^{-1} to F.
+the norm of A^{-1}, since each sweep applies A^{-1} to F.  A, D and E
+share the samples u of one stream, audited in one pass: each block of
+u is drawn once, and its nonlinear part, norms, low integrals and f at
+those integrals are each evaluated once for the conditions that use them.
 
 All verdicts are "sampled, not proven".
 """
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +62,6 @@ __all__ = [
 DEFAULT_SEED = 0x5EED
 
 # sampler stream ids, fixed so witnesses replay
-STREAM_A = 1
 STREAM_U = 2
 STREAM_V = 3
 STREAM_DELTA = 4
@@ -123,10 +126,12 @@ class TrajectorySampler:
     """Reproducible random trajectories in a max-norm ball.
 
     Sample i of (seed, stream) is the i-th run of (n+1)·dim uniform draws
-    of the stream's one PCG64 generator.  block jumps to its first sample
-    and draws the whole block in one call; draw(stream, i) is the
-    one-sample block, so a witness replays in O(1).  The noise is smoothed
-    by the (1/4, 1/2, 1/4) kernel, ends blended (3/4, 1/4).
+    of the stream's one PCG64 generator.  blocks draws a stream's blocks
+    of consecutive samples in turn from one generator, jumping only where
+    a block does not start where the last one stopped; block(stream, r)
+    is the one-block run and draw(stream, i) the one-sample block, so a
+    witness replays in O(1).  The noise is smoothed by the (1/4, 1/2, 1/4)
+    kernel, ends blended (3/4, 1/4).
     """
 
     def __init__(
@@ -141,30 +146,34 @@ class TrajectorySampler:
         self.bound = bound
         self.seed = seed
 
+    def blocks(self, stream: int, ranges: Iterable[range]) -> Iterator[np.ndarray]:
+        """The stack of samples of each of the increasing ranges in turn,
+        shape (S, n+1, dim)."""
+        rng = np.random.default_rng([self.seed, stream])
+        nodes, stop = self.mesh.nodes.size, 0
+        for samples in ranges:
+            if samples.start != stop:
+                rng.bit_generator.advance((samples.start - stop) * nodes * self.dim)
+            stop = samples.stop
+            shape = (len(samples), nodes, self.dim)
+            # no array stays referenced here while the caller holds a block
+            yield _smoothed(rng.uniform(-self.bound, self.bound, shape))
+
     def block(self, stream: int, samples: range) -> np.ndarray:
         """The stack of samples, consecutive indices, shape (S, n+1, dim)."""
-        shape = (len(samples), self.mesh.nodes.size, self.dim)
-        rng = np.random.default_rng([self.seed, stream])
-        rng.bit_generator.advance(samples.start * shape[1] * shape[2])
-        raw = rng.uniform(-self.bound, self.bound, shape)
-        out = np.empty_like(raw)
-        out[:, 1:-1] = 0.25 * raw[:, :-2] + 0.5 * raw[:, 1:-1] + 0.25 * raw[:, 2:]
-        out[:, 0] = 0.75 * raw[:, 0] + 0.25 * raw[:, 1]
-        out[:, -1] = 0.75 * raw[:, -1] + 0.25 * raw[:, -2]
-        return out
+        return next(self.blocks(stream, (samples,)))
 
     def draw(self, stream: int, index: int) -> Trajectory:
         return Trajectory(self.mesh, self.block(stream, range(index, index + 1))[0])
 
 
-def _nonlinear_part(
-    problem: VolterraProblem, mesh: Mesh, values: np.ndarray
-) -> np.ndarray:
-    a = problem.operator.matrix()
-    residual = eval_residual(problem, mesh, values)
-    # an overflowing kernel makes this inf - inf; the check reports it
-    with np.errstate(invalid="ignore", over="ignore"):
-        return residual - values @ a.T
+def _smoothed(raw: np.ndarray) -> np.ndarray:
+    """A stack (S, n+1, dim) of noise smoothed along the nodes."""
+    out = np.empty_like(raw)
+    out[:, 1:-1] = 0.25 * raw[:, :-2] + 0.5 * raw[:, 1:-1] + 0.25 * raw[:, 2:]
+    out[:, 0] = 0.75 * raw[:, 0] + 0.25 * raw[:, 1]
+    out[:, -1] = 0.75 * raw[:, -1] + 0.25 * raw[:, -2]
+    return out
 
 
 def _norms(values: np.ndarray) -> np.ndarray:
@@ -172,11 +181,80 @@ def _norms(values: np.ndarray) -> np.ndarray:
     return np.max(np.abs(values), axis=2)
 
 
-# The right sides below map f and gamma over the whole (S, n+1) stack,
-# each statement in the order a one-sample call runs it, so the re-run
-# of a failing block one sample at a time meets the same first failure;
-# a majorant that overflows leaves a side that is not finite, which the
+# The sides below map f and gamma over the whole (S, n+1) stack, each
+# statement in the order a one-sample call runs it, so the re-run of a
+# failing block one sample at a time meets the same first failure; a
+# majorant that overflows leaves a side that is not finite, which the
 # check reports by name, with no numpy warning.
+
+
+class _AtU:
+    """The sides of conditions A, D and E at a stack u of trajectories.
+
+    What u alone decides is computed on first use and then shared by the
+    conditions: the nonlinear part N(u) = F(u) - Au, the low integrals
+    prefix(gamma(|u|)) and f(t, low).  Slicing slices the samples.
+    """
+
+    def __init__(self, problem, spec: MajorantSpec, weights: WeightTable, u):
+        self.problem, self.spec, self.weights, self.u = problem, spec, weights, u
+        self.mesh, self.norms = weights.mesh, _norms(u)
+
+    def __getitem__(self, key) -> _AtU:
+        return _AtU(self.problem, self.spec, self.weights, self.u[key])
+
+    def _nonlinear(self, values: np.ndarray) -> np.ndarray:
+        residual = eval_residual(self.problem, self.mesh, values)
+        # an overflowing kernel makes this inf - inf; the check reports it
+        with np.errstate(invalid="ignore", over="ignore"):
+            return residual - values @ self.problem.operator.matrix().T
+
+    @cached_property
+    def nonlinear(self) -> np.ndarray:
+        return self._nonlinear(self.u)
+
+    @cached_property
+    def low(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.weights.prefix(self.spec.gamma_form.map(self.norms))
+
+    @cached_property
+    def f_low(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self.spec.f_form.map(self.mesh.nodes, self.low)
+
+    def sides_A(self) -> tuple[np.ndarray, np.ndarray]:
+        nonlinear = self.nonlinear
+        with np.errstate(invalid="ignore", over="ignore"):
+            lhs = self.problem.inv_norm_bound * np.max(np.abs(nonlinear), axis=2)
+        return lhs, self.f_low
+
+    def sides_D(self, du: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        widened = self._nonlinear(self.u + du)
+        base = self.nonlinear
+        self.low  # gamma runs at u before u + du
+        # infinite parts give nan differences here, which the check reports
+        with np.errstate(invalid="ignore", over="ignore"):
+            lhs = self.problem.inv_norm_bound * np.max(np.abs(widened - base), axis=2)
+            rates = self.spec.gamma_form.map(self.norms + _norms(du))
+            f_wide = self.spec.f_form.map(self.mesh.nodes, self.weights.prefix(rates))
+            return lhs, f_wide - self.f_low
+
+    def sides_E(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        problem, u = self.problem, self.u
+        eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
+        step = eps[:, None, None] * v
+        ahead = eval_residual(problem, self.mesh, u + step, u)
+        behind = eval_residual(problem, self.mesh, u - step, u)
+        integrals = self.low
+        with np.errstate(invalid="ignore", over="ignore"):
+            spread = np.max(np.abs(ahead - behind), axis=2)
+            lhs = problem.inv_norm_bound * spread / (2.0 * eps[:, None])
+            weighted = self.weights.prefix(
+                self.spec.gamma_z_form.map(self.norms) * _norms(v)
+            )
+            f_w = self.spec.f_w_form.map(self.mesh.nodes[1:], integrals[:, 1:])
+            return lhs, np.pad(f_w * weighted[:, 1:], ((0, 0), (1, 0)))
 
 
 def sample_margins_A(
@@ -184,11 +262,7 @@ def sample_margins_A(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (lhs, rhs) for condition A on a stack of trajectories u
     of shape (S, n+1, dim); both have shape (S, n+1)."""
-    nonlinear = _nonlinear_part(problem, mesh, u)
-    with np.errstate(invalid="ignore", over="ignore"):
-        lhs = problem.inv_norm_bound * np.max(np.abs(nonlinear), axis=2)
-        integrals = WeightTable(mesh).prefix(spec.gamma_form.map(_norms(u)))
-        return lhs, spec.f_form.map(mesh.nodes, integrals)
+    return _AtU(problem, spec, WeightTable(mesh), u).sides_A()
 
 
 def sample_margins_D(
@@ -201,17 +275,7 @@ def sample_margins_D(
     """Per-node (lhs, rhs) for the increment condition D on stacks;
     gamma runs at u before u + du, f at the wide integrals before the
     low ones."""
-    weights = WeightTable(mesh)
-    widened = _nonlinear_part(problem, mesh, u + du)
-    base = _nonlinear_part(problem, mesh, u)
-    u_norms = _norms(u)
-    # infinite parts give nan differences here, which the check reports
-    with np.errstate(invalid="ignore", over="ignore"):
-        lhs = problem.inv_norm_bound * np.max(np.abs(widened - base), axis=2)
-        low = weights.prefix(spec.gamma_form.map(u_norms))
-        wide = weights.prefix(spec.gamma_form.map(u_norms + _norms(du)))
-        f_wide = spec.f_form.map(mesh.nodes, wide)
-        return lhs, f_wide - spec.f_form.map(mesh.nodes, low)
+    return _AtU(problem, spec, WeightTable(mesh), u).sides_D(du)
 
 
 def sample_margins_E(
@@ -230,19 +294,7 @@ def sample_margins_E(
     Node 0's integral weights are 0, so its right side is 0 whatever the
     slope of f there, which may be singular at w = 0.
     """
-    weights = WeightTable(mesh)
-    eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
-    step = eps[:, None, None] * v
-    ahead = eval_residual(problem, mesh, u + step, u)
-    behind = eval_residual(problem, mesh, u - step, u)
-    norms = _norms(u)
-    with np.errstate(invalid="ignore", over="ignore"):
-        spread = np.max(np.abs(ahead - behind), axis=2)
-        lhs = problem.inv_norm_bound * spread / (2.0 * eps[:, None])
-        integrals = weights.prefix(spec.gamma_form.map(norms))
-        weighted = weights.prefix(spec.gamma_z_form.map(norms) * _norms(v))
-        f_w = spec.f_w_form.map(mesh.nodes[1:], integrals[:, 1:])
-        return lhs, np.pad(f_w * weighted[:, 1:], ((0, 0), (1, 0)))
+    return _AtU(problem, spec, WeightTable(mesh), u).sides_E(v)
 
 
 class _SampledCheck:
@@ -321,6 +373,36 @@ def _sample_blocks(sampler: TrajectorySampler, n_samples: int):
         yield range(start, min(start + size, n_samples))
 
 
+def _audit(
+    problem, spec, mesh, n_samples, seed, bound, labels: str
+) -> dict[str, CheckOutcome]:
+    """The outcomes of the sampled conditions in labels, of "ADE", in one
+    pass over the blocks of STREAM_U, each drawn once and shared through
+    an _AtU.  Each outcome is its condition's alone on the same samples;
+    a check that has failed takes no more blocks, and a stream no live
+    check needs is drawn no further."""
+    sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
+    ranges = list(_sample_blocks(sampler, n_samples))
+    sides = {"A": _AtU.sides_A, "D": _AtU.sides_D, "E": _AtU.sides_E}
+    checks = {c: _SampledCheck(c, mesh, sides[c]) for c in labels}
+    weights = WeightTable(mesh)
+    u_blocks, delta_blocks, v_blocks = (
+        sampler.blocks(stream, ranges) for stream in (STREAM_U, STREAM_DELTA, STREAM_V)
+    )
+    for samples in ranges:
+        live = {c: check for c, check in checks.items() if check.failure is None}
+        if not live:
+            break
+        at = _AtU(problem, spec, weights, next(u_blocks))
+        if "A" in live:
+            live["A"].feed(samples, at)
+        if "D" in live:
+            live["D"].feed(samples, at, 0.5 * next(delta_blocks))
+        if "E" in live:
+            live["E"].feed(samples, at, next(v_blocks))
+    return {c: check.outcome(n_samples) for c, check in checks.items()}
+
+
 def check_A(
     problem: VolterraProblem,
     spec: MajorantSpec,
@@ -329,12 +411,7 @@ def check_A(
     seed: int = DEFAULT_SEED,
     bound: float = 1.0,
 ) -> CheckOutcome:
-    sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    check = _SampledCheck("A", mesh, partial(sample_margins_A, problem, spec, mesh))
-    for samples in _sample_blocks(sampler, n_samples):
-        if check.failure is None:
-            check.feed(samples, sampler.block(STREAM_A, samples))
-    return check.outcome(n_samples)
+    return _audit(problem, spec, mesh, n_samples, seed, bound, "A")["A"]
 
 
 def check_D_and_E(
@@ -346,18 +423,8 @@ def check_D_and_E(
     bound: float = 1.0,
 ) -> tuple[CheckOutcome, CheckOutcome]:
     """Returns (outcome for D, outcome for E) on shared samples."""
-    sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
-    check_d = _SampledCheck("D", mesh, partial(sample_margins_D, problem, spec, mesh))
-    check_e = _SampledCheck("E", mesh, partial(sample_margins_E, problem, spec, mesh))
-    for samples in _sample_blocks(sampler, n_samples):
-        if check_d.failure is None or check_e.failure is None:
-            # draws are pure, so one draw of u serves both conditions
-            u = sampler.block(STREAM_U, samples)
-        if check_d.failure is None:
-            check_d.feed(samples, u, 0.5 * sampler.block(STREAM_DELTA, samples))
-        if check_e.failure is None:
-            check_e.feed(samples, u, sampler.block(STREAM_V, samples))
-    return check_d.outcome(n_samples), check_e.outcome(n_samples)
+    outcomes = _audit(problem, spec, mesh, n_samples, seed, bound, "DE")
+    return outcomes["D"], outcomes["E"]
 
 
 # condition B's box: its t range and the points per z or w grid
@@ -484,10 +551,7 @@ def run_suite(
         why = "no problem supplied" if problem is None else "no majorant supplied"
         outcomes.update({c: _skipped(c, why) for c in "ADE"})
     else:
-        outcomes["A"] = check_A(problem, majorant, mesh, n_samples, seed, bound)
-        outcomes["D"], outcomes["E"] = check_D_and_E(
-            problem, majorant, mesh, n_samples, seed, bound
-        )
+        outcomes.update(_audit(problem, majorant, mesh, n_samples, seed, bound, "ADE"))
     if majorant is None:
         outcomes.update({c: _skipped(c, "no majorant supplied") for c in "BC"})
     else:

@@ -207,9 +207,9 @@ def _separated(stage, table: WeightTable, values) -> np.ndarray | None:
                 term = None
                 for b in factors:
                     if b not in integrals:
-                        samples = np.broadcast_to(
-                            np.asarray(b(nodes, values), dtype=float), values.shape
-                        )
+                        samples = np.asarray(b(nodes, values), dtype=float)
+                        if samples.shape != values.shape:
+                            samples = np.broadcast_to(samples, values.shape)
                         running = np.cumsum(table._inner[:, None] * samples, axis=1)
                         integrals[b] = (
                             running[:, :-1] + table._end[1:, None] * samples[:, 1:]
@@ -217,7 +217,9 @@ def _separated(stage, table: WeightTable, values) -> np.ndarray | None:
                     term = integrals[b] if term is None else term * integrals[b]
                 if a is not None:
                     at = np.asarray(a(nodes[1:]), dtype=float)
-                    term = np.broadcast_to(at, (size - 1, dim)) * term
+                    if at.shape != (size - 1, dim):
+                        at = np.broadcast_to(at, (size - 1, dim))
+                    term = at * term
                 # from 0.0, as the direct route's sum starts, so an all
                 # negative-zero integral reads +0.0 there too
                 total = total + term

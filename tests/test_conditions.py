@@ -3,13 +3,13 @@
 import contextlib
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 from volmaj.conditions import (
     DEFAULT_SEED,
-    STREAM_A,
     STREAM_DELTA,
     STREAM_U,
     STREAM_V,
@@ -18,6 +18,7 @@ from volmaj.conditions import (
     TrajectorySampler,
     Witness,
     _failed,
+    _sample_blocks,
     _SampledCheck,
     check_A,
     check_B,
@@ -28,6 +29,7 @@ from volmaj.conditions import (
     sample_margins_D,
     sample_margins_E,
 )
+from volmaj.cli import _inline_problem
 from volmaj.corpus import corpus_build
 from volmaj.errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from volmaj.integral_majorant import MajorantSpec, majorant_picard
@@ -113,6 +115,21 @@ class TestSuiteOnCorpus:
         assert "upper solution" in c.reason
 
 
+def _injected(bad):
+    """A stand-in for TrajectorySampler.blocks on 13 nodes: every value
+    0.25, but bad[(sample, node)] where given, whatever the stream."""
+
+    def blocks(self, stream, ranges):
+        for samples in ranges:
+            values = np.full((len(samples), 13, 1), 0.25)
+            for (i, j), v in bad.items():
+                if i in samples:
+                    values[i - samples.start, j] = v
+            yield values
+
+    return blocks
+
+
 class TestConstructedFailures:
     def test_residual_bound_failure(self):
         # nonlinear part is 2t while the bound only allows t
@@ -141,14 +158,7 @@ class TestConstructedFailures:
         mesh = graded_mesh(1.0, 12, 1.0)
         bad = {(3, 7): -1.0, (3, 9): -2.0, (5, 2): -3.0}
 
-        def block(self, stream, samples):
-            values = np.full((len(samples), 13, 1), 0.25)
-            for (i, j), v in bad.items():
-                if i in samples:
-                    values[i - samples.start, j] = v
-            return values
-
-        monkeypatch.setattr(TrajectorySampler, "block", block)
+        monkeypatch.setattr(TrajectorySampler, "blocks", _injected(bad))
         spec = MajorantSpec(f="w + t", gamma="z", name="linear")
         outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=8)
         assert outcome.status is ConditionStatus.FAIL
@@ -164,10 +174,7 @@ class TestConstructedFailures:
     ):
         mesh = graded_mesh(1.0, 12, 1.0)
 
-        def block(self, stream, samples):
-            return np.full((len(samples), 13, 1), 0.25)
-
-        monkeypatch.setattr(TrajectorySampler, "block", block)
+        monkeypatch.setattr(TrajectorySampler, "blocks", _injected({}))
         spec = MajorantSpec(f="w + t", gamma="1/(0.25 - z)")
         outcome = check_A(_sqrt_problem(), spec, mesh, n_samples=4)
         assert outcome.status is ConditionStatus.FAIL
@@ -230,6 +237,77 @@ class TestConstructedFailures:
         assert report.outcomes["B"].status is ConditionStatus.FAIL
 
 
+def _audited_alone(problem, spec, mesh, n_samples, bound=1.0):
+    """A, D and E each audited on its own, block by block, through its
+    sample_margins function on the blocks of its streams."""
+    sampler = TrajectorySampler(mesh, problem.dim, bound)
+    u = partial(sampler.block, STREAM_U)
+    stacks = {
+        "A": (sample_margins_A, lambda r: (u(r),)),
+        "D": (sample_margins_D, lambda r: (u(r), 0.5 * sampler.block(STREAM_DELTA, r))),
+        "E": (sample_margins_E, lambda r: (u(r), sampler.block(STREAM_V, r))),
+    }
+    outcomes = {}
+    for label, (margins, draw) in stacks.items():
+        check = _SampledCheck(label, mesh, partial(margins, problem, spec, mesh))
+        for samples in _sample_blocks(sampler, n_samples):
+            if check.failure is None:
+                check.feed(samples, *draw(samples))
+        outcomes[label] = check.outcome(n_samples)
+    return outcomes
+
+
+def _inline(kernel, f, gamma):
+    problem = _inline_problem(
+        {"a": 1.0, "c": None, "kernel": kernel, "kernel2": None, "phi": "u - om1 - t"}
+    )
+    return problem, MajorantSpec(f=f, gamma=gamma)
+
+
+class TestOnePass:
+    """run_suite audits A, D and E in one pass over shared samples, and
+    reports for each what it reports alone."""
+
+    @pytest.mark.parametrize(
+        "name, t_end, n_samples",
+        [("sine_bvp", 0.4, 40), ("sine_bvp", 0.4, 200), ("power_family", 1.0, 200)],
+    )
+    def test_corpus(self, name, t_end, n_samples):
+        entry, mesh = corpus_build(name), graded_mesh(t_end, 60, 1.0)
+        self._same(entry.problem, entry.majorant, mesh, n_samples)
+
+    def test_injected_domain_error(self, monkeypatch):
+        monkeypatch.setattr(TrajectorySampler, "blocks", _injected({(3, 7): -1.0}))
+        spec = MajorantSpec(f="w + t", gamma="z", name="linear")
+        got = self._same(_sqrt_problem(), spec, graded_mesh(1.0, 12, 1.0), 8)
+        for label in "ADE":
+            assert got[label].reason.startswith("evaluation failed on sample 3:")
+
+    @pytest.mark.parametrize(
+        "kernel, f, gamma, bound, side",
+        [
+            ("exp(300*u)", "w + t", "z + z^2", 3.0, "left"),
+            ("u", "w", "exp(50*z)", 30.0, "right"),
+        ],
+    )
+    def test_overflow(self, kernel, f, gamma, bound, side):
+        problem, spec = _inline(kernel, f, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = self._same(problem, spec, graded_mesh(1.0, 20, 1.0), 20, bound)
+        for label in "ADE":
+            assert got[label].reason.startswith(f"{side} side is not finite")
+
+    @staticmethod
+    def _same(problem, spec, mesh, n_samples, bound=1.0):
+        report = run_suite(problem, spec, mesh=mesh, n_samples=n_samples, bound=bound)
+        alone = _audited_alone(problem, spec, mesh, n_samples, bound)
+        for label in "ADE":
+            # repr tells nan, -0.0 and every bit of a float apart
+            assert repr(report.outcomes[label]) == repr(alone[label])
+        return alone
+
+
 class TestWitnessReplay:
     # power_family on the mesh of TestSuiteOnCorpus, where D and E fail.
     # A one-sample replay maps the majorant through its scalar forms (61
@@ -252,7 +330,7 @@ class TestWitnessReplay:
         a = check_A(problem, spec, mesh, n_samples=40)
         d, e = check_D_and_E(problem, spec, mesh, n_samples=40)
         replays = (
-            (a, lambda i: sample_margins_A(problem, spec, mesh, draw(STREAM_A, i))),
+            (a, lambda i: sample_margins_A(problem, spec, mesh, draw(STREAM_U, i))),
             (
                 d,
                 lambda i: sample_margins_D(
@@ -296,11 +374,11 @@ class TestWitnessReplay:
         dim = entry.problem.dim
         one, two = (TrajectorySampler(mesh, dim, seed=seed) for seed in (1, 2))
         samples = range(10)
-        assert not np.any(one.block(STREAM_A, samples) == two.block(STREAM_A, samples))
+        assert not np.any(one.block(STREAM_U, samples) == two.block(STREAM_U, samples))
         a = check_A(entry.problem, entry.majorant, mesh, n_samples=10, seed=1)
         b = check_A(entry.problem, entry.majorant, mesh, n_samples=10, seed=2)
-        wa = one.draw(STREAM_A, a.witness.sample).values
-        wb = two.draw(STREAM_A, b.witness.sample).values
+        wa = one.draw(STREAM_U, a.witness.sample).values
+        wb = two.draw(STREAM_U, b.witness.sample).values
         assert not np.any(wa == wb)
 
 
@@ -328,6 +406,21 @@ class TestSampler:
         draws = [sampler.draw(STREAM_U, i).values for i in range(start, stop)]
         _same_bits(got, np.stack(draws))
         _same_bits(got, _stream_samples(sampler, STREAM_U, stop)[start:])
+
+    # the audit's blocks, ending short: 630 + 630 + 40 samples at dim 1,
+    # 30 + 30 + 10 at dim 21; and ranges with gaps, jumped over
+    @pytest.mark.parametrize("dim, n_samples", [(1, 1300), (21, 70)])
+    def test_streamed_blocks_are_the_jumped_blocks(self, dim, n_samples):
+        sampler = TrajectorySampler(graded_mesh(1.0, 12, 1.0), dim, 0.8, seed=3)
+        audit = list(_sample_blocks(sampler, n_samples))
+        assert len(audit) == 3 and len(audit[-1]) < len(audit[0])
+        for ranges in (audit, [range(2, 5), range(5, 6), range(9, 12)]):
+            got = list(sampler.blocks(STREAM_V, ranges))
+            assert len(got) == len(ranges)
+            for stack, samples in zip(got, ranges):
+                _same_bits(stack, sampler.block(STREAM_V, samples))
+            want = _stream_samples(sampler, STREAM_V, ranges[-1].stop)
+            _same_bits(np.concatenate(got), want[[i for r in ranges for i in r]])
 
 
 def _stream_samples(sampler, stream, stop):
