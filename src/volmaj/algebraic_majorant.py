@@ -388,15 +388,8 @@ def _below_root(
     Newton iterate: evaluable inside the search box with g >= 0 and
     g' <= 0.  Under the convexity screen such a point lies at or below
     the smallest root.  None otherwise."""
-    if not 0.0 <= r <= 10.0 * spec.r_max:
-        return None
-    c = spec.inv_norm_bound
-    try:
-        g = c * spec.f_form.scalar(r, t) - r
-        dg = c * spec.f_r_form.scalar(r, t) - 1.0
-    except EVAL_ERRORS:
-        return None
-    return (g, dg) if 0.0 <= g < math.inf and -math.inf < dg <= 0.0 else None
+    res = _try_residual(spec, r, t)
+    return res if res is not None and res[0] >= 0.0 and res[1] <= 0.0 else None
 
 
 def _newton_step(

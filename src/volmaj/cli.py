@@ -314,31 +314,27 @@ def _stage_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
 def _inline_problem(v: dict) -> VolterraProblem:
     a = v["a"]
     c = 1.0 / abs(a) if v["c"] is None else v["c"]
-    stages = []
-    phi_vars = ["t", "om1"]
-    tree1 = expr.parse(v["kernel"], ("t", "s", "u"))
-    k1 = expr.as_function(tree1, ("t", "s", "u"))
-    stages.append(
-        KernelStage(
-            1,
-            lambda t, s, u: pointwise(k1, t, s[:, 0], u[..., 0, 0])[..., None],
-            _stage_terms(tree1, [("s", "u")]),
-        )
-    )
-    if v["kernel2"] is not None:
-        names2 = ("t", "s1", "s2", "u1", "u2")
-        tree2 = expr.parse(v["kernel2"], names2)
-        k2 = expr.as_function(tree2, names2)
+    stages, phi_vars = [], ["t"]
+    for key, coordinates in (
+        ("kernel", [("s", "u")]),
+        ("kernel2", [("s1", "u1"), ("s2", "u2")]),
+    ):
+        if v[key] is None:
+            continue
+        fold = len(coordinates)
+        names = ("t", *(s for s, _ in coordinates), *(u for _, u in coordinates))
+        tree = expr.parse(v[key], names)
+        kernel = expr.as_function(tree, names)
         stages.append(
             KernelStage(
-                2,
-                lambda t, s, u: pointwise(
-                    k2, t, s[:, 0], s[:, 1], u[..., 0, 0], u[..., 1, 0]
+                fold,
+                lambda t, s, u, k=kernel, d=range(fold): pointwise(
+                    k, t, *(s[:, c] for c in d), *(u[..., c, 0] for c in d)
                 )[..., None],
-                _stage_terms(tree2, [("s1", "u1"), ("s2", "u2")]),
+                _stage_terms(tree, coordinates),
             )
         )
-        phi_vars.append("om2")
+        phi_vars.append(f"om{fold}")
     phi_vars.append("u")
     phi_tree = expr.parse(v["phi"], ("t", "om1", "om2", "u"))
     if v["kernel2"] is None and "om2" in expr.variables(phi_tree):

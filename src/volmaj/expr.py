@@ -570,11 +570,6 @@ _NAMESPACE = {
 # point where math raises (sqrt or log of a negative, sin, cos or tan of
 # inf, a negative base to a fractional power) already yields a NaN there.
 
-# elements where math.<func> raises and numpy gives inf: log(0) = -inf
-_ARRAY_DOMAIN: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "log": lambda x: np.equal(x, 0.0),
-}
-
 
 def _array_power(a, b):
     v = np.power(a, b)
@@ -613,7 +608,6 @@ _ARRAY_NAMESPACE = {
     "_errstate": np.errstate,
     "_any": np.any,
     "_isnan": np.isnan,
-    "_domain": _ARRAY_DOMAIN,
     "_power_domain": _power_domain,
     "_array_error": _array_error,
     "_pow": _array_power,
@@ -712,8 +706,8 @@ class _Compiler:
             func, mask = expr.func, None
             if self.array:
                 self.lines.append(f"{v} = {func}({x})")
-                if func in _ARRAY_DOMAIN:
-                    mask = f"_domain[{func!r}]({x})"
+                if func == "log":
+                    mask = f"({x} == 0.0)"  # math raises, numpy gives -inf
             else:
                 self.lines += [
                     f"try: {v} = {func}({x})",

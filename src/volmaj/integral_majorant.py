@@ -415,8 +415,9 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     up to t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L; a
     march that stalls first raises NumericError naming the time.
 
-    tol must be finite and positive; anything else raises
-    SpecValidationError naming it.
+    tol, the quadrature tolerance, serves time-independent f only; the
+    march takes none and runs at _CLASSIFY_RTOL.  tol must be finite and
+    positive; anything else raises SpecValidationError naming it.
     """
     if not (0.0 < tol < math.inf):
         raise SpecValidationError(f"tol must be finite and > 0, got {tol!r}")
@@ -427,20 +428,12 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
             )
         return _classify_forward(spec)
     rate = spec.rate
-    if spec.pole is not None:
-        horizon = integral_to_pole(rate, spec.pole, tol)
-        return BlowupReport(
-            Blowup.DERIVATIVE,
-            horizon,
-            spec.pole,
-            f"declared rate pole at w={spec.pole!r}",
-        )
-    pole = _detect_pole(rate)
+    pole, found = spec.pole, "declared rate pole at"
+    if pole is None:
+        pole, found = _detect_pole(rate), "detected rate pole near"
     if pole is not None:
         horizon = integral_to_pole(rate, pole, tol)
-        return BlowupReport(
-            Blowup.DERIVATIVE, horizon, pole, f"detected rate pole near w={pole!r}"
-        )
+        return BlowupReport(Blowup.DERIVATIVE, horizon, pole, f"{found} w={pole!r}")
     res = improper_integral(rate, tol=tol, octaves=_OCTAVES)
     if res.converged:
         return BlowupReport(

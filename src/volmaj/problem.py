@@ -123,16 +123,11 @@ class TridiagonalOperator:
         self.diag = diag
         self.upper = upper
         self.dim = m
-        scales = [np.max(np.abs(diag)), 1.0]
-        if m > 1:
-            scales += [np.max(np.abs(lower)), np.max(np.abs(upper))]
-        self._pivot_floor = 1e-14 * max(scales)
+        scale = max(np.max(np.abs(v), initial=1.0) for v in (lower, diag, upper))
+        self._pivot_floor = 1e-14 * scale
 
     def matrix(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.dim > 1:
-            m += np.diag(self.lower, -1) + np.diag(self.upper, 1)
-        return m
+        return np.diag(self.diag) + np.diag(self.lower, -1) + np.diag(self.upper, 1)
 
     def solve_many(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

@@ -239,20 +239,16 @@ def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
     sizes = (js + 1) ** stage.fold
     i = np.arange(sizes[-1])
     valid = i < sizes[:, None]
-    if stage.fold == 1:
-        # w is zero past each row's end already
-        weight, tuples = w, np.nonzero(valid)[1][:, None]
-    else:
-        # digit c of tuple index i in base j + 1 is the c-th node of the
-        # tuple, the last running fastest; past a row's end they wrap
-        base = (js + 1)[:, None]
-        digits = [i // base ** (stage.fold - 1 - c) % base for c in range(stage.fold)]
-        r = np.arange(js.size)[:, None]
-        weight = w[r, digits[0]]
-        for d in digits[1:]:
-            weight = weight * w[r, d]
-        weight = np.where(valid, weight, 0.0)
-        tuples = np.stack([d[valid] for d in digits], 1)
+    # digit c of tuple index i in base j + 1 is the c-th node of the
+    # tuple, the last running fastest; past a row's end they wrap
+    base = (js + 1)[:, None]
+    digits = [i // base ** (stage.fold - 1 - c) % base for c in range(stage.fold)]
+    r = np.arange(js.size)[:, None]
+    weight = w[r, digits[0]]
+    for d in digits[1:]:
+        weight = weight * w[r, d]
+    weight = np.where(valid, weight, 0.0)
+    tuples = np.stack([d[valid] for d in digits], 1)
     result = np.asarray(
         stage.evaluate(
             np.repeat(table.mesh.nodes[js], sizes),
@@ -266,11 +262,8 @@ def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
             f"kernel returned shape {result.shape}, expected"
             f" ({stack}, {tuples.shape[0]}, {dim})"
         )
-    if js.size == 1:
-        padded = result[:, None]  # one row fills the block
-    else:
-        padded = np.zeros((stack,) + valid.shape + (dim,))
-        padded[:, valid] = result
+    padded = np.zeros((stack,) + valid.shape + (dim,))
+    padded[:, valid] = result
     # a running sum adds each row's terms in order, as a scalar loop
     # would, and the zeros past a row's end leave it unchanged; the
     # leading 0.0 turns an all negative-zero sum into +0.0 as that

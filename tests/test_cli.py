@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from volmaj import algebraic_majorant, cli
+from volmaj import algebraic_majorant, cli, quadrature
 from volmaj.cli import (
     _SCHEMA,
     _inline_problem,
@@ -35,6 +35,23 @@ GOLDEN_CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus"
 # lyapunov on f = t*(r^2 + 1.0208): its fixed_residual depends on the last
 # bits of the Newton root, and its branch is a 401-row table
 GOLDEN_K1_0208 = pathlib.Path(__file__).parent / "golden" / "lyapunov_k1.0208"
+# solve and verify on INLINE_DIRECT: both kernels mix t with s, so they do
+# not separate and every integral takes the direct route
+GOLDEN_INLINE_DIRECT = pathlib.Path(__file__).parent / "golden" / "inline_direct"
+INLINE_DIRECT = """
+[problem]
+source = inline
+kernel = sin(t - s)*u*u
+kernel2 = sin(t - s1 - s2)*u1*u2
+phi = u - 0.7*om1 - 0.3*om2 - t
+[majorant]
+source = inline
+f = w + t
+gamma = z + z^2
+[mesh]
+n = 20
+t_end = 0.5
+"""
 
 
 def ini(tmp_path, text, name="run.ini"):
@@ -720,6 +737,30 @@ class TestDeterminism:
                          "--no-timestamp"]) == 0
         for fname in ("verify_summary.txt", "verify_witnesses.csv"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+    def test_direct_route_writes_the_golden_bytes(self, tmp_path, monkeypatch):
+        blocks = []
+        row_block = quadrature._row_block
+
+        def counted(stage, *args):
+            blocks.append(stage.fold)
+            return row_block(stage, *args)
+
+        monkeypatch.setattr(quadrature, "_row_block", counted)
+        cfg = ini(tmp_path, INLINE_DIRECT)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for command in ("solve", "verify"):
+                assert main([command, "--config", cfg, "--out", str(out),
+                             "--no-timestamp"]) == 0
+        # both stages ran through the direct route's row blocks
+        assert set(blocks) == {1, 2}
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in GOLDEN_INLINE_DIRECT.iterdir()
+        )
+        for path in GOLDEN_INLINE_DIRECT.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_timestamp_written_by_default(self, tmp_path):
         cfg = ini(tmp_path, BVP_SOLVE)

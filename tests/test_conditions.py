@@ -753,6 +753,22 @@ class TestGridCheckB:
         assert outcome.worst_margin == 0.0
         assert (outcome.witness.sample, outcome.witness.t) == (2, t_second)
 
+    def test_f_is_mapped_once(self, monkeypatch):
+        spec = corpus_build("sine_bvp").majorant
+        calls = []
+        mapped = spec.f_form.map
+
+        def counted(*args):
+            calls.append(args)
+            return mapped(*args)
+
+        monkeypatch.setattr(spec.f_form, "map", counted)
+        outcome = check_B(spec)
+        assert outcome.status is ConditionStatus.PASS
+        # the columns of fixed w are a slice of the one 32 x 128 grid
+        assert len(calls) == 1
+        assert outcome.samples == 128 + 32 * 128 + 16 * 32 == 4736
+
     def test_a_raising_row_counts_the_rows_before_it(self):
         outcome = check_B(_B_SPECS["f raises in row 5"]())
         assert outcome.samples == 128 + 128 * 5
