@@ -6,11 +6,11 @@ to the first time the line touches the graph tangentially:
 
     r = c * f(r, T),   1 = c * f_r(r, T).
 
-That pair (radius, horizon) is computed twice: by a damped Newton
-iteration on the 2x2 system, and by a derivative-free route that
-bisects the horizon on the sign of min_r (c * f(r, t) - r) and then
-polishes the radius.  The two must agree to 1e-8 or the solve is
-rejected, so a silent slide into a wrong tangency cannot happen.
+A damped Newton iteration on the 2x2 system places that pair.  The
+horizon returned is the largest time just below Newton's at which its
+radius r witnesses a root, c * f(r, t) - r <= 0 widened upward by a few
+ulps of r: under the convexity screen that proves a branch root exists
+up to it.  A Newton point that r witnesses no root near is rejected.
 
 The branch r(t) below the horizon is the smallest root at each node.
 Without further knowledge each node runs the monotone iteration
@@ -64,10 +64,11 @@ _TANGENCY_FLOOR = 1e-13
 # the iterations majorant_branch allows one node
 _BRANCH_MAX_ITER = 50000
 
-# the damped Newton steps one tangency seed is allowed, and the ternary
-# steps _branch_min allows one time
+# the damped Newton steps one tangency seed is allowed
 _NEWTON_MAX_ITER = 80
-_BRANCH_MIN_ITERS = 200
+
+# the ulps of the radius by which a horizon witness widens c*f - r upward
+_WITNESS_ULPS = 4
 
 # the arguments of f and f_r, in order
 _NAMES = ("r", "t")
@@ -143,8 +144,6 @@ class TangencyResult:
     horizon: float
     fixed_residual: float
     slope_residual: float
-    fallback_radius: float
-    fallback_horizon: float
     newton_iterations: int
 
 
@@ -228,77 +227,33 @@ def _newton_from(
     return None
 
 
-def _branch_min(spec: LyapunovSpec, t: float) -> tuple[float, float]:
-    """Minimum of c*f(r, t) - r over r in [0, r_max] by ternary search;
-    returns (argmin, min).  Non-finite samples push the search away; the
-    search stops at its fixed point, where the bracket no longer moves."""
-    c, f = spec.inv_norm_bound, spec.f_form.scalar
+def _witnessed_horizon(spec: LyapunovSpec, r: float, t_newton: float) -> float:
+    """The largest float in [t_newton * (1 - 1e-8), t_newton] that r > 0
+    witnesses, by bisection down to adjacent floats.
 
-    def phi(r: float) -> float:
+    r witnesses t when g = c*f(r, t) - r, widened upward by _WITNESS_ULPS
+    ulps of r, is <= 0.  Under the convexity screen g(0, t) >= 0 and g is
+    nondecreasing in t, so a branch root exists at t and at every earlier
+    time.  NumericError if the lower end has no witness: then Newton's
+    point is no tangency."""
+    c, f, slack = spec.inv_norm_bound, spec.f_form.scalar, _WITNESS_ULPS * math.ulp(r)
+
+    def witnessed(t: float) -> bool:
         try:
-            v = c * f(r, t) - r
+            return c * f(r, t) - r <= -slack
         except EVAL_ERRORS:
-            return math.inf
-        return v if math.isfinite(v) else math.inf
+            return False
 
-    lo, hi = 0.0, spec.r_max
-    for _ in range(_BRANCH_MIN_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        bracket = (lo, m2) if phi(m1) <= phi(m2) else (m1, hi)
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
-    mid = 0.5 * (lo + hi)
-    return mid, phi(mid)
-
-
-def _polish_radius(spec: LyapunovSpec, r: float, t: float) -> float:
-    """1D Newton on c * f_r(r, t) = 1 in r, seeded at the ternary argmin."""
-    c, f_r = spec.inv_norm_bound, spec.f_r_form.scalar
-    for _ in range(60):
-        g = c * f_r(r, t) - 1.0
-        if abs(g) <= 1e-13:
-            return r
-        h = 1e-6 * max(1.0, abs(r))
-        curv = (c * f_r(r + h, t) - c * f_r(max(r - h, 0.0), t)) / (h + min(h, r))
-        if not math.isfinite(curv) or abs(curv) < 1e-300:
-            return r
-        r_new = r - g / curv
-        if not math.isfinite(r_new) or r_new < 0.0 or r_new > 10.0 * spec.r_max:
-            return r
-        if abs(r_new - r) <= 1e-15 * max(1.0, abs(r)):
-            return r_new
-        r = r_new
-    return r
-
-
-def _fallback_tangency(spec: LyapunovSpec) -> tuple[float, float]:
-    """Horizon by bisection on the sign of min_r (c*f - r), radius by
-    polishing the argmin.  Needs no Jacobian, so it cross-checks the
-    Newton route through entirely different arithmetic."""
-    _, m0 = _branch_min(spec, 0.0)
-    if not (m0 < 0.0):
+    lo, hi = t_newton * (1.0 - 1e-8), math.nextafter(t_newton, math.inf)
+    if not witnessed(lo):
         raise NumericError(
-            "the majorant line already fails to cross at t=0; no branch exists"
+            f"Newton's point (r={r!r}, t={t_newton!r}) is no tangency:"
+            f" r witnesses no branch root at t={lo!r}"
         )
-    _, m_hi = _branch_min(spec, spec.t_max)
-    if not m_hi > 0.0:
-        raise NumericError(
-            f"no tangency below t_max={spec.t_max!r}: the smallest root"
-            " persists on the whole window (consider raising t_max)"
-        )
-    t_lo, t_hi = 0.0, spec.t_max
-    while t_hi - t_lo > 1e-11 * max(1.0, t_hi):
-        mid = 0.5 * (t_lo + t_hi)
-        _, m_mid = _branch_min(spec, mid)
-        if m_mid > 0.0:
-            t_hi = mid
-        else:
-            t_lo = mid
-    horizon = 0.5 * (t_lo + t_hi)
-    argmin, _ = _branch_min(spec, horizon)
-    return _polish_radius(spec, argmin, horizon), horizon
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if witnessed(mid) else (lo, mid)
+    return lo
 
 
 def _near(a: float, b: float, rel: float) -> bool:
@@ -306,14 +261,16 @@ def _near(a: float, b: float, rel: float) -> bool:
 
 
 def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
-    """Locate the tangency point (radius, horizon) with a cross-check.
+    """Locate the tangency point (radius, horizon), the horizon witnessed.
 
     A 24x24 log-spaced scan seeds a damped Newton iteration on the 2x2
     tangency system; every converged root is kept and duplicates are
     merged.  More than one distinct root means the surface has several
     tangency basins and the result would be ambiguous, which raises
-    NumericError, as does disagreement beyond 1e-8 with the
-    derivative-free fallback.
+    NumericError, as does a Newton horizon T_N beyond t_max.  The horizon
+    is the largest float in [T_N * (1 - 1e-8), T_N] that Newton's radius
+    witnesses (_witnessed_horizon); the residuals are those at the
+    returned pair, so fixed_residual <= 0 is the witness.
     """
     r_grid = (np.geomspace(1e-4, 1.0, 24) * spec.r_max).tolist()
     t_grid = (np.geomspace(1e-4, 1.0, 24) * spec.t_max).tolist()
@@ -345,21 +302,19 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
     if len(roots) > 1:
         listing = ", ".join(f"(r={r:.6g}, t={t:.6g})" for r, t, _ in roots)
         raise NumericError(f"multiple tangency candidates: {listing}")
-    radius, horizon, iterations = roots[0]
-    fb_radius, fb_horizon = _fallback_tangency(spec)
-    if not (_near(radius, fb_radius, 1e-8) and _near(horizon, fb_horizon, 1e-8)):
+    radius, t_newton, iterations = roots[0]
+    if t_newton > spec.t_max:
         raise NumericError(
-            f"tangency routes disagree: newton (r={radius!r}, t={horizon!r})"
-            f" vs fallback (r={fb_radius!r}, t={fb_horizon!r})"
+            f"no tangency below t_max={spec.t_max!r}: the smallest root"
+            " persists on the whole window (consider raising t_max)"
         )
+    horizon = _witnessed_horizon(spec, radius, t_newton)
     fixed_residual, slope_residual = _residual(spec, radius, horizon)
     return TangencyResult(
         radius=radius,
         horizon=horizon,
         fixed_residual=fixed_residual,
         slope_residual=slope_residual,
-        fallback_radius=fb_radius,
-        fallback_horizon=fb_horizon,
         newton_iterations=iterations,
     )
 
@@ -440,8 +395,8 @@ def _newton_node(
         if g <= tol * (1.0 + r):
             return r, k, True  # a root to tol; at the horizon, the double one
         if g <= _TANGENCY_FLOOR * (1.0 + max(r, t)):
-            # the horizon as closely as solve_tangency places it, but no
-            # root to tol: the computed horizon may overshoot
+            # within the tangency residual floor but no root to tol: the
+            # node may lie past the true horizon by that much
             return r, k, False
         # beyond the horizon, or f's domain ends the branch: the plain
         # iteration names which
@@ -470,12 +425,12 @@ def majorant_branch(
     (relative to 1 + r).  When no halved step is accepted, or an accepted
     one no longer lowers g, the iteration has stalled at the minimum of
     g: if g is within tol there, the node sits on the double root at the
-    horizon and counts as converged; if g is only within the residual
-    floor solve_tangency converges to, the node is the computed horizon,
-    which may overshoot the true one by that much, and it is kept
-    unconverged.  A stall with g above the floor hands the node to the
-    plain iteration, which names why there is no root: the node lies
-    beyond the horizon, or f stops being evaluable below the root.
+    horizon and counts as converged; if g is only within the tangency
+    residual floor, the node may lie past the true horizon by that much
+    (on a mesh that ends past the horizon solve_tangency witnesses), and
+    it is kept unconverged.  A stall with g above the floor hands the
+    node to the plain iteration, which names why there is no root: the
+    node lies beyond the horizon, or f stops being evaluable below it.
 
     The mask records which nodes met tol within _BRANCH_MAX_ITER
     iterations.  A node beyond the horizon raises NumericError either
@@ -628,7 +583,8 @@ def solve_lyapunov(
     convexity: ConvexityReport | None = None,
 ) -> LyapunovSolution:
     """Tangency point plus the branch on a uniform mesh up to t_end
-    (default: the horizon itself, where the smallest root is double).
+    (default: the witnessed horizon itself, just below the double root);
+    a t_end past the witnessed horizon raises SpecValidationError.
 
     convexity is the screen already run on spec; when it passed, the
     branch runs the warm-started Newton iteration and the horizon node
@@ -638,7 +594,7 @@ def solve_lyapunov(
     tangency = solve_tangency(spec)
     if t_end is None:
         t_end = tangency.horizon
-    elif t_end > tangency.horizon * (1.0 + 1e-12):
+    elif t_end > tangency.horizon:
         raise SpecValidationError(
             f"end time {t_end!r} lies beyond the horizon {tangency.horizon!r}"
         )

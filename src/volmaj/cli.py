@@ -601,8 +601,6 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         ("horizon", format_number(tang.horizon)),
         ("fixed_residual", format_number(tang.fixed_residual)),
         ("slope_residual", format_number(tang.slope_residual)),
-        ("fallback_radius", format_number(tang.fallback_radius)),
-        ("fallback_horizon", format_number(tang.fallback_horizon)),
         ("newton_iterations", str(tang.newton_iterations)),
         ("branch_nodes", str(solution.mesh.n)),
         ("branch_converged", "all" if np.all(solution.converged_mask) else "partial"),

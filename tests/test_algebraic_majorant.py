@@ -14,7 +14,6 @@ from volmaj import algebraic_majorant, cli, expr
 from volmaj.algebraic_majorant import (
     ConvexityReport,
     LyapunovSpec,
-    _branch_min,
     check_convexity,
     majorant_branch,
     solve_lyapunov,
@@ -88,11 +87,6 @@ class TestTangency:
         assert tng.radius == pytest.approx(1.0, abs=1e-9)
         assert tng.horizon == pytest.approx(1.0 / math.e, abs=1e-9)
 
-    def test_two_routes_agree(self):
-        tng = solve_tangency(QUAD)
-        assert abs(tng.radius - tng.fallback_radius) < 1e-8
-        assert abs(tng.horizon - tng.fallback_horizon) < 1e-8
-
     def test_no_tangency_reported(self):
         spec = LyapunovSpec(
             f="t + 0.1*r",
@@ -103,47 +97,6 @@ class TestTangency:
         )
         with pytest.raises(NumericError):
             solve_tangency(spec)
-
-
-def _ternary_200(spec, t):
-    """The ternary search of _branch_min run for all of its 200 steps."""
-
-    def phi(r):
-        try:
-            v = spec.inv_norm_bound * spec.f_form.scalar(r, t) - r
-        except (DomainError, OverflowError, ValueError, ZeroDivisionError):
-            return math.inf
-        return v if math.isfinite(v) else math.inf
-
-    lo, hi = 0.0, spec.r_max
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if phi(m1) <= phi(m2):
-            hi = m2
-        else:
-            lo = m1
-    mid = 0.5 * (lo + hi)
-    return mid, phi(mid)
-
-
-@pytest.mark.parametrize("spec", [QUAD, EXP, CONCAVE], ids=lambda s: s.name)
-@pytest.mark.parametrize("t", [0.0, 0.1, 0.45, 1.0])
-def test_branch_min_stops_at_its_fixed_point(spec, t):
-    # once an iteration leaves the bracket unchanged, later ones repeat it,
-    # so stopping there returns the 200-step result bit for bit
-    calls = [0]
-    copy = dataclasses.replace(spec)
-    scalar = copy.f_form.scalar
-
-    def counted(r, t):
-        calls[0] += 1
-        return scalar(r, t)
-
-    copy.f_form.scalar = counted
-    got = _branch_min(copy, t)
-    assert got == _ternary_200(spec, t)
-    assert calls[0] < 2 * 200
 
 
 # The tangency system on numpy arrays, as solve_tangency ran it before its
@@ -212,8 +165,10 @@ def _numpy_route(monkeypatch):
         monkeypatch.setattr(algebraic_majorant, name, fn)
 
 
+# f = t*(r^2 + k) has its tangency at t = 0.5/sqrt(k); sine_bvp's is k = 1
+CLOSED_FORM_KS = (0.9, 0.951, 1.0208, 1.1, 1.0)
 TANGENCY_SPECS = [
-    *(inline(f"t*(r^2 + {k})") for k in (0.9, 0.951, 1.0208, 1.1)),
+    *(inline(f"t*(r^2 + {k})") for k in CLOSED_FORM_KS[:4]),
     corpus_build("sine_bvp").lyapunov,
     inline("t*r^3 + t"),
     inline("t*(exp(r) - 1) + t"),
@@ -229,14 +184,63 @@ class TestTangencyOnFloats:
         for field in dataclasses.fields(want):
             assert getattr(got, field.name) == getattr(want, field.name), field.name
 
-    def test_disagreeing_routes_raise_the_numpy_route_message(self, monkeypatch):
+    def test_a_singular_tangency_is_witnessed_below_it(self, monkeypatch):
+        # g(0, t) = 0 at every t and the tangency t = 1 sits at r = 0, where
+        # the Jacobian is singular: Newton stops short of it, at a point its
+        # radius witnesses, so the horizon is a lower bound on t = 1
         spec = inline("t*exp(r) - t")
-        with pytest.raises(NumericError, match="tangency routes disagree") as got:
-            solve_tangency(spec)
+        got = solve_tangency(spec)
+        assert 0.0 < got.radius < 1e-6
+        assert got.horizon == pytest.approx(0.999999532, rel=1e-9)
+        assert got.horizon < 1.0
+        assert got.fixed_residual <= 0.0
         _numpy_route(monkeypatch)
-        with pytest.raises(NumericError) as want:
+        assert solve_tangency(spec) == got
+
+    def test_a_point_no_witness_supports_raises(self, monkeypatch):
+        # Newton's point moved past the horizon 0.5: at r = 1, c*f - r is
+        # 0.2 > 0 all over the bracket below t = 0.6
+        monkeypatch.setattr(
+            algebraic_majorant, "_newton_from", lambda spec, seed: (1.0, 0.6, 3)
+        )
+        with pytest.raises(NumericError) as got:
+            solve_tangency(QUAD)
+        assert str(got.value) == (
+            "Newton's point (r=1.0, t=0.6) is no tangency: r witnesses no"
+            " branch root at t=0.5999999939999999"
+        )
+
+    def test_newton_past_t_max_is_no_tangency_below_it(self):
+        # the scan seeds lie below t_max = 0.4; Newton leaves it for t = 0.5
+        spec = dataclasses.replace(QUAD, t_max=0.4)
+        with pytest.raises(NumericError, match="no tangency below t_max=0.4"):
             solve_tangency(spec)
-        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "spec, k", zip(TANGENCY_SPECS, CLOSED_FORM_KS), ids=[s.name for s in TANGENCY_SPECS[:5]]
+)
+def test_the_horizon_is_witnessed_below_the_closed_form(spec, k):
+    # the Newton horizon lay one ulp above 0.5/sqrt(k) for k = 1.0208 and 1.1
+    exact = 0.5 / math.sqrt(k)
+    tng = solve_tangency(spec)
+    assert tng.horizon <= exact
+    assert tng.fixed_residual <= 0.0
+    assert (exact - tng.horizon) / exact <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec", [*TANGENCY_SPECS, inline("t*exp(r) - t")], ids=lambda s: s.name
+)
+def test_the_branch_converges_up_to_the_witnessed_horizon(spec):
+    # a root exists at every node up to the printed horizon, so Newton
+    # from below meets the branch tolerance at the last node too
+    convexity = check_convexity(spec)
+    assert convexity.passed
+    sol = solve_lyapunov(spec, n=50, convexity=convexity)
+    assert sol.mesh.end == sol.tangency.horizon
+    assert np.all(sol.converged_mask)
+    assert sol.radii[-1] <= sol.tangency.radius
 
 
 class TestBranch:
@@ -522,6 +526,14 @@ class TestSolveLyapunov:
     def test_end_beyond_horizon_rejected(self):
         with pytest.raises(SpecValidationError):
             solve_lyapunov(QUAD, n=8, t_end=0.7)
+
+    @pytest.mark.parametrize("spec", [QUAD, EXP, inline("t*(r^2 + 1.1)")],
+                             ids=lambda s: s.name)
+    def test_end_one_ulp_past_the_witnessed_horizon_rejected(self, spec):
+        horizon = solve_tangency(spec).horizon
+        assert solve_lyapunov(spec, n=8, t_end=horizon).mesh.end == horizon
+        with pytest.raises(SpecValidationError, match="beyond the horizon"):
+            solve_lyapunov(spec, n=8, t_end=math.nextafter(horizon, math.inf))
 
 
 def test_spec_validation():

@@ -32,8 +32,9 @@ from volmaj.quadrature import graded_mesh, nested_integral
 # corpus run --no-timestamp outputs; a change that moves a printed digit
 # updates these files in its own diff
 GOLDEN_CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus"
-# lyapunov on f = t*(r^2 + 1.0208): its fixed_residual depends on the last
-# bits of the Newton root, and its branch is a 401-row table
+# lyapunov on f = t*(r^2 + 1.0208): its residuals depend on the last bits
+# of the Newton radius and the witnessed horizon, and its branch is a
+# 401-row table
 GOLDEN_K1_0208 = pathlib.Path(__file__).parent / "golden" / "lyapunov_k1.0208"
 # solve and verify on INLINE_DIRECT: both kernels mix t with s, so they do
 # not separate and every integral takes the direct route
@@ -486,6 +487,22 @@ class TestLyapunov:
             for fname in ("lyapunov_summary.txt", "lyapunov_branch.csv"):
                 golden = (GOLDEN_K1_0208 / fname).read_bytes()
                 assert (out / fname).read_bytes() == golden, fname
+
+    def test_singular_tangency_prints_a_witnessed_horizon_below_it(self, tmp_path):
+        # the tangency t = 1 sits at r = 0, where Newton's Jacobian is
+        # singular; the horizon printed is the one its radius witnesses
+        cfg = ini(
+            tmp_path,
+            "[lyapunov]\nsource = inline\nf = t*exp(r) - t\nr_max = 10\nt_max = 5\n",
+        )
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "lyapunov_summary.txt")
+        assert pairs["horizon"] == "0.999999532"
+        assert float(pairs["fixed_residual"]) <= 0.0
+        assert pairs["branch_converged"] == "all"
+        assert "fallback_horizon" not in pairs
 
     def test_no_tangency_exits_3(self, tmp_path, capsys):
         cfg = ini(
