@@ -606,11 +606,12 @@ _ARRAY_NAMESPACE = {
     "float": float,
     "_asarray": np.asarray,
     "_errstate": np.errstate,
-    "_any": np.any,
+    "_any": functools.partial(np.logical_or.reduce, axis=None),  # np.any, in C
     "_isnan": np.isnan,
     "_power_domain": _power_domain,
     "_array_error": _array_error,
     "_pow": _array_power,
+    "_npow": np.power,
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
@@ -734,7 +735,12 @@ class _Compiler:
                         f" raise _zero_division_error({at}) from None",
                     ]
             elif expr.op == "^":
-                if self.array:
+                c = expr.right.value if isinstance(expr.right, Num) else math.nan
+                if self.array and 0.0 < c < math.inf:
+                    # no zero base fails, and only 0.5 needs _pow's repair
+                    power = "_pow" if c == 0.5 else "_npow"
+                    self.lines.append(f"{v} = {power}({a}, {b})")
+                elif self.array:
                     self.lines.append(f"{v} = _pow({a}, {b})")
                     mask = f"_power_domain({a}, {b})"
                 else:

@@ -15,12 +15,12 @@ When f depends on t the horizon comes from a forward march, in t until
 w reaches 1 and then in L = log(1 + w) with t as the unknown, which
 nears a blow-up time T smoothly in L while w grows like 1/(T - t) in t.
 
-Two independent routes compute the bound on a mesh: one adaptive
-forward march of the initial value problem (solve_cauchy) and successive
-approximation from zero (majorant_picard).  The chain from zero is
-nondecreasing and converges to the minimal bound from below, so the
-pointwise maximum of the two routes is itself a valid bound; that
-maximum is what gets certified.
+Two independent routes compute the bound on a mesh: that march through
+every node in one call, adaptive Dormand-Prince 5(4) (J. Comput. Appl.
+Math. 6, 1980; solve_cauchy), and successive approximation from zero
+(majorant_picard).  The chain from zero is nondecreasing and converges
+to the minimal bound from below, so the pointwise maximum of the two
+routes is itself a valid bound; that maximum is what gets certified.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -72,7 +72,7 @@ _OCTAVES = 60
 # it solves on a mesh
 _MARCH_BUDGET = 400000
 _FIRST_STEP = 1e-3
-_CLASSIFY_RTOL = 1e-10
+_CLASSIFY_RTOL = 3e-11
 _CAUCHY_RTOL = 1e-12
 
 # the roundoff check_upper_solution and certified_tail forgive
@@ -296,18 +296,28 @@ def _detect_pole(rate: Callable[[float], float]) -> float | None:
     return lo
 
 
-def _rk4(fn: Callable, t: float, w: float, h: float, k1: float) -> float:
-    k2 = fn(t + 0.5 * h, w + 0.5 * h * k1)
-    k3 = fn(t + 0.5 * h, w + 0.5 * h * k2)
-    k4 = fn(t + h, w + h * k3)
-    return w + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _frozen_tail(spec: MajorantSpec, t: float, omega: float) -> float:
-    res = improper_integral(
-        lambda w: spec.rate_at(t, omega + w), tol=1e-9, octaves=80
-    )
-    return res.value if res.converged else math.inf
+    # w = omega * u over rate(t, omega): an O(1) integral, to a relative tol
+    r0 = spec.rate_at(t, omega)
+    res = improper_integral(lambda u: spec.rate_at(t, omega + omega * u) / r0, tol=1e-3)
+    return omega / r0 * res.value if res.converged else math.inf
+
+
+def _dopri5(rate: Callable, t: float, w: float, h: float, t_new: float, k1: float):
+    """A Dormand-Prince 5(4) step to t_new = t + h: (w, rate there, error)."""
+    k2 = rate(t + 0.2 * h, w + h * 0.2 * k1)
+    k3 = rate(t + 0.3 * h, w + h * (3 / 40 * k1 + 9 / 40 * k2))
+    k4 = rate(t + 0.8 * h, w + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+    k5 = rate(t + 8 / 9 * h, w + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                      + 64448 / 6561 * k3 - 212 / 729 * k4))
+    k6 = rate(t_new, w + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                              + 49 / 176 * k4 - 5103 / 18656 * k5))
+    w_new = w + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                     - 2187 / 6784 * k5 + 11 / 84 * k6)
+    k7 = rate(t_new, w_new)
+    err = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+               - 17253 / 339200 * k5 + 22 / 525 * k6 - k7 / 40)
+    return w_new, k7, abs(err)
 
 
 def _march(
@@ -315,54 +325,57 @@ def _march(
     t: float,
     w: float,
     h: float,
-    t_stop: float,
+    stops: list[float],
     rtol: float,
     w_cap: float = math.inf,
     swapped: bool = False,
-) -> tuple[float, float, float]:
-    """Integrate w' = rate(t, w) from (t, w) until t reaches t_stop
-    exactly or w reaches w_cap; returns (t, w, h), h the next step.
+) -> Iterator[tuple[float, float, float]]:
+    """Integrate w' = rate(t, w) from (t, w) through the increasing stops,
+    landing on each exactly, until w reaches w_cap; yields (t, w, h) at
+    each stop reached and at the cap, h the next step.
 
-    Adaptive step-doubling RK4 with Richardson correction (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.4): a step is accepted when the
-    full step and two half steps agree to rtol, relative to max(1, |w|);
-    the full and first half step share k1.  A rejected step below 1e-14
-    max(1, t) stalls the march at t (at w if swapped: w is the time).
+    Adaptive Dormand-Prince 5(4) carrying the 5th order w (Dormand &
+    Prince, J. Comput. Appl. Math. 6, 1980): a step is accepted when the
+    embedded pair agrees to rtol, relative to max(1, |w|).  Its last
+    stage, the next step's first, makes it 6 rate calls, with
+    _MARCH_BUDGET steps per stop.  A rejected step below 1e-14 max(1, t)
+    stalls the march at t (at w if swapped: w is the time).
     """
     k1 = None
-    for _ in range(_MARCH_BUDGET):
-        if t >= t_stop or w >= w_cap:
-            return t, w, h
-        step = min(h, t_stop - t)
-        try:
-            if k1 is None:
-                k1 = rate(t, w)
-            big = _rk4(rate, t, w, step, k1)
-            half = _rk4(rate, t, w, 0.5 * step, k1)
-            mid = t + 0.5 * step
-            small = _rk4(rate, mid, half, 0.5 * step, rate(mid, half))
-        except EVAL_ERRORS:
-            h = step * 0.5
-        else:
-            if math.isfinite(small) and math.isfinite(big):
-                err = abs(small - big) / 15.0
-                scale = rtol * max(1.0, abs(small))
+    for t_stop in stops:
+        for _ in range(_MARCH_BUDGET):
+            if t >= t_stop or w >= w_cap:
+                break
+            step = min(h, t_stop - t)
+            t_new = t_stop if step == t_stop - t else t + step
+            try:
+                if k1 is None:
+                    k1 = rate(t, w)
+                w_new, k7, err = _dopri5(rate, t, w, step, t_new, k1)
+            except EVAL_ERRORS:
+                h = step * 0.5
             else:
-                err, scale = math.inf, 0.0
-            if err <= scale:
-                t = t_stop if step == t_stop - t else t + step
-                w = small + (small - big) / 15.0
-                k1 = None
-                h = step * min(4.0, max(0.5, 0.9 * (scale / max(err, 1e-300)) ** 0.2))
-                continue
-            # a non-finite trial has scale / err = 0: the step shrinks by 10
-            h = step * max(0.1, 0.9 * (scale / err) ** 0.2)
-        if h < 1e-14 * max(1.0, t):
-            raise NumericError(
-                f"forward integration stalled at t={w if swapped else t!r}: the"
-                " bound escapes or the rate stops being evaluable ahead of it"
-            )
-    raise NumericError("forward integration exceeded its step budget")
+                if math.isfinite(err) and math.isfinite(w_new):
+                    scale = rtol * max(1.0, abs(w_new))
+                else:
+                    err, scale = math.inf, 0.0
+                factor = 0.9 * (scale / max(err, 1e-300)) ** 0.2
+                if err <= scale:
+                    t, w, k1 = t_new, w_new, k7
+                    h = step * min(4.0, max(0.5, factor))
+                    continue
+                # a non-finite trial has scale / err = 0: the step shrinks by 10
+                h = step * max(0.1, factor)
+            if h < 1e-14 * max(1.0, t):
+                raise NumericError(
+                    f"forward integration stalled at t={w if swapped else t!r}: the"
+                    " bound escapes or the rate stops being evaluable ahead of it"
+                )
+        else:
+            raise NumericError("forward integration exceeded its step budget")
+        yield t, w, h
+        if w >= w_cap:
+            return
 
 
 def _classify_forward(spec: MajorantSpec) -> BlowupReport:
@@ -374,11 +387,12 @@ def _classify_forward(spec: MajorantSpec) -> BlowupReport:
             raise DomainError(f"rate {r!r} at w={w!r} is not finite and positive")
         return (1.0 + w) / r
 
-    t, w, h = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, _T_CAP, _CLASSIFY_RTOL, 1.0)
+    march = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, [_T_CAP], _CLASSIFY_RTOL, 1.0)
+    t, w, h = next(march)
     L, L_cap = math.log1p(w), math.log1p(_OMEGA_CAP)
     if w >= 1.0 and t < _T_CAP:
         # past w = 1, t is marched in L, where it nears the horizon smoothly
-        L, t, _ = _march(slope, L, t, h, L_cap, _CLASSIFY_RTOL, _T_CAP, swapped=True)
+        L, t, _ = next(_march(slope, L, t, h, [L_cap], _CLASSIFY_RTOL, _T_CAP, True))
         w = math.expm1(L)
     if L >= L_cap:
         tail = _frozen_tail(spec, t, w)
@@ -450,16 +464,14 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
 def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
     """Solve the reduced initial value problem at every mesh node.
 
-    One forward march (the classifier's, at _CAUCHY_RTOL) goes gap by
-    gap, lands on each node exactly and carries its step into the next
-    gap, for any f.  A mesh that reaches the horizon stalls the march
-    there and raises NumericError.
+    One forward march (the classifier's, at _CAUCHY_RTOL) runs through
+    the whole mesh in one call: it lands on each node exactly and carries
+    its step and its last rate into the next gap, for any f.  A mesh that
+    reaches the horizon stalls the march there and raises NumericError.
     """
-    omega = np.zeros(mesh.nodes.size)
-    t, w, h = 0.0, 0.0, _FIRST_STEP
-    for j, t_node in enumerate(mesh.nodes[1:].tolist(), start=1):
-        t, w, h = _march(spec.rate_at, t, w, h, t_node, _CAUCHY_RTOL)
-        omega[j] = w
+    nodes = mesh.nodes[1:].tolist()
+    march = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, nodes, _CAUCHY_RTOL)
+    omega = np.array([0.0] + [w for _, w, _ in march])
     return CauchySolution(mesh, omega, spec.f_form.map(mesh.nodes, omega))
 
 

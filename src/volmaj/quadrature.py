@@ -126,7 +126,8 @@ def pointwise(fn, *args, array=None) -> np.ndarray:
             out[...] = array(*args)
             if np.isfinite(out).all():
                 return out
-    flat = (memoryview(np.broadcast_to(a, shape).ravel()) for a in args)
+    args = [a if a.shape == shape else np.broadcast_to(a, shape) for a in args]
+    flat = (memoryview(a.ravel()) for a in args)
     return np.fromiter(map(fn, *flat), float, math.prod(shape)).reshape(shape)
 
 

@@ -445,6 +445,9 @@ def _inexact_trees():
     )
 
 
+_SIGNED_BASES = [(b, 0.0, 0.0) for b in (0.0, -0.0, math.inf, -math.inf)]
+
+
 @given(_inexact_trees(), _ROWS)
 @example(BinOp("^", _TW, Num(0.5)),
          [(-0.0, 0.0, 3.0), (-1e308, 0.0, 3.0), (3.0, 0.0, 3.0)])
@@ -462,6 +465,22 @@ def _inexact_trees():
 @example(BinOp("/", Num(1.0), Call("log", _T_MINUS_T)), [(2.0, 0.0, 0.0)])
 @example(BinOp("/", Num(1.0), BinOp("^", _T_MINUS_T, Neg(Num(1.0)))), [(2.0, 0.0, 0.0)])
 @example(BinOp("^", Call("sqrt", Neg(Var("t"))), Num(0.0)), [(2.0, 0.0, 0.0)])
+# a finite constant exponent > 0 compiles without the zero-base mask, and
+# only 0.5 with _array_power's repair: signed zeros and infinities as
+# bases, a negative one apart (it fails for a fractional exponent), and nan
+@example(BinOp("^", Var("t"), Num(0.5)), _SIGNED_BASES)
+@example(BinOp("^", Var("t"), Num(0.5)), [(-3.0, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(0.5)), [(math.nan, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(1.0)), [*_SIGNED_BASES, (-3.0, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(1.0)), [(math.nan, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(2.0)), [*_SIGNED_BASES, (-3.0, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(2.0)), [(math.nan, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(2.5)), _SIGNED_BASES)
+@example(BinOp("^", Var("t"), Num(2.5)), [(-3.0, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(2.5)), [(math.nan, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(1e-300)), _SIGNED_BASES)
+@example(BinOp("^", Var("t"), Num(1e-300)), [(-3.0, 0.0, 0.0)])
+@example(BinOp("^", Var("t"), Num(1e-300)), [(math.nan, 0.0, 0.0)])
 @settings(max_examples=500, deadline=None)
 def test_array_function_matches_compiled_within_ulps(tree, rows):
     _assert_array_agrees(tree, rows, _within_ulps)

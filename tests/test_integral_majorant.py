@@ -14,8 +14,12 @@ from volmaj import expr
 from volmaj.corpus import corpus_build
 from volmaj.errors import DomainError, ExprError, NumericError, SpecValidationError
 from volmaj.integral_majorant import (
+    _CAUCHY_RTOL,
+    _FIRST_STEP,
     Blowup,
     MajorantSpec,
+    _frozen_tail,
+    _march,
     certified_tail,
     check_upper_solution,
     classify_blowup,
@@ -177,17 +181,31 @@ class TestForwardClassification:
         # integral of 1/(1 + gamma(z)) over z > 0
         rep = classify_blowup(_forward_spec(gamma))
         assert rep.kind is Blowup.VALUE
-        assert abs(rep.horizon - horizon) <= 3e-10 * horizon
+        assert abs(rep.horizon - horizon) <= 1e-10 * horizon
 
     def test_sine_bvp_horizon_in_under_2000_rate_calls(self, monkeypatch):
         spec = corpus_build("sine_bvp").majorant
         calls = _count_rate_calls(monkeypatch)
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.VALUE
-        assert abs(rep.horizon - math.pi / 2) <= 3e-10 * math.pi / 2
+        assert abs(rep.horizon - math.pi / 2) <= 1e-10 * math.pi / 2
         assert 0 < calls[0] <= 2000
         # the cap is decided in L = log(1 + w), which lands on it exactly
         assert rep.detail.startswith("forward integration reached w=1.000e+12 ")
+
+    def test_sine_bvp_classifies_in_under_1000_rate_calls(self, monkeypatch):
+        spec = corpus_build("sine_bvp").majorant
+        calls = _count_rate_calls(monkeypatch)
+        assert classify_blowup(spec).kind is Blowup.VALUE
+        assert 0 < calls[0] <= 1000
+
+    def test_frozen_tail_is_relative_to_its_size(self, monkeypatch):
+        # rate (w + t)^2 leaves 1/(omega + t) past omega
+        spec, t, omega = _forward_spec("z*z"), 1.5, 1e12
+        calls = _count_rate_calls(monkeypatch)
+        tail = _frozen_tail(spec, t, omega)
+        assert tail == pytest.approx(1.0 / (omega + t), rel=1e-5)
+        assert calls[0] <= 100
 
     def test_overflowing_rate_stalls_at_the_time_of_escape(self):
         # exp(z) overflows to inf once the bound passes about 710: the march
@@ -272,10 +290,37 @@ class TestForwardInversion:
             assert abs(w - want) <= 1e-11 * max(1.0, want)
 
     def test_rate_calls_linear_in_nodes(self, case, ratio, monkeypatch):
-        # one step of 12 rate calls covers most gaps of these meshes
+        # one step of 6 new rate calls covers most gaps of these meshes
         calls = _count_rate_calls(monkeypatch)
         _, mesh, _ = self._solve(case, ratio)
         assert calls[0] <= 20 * mesh.nodes.size
+
+    def test_under_nine_rate_calls_per_node(self, case, ratio, monkeypatch):
+        calls = _count_rate_calls(monkeypatch)
+        _, mesh, _ = self._solve(case, ratio)
+        assert calls[0] <= 9 * mesh.nodes.size
+
+    def test_one_march_equals_a_march_per_gap(self, case, ratio):
+        # the last stage of a step is the next step's first, bit for bit
+        spec, mesh, sol = self._solve(case, ratio)
+        assert sol.omega.tobytes() == _per_gap_omega(spec, mesh).tobytes()
+
+
+def _per_gap_omega(spec, mesh):
+    """solve_cauchy's omega from one march per gap, each starting afresh
+    from the last node's (t, w) and next step."""
+    omega, t, w, h = [0.0], 0.0, 0.0, _FIRST_STEP
+    for node in mesh.nodes[1:].tolist():
+        t, w, h = next(_march(spec.rate_at, t, w, h, [node], _CAUCHY_RTOL))
+        omega.append(w)
+    return np.array(omega)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.97])
+def test_time_dependent_march_equals_a_march_per_gap(ratio):
+    mesh = graded_mesh(1.2, 120, ratio)
+    sol = solve_cauchy(TAN_SPEC, mesh)
+    assert sol.omega.tobytes() == _per_gap_omega(TAN_SPEC, mesh).tobytes()
 
 
 @pytest.mark.parametrize(
