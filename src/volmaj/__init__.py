@@ -60,7 +60,6 @@ from .picard import (
     SolveReport,
     SolveStatus,
     residual_norms,
-    solve_from,
     solve_main,
     verify_domination,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "residual_norms",
     "run_suite",
     "solve_cauchy",
-    "solve_from",
     "solve_lyapunov",
     "solve_main",
     "solve_majorant",

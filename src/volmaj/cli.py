@@ -149,7 +149,11 @@ def _load_config(path: str) -> configparser.ConfigParser:
 # with source = corpus it holds entry and the entry's parameters.
 _REQUIRED = object()
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
-_NONZERO = ("finite and nonzero", lambda v: math.isfinite(v) and v != 0)
+# a nonzero a whose 1 / |a| overflows would leave the default c infinite
+_INVERTIBLE = (
+    "finite and nonzero with 1/|a| finite",
+    lambda v: math.isfinite(v) and v != 0 and math.isfinite(1.0 / abs(v)),
+)
 _FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
 _DOUBLES_FINITE = ("> 0 with twice it finite", lambda v: v > 0 and math.isfinite(2 * v))
 _SOURCE = (
@@ -166,7 +170,7 @@ def _at_least(minimum: int):
 _SCHEMA = {
     "problem": {
         "source": _SOURCE,
-        "a": (float, 1.0, _NONZERO),
+        "a": (float, 1.0, _INVERTIBLE),
         "c": (float, None, _POSITIVE),  # unset: 1 / |a|
         "kernel": (("t", "s", "u"), _REQUIRED, None),
         "kernel2": (("t", "s1", "s2", "u1", "u2"), None, None),

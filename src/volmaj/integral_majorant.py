@@ -19,8 +19,9 @@ Two independent routes compute the bound on a mesh: that march through
 every node in one call, adaptive Dormand-Prince 5(4) (J. Comput. Appl.
 Math. 6, 1980; solve_cauchy), and successive approximation from zero
 (majorant_picard).  The chain from zero is nondecreasing and converges
-to the minimal bound from below, so the pointwise maximum of the two
-routes is itself a valid bound; that maximum is what gets certified.
+to the minimal bound from below.  The certificate bound is the pointwise
+maximum of the two routes: the larger of two approximations of the
+minimal bound, not a proven upper solution.
 """
 
 from __future__ import annotations
@@ -544,7 +545,8 @@ def solve_majorant(
     The mesh must end inside the existence window; passing the solver's
     mesh lets a solver and its certificate share exact nodes.
     certificate_bound is the pointwise maximum of the two independent
-    routes and is the array safe to certify against.
+    routes: the larger of two approximations of the minimal bound, not a
+    proven upper solution.
     """
     report = classification or classify_blowup(spec)
     t_end = mesh.end

@@ -1166,6 +1166,8 @@ class TestConfigErrors:
             ("mesh", "t_end", "0"),
             ("mesh", "theta", "2"),
             ("mesh", "theta", "1"),
+            # 1 / |a| overflows, which would leave the default c infinite
+            ("problem", "a", "1e-320"),
             ("problem", "c", "inf"),
             ("problem", "c", "0"),
             ("majorant", "pole", "inf"),

@@ -12,7 +12,6 @@ from volmaj.meshes import Trajectory, zero_trajectory
 from volmaj.picard import (
     SolveStatus,
     residual_norms,
-    solve_from,
     solve_main,
     verify_domination,
 )
@@ -174,14 +173,19 @@ class TestDomination:
         assert report.worst_margin < 0
         assert len(report.violations) > 0
 
-    def test_arbitrary_start_rejected(self):
-        entry = corpus_build("sine_bvp")
-        mesh = graded_mesh(0.4, 40, 1.0)
-        maj = solve_majorant(entry.majorant, mesh=mesh)
-        start = Trajectory(mesh, np.ones((mesh.nodes.size, 21)))
-        res = solve_from(entry.problem, start, tol=1e-10, n_max=60)
-        with pytest.raises(SpecValidationError):
-            verify_domination(res, maj)
+    def test_every_iterate_audited(self):
+        # u = 2 int u + t against f = w + t, gamma = z: 61 iterations, and
+        # the audit checks all 62 iterate rows plus the final iterate
+        # against the certificate bound, 63 rows of 61 nodes
+        spec = MajorantSpec(f="w + t", gamma="z", name="too slow")
+        mesh = graded_mesh(8.0, 60, 1.0)
+        maj = solve_majorant(spec, mesh=mesh)
+        res = solve_main(linear_problem(rate=2.0), mesh, tol=1e-15, n_max=200,
+                         majorant=maj)
+        assert res.iterations == 61
+        assert res.norms.shape == (62, 61)
+        assert np.array_equal(res.norms[-1], res.trajectory.norms)
+        assert verify_domination(res, maj).checked == 63 * 61
 
 
 class TestIteratePairs:
