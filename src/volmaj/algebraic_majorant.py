@@ -6,11 +6,13 @@ to the first time the line touches the graph tangentially:
 
     r = c * f(r, T),   1 = c * f_r(r, T).
 
-A damped Newton iteration on the 2x2 system places that pair.  The
-horizon returned is the largest time just below Newton's at which its
-radius r witnesses a root, c * f(r, t) - r <= 0 widened upward by a few
-ulps of r: under the convexity screen that proves a branch root exists
-up to it.  A Newton point that r witnesses no root near is rejected.
+f_r is always the exact derivative of f's expression tree
+(expr.derivative), so the pair solved is f's own tangency.  A damped
+Newton iteration on the 2x2 system places that pair.  The horizon
+returned is the largest time just below Newton's at which its radius r
+witnesses a root, c * f(r, t) - r <= 0 widened upward by a few ulps of
+r: under the convexity screen that proves a branch root exists up to
+it.  A Newton point that r witnesses no root near is rejected.
 
 The branch r(t) below the horizon is the smallest root at each node.
 Without further knowledge each node runs the monotone iteration
@@ -76,16 +78,16 @@ _NAMES = ("r", "t")
 
 @dataclass(frozen=True)
 class LyapunovSpec:
-    """Algebraic majorant data as expression text over (r, t): the growth
-    map f and its slope f_r = df/dr, which is the exact derivative of f
-    when not given.
+    """Algebraic majorant data: the growth map f as expression text over
+    (r, t).  Its slope f_r = df/dr is always the exact derivative of f's
+    tree, never declared.
 
     f must vanish at the origin and c * f_r(0, 0), c being
     inv_norm_bound, lie in [0, 1), otherwise even the zero state is not
     dominated; both must be evaluable there.  r_max / t_max bound the
     search box.
 
-    Both texts parse at construction, and the origin is checked by the
+    The text parses at construction, and the origin is checked by the
     tree walker; f_form and f_r_form compile on first use.  The
     convexity screen maps each form through its array form, which gives
     the scalar form's values bit for bit for + - * /, sin, cos, sqrt and
@@ -94,19 +96,15 @@ class LyapunovSpec:
     """
 
     f: str
-    f_r: str | None = None
     inv_norm_bound: float = 1.0
     r_max: float = 100.0
     t_max: float = 100.0
     name: str = "lyapunov"
 
     f_form = functools.cached_property(lambda self: expr.Form(self.f, _NAMES, "f"))
-
-    @functools.cached_property
-    def f_r_form(self) -> expr.Form:
-        if self.f_r is None:
-            return expr.Form(expr.derivative(self.f_form.tree, "r"), _NAMES)
-        return expr.Form(self.f_r, _NAMES, "f_r")
+    f_r_form = functools.cached_property(
+        lambda self: expr.Form(expr.derivative(self.f_form.tree, "r"), _NAMES)
+    )
 
     def __post_init__(self):
         if not (self.inv_norm_bound > 0) or not math.isfinite(self.inv_norm_bound):

@@ -62,7 +62,7 @@ from .integral_majorant import (
 from .meshes import Mesh
 from .picard import SolveStatus, solve_main, verify_domination
 from .problem import DenseOperator, KernelStage, VolterraProblem
-from .quadrature import WeightTable, _probe_rate, graded_mesh, pointwise
+from .quadrature import WeightTable, graded_mesh, pointwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,7 +149,8 @@ def _load_config(path: str) -> configparser.ConfigParser:
 # with source = corpus it holds entry and the entry's parameters.
 _REQUIRED = object()
 _POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
-# a nonzero a whose 1 / |a| overflows would leave the default c infinite
+# a nonzero a whose 1 / |a| overflows would leave the inverse-norm bound
+# c = 1 / |a| infinite
 _INVERTIBLE = (
     "finite and nonzero with 1/|a| finite",
     lambda v: math.isfinite(v) and v != 0 and math.isfinite(1.0 / abs(v)),
@@ -171,7 +172,6 @@ _SCHEMA = {
     "problem": {
         "source": _SOURCE,
         "a": (float, 1.0, _INVERTIBLE),
-        "c": (float, None, _POSITIVE),  # unset: 1 / |a|
         "kernel": (("t", "s", "u"), _REQUIRED, None),
         "kernel2": (("t", "s1", "s2", "u1", "u2"), None, None),
         "phi": (("t", "om1", "om2", "u"), _REQUIRED, None),  # om2 with kernel2
@@ -188,7 +188,6 @@ _SCHEMA = {
     "lyapunov": {
         "source": _SOURCE,
         "f": (("r", "t"), _REQUIRED, None),
-        "fr": (("r", "t"), None, None),
         "c": (float, 1.0, _POSITIVE),
         "r_max": (float, 100.0, _POSITIVE),
         "t_max": (float, 100.0, _POSITIVE),
@@ -202,7 +201,6 @@ _SCHEMA = {
     "tolerances": {
         "tol": (float, 1e-10, _POSITIVE),
         "n_max": (int, 200, _at_least(1)),
-        "blowup_tol": (float, 1e-6, _POSITIVE),
     },
     "run": {
         "seed": (int, DEFAULT_SEED, _at_least(0)),
@@ -317,7 +315,6 @@ def _stage_terms(tree: expr.Expr, coordinates: list[tuple[str, str]]):
 
 def _inline_problem(v: dict) -> VolterraProblem:
     a = v["a"]
-    c = 1.0 / abs(a) if v["c"] is None else v["c"]
     stages, phi_vars = [], ["t"]
     for key, coordinates in (
         ("kernel", [("s", "u")]),
@@ -354,14 +351,12 @@ def _inline_problem(v: dict) -> VolterraProblem:
             stages=tuple(stages),
             outer=outer,
             operator=DenseOperator([[a]]),
-            inv_norm_bound=c,
+            inv_norm_bound=1.0 / abs(a),
             name="inline",
         )
     except SpecValidationError as exc:
-        # the schema checks a and c alone, so what fails here is c against
-        # the inverse of a, or phi
-        key = "c" if "inverse-norm bound" in str(exc) else "phi"
-        raise SpecValidationError(f"[problem] {key}: {exc}") from None
+        # the schema keeps a and 1 / |a| finite, so what fails here is phi
+        raise SpecValidationError(f"[problem] phi: {exc}") from None
 
 
 def _inline_majorant(v: dict) -> MajorantSpec:
@@ -373,7 +368,6 @@ def _inline_lyapunov(v: dict) -> LyapunovSpec:
     try:
         return LyapunovSpec(
             f=v["f"],
-            f_r=v["fr"],  # without fr the slope is the exact derivative of f
             inv_norm_bound=v["c"],
             r_max=v["r_max"],
             t_max=v["t_max"],
@@ -381,9 +375,8 @@ def _inline_lyapunov(v: dict) -> LyapunovSpec:
         )
     except SpecValidationError as exc:
         # c, r_max and t_max are checked by the schema, so what fails here
-        # is f or the slope at the origin
-        key = "fr" if v["fr"] is not None and "f_r" in str(exc) else "f"
-        raise SpecValidationError(f"[lyapunov] {key}: {exc}") from None
+        # is f or its slope at the origin
+        raise SpecValidationError(f"[lyapunov] f: {exc}") from None
 
 
 _INLINE_BUILDERS = {
@@ -430,7 +423,7 @@ class _Setup:
                 # the problem's entry, else the majorant's, sets mesh defaults
                 self.entry = self.entry or entry
         # every [mesh], [tolerances] and [run] key: n, t_end, theta, ratio,
-        # tol, n_max, blowup_tol, seed, samples and sample_bound
+        # tol, n_max, seed, samples and sample_bound
         for section in ("mesh", "tolerances", "run"):
             vars(self).update(config[section])
         self.theta_explicit = cp.has_option("mesh", "theta")
@@ -460,20 +453,16 @@ class _Setup:
             " globally or is not classified)"
         )
 
-    @functools.cached_property
+    @property
     def majorant_classifiable(self) -> bool:
-        """Whether the majorant's horizon can be classified, not only
-        iterated: the autonomous route integrates 1/rate from omega = 0,
-        so it needs a positive rate there."""
-        spec = self.majorant
-        return spec is not None and (
-            spec.depends_on_t or _probe_rate(spec.rate, 0.0) is not None
-        )
+        """Whether there is a majorant whose horizon can be classified,
+        not only iterated (see MajorantSpec.classifiable)."""
+        return self.majorant is not None and self.majorant.classifiable
 
     @functools.cached_property
     def blowup(self) -> BlowupReport:
         """The majorant's classification, computed on first use only."""
-        return classify_blowup(self.majorant, tol=self.blowup_tol)
+        return classify_blowup(self.majorant)
 
     @functools.cached_property
     def convexity(self) -> ConvexityReport:

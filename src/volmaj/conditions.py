@@ -48,9 +48,6 @@ __all__ = [
     "ConditionReport",
     "TrajectorySampler",
     "DEFAULT_SEED",
-    "sample_margins_A",
-    "sample_margins_D",
-    "sample_margins_E",
     "check_A",
     "check_B",
     "check_C",
@@ -241,6 +238,15 @@ class _AtU:
             return lhs, f_wide - self.f_low
 
     def sides_E(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node (lhs, rhs) for the derivative condition E along v.
+
+        lhs is c times a central finite-difference directional derivative
+        along v of the integral route through the outer map, taken with
+        the direct slot frozen at u so the linear part drops out exactly;
+        rhs is the chain-rule bound built from the exact slopes df/dw and
+        gamma'.  Node 0's integral weights are 0, so its right side is 0
+        whatever the slope of f there, which may be singular at w = 0.
+        """
         problem, u = self.problem, self.u
         eps = 1e-6 * (1.0 + np.max(np.abs(u), axis=(1, 2)))
         step = eps[:, None, None] * v
@@ -255,46 +261,6 @@ class _AtU:
             )
             f_w = self.spec.f_w_form.map(self.mesh.nodes[1:], integrals[:, 1:])
             return lhs, np.pad(f_w * weighted[:, 1:], ((0, 0), (1, 0)))
-
-
-def sample_margins_A(
-    problem: VolterraProblem, spec: MajorantSpec, mesh: Mesh, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for condition A on a stack of trajectories u
-    of shape (S, n+1, dim); both have shape (S, n+1)."""
-    return _AtU(problem, spec, WeightTable(mesh), u).sides_A()
-
-
-def sample_margins_D(
-    problem: VolterraProblem,
-    spec: MajorantSpec,
-    mesh: Mesh,
-    u: np.ndarray,
-    du: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for the increment condition D on stacks;
-    gamma runs at u before u + du, f at the wide integrals before the
-    low ones."""
-    return _AtU(problem, spec, WeightTable(mesh), u).sides_D(du)
-
-
-def sample_margins_E(
-    problem: VolterraProblem,
-    spec: MajorantSpec,
-    mesh: Mesh,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (lhs, rhs) for the derivative condition E on stacks.
-
-    lhs is c times a central finite-difference directional derivative
-    along v of the integral route through the outer map, taken with the
-    direct slot frozen at u so the linear part drops out exactly; rhs is
-    the chain-rule bound built from the exact slopes df/dw and gamma'.
-    Node 0's integral weights are 0, so its right side is 0 whatever the
-    slope of f there, which may be singular at w = 0.
-    """
-    return _AtU(problem, spec, WeightTable(mesh), u).sides_E(v)
 
 
 class _SampledCheck:

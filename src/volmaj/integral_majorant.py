@@ -63,10 +63,11 @@ __all__ = [
 
 
 # classify_blowup's budgets: the forward route's time and bound caps,
-# and the octaves of the inverse-rate integral
+# and the quadrature tolerance of the autonomous route's inverse-rate
+# integrals
 _T_CAP = 1e8
 _OMEGA_CAP = 1e12
-_OCTAVES = 60
+_CLASSIFY_TOL = 1e-6
 
 # the forward march of w' = gamma(f(t, w)): its steps per call, its
 # first step, and its relative tolerances when it classifies and when
@@ -155,6 +156,14 @@ class MajorantSpec:
                 )
 
     depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
+
+    @functools.cached_property
+    def classifiable(self) -> bool:
+        """Whether classify_blowup can decide this majorant: a
+        time-dependent f is marched forward, while the autonomous route
+        integrates 1/rate from omega = 0 and so needs a positive rate
+        there."""
+        return self.depends_on_t or _probe_rate(self.rate, 0.0) is not None
 
     @functools.cached_property
     def _rate(self) -> Callable[[float, float], float]:
@@ -263,9 +272,8 @@ def _detect_pole(rate: Callable[[float], float]) -> float | None:
 
     Returns a point just inside the edge when the rate provably spikes
     there (an actual pole), None when the rate is evaluable out to 2^60.
+    The rate is positive at 0: classify_blowup has checked classifiable.
     """
-    if _probe_rate(rate, 0.0) is None:
-        raise NumericError("rate is not positive at omega=0; cannot classify")
     prev = 0.0
     first_bad = None
     for k in range(0, 61):
@@ -416,7 +424,7 @@ def _classify_forward(spec: MajorantSpec) -> BlowupReport:
     return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
 
 
-def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
+def classify_blowup(spec: MajorantSpec) -> BlowupReport:
     """Decide value blow-up / derivative blow-up / global existence and
     compute the horizon.
 
@@ -428,14 +436,12 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     time-dependent f is marched forward instead (solve_cauchy's march,
     at _CLASSIFY_RTOL): in t up to a bound of 1, then in L = log(1 + w)
     up to t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L; a
-    march that stalls first raises NumericError naming the time.
-
-    tol, the quadrature tolerance, serves time-independent f only; the
-    march takes none and runs at _CLASSIFY_RTOL.  tol must be finite and
-    positive; anything else raises SpecValidationError naming it.
+    march that stalls first raises NumericError naming the time.  The
+    quadratures run to _CLASSIFY_TOL.  A spec that is not classifiable
+    raises NumericError.
     """
-    if not (0.0 < tol < math.inf):
-        raise SpecValidationError(f"tol must be finite and > 0, got {tol!r}")
+    if not spec.classifiable:
+        raise NumericError("rate is not positive at omega=0; cannot classify")
     if spec.depends_on_t:
         if spec.pole is not None:
             raise SpecValidationError(
@@ -447,9 +453,9 @@ def classify_blowup(spec: MajorantSpec, tol: float = 1e-6) -> BlowupReport:
     if pole is None:
         pole, found = _detect_pole(rate), "detected rate pole near"
     if pole is not None:
-        horizon = integral_to_pole(rate, pole, tol)
+        horizon = integral_to_pole(rate, pole, _CLASSIFY_TOL)
         return BlowupReport(Blowup.DERIVATIVE, horizon, pole, f"{found} w={pole!r}")
-    res = improper_integral(rate, tol=tol, octaves=_OCTAVES)
+    res = improper_integral(rate, tol=_CLASSIFY_TOL)
     if res.converged:
         return BlowupReport(
             Blowup.VALUE,

@@ -272,9 +272,11 @@ def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
     return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
 
 
-# adaptive_quad's recursion depth and improper_integral's divergence cap
+# adaptive_quad's recursion depth, and improper_integral's divergence cap
+# and octave budget
 _MAX_DEPTH = 48
 _IMPROPER_CAP = 1e8
+_OCTAVES = 60
 
 
 def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
@@ -353,19 +355,15 @@ def _inverse_rate(g: Callable[[float], float]) -> Callable[[float], float]:
     return h
 
 
-def improper_integral(
-    g: Callable[[float], float],
-    tol: float = 1e-6,
-    octaves: int = 60,
-) -> ImproperResult:
+def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> ImproperResult:
     """Integral of 1/g over [0, inf) by octave doubling.
 
     Returns converged=True with the value (finite blow-up time) when the
     octave increments decay geometrically, or converged=False with value
-    +inf when the running total passes _IMPROPER_CAP (1e8) or the octaves
-    are exhausted, which signals divergence (global existence).  Small
-    increments end the doubling only while they shrink: equal ones are a
-    logarithmic divergence.
+    +inf when the running total passes _IMPROPER_CAP (1e8) or the
+    _OCTAVES (60) octaves are exhausted, which signals divergence (global
+    existence).  Small increments end the doubling only while they
+    shrink: equal ones are a logarithmic divergence.
     """
     for w in _PROBE_POINTS:
         r = _probe_rate(g, w)
@@ -382,7 +380,7 @@ def improper_integral(
     total = adaptive_quad(h, 0.0, 1.0, panel_tol(0.0))
     trace.append((1.0, total))
     incs: list[float] = []
-    for k in range(1, octaves + 1):
+    for k in range(1, _OCTAVES + 1):
         lo, hi = 2.0 ** (k - 1), 2.0**k
         if k == 1:
             inc = adaptive_quad(h, lo, hi, panel_tol(total))

@@ -89,7 +89,6 @@ def test_03_tangency_point_two_scalings():
     start = time.perf_counter()
     base = dict(
         f="t*r*r + t",
-        f_r="2*t*r",
         r_max=10.0,
         t_max=5.0,
     )

@@ -29,11 +29,10 @@ from volmaj.errors import (
 )
 from volmaj.integral_majorant import MajorantSpec, solve_majorant
 from volmaj.picard import solve_main
-from volmaj.quadrature import graded_mesh
+from volmaj.quadrature import graded_mesh, pointwise
 
 QUAD = LyapunovSpec(
     f="t*r*r + t",
-    f_r="2*t*r",
     inv_norm_bound=1.0,
     r_max=10.0,
     t_max=5.0,
@@ -42,14 +41,13 @@ QUAD = LyapunovSpec(
 
 
 def inline(text, **box):
-    """The spec the CLI builds from an inline [lyapunov] f (no fr)."""
-    values = {"f": text, "fr": None, "c": 1.0, "r_max": 10.0, "t_max": 5.0, **box}
+    """The spec the CLI builds from an inline [lyapunov] f."""
+    values = {"f": text, "c": 1.0, "r_max": 10.0, "t_max": 5.0, **box}
     return dataclasses.replace(cli._inline_lyapunov(values), name=text)
 
 
 CONCAVE = LyapunovSpec(
     f="t*(sqrt(r + 1) - 1)",
-    f_r="0.5*t/sqrt(r + 1)",
     r_max=1.0,
     t_max=1.0,
     name="concave",
@@ -57,7 +55,6 @@ CONCAVE = LyapunovSpec(
 
 EXP = LyapunovSpec(
     f="t*exp(r)",
-    f_r="t*exp(r)",
     inv_norm_bound=1.0,
     r_max=10.0,
     t_max=5.0,
@@ -438,7 +435,6 @@ def _loop_convexity(spec, r_grid=None, t_grid=None):
 
 WIGGLE = LyapunovSpec(
     f="0.1*r*r + 0.05*r*(1 + sin(7*t)) + 0.01*t*sin(9*r)",
-    f_r="0.2*r + 0.05*(1 + sin(7*t)) + 0.09*t*cos(9*r)",
     r_max=2.0, t_max=1.5, name="wiggle",
 )
 
@@ -446,12 +442,13 @@ WIGGLE = LyapunovSpec(
 _SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
 
 
-# sqrt(1.5 - r) * 0 leaves f = t*r^2 where r <= 1.5 and fails past it,
-# where f's array form gives nan; the slope, 2*t*r up to r = 1.5 and
-# 2*t*(3 - r) past it, drops there, which a screen that kept it would report
+# 0*sqrt(1.6 - r) leaves f = t*r^2 where r <= 1.6 and fails past it,
+# where f's array form gives nan; its derivative folds to 0, so the slope
+# stays evaluable there, and the abs term drops it from 2*t*r to
+# 2*t*(r - 1) past r = 1.6, which a screen that kept it would report.
+# Neither grid holds r = 1.6, where the slope of abs divides by zero.
 CUT = LyapunovSpec(
-    f="t*r*r + 0*sqrt(1.5 - r)",
-    f_r="2*t*(r - (r - 1.5 + abs(r - 1.5)))",
+    f="t*(r*r - (r - 1.6 + abs(r - 1.6))) + 0*sqrt(1.6 - r)",
     r_max=2.0, t_max=1.5, name="nan for a raise",
 )
 
@@ -465,7 +462,7 @@ class TestConvexityRoutes:
             QUAD,
             CONCAVE,
             LyapunovSpec(
-                f="r*r/(1 + t)", f_r="2*r/(1 + t)",
+                f="r*r/(1 + t)",
                 r_max=2.0, t_max=1.5, name="decreasing in t",
             ),
             WIGGLE,
@@ -483,6 +480,24 @@ class TestConvexityRoutes:
         report = check_convexity(spec, **grids)
         # repr, so that nan margins of not-finite samples compare equal
         assert repr(report) == repr(_loop_convexity(spec, **grids))
+
+    def test_slope_samples_where_f_fails_are_dropped(self):
+        r_grid, t_grid = _SMALL_GRIDS["r_grid"], _SMALL_GRIDS["t_grid"]
+        r, t = r_grid[None, :], t_grid[:, None]
+        fvals = pointwise(algebraic_majorant._nan_on_error(CUT.f_form), r, t)
+        svals = pointwise(algebraic_majorant._nan_on_error(CUT.f_r_form), r, t)
+        assert np.isnan(fvals[:, r_grid > 1.6]).all() and np.isfinite(svals).all()
+        # a screen that kept them would report the slope's drop past r = 1.6
+        kept = []
+        algebraic_majorant._scan(
+            fvals, svals, r_grid, t_grid, 1e-12, 1e-10,
+            lambda *violation: kept.append(violation) or True,
+        )
+        assert {(kind, r) for kind, r, _, _ in kept} == {
+            ("slope-decreasing-in-r", 1.75)
+        }
+        report = check_convexity(CUT, **_SMALL_GRIDS)
+        assert {kind for kind, _, _, _ in report.violations} == {"not-finite"}
 
     def test_reports_list_violations_in_scan_order(self):
         grids = {"r_grid": np.linspace(0.0, 2.0, 7), "t_grid": np.linspace(0.0, 1.5, 5)}
@@ -536,6 +551,24 @@ class TestSolveLyapunov:
             solve_lyapunov(spec, n=8, t_end=math.nextafter(horizon, math.inf))
 
 
+@pytest.mark.parametrize(
+    "f, slope",
+    [
+        ("t*r*r + t", "2*t*r"),
+        ("t*(sqrt(r + 1) - 1)", "0.5*t/sqrt(r + 1)"),
+        ("t*exp(r)", "t*exp(r)"),
+        ("r*r/(1 + t)", "2*r/(1 + t)"),
+        (WIGGLE.f, "0.2*r + 0.05*(1 + sin(7*t)) + 0.09*t*cos(9*r)"),
+    ],
+    ids=["quad", "concave", "exp", "decreasing in t", "wiggle"],
+)
+def test_the_slope_is_the_exact_derivative_of_f(f, slope):
+    spec = LyapunovSpec(f=f, r_max=2.0, t_max=1.5, name=f)
+    r, t = np.meshgrid(np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.5, 7))
+    by_hand = expr.Form(slope, ("r", "t")).map(r, t)
+    np.testing.assert_allclose(spec.f_r_form.map(r, t), by_hand, rtol=1e-13, atol=1e-15)
+
+
 def test_spec_validation():
     with pytest.raises(SpecValidationError, match="must vanish"):
         LyapunovSpec(f="1 + r", r_max=1.0, t_max=1.0, name="nonzero origin")
@@ -543,13 +576,14 @@ def test_spec_validation():
         LyapunovSpec(f="2*r", r_max=1.0, t_max=1.0, name="slope above one")
     with pytest.raises(SpecValidationError, match="inverse-norm bound"):
         LyapunovSpec(f="t*r*r", inv_norm_bound=-2.0, name="negative c")
+    # the derivative of sqrt(r) divides by sqrt(0)
     with pytest.raises(SpecValidationError, match=r"f_r\(0, 0\) is not evaluable"):
-        LyapunovSpec(f="t*r*r", f_r="2*t*r/r")
+        LyapunovSpec(f="t*sqrt(r)")
 
 
 @pytest.mark.parametrize(
     "field, text",
-    [("f", {"f": "t*r@2"}), ("f_r", {"f": "t*r*r", "f_r": "2*t*w"})],
+    [("f", {"f": "t*r@2"})],
 )
 def test_a_bad_text_names_its_field(field, text):
     with pytest.raises(ExprError, match=f"^{field}: syntax error at byte"):

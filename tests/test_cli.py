@@ -1,5 +1,6 @@
 """End-to-end command line checks on temporary configs and outputs."""
 
+import configparser
 import csv
 import dataclasses
 import io
@@ -307,7 +308,7 @@ class TestMajorant:
         self, tmp_path, section, params, classifiable
     ):
         cfg = ini(tmp_path, f"[{section}]\nsource = corpus\n{params}\n")
-        assert _Setup(_load_config(cfg)).majorant_classifiable is classifiable
+        assert _Setup(_load_config(cfg)).majorant.classifiable is classifiable
 
     def test_degenerate_rate_skips_classification(self, tmp_path):
         cfg = ini(
@@ -448,17 +449,23 @@ class TestLyapunov:
         assert code == 2
         assert "convexity/monotonicity screen" in capsys.readouterr().err
 
+    def test_inline_slope_is_f_s_own(self, tmp_path):
+        cfg = ini(tmp_path, "[lyapunov]\nsource = inline\nf = t*r*r + t\n")
+        out = tmp_path / "out"
+        assert main(["lyapunov", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "lyapunov_summary.txt")
+        assert float(pairs["radius"]) == pytest.approx(1.0, abs=1e-8)
+        assert float(pairs["horizon"]) == pytest.approx(0.5, abs=1e-8)
+
     @pytest.mark.parametrize(
         "keys, message",
         [
-            # the slope given by fr divides by zero at the origin
-            ("f = t*r^2\nfr = t*2*r/r", "[lyapunov] fr: f_r(0, 0) is not evaluable:"
-             " division by zero (at byte 5)"),
             # the derivative of sqrt(r) divides by sqrt(0), at the byte of sqrt
             ("f = t*sqrt(r)", "[lyapunov] f: f_r(0, 0) is not evaluable:"
              " division by zero (at byte 2)"),
         ],
-        ids=["fr", "derived"],
+        ids=["derived"],
     )
     def test_slope_not_evaluable_at_the_origin_exits_2(
         self, tmp_path, capsys, keys, message
@@ -852,7 +859,6 @@ _BAD_KEYS = [
     ("majorant", _MAJORANT.replace("gamma = z", "gamma = z)"), "[majorant] gamma"),
     ("majorant", _MAJORANT + "zprime = tan(", "[majorant] zprime"),
     ("lyapunov", _LYAPUNOV.replace("f = t*(r^2 + 1)", "f = t*r@2"), "[lyapunov] f"),
-    ("lyapunov", _LYAPUNOV + "fr = 2*t*w", "[lyapunov] fr"),
 ]
 
 
@@ -1041,27 +1047,6 @@ class TestConfigErrors:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "[tolerances] tol" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("blowup_tol", ["0", "-1e-6", "nan"])
-    def test_blowup_tol_must_be_finite_and_positive(
-        self, tmp_path, capsys, blowup_tol
-    ):
-        # f = w + 1, gamma = z^2 blows up at t = 1; a zero tolerance
-        # classified it as Global
-        cfg = ini(
-            tmp_path,
-            f"""
-            [majorant]
-            source = inline
-            f = w + 1
-            gamma = z^2
-
-            [tolerances]
-            blowup_tol = {blowup_tol}
-            """,
-        )
-        assert main(["majorant", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "[tolerances] blowup_tol" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", ["solve", "verify", "majorant"])
     @pytest.mark.parametrize(
         "section, key, value",
@@ -1166,10 +1151,8 @@ class TestConfigErrors:
             ("mesh", "t_end", "0"),
             ("mesh", "theta", "2"),
             ("mesh", "theta", "1"),
-            # 1 / |a| overflows, which would leave the default c infinite
+            # 1 / |a| overflows, which would leave the inverse-norm bound infinite
             ("problem", "a", "1e-320"),
-            ("problem", "c", "inf"),
-            ("problem", "c", "0"),
             ("majorant", "pole", "inf"),
             ("majorant", "z_max", "inf"),
             ("majorant", "omega_max", "-1"),
@@ -1193,14 +1176,33 @@ class TestConfigErrors:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["solve", "verify"])
-    def test_c_below_the_inverse_norm_names_c(self, tmp_path, capsys, command):
-        cfg = ini(tmp_path, HALF_A.replace("a = 0.5", "a = 0.5\n    c = 1"))
+    @pytest.mark.parametrize("command", ["solve", "verify", "majorant", "lyapunov"])
+    @pytest.mark.parametrize(
+        "text, section, key",
+        [
+            # twice f's slope once gave the false tangency (0.577, 0.433)
+            (_LYAPUNOV.replace("f = t*(r^2 + 1)", "f = t*r*r + t\nfr = 4*t*r"),
+             "lyapunov", "fr"),
+            (HALF_A.replace("a = 0.5", "a = 0.5\n    c = 1"), "problem", "c"),
+            (_MAJORANT.replace("f = w + t\ngamma = z", "f = w + 1\ngamma = z^2")
+             + "[tolerances]\nblowup_tol = 1e-2\n", "tolerances", "blowup_tol"),
+        ],
+        ids=["fr", "c", "blowup_tol"],
+    )
+    def test_a_removed_key_is_unknown(
+        self, tmp_path, capsys, command, text, section, key
+    ):
         out = tmp_path / "out"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "[problem] c: inverse-norm bound 1.0 is below" in err
+        assert main([command, "--config", ini(tmp_path, text), "--out", str(out)]) == 2
+        assert f"[{section}] unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("a", [0.5, -2.0, 1e-3])
+    def test_inline_inverse_norm_bound_is_one_over_abs_a(self, a):
+        problem = cli._inline_problem(
+            {"a": a, "kernel": "u", "kernel2": None, "phi": "u - om1 - t"}
+        )
+        assert problem.inv_norm_bound == 1.0 / abs(a)
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize(
@@ -1256,6 +1258,16 @@ class TestConfigErrors:
         got = int(value) if key == "m" else float(value)
         assert f"[{section}] {key} must be {accepted}, got {got!r}" in err
         assert not out.exists()
+
+
+def test_readme_config_block_lists_exactly_the_schema_keys():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    after = readme.split("\n### Config format\n", 1)[1]
+    block = after.split("\n```ini\n", 1)[1].split("\n```\n", 1)[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.read_string(block)
+    documented = {section: set(cp[section]) for section in cp.sections()}
+    assert documented == {section: set(keys) for section, keys in _SCHEMA.items()}
 
 
 # values that sit on or past every declared range, and non-numbers

@@ -17,6 +17,7 @@ from volmaj.conditions import (
     ConditionStatus,
     TrajectorySampler,
     Witness,
+    _AtU,
     _failed,
     _sample_blocks,
     _SampledCheck,
@@ -25,9 +26,6 @@ from volmaj.conditions import (
     check_C,
     check_D_and_E,
     run_suite,
-    sample_margins_A,
-    sample_margins_D,
-    sample_margins_E,
 )
 from volmaj.cli import _inline_problem
 from volmaj.corpus import corpus_build
@@ -237,19 +235,26 @@ class TestConstructedFailures:
         assert report.outcomes["B"].status is ConditionStatus.FAIL
 
 
+def _sides(label, problem, spec, mesh, u, *more):
+    """Condition label's per-node (lhs, rhs) on a stack u of trajectories,
+    from an _AtU of its own."""
+    at = _AtU(problem, spec, WeightTable(mesh), u)
+    return getattr(at, f"sides_{label}")(*more)
+
+
 def _audited_alone(problem, spec, mesh, n_samples, bound=1.0):
     """A, D and E each audited on its own, block by block, through its
-    sample_margins function on the blocks of its streams."""
+    own _AtU sides on the blocks of its streams."""
     sampler = TrajectorySampler(mesh, problem.dim, bound)
     u = partial(sampler.block, STREAM_U)
     stacks = {
-        "A": (sample_margins_A, lambda r: (u(r),)),
-        "D": (sample_margins_D, lambda r: (u(r), 0.5 * sampler.block(STREAM_DELTA, r))),
-        "E": (sample_margins_E, lambda r: (u(r), sampler.block(STREAM_V, r))),
+        "A": lambda r: (u(r),),
+        "D": lambda r: (u(r), 0.5 * sampler.block(STREAM_DELTA, r)),
+        "E": lambda r: (u(r), sampler.block(STREAM_V, r)),
     }
     outcomes = {}
-    for label, (margins, draw) in stacks.items():
-        check = _SampledCheck(label, mesh, partial(margins, problem, spec, mesh))
+    for label, draw in stacks.items():
+        check = _SampledCheck(label, mesh, partial(_sides, label, problem, spec, mesh))
         for samples in _sample_blocks(sampler, n_samples):
             if check.failure is None:
                 check.feed(samples, *draw(samples))
@@ -330,17 +335,18 @@ class TestWitnessReplay:
         a = check_A(problem, spec, mesh, n_samples=40)
         d, e = check_D_and_E(problem, spec, mesh, n_samples=40)
         replays = (
-            (a, lambda i: sample_margins_A(problem, spec, mesh, draw(STREAM_U, i))),
+            (a, lambda i: _sides("A", problem, spec, mesh, draw(STREAM_U, i))),
             (
                 d,
-                lambda i: sample_margins_D(
-                    problem, spec, mesh, draw(STREAM_U, i), 0.5 * draw(STREAM_DELTA, i)
+                lambda i: _sides(
+                    "D", problem, spec, mesh,
+                    draw(STREAM_U, i), 0.5 * draw(STREAM_DELTA, i),
                 ),
             ),
             (
                 e,
-                lambda i: sample_margins_E(
-                    problem, spec, mesh, draw(STREAM_U, i), draw(STREAM_V, i)
+                lambda i: _sides(
+                    "E", problem, spec, mesh, draw(STREAM_U, i), draw(STREAM_V, i)
                 ),
             ),
         )
@@ -566,10 +572,10 @@ class TestArrayRightSides:
         mesh = graded_mesh(0.4, 12, 0.9)
         problem = _linear_problem(2)
         u, du, v = _stacks(mesh, 2, size, 0.5, zero)
-        for side, margins, oracle, stacks in (
-            ("A", sample_margins_A, _scalar_rhs_A, (u,)),
-            ("D", sample_margins_D, _scalar_rhs_D, (u, du)),
-            ("E", sample_margins_E, _scalar_rhs_E, (u, v)),
+        for side, oracle, stacks in (
+            ("A", _scalar_rhs_A, (u,)),
+            ("D", _scalar_rhs_D, (u, du)),
+            ("E", _scalar_rhs_E, (u, v)),
         ):
             try:
                 want = oracle(spec, mesh, *stacks)
@@ -577,24 +583,24 @@ class TestArrayRightSides:
                 # power_family's gamma' = e z^(e - 1) fails at a zero norm
                 assert (name, zero, side) == ("power_family", True, "E")
                 with pytest.raises(DomainError) as got:
-                    margins(problem, spec, mesh, *stacks)
+                    _sides(side, problem, spec, mesh, *stacks)
                 assert str(got.value) == str(exc)
                 continue
-            got = margins(problem, spec, mesh, *stacks)[1]
+            got = _sides(side, problem, spec, mesh, *stacks)[1]
             if side in _ULP_SIDES.get(name, ""):
                 _within_ulps(got, want, _SIDE_ULPS[side])
             else:
                 _same_bits(got, want)
 
     @pytest.mark.parametrize(
-        "margins, oracle, second",
+        "side, oracle, second",
         [
-            (sample_margins_A, _scalar_rhs_A, None),
-            (sample_margins_D, _scalar_rhs_D, 1),
-            (sample_margins_E, _scalar_rhs_E, 2),
+            ("A", _scalar_rhs_A, None),
+            ("D", _scalar_rhs_D, 1),
+            ("E", _scalar_rhs_E, 2),
         ],
     )
-    def test_a_raising_sample_raises_the_scalar_message(self, margins, oracle, second):
+    def test_a_raising_sample_raises_the_scalar_message(self, side, oracle, second):
         # the message names the point, so equal messages mean the same
         # first failing point
         spec = MajorantSpec(f="w", gamma="1/sqrt(1 - z)", name="pole")
@@ -604,7 +610,7 @@ class TestArrayRightSides:
         with pytest.raises(DomainError) as want:
             oracle(spec, mesh, *args)
         with pytest.raises(DomainError) as got:
-            margins(_linear_problem(1), spec, mesh, *args)
+            _sides(side, _linear_problem(1), spec, mesh, *args)
         assert str(got.value) == str(want.value)
 
     def test_a_slope_singular_at_zero_is_not_taken_at_node_0(self):
@@ -618,7 +624,7 @@ class TestArrayRightSides:
             spec.f_w_form.scalar(0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rhs = sample_margins_E(problem, spec, mesh, u, v)[1]
+            rhs = _sides("E", problem, spec, mesh, u, v)[1]
             _, e = check_D_and_E(problem, spec, mesh, n_samples=12, bound=0.5)
         assert np.all(rhs[:, 0] == 0.0)
         assert np.all(np.isfinite(rhs)) and np.all(rhs[:, 1:] > 0.0)
