@@ -62,7 +62,7 @@ from .integral_majorant import (
 from .meshes import Mesh
 from .picard import SolveStatus, solve_main, verify_domination
 from .problem import DenseOperator, KernelStage, VolterraProblem
-from .quadrature import WeightTable, graded_mesh, pointwise
+from .quadrature import graded_mesh, pointwise
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -502,7 +502,7 @@ def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         chain = majorant_picard(spec, mesh)
         found = [("classification", "skipped (rate degenerate at zero)")]
         header = ["t", "omega_last", "z_last"]
-        columns = [WeightTable(mesh).prefix(spec.gamma_form.map(chain.final))]
+        columns = [mesh.weights.prefix(spec.gamma_form.map(chain.final))]
     pairs = [
         ("name", spec.name),
         *found,
@@ -730,7 +730,10 @@ def cmd_corpus(args) -> int:
     return worst
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: argparse keeps no state between
+    parse_args calls, so main builds it on its first call only."""
     parser = argparse.ArgumentParser(
         prog="volmaj",
         description=(

@@ -39,7 +39,7 @@ from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .integral_majorant import MajorantSpec, check_upper_solution
 from .meshes import Mesh, Trajectory
 from .problem import VolterraProblem, eval_residual
-from .quadrature import BLOCK_ELEMENTS, WeightTable
+from .quadrature import BLOCK_ELEMENTS
 
 __all__ = [
     "ConditionStatus",
@@ -186,25 +186,27 @@ def _norms(values: np.ndarray) -> np.ndarray:
 
 
 class _AtU:
-    """The sides of conditions A, D and E at a stack u of trajectories.
+    """The sides of conditions A, D and E at a stack u of trajectories on
+    a mesh; linear is the transpose of the problem's operator matrix,
+    built once per audit.
 
     What u alone decides is computed on first use and then shared by the
     conditions: the nonlinear part N(u) = F(u) - Au, the low integrals
     prefix(gamma(|u|)) and f(t, low).  Slicing slices the samples.
     """
 
-    def __init__(self, problem, spec: MajorantSpec, weights: WeightTable, u):
-        self.problem, self.spec, self.weights, self.u = problem, spec, weights, u
-        self.mesh, self.norms = weights.mesh, _norms(u)
+    def __init__(self, problem, spec: MajorantSpec, mesh: Mesh, u, linear):
+        self.problem, self.spec, self.mesh, self.u = problem, spec, mesh, u
+        self.linear, self.weights, self.norms = linear, mesh.weights, _norms(u)
 
     def __getitem__(self, key) -> _AtU:
-        return _AtU(self.problem, self.spec, self.weights, self.u[key])
+        return _AtU(self.problem, self.spec, self.mesh, self.u[key], self.linear)
 
     def _nonlinear(self, values: np.ndarray) -> np.ndarray:
         residual = eval_residual(self.problem, self.mesh, values)
         # an overflowing kernel makes this inf - inf; the check reports it
         with np.errstate(invalid="ignore", over="ignore"):
-            return residual - values @ self.problem.operator.matrix().T
+            return residual - values @ self.linear
 
     @cached_property
     def nonlinear(self) -> np.ndarray:
@@ -351,7 +353,7 @@ def _audit(
     ranges = list(_sample_blocks(sampler, n_samples))
     sides = {"A": _AtU.sides_A, "D": _AtU.sides_D, "E": _AtU.sides_E}
     checks = {c: _SampledCheck(c, mesh, sides[c]) for c in labels}
-    weights = WeightTable(mesh)
+    linear = problem.operator.matrix().T
     u_blocks, delta_blocks, v_blocks = (
         sampler.blocks(stream, ranges) for stream in (STREAM_U, STREAM_DELTA, STREAM_V)
     )
@@ -359,7 +361,7 @@ def _audit(
         live = {c: check for c, check in checks.items() if check.failure is None}
         if not live:
             break
-        at = _AtU(problem, spec, weights, next(u_blocks))
+        at = _AtU(problem, spec, mesh, next(u_blocks), linear)
         if "A" in live:
             live["A"].feed(samples, at)
         if "D" in live:

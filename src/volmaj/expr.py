@@ -206,8 +206,18 @@ def parse(text: str, allowed_vars: Iterable[str] = ()) -> Expr:
 
     allowed_vars lists the variable names the expression may mention;
     anything else raises UnknownVariableError with its byte offset.
+
+    A text parses once per process for each set of names, whatever their
+    order: later calls return the same tree, which is immutable.  A text
+    that fails is never stored, so every failing call raises a fresh
+    error.
     """
-    allowed = frozenset(allowed_vars)
+    return _parse(text, frozenset(allowed_vars))
+
+
+# bounded like _compiled; lru_cache stores no call that raised
+@functools.lru_cache(maxsize=256)
+def _parse(text: str, allowed: frozenset[str]) -> Expr:
     clash = allowed & FUNCTIONS.keys()
     if clash:
         raise ValueError(f"variable names shadow functions: {sorted(clash)}")

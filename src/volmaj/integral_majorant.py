@@ -38,7 +38,6 @@ from . import expr
 from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
 from .quadrature import (
-    WeightTable,
     _probe_rate,
     adaptive_quad,
     improper_integral,
@@ -245,13 +244,12 @@ def majorant_picard(
     The chain is nondecreasing node by node; it converges whenever the
     mesh ends strictly inside the existence window.
     """
-    weights = WeightTable(mesh)
     z = np.zeros(mesh.nodes.size)
     iterates = [z]
     delta = math.inf
     converged = False
     for _ in range(n_max):
-        integrals = weights.prefix(spec.gamma_form.map(z))
+        integrals = mesh.weights.prefix(spec.gamma_form.map(z))
         z_new = spec.f_form.map(mesh.nodes, integrals)
         if not np.all(np.isfinite(z_new)):
             raise NumericError(

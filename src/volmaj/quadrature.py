@@ -1,5 +1,6 @@
-"""Quadrature: composite trapezoid tables on a mesh, tensor-product
-nested integrals, adaptive Simpson, and improper integrals over [0, inf).
+"""Quadrature: tensor-product nested integrals on a mesh's composite
+trapezoid weights (meshes.WeightTable, re-exported here), adaptive
+Simpson, and improper integrals over [0, inf).
 
 The trapezoid rule is the workhorse because its weights are nonnegative
 for any mesh, which the domination arguments for certified bounds rely
@@ -17,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EVAL_ERRORS, CostLimitError, NumericError, SpecValidationError
-from .meshes import Mesh
+from .meshes import Mesh, WeightTable
 
 __all__ = [
     "graded_mesh",
@@ -71,43 +72,6 @@ BLOCK_ELEMENTS = 2**13
 ARRAY_MIN_POINTS = 128
 
 
-class WeightTable:
-    """Composite trapezoid weights on a mesh."""
-
-    def __init__(self, mesh: Mesh):
-        self.mesh = mesh
-        half = mesh.gaps / 2.0
-        # inside [0, t_j] node k weighs half of each gap beside it, summed
-        # as half[k] + half[k - 1]; the end node t_j only the gap before it
-        self._inner = np.concatenate([half[:1], half[1:] + half[:-1], [0.0]])
-        self._end = np.concatenate([[0.0], half])
-
-    def rows(self, js) -> np.ndarray:
-        """Weights of the integrals from 0 to t_j, one row per j in js,
-        zero-padded to max(js) + 1 columns: entry [r, k] weights the
-        sample at t_k in the integral up to t_{js[r]}."""
-        js = np.asarray(js)
-        k = np.arange(js.max() + 1)
-        w = np.where(k < js[:, None], self._inner[: k.size], 0.0)
-        w[np.arange(js.size), js] = self._end[js]
-        return w
-
-    def prefix(self, samples: np.ndarray) -> np.ndarray:
-        """Integrals from 0 to every node of a sampled integrand, along
-        the last axis, which holds one sample per node: a (S, n+1) stack
-        gives each row the integrals its 1-D call gives, bit for bit."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape[-1:] != (self.mesh.nodes.size,):
-            raise SpecValidationError(
-                "prefix needs one sample per mesh node along the last axis"
-            )
-        panels = self.mesh.gaps * (samples[..., :-1] + samples[..., 1:]) / 2.0
-        out = np.empty_like(samples)
-        out[..., 0] = 0.0
-        np.cumsum(panels, axis=-1, out=out[..., 1:])
-        return out
-
-
 def pointwise(fn, *args, array=None) -> np.ndarray:
     """A scalar function over the broadcast of its arguments (arrays or
     scalars), with the broadcast shape.  fn runs on one point at a time
@@ -155,7 +119,7 @@ def nested_integral(stage, mesh: Mesh, values: np.ndarray, rows=None) -> np.ndar
     runs as if the stage had no terms.
     """
     if stage.terms is not None and rows is None:
-        out = _separated(stage, WeightTable(mesh), values)
+        out = _separated(stage, mesh, values)
         if out is not None:
             return out
     fold = stage.fold
@@ -170,7 +134,6 @@ def nested_integral(stage, mesh: Mesh, values: np.ndarray, rows=None) -> np.ndar
     out = np.zeros((stack, rows.size, dim))
     todo = np.flatnonzero(rows > 0)
     sizes = ((rows[todo] + 1) ** fold).tolist()
-    table = WeightTable(mesh)
     start = 0
     while start < todo.size:
         # grow the block while its zero-padded array fits the budget
@@ -181,12 +144,12 @@ def nested_integral(stage, mesh: Mesh, values: np.ndarray, rows=None) -> np.ndar
         ):
             stop += 1
         block = todo[start:stop]
-        out[:, block] = _row_block(stage, table, values, rows[block])
+        out[:, block] = _row_block(stage, mesh, values, rows[block])
         start = stop
     return out
 
 
-def _separated(stage, table: WeightTable, values) -> np.ndarray | None:
+def _separated(stage, mesh: Mesh, values) -> np.ndarray | None:
     """Every node's integral of a stage from its separated terms, or
     None where a factor raises or an integral is not finite.
 
@@ -199,7 +162,7 @@ def _separated(stage, table: WeightTable, values) -> np.ndarray | None:
     direct route never evaluates node 0.
     """
     stack, size, dim = values.shape
-    nodes = table.mesh.nodes
+    nodes, table = mesh.nodes, mesh.weights
     integrals = {}
     total = np.zeros((stack, size - 1, dim))
     try:
@@ -233,10 +196,10 @@ def _separated(stage, table: WeightTable, values) -> np.ndarray | None:
     return out
 
 
-def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
+def _row_block(stage, mesh: Mesh, values, js) -> np.ndarray:
     """Integrals at the increasing nodes js > 0, in one kernel call."""
     stack, _, dim = values.shape
-    w = table.rows(js)
+    w = mesh.weights.rows(js)
     sizes = (js + 1) ** stage.fold
     i = np.arange(sizes[-1])
     valid = i < sizes[:, None]
@@ -252,8 +215,8 @@ def _row_block(stage, table: WeightTable, values, js) -> np.ndarray:
     tuples = np.stack([d[valid] for d in digits], 1)
     result = np.asarray(
         stage.evaluate(
-            np.repeat(table.mesh.nodes[js], sizes),
-            table.mesh.nodes[tuples],
+            np.repeat(mesh.nodes[js], sizes),
+            mesh.nodes[tuples],
             values[:, tuples],
         ),
         dtype=float,

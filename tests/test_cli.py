@@ -786,6 +786,44 @@ class TestDeterminism:
         for path in GOLDEN_INLINE_DIRECT.iterdir():
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
+    def test_calls_after_failures_in_one_process_write_the_golden_bytes(
+        self, tmp_path, capsys
+    ):
+        # the parser, the parsed texts and the mesh weights outlive each
+        # call; a failing call leaves nothing behind that a later one reads
+        lyapunov = (
+            "[lyapunov]\nsource = inline\nf = t*(r^2 + 1.0208)\nr_max = 10\n"
+            "t_max = 5\n[mesh]\nn = 400\n"
+        )
+        bad = ini(tmp_path, lyapunov.replace("r^2", "r@2"), "bad.ini")
+        assert main(["lyapunov", "--config", bad, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "volmaj: config error: [lyapunov] f: syntax error at byte "
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["lyapunov", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        out = tmp_path / "out"
+        cfg = ini(tmp_path, lyapunov, "k.ini")
+        assert main(["lyapunov", "--config", cfg, "--out", str(out / "k"),
+                     "--no-timestamp"]) == 0
+        direct = ini(tmp_path, INLINE_DIRECT, "direct.ini")
+        assert main(["solve", "--config", direct, "--out", str(out / "direct"),
+                     "--no-timestamp"]) == 0
+        for golden, run in (
+            (GOLDEN_K1_0208, out / "k"),
+            (GOLDEN_INLINE_DIRECT, out / "direct"),
+        ):
+            for path in run.iterdir():
+                assert path.read_bytes() == (golden / path.name).read_bytes(), path
+        assert {p.name for p in (out / "direct").iterdir()} == {
+            "solve_summary.txt",
+            "solve_table.csv",
+        }
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
     def test_timestamp_written_by_default(self, tmp_path):
         cfg = ini(tmp_path, BVP_SOLVE)
         out = tmp_path / "out"

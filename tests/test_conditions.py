@@ -238,7 +238,7 @@ class TestConstructedFailures:
 def _sides(label, problem, spec, mesh, u, *more):
     """Condition label's per-node (lhs, rhs) on a stack u of trajectories,
     from an _AtU of its own."""
-    at = _AtU(problem, spec, WeightTable(mesh), u)
+    at = _AtU(problem, spec, mesh, u, problem.operator.matrix().T)
     return getattr(at, f"sides_{label}")(*more)
 
 

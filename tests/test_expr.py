@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from volmaj import expr
 from volmaj.errors import DomainError, ExprSyntaxError, UnknownVariableError
 from volmaj.expr import BinOp, Call, Neg, Num, Var, evaluate, parse, to_text
+from volmaj.integral_majorant import MajorantSpec
 
 
 def ev(text, **env):
@@ -628,3 +629,29 @@ def test_separated_terms_split_sums_of_products():
     assert expr.separated_terms(parse("u1*u2 + t*s1", names), coords) is not None
     assert expr.separated_terms(parse("exp(u1*u2)", names), coords) is None
     assert expr.separated_terms(parse("sin(t - s1)*u1", names), coords) is None
+
+
+def test_a_text_parses_once_for_each_set_of_names():
+    # the names' container and order do not matter, only the set
+    tree = parse("t*w + sin(t)", ["t", "w"])
+    assert parse("t*w + sin(t)", ("w", "t")) is tree
+    assert parse("t*w + sin(t)", ("t", "w")) == tree
+
+
+def test_a_stored_tree_is_not_returned_for_other_names():
+    assert parse("t*w", ("t", "w")) == BinOp("*", Var("t"), Var("w"))
+    for _ in range(2):
+        with pytest.raises(UnknownVariableError) as e:
+            parse("t*w", ("w",))
+        assert e.value.offset == 0
+
+
+def test_a_bad_text_raises_a_fresh_singly_prefixed_error_every_time():
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ExprSyntaxError) as e:
+            MajorantSpec(f="w +* t", gamma="z")
+        errors.append(e.value)
+    assert errors[0] is not errors[1]
+    for error in errors:
+        assert str(error) == "f: syntax error at byte 3: unexpected character '*'"

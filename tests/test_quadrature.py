@@ -87,6 +87,24 @@ class TestWeights:
         with pytest.raises(SpecValidationError, match="last axis"):
             WeightTable(mesh).prefix(np.zeros(shape))
 
+    def test_a_mesh_owns_one_read_only_table(self):
+        mesh = graded_mesh(2.0, 17, 0.9)
+        assert mesh.weights is mesh.weights
+        assert mesh.gaps is mesh.gaps
+        table = mesh.weights
+        for array in (table._inner, table._end, table.gaps, mesh.gaps):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_the_mesh_table_is_a_fresh_table_bit_for_bit(self):
+        mesh = graded_mesh(2.0, 17, 0.9)
+        fresh, own = WeightTable(mesh), mesh.weights
+        js = np.array([1, 4, 9, 17])
+        assert np.array_equal(own.rows(js), fresh.rows(js))
+        stack = np.random.default_rng(3).uniform(-1.0, 1.0, (4, mesh.nodes.size))
+        assert np.array_equal(own.prefix(stack), fresh.prefix(stack))
+        assert np.array_equal(own.gaps, np.diff(mesh.nodes))
+
     def test_sin_convergence_order(self):
         exact = 1.0 - math.cos(1.0)
 
