@@ -15,13 +15,14 @@ r: under the convexity screen that proves a branch root exists up to
 it.  A Newton point that r witnesses no root near is rejected.
 
 The branch r(t) below the horizon is the smallest root at each node.
-Without further knowledge each node runs the monotone iteration
-r <- c * f(r, t) from 0.  Once the convexity screen has passed (f convex
-and nondecreasing in r and t on its grid), g(r) = c * f(r, t) - r is
-convex with g >= 0 left of its smallest root, so Newton's method from
-below converges to that root monotonically and never overshoots
-(Kantorovich's majorant principle); each node then starts from the
-previous node's root, since r(t) is nondecreasing.
+The spec's own convexity screen, run once per spec, chooses the method.
+If it fails, each node runs the monotone iteration r <- c * f(r, t)
+from 0.  If it passes (f convex and nondecreasing in r and t on its
+grid), g(r) = c * f(r, t) - r is convex with g >= 0 left of its
+smallest root, so Newton's method from below converges to that root
+monotonically and never overshoots (Kantorovich's majorant principle);
+each node then starts from the previous node's root, since r(t) is
+nondecreasing.
 
 The screen itself evaluates f and f_r over its 128 x 128 grid by one
 call each of their compiled array forms where those serve, and walks in
@@ -92,7 +93,9 @@ class LyapunovSpec:
     convexity screen maps each form through its array form, which gives
     the scalar form's values bit for bit for + - * /, sin, cos, sqrt and
     abs and within numpy's last ulp for exp, log, tan and ^; the tangency
-    solve and the branch call the scalar forms.
+    solve and the branch call the scalar forms.  The screen's report,
+    convexity, is computed on first use and kept: the spec is immutable,
+    so it is screened once.
     """
 
     f: str
@@ -134,6 +137,12 @@ class LyapunovSpec:
                 f"contraction at the origin requires c * f_r(0, 0) in [0, 1),"
                 f" got {slope0!r}"
             )
+
+    @functools.cached_property
+    def convexity(self) -> ConvexityReport:
+        """check_convexity's report on this map's default grid, run once
+        per spec."""
+        return check_convexity(self)
 
 
 @dataclass(frozen=True)
@@ -402,19 +411,15 @@ def _newton_node(
     return r, _BRANCH_MAX_ITER, False
 
 
-def majorant_branch(
-    spec: LyapunovSpec,
-    mesh: Mesh,
-    tol: float = 1e-12,
-    convexity: ConvexityReport | None = None,
-) -> BranchResult:
+def majorant_branch(spec: LyapunovSpec, mesh: Mesh, tol: float = 1e-12) -> BranchResult:
     """Smallest-root branch r(t) at every mesh node.
 
-    Without a passed convexity report for spec, each node iterates
-    r <- c * f(r, t) from 0, which increases monotonically to the
-    smallest root; convergence slows to O(1/k) exactly at the horizon.
+    The spec's own convexity screen, spec.convexity, chooses the method.
+    If it failed, each node iterates r <- c * f(r, t) from 0, which
+    increases monotonically to the smallest root; convergence slows to
+    O(1/k) exactly at the horizon.
 
-    With a passed report, each node runs a damped Newton iteration on
+    If it passed, each node runs a damped Newton iteration on
     g(r) = c * f(r, t) - r.  It starts from the previous node's root when
     g >= 0 and c * f_r <= 1 there, else from 0, and accepts a step only
     if the new point is evaluable with g >= 0 and c * f_r <= 1, halving
@@ -434,7 +439,7 @@ def majorant_branch(
     iterations.  A node beyond the horizon raises NumericError either
     way, as the plain iteration escapes the search box.
     """
-    newton = convexity is not None and convexity.passed
+    newton = spec.convexity.passed
     values = np.zeros(mesh.nodes.size)
     iterations = np.zeros(mesh.nodes.size, dtype=int)
     mask = np.zeros(mesh.nodes.size, dtype=bool)
@@ -575,20 +580,16 @@ def _scan(
 
 
 def solve_lyapunov(
-    spec: LyapunovSpec,
-    n: int = 200,
-    t_end: float | None = None,
-    convexity: ConvexityReport | None = None,
+    spec: LyapunovSpec, n: int = 200, t_end: float | None = None
 ) -> LyapunovSolution:
     """Tangency point plus the branch on a uniform mesh up to t_end
     (default: the witnessed horizon itself, just below the double root);
     a t_end past the witnessed horizon raises SpecValidationError.
 
-    convexity is the screen already run on spec; when it passed, the
-    branch runs the warm-started Newton iteration and the horizon node
-    converges by the stall rule of majorant_branch.  Otherwise the plain
-    iteration reaches the horizon node only like O(1/k), which the mask
-    records."""
+    When the spec's screen, spec.convexity, passed, the branch runs the
+    warm-started Newton iteration and the horizon node converges by the
+    stall rule of majorant_branch.  Otherwise the plain iteration reaches
+    the horizon node only like O(1/k), which the mask records."""
     tangency = solve_tangency(spec)
     if t_end is None:
         t_end = tangency.horizon
@@ -597,7 +598,7 @@ def solve_lyapunov(
             f"end time {t_end!r} lies beyond the horizon {tangency.horizon!r}"
         )
     mesh = graded_mesh(t_end, n, 1.0)
-    branch = majorant_branch(spec, mesh, convexity=convexity)
+    branch = majorant_branch(spec, mesh)
     return LyapunovSolution(
         tangency=tangency,
         mesh=mesh,

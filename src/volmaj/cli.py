@@ -30,12 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import expr
-from .algebraic_majorant import (
-    ConvexityReport,
-    LyapunovSpec,
-    check_convexity,
-    solve_lyapunov,
-)
+from .algebraic_majorant import LyapunovSpec, solve_lyapunov
 from .conditions import DEFAULT_SEED, ConditionStatus, run_suite
 from .corpus import (
     CorpusEntry,
@@ -52,10 +47,8 @@ from .errors import (
     VolmajError,
 )
 from .integral_majorant import (
-    BlowupReport,
     MajorantSolution,
     MajorantSpec,
-    classify_blowup,
     majorant_picard,
     solve_majorant,
 )
@@ -460,26 +453,16 @@ class _Setup:
         return self.majorant is not None and self.majorant.classifiable
 
     @functools.cached_property
-    def blowup(self) -> BlowupReport:
-        """The majorant's classification, computed on first use only."""
-        return classify_blowup(self.majorant)
-
-    @functools.cached_property
-    def convexity(self) -> ConvexityReport:
-        """The algebraic majorant's convexity screen, run on first use."""
-        return check_convexity(self.lyapunov)
-
-    @functools.cached_property
     def mesh(self) -> Mesh:
         """The run mesh every pipeline shares; a classifiable majorant's
         horizon bounds its end."""
-        horizon = self.blowup.horizon if self.majorant_classifiable else None
+        horizon = self.majorant.blowup.horizon if self.majorant_classifiable else None
         return graded_mesh(self.resolve_t_end(horizon), self.nodes(), self.ratio)
 
     @functools.cached_property
     def majorant_solution(self) -> MajorantSolution:
         """The certified majorant on the run mesh, solved on first use."""
-        return solve_majorant(self.majorant, self.mesh, classification=self.blowup)
+        return solve_majorant(self.majorant, self.mesh)
 
 
 def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
@@ -574,7 +557,7 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
 
 
 def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
-    convexity = setup.convexity
+    convexity = setup.lyapunov.convexity
     if not convexity.passed:
         kind, r, t, margin = convexity.violations[0]
         raise SpecValidationError(
@@ -583,9 +566,7 @@ def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
             f" samples; first is {kind} at r={format_number(r)},"
             f" t={format_number(t)} (margin {format_number(margin)})"
         )
-    solution = solve_lyapunov(
-        setup.lyapunov, n=setup.nodes(), t_end=setup.t_end, convexity=convexity
-    )
+    solution = solve_lyapunov(setup.lyapunov, n=setup.nodes(), t_end=setup.t_end)
     tang = solution.tangency
     pairs = [
         ("name", setup.lyapunov.name),
@@ -617,7 +598,6 @@ def _verify_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
         n_samples=setup.samples,
         seed=setup.seed,
         bound=setup.sample_bound,
-        convexity=None if setup.lyapunov is None else setup.convexity,
     )
     pairs: list[tuple[str, str]] = [("seed", str(report.seed))]
     for label in sorted(report.outcomes):

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebraic_majorant import ConvexityReport, LyapunovSpec, check_convexity
+from .algebraic_majorant import LyapunovSpec
 from .errors import EVAL_ERRORS, NumericError, SpecValidationError
 from .integral_majorant import MajorantSpec, check_upper_solution
 from .meshes import Mesh, Trajectory
@@ -471,14 +471,11 @@ def check_C(spec: MajorantSpec, mesh: Mesh | None) -> CheckOutcome:
     )
 
 
-def check_G(
-    spec: LyapunovSpec | None, convexity: ConvexityReport | None = None
-) -> CheckOutcome:
-    """Condition G from the convexity screen; a report already computed
-    for spec may be passed in."""
+def check_G(spec: LyapunovSpec | None) -> CheckOutcome:
+    """Condition G from the spec's own convexity screen, spec.convexity."""
     if spec is None:
         return _skipped("G", "no algebraic majorant declared")
-    rep = check_convexity(spec) if convexity is None else convexity
+    rep = spec.convexity
     if rep.passed:
         reason = "degenerate: f vanishes on the whole grid" if rep.degenerate else ""
         return CheckOutcome(
@@ -504,11 +501,9 @@ def run_suite(
     n_samples: int = 200,
     seed: int = DEFAULT_SEED,
     bound: float = 1.0,
-    convexity: ConvexityReport | None = None,
 ) -> ConditionReport:
     """Run every applicable condition check; inapplicable ones are
-    reported as skipped with the missing ingredient named.  convexity,
-    when given, is the screen already run on lyapunov."""
+    reported as skipped with the missing ingredient named."""
     outcomes: dict[str, CheckOutcome] = {}
     if problem is not None and mesh is None:
         raise SpecValidationError(
@@ -524,5 +519,5 @@ def run_suite(
     else:
         outcomes["B"] = check_B(majorant)
         outcomes["C"] = check_C(majorant, mesh)
-    outcomes["G"] = check_G(lyapunov, convexity)
+    outcomes["G"] = check_G(lyapunov)
     return ConditionReport(outcomes=outcomes, seed=seed)

@@ -39,7 +39,6 @@ import functools
 import math
 import operator
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Union
 
@@ -594,17 +593,13 @@ def _array_power(a, b):
     return v
 
 
-# math.pow(0.0, -inf) raises before Python 3.11 and returns inf since
-_ZERO_TO_MINUS_INF_RAISES = sys.version_info < (3, 11)
-
-
 def _power_domain(a, b) -> np.ndarray:
     """Elements where math.pow raises and numpy's power gives inf: a zero
-    base with a negative exponent (a finite one only, since Python 3.11)."""
+    base with a finite negative exponent (math.pow(0.0, -inf) is inf)."""
     zero_base = np.equal(a, 0.0)
     if not zero_base.any():
         return zero_base  # the common case: no base can fail
-    return zero_base & (b < 0.0) & (np.isfinite(b) | _ZERO_TO_MINUS_INF_RAISES)
+    return zero_base & (b < 0.0) & np.isfinite(b)
 
 
 def _array_error(offset: int) -> DomainError:

@@ -104,6 +104,8 @@ class MajorantSpec:
     use.  A form's map runs its array form, the scalar form's values bit
     for bit for + - * /, sin, cos, sqrt and abs and within numpy's last
     ulp for exp, log, tan and ^, and the scalar form where that fails.
+    The blow-up classification, blowup, is likewise computed on first use
+    and kept: the spec is immutable, so it is judged once.
     """
 
     f: str
@@ -163,6 +165,12 @@ class MajorantSpec:
         integrates 1/rate from omega = 0 and so needs a positive rate
         there."""
         return self.depends_on_t or _probe_rate(self.rate, 0.0) is not None
+
+    @functools.cached_property
+    def blowup(self) -> BlowupReport:
+        """classify_blowup's report on this majorant, computed once per
+        spec; a spec that cannot be classified raises on every use."""
+        return classify_blowup(self)
 
     @functools.cached_property
     def _rate(self) -> Callable[[float, float], float]:
@@ -539,20 +547,18 @@ def check_upper_solution(spec: MajorantSpec, mesh: Mesh) -> UpperSolutionReport:
 
 
 def solve_majorant(
-    spec: MajorantSpec,
-    mesh: Mesh,
-    tol: float = 1e-12,
-    classification: BlowupReport | None = None,
+    spec: MajorantSpec, mesh: Mesh, tol: float = 1e-12
 ) -> MajorantSolution:
     """Classify a majorant and certify it on a mesh in one call.
 
-    The mesh must end inside the existence window; passing the solver's
-    mesh lets a solver and its certificate share exact nodes.
+    The classification is the spec's own, spec.blowup, computed once per
+    spec.  The mesh must end inside the existence window; passing the
+    solver's mesh lets a solver and its certificate share exact nodes.
     certificate_bound is the pointwise maximum of the two independent
     routes: the larger of two approximations of the minimal bound, not a
     proven upper solution.
     """
-    report = classification or classify_blowup(spec)
+    report = spec.blowup
     t_end = mesh.end
     if t_end >= report.horizon:
         raise SpecValidationError(

@@ -127,10 +127,9 @@ def test_04_branch_matches_closed_form():
 
 def test_05_linear_bound_global_exponential():
     spec = MajorantSpec(f="w + 1", gamma="z", upper_solution="exp(t)")
-    report = classify_blowup(spec)
-    assert report.kind is Blowup.GLOBAL
+    assert spec.blowup.kind is Blowup.GLOBAL
     mesh = graded_mesh(1.0, 2000, 1.0)
-    solution = solve_majorant(spec, mesh=mesh, classification=report)
+    solution = solve_majorant(spec, mesh=mesh)
     exact = np.exp(mesh.nodes)
     rel = float(np.max(np.abs(solution.certificate_bound - exact) / exact))
     assert rel <= 1e-4

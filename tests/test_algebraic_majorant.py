@@ -19,6 +19,7 @@ from volmaj.algebraic_majorant import (
     solve_lyapunov,
     solve_tangency,
 )
+from volmaj.conditions import ConditionStatus, run_suite
 from volmaj.corpus import corpus_build
 from volmaj.errors import (
     EVAL_ERRORS,
@@ -60,6 +61,10 @@ EXP = LyapunovSpec(
     t_max=5.0,
     name="exponential",
 )
+
+# f falls in t past t = 1, so the screen fails, yet the branch up to
+# t = 0.45 is a smooth, nonzero smallest root
+HUMP = LyapunovSpec(f="t*r*r + t*exp(-t)", r_max=10.0, t_max=5.0, name="hump")
 
 
 def closed_branch(t):
@@ -232,12 +237,19 @@ def test_the_horizon_is_witnessed_below_the_closed_form(spec, k):
 def test_the_branch_converges_up_to_the_witnessed_horizon(spec):
     # a root exists at every node up to the printed horizon, so Newton
     # from below meets the branch tolerance at the last node too
-    convexity = check_convexity(spec)
-    assert convexity.passed
-    sol = solve_lyapunov(spec, n=50, convexity=convexity)
+    assert spec.convexity.passed
+    sol = solve_lyapunov(spec, n=50)
     assert sol.mesh.end == sol.tangency.horizon
     assert np.all(sol.converged_mask)
     assert sol.radii[-1] <= sol.tangency.radius
+
+
+def _plain_branch(spec, mesh, tol=1e-12):
+    """The plain iteration r <- c*f(r, t) from 0 at every node, whatever
+    the screen says: (values, iterations)."""
+    runs = [algebraic_majorant._plain_node(spec, float(t), tol) for t in mesh.nodes]
+    values, iterations, _ = zip(*runs)
+    return np.array(values), np.array(iterations)
 
 
 class TestBranch:
@@ -274,23 +286,22 @@ class TestNewtonBranch:
         ids=lambda spec: spec.name,
     )
     def test_matches_plain_iteration_up_to_the_horizon(self, spec):
-        convexity = check_convexity(spec)
-        assert convexity.passed
+        assert spec.convexity.passed
         mesh = graded_mesh(solve_tangency(spec).horizon, 400, 1.0)
-        fast = majorant_branch(spec, mesh, convexity=convexity)
-        plain = majorant_branch(spec, mesh)
+        fast = majorant_branch(spec, mesh)
+        plain_values, plain_iterations = _plain_branch(spec, mesh)
         inside = slice(0, -1)  # every node strictly inside the horizon
-        assert np.max(np.abs(fast.values[inside] - plain.values[inside])) < 1e-10
+        assert np.max(np.abs(fast.values[inside] - plain_values[inside])) < 1e-10
         assert np.all(fast.converged_mask[inside])
         assert np.all(np.diff(fast.values) >= 0.0)
         assert fast.iterations[-1] < 100
         # warm starts keep it near four Newton steps a node (five to
         # seven from 0); the plain iteration spends 50000 on the horizon
         assert fast.iterations.sum() < 4 * mesh.n
-        assert plain.iterations.sum() > 50000
+        assert plain_iterations.sum() > 50000
 
     def test_horizon_node_converges_with_an_exact_slope(self):
-        sol = solve_lyapunov(QUAD, n=16, convexity=check_convexity(QUAD))
+        sol = solve_lyapunov(QUAD, n=16)
         assert np.all(sol.converged_mask)
         assert sol.radii[-1] == pytest.approx(1.0, abs=1e-7)
         assert sol.radii[-1] <= 1.0
@@ -300,7 +311,7 @@ class TestNewtonBranch:
         # a finite-difference slope put the k = 1.0208 horizon 2.5e-10
         # past 0.5/sqrt(k), where the last branch node has no root
         spec = inline(f"t*(r^2 + {k!r})")
-        sol = solve_lyapunov(spec, n=400, convexity=check_convexity(spec))
+        sol = solve_lyapunov(spec, n=400)
         exact = 0.5 / math.sqrt(k)
         assert abs(sol.tangency.horizon - exact) <= 1e-15 * exact
         assert np.all(sol.converged_mask)
@@ -309,7 +320,7 @@ class TestNewtonBranch:
         # the node lies 1e-14 past the horizon 0.5, inside the tangency
         # floor but beyond a tolerance of 1e-15: no root exists there
         mesh = graded_mesh(0.5 * (1.0 + 1e-14), 40, 1.0)
-        branch = majorant_branch(QUAD, mesh, tol=1e-15, convexity=check_convexity(QUAD))
+        branch = majorant_branch(QUAD, mesh, tol=1e-15)
         assert np.all(branch.converged_mask[:-1])
         assert not branch.converged_mask[-1]
         assert branch.values[-1] == pytest.approx(1.0, abs=1e-6)
@@ -325,9 +336,10 @@ class TestNewtonBranch:
         ids=["quad far", "quad near", "inline near", "exp"],
     )
     def test_divergence_past_horizon_under_the_screen(self, spec, end):
+        assert spec.convexity.passed
         mesh = graded_mesh(end, 4, 1.0)
         with pytest.raises(NumericError, match="beyond the horizon"):
-            majorant_branch(spec, mesh, convexity=check_convexity(spec))
+            majorant_branch(spec, mesh)
 
     def test_root_outside_the_domain_of_f_is_not_claimed(self):
         # the screen passes on r <= 0.29, but past t = 0.3 the smallest
@@ -335,18 +347,54 @@ class TestNewtonBranch:
         # creep up to 0.3 and must not count as convergence; the stall
         # names the domain, not the horizon, as the cause
         spec = inline("t*(r^2 + 1) + 0*sqrt(0.3 - r)", r_max=0.29, t_max=1.0)
-        convexity = check_convexity(spec)
-        assert convexity.passed
+        assert spec.convexity.passed
         with pytest.raises(NumericError, match="outside real domain"):
-            majorant_branch(spec, graded_mesh(0.45, 9, 1.0), convexity=convexity)
+            majorant_branch(spec, graded_mesh(0.45, 9, 1.0))
 
-    def test_failed_screen_keeps_the_plain_iteration(self):
-        mesh = graded_mesh(0.5, 8, 1.0)
-        failed = dataclasses.replace(check_convexity(QUAD), passed=False)
-        plain = majorant_branch(QUAD, mesh)
-        again = majorant_branch(QUAD, mesh, convexity=failed)
-        assert np.array_equal(plain.values, again.values)
-        assert np.array_equal(plain.iterations, again.iterations)
+    @pytest.mark.parametrize("spec", [HUMP, CONCAVE], ids=lambda spec: spec.name)
+    def test_failed_screen_keeps_the_plain_iteration(self, spec, monkeypatch):
+        assert not spec.convexity.passed
+
+        def no_newton(*args):
+            raise AssertionError("Newton ran on a map that fails the screen")
+
+        monkeypatch.setattr(algebraic_majorant, "_newton_node", no_newton)
+        mesh = graded_mesh(0.45, 8, 1.0)
+        branch = majorant_branch(spec, mesh)
+        values, iterations = _plain_branch(spec, mesh)
+        assert np.array_equal(branch.values, values)
+        assert np.array_equal(branch.iterations, iterations)
+
+
+class TestOwnedScreen:
+    """A spec runs its convexity screen once, and every caller reads it."""
+
+    def test_the_screen_is_kept_and_equals_a_fresh_one(self):
+        spec = dataclasses.replace(QUAD, name="kept")
+        assert spec.convexity is spec.convexity
+        assert spec.convexity == check_convexity(spec)
+        assert CONCAVE.convexity == check_convexity(CONCAVE)
+
+    def test_one_screen_serves_branch_solve_and_condition_g(self, monkeypatch):
+        calls = []
+        screen = algebraic_majorant.check_convexity
+
+        def counted(spec, *grids):
+            calls.append(spec.name)
+            return screen(spec, *grids)
+
+        # the spec looks the module function up when first used
+        monkeypatch.setattr(algebraic_majorant, "check_convexity", counted)
+        spec = dataclasses.replace(QUAD, name="once")
+        majorant_branch(spec, graded_mesh(0.45, 9, 1.0))
+        solve_lyapunov(spec, n=16)
+        assert run_suite(lyapunov=spec).outcomes["G"].status is ConditionStatus.PASS
+        assert calls == ["once"]
+
+    def test_condition_g_reads_the_spec_s_own_screen(self):
+        outcome = run_suite(lyapunov=CONCAVE).outcomes["G"]
+        assert outcome.status is ConditionStatus.FAIL
+        assert outcome.reason.startswith(CONCAVE.convexity.violations[0][0])
 
 
 class TestConvexity:

@@ -1,5 +1,6 @@
 """End-to-end command line checks on temporary configs and outputs."""
 
+import collections
 import configparser
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from volmaj import algebraic_majorant, cli, quadrature
+from volmaj import algebraic_majorant, cli, integral_majorant, quadrature
 from volmaj.cli import (
     _SCHEMA,
     _inline_problem,
@@ -878,6 +879,30 @@ class TestCorpusCommand:
         out = str(tmp_path / "out")
         assert main(["corpus", "run", "--out", out, "--no-timestamp"]) == 5
         assert built == sorted(corpus_names())
+
+    def test_run_judges_each_spec_once(self, tmp_path, monkeypatch):
+        # counted by spec name: a freed spec's id can be reused by the next
+        judged = collections.Counter()
+
+        def counting(module, attr):
+            original = getattr(module, attr)
+
+            def counted(spec):
+                judged[attr, spec.name] += 1
+                return original(spec)
+
+            monkeypatch.setattr(module, attr, counted)
+
+        counting(integral_majorant, "classify_blowup")
+        counting(algebraic_majorant, "check_convexity")
+        out = str(tmp_path / "out")
+        assert main(["corpus", "run", "--out", out, "--no-timestamp"]) == 5
+        assert judged == {
+            ("classify_blowup", "linear_majorant(a=1, b=1)"): 1,
+            ("classify_blowup", "sine_bvp(m=21) majorant"): 1,
+            ("classify_blowup", "sqrt_pole majorant"): 1,
+            ("check_convexity", "sine_bvp(m=21) algebraic majorant"): 1,
+        }
 
     def test_unknown_entry_exits_2(self, tmp_path, capsys):
         assert main(["corpus", "run", "nonesuch", "--out", str(tmp_path)]) == 2

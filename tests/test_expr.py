@@ -528,10 +528,30 @@ def _central(tree, env, name, h):
     return (at(env[name] + h) - at(env[name] - h)) / (2.0 * h)
 
 
+def _largest_subtree(tree, envs):
+    """The largest finite magnitude any subtree of tree takes at envs."""
+    top, stack = 0.0, [tree]
+    while stack:
+        node = stack.pop()
+        stack.extend(expr._children(node).values())
+        for env in envs:
+            v = abs(evaluate(node, env))
+            if math.isfinite(v):
+                top = max(top, v)
+    return top
+
+
 @given(_trees(), _POINTS, st.sampled_from(_NAMES))
 @example(Call("abs", Var("t")), (-0.5, 0.0, 0.0), "t")
 @example(BinOp("^", Var("t"), Var("z")), (1.5, 2.5, 0.0), "z")
 @example(BinOp("/", Call("log", Var("w")), Var("t")), (0.5, 0.0, 2.0), "t")
+# 2^32 + 1 +- h rounds to a multiple of ulp(2^32) = 9.5e-7 inside the
+# tree, so both differences step 1.0014*h, not h
+@example(
+    Call("sin", Neg(BinOp("+", Var("z"), BinOp("*", Num(65536.0), Num(65536.0))))),
+    (0.0, 1.0, 0.0),
+    "z",
+)
 @settings(max_examples=500, deadline=None)
 def test_derivative_matches_a_central_difference(tree, point, name):
     tree = parse(to_text(tree), _NAMES)  # the same tree, with byte offsets
@@ -544,6 +564,8 @@ def test_derivative_matches_a_central_difference(tree, point, name):
         coarse = _central(tree, env, name, 2.0 * h)
         shifted = ({**env, name: env[name] + d} for d in (-h, 0.0, h))
         slopes = [slope_fn(*at.values()) for at in shifted]
+        stencil = ({**env, name: env[name] + d} for d in (-2 * h, -h, h, 2 * h))
+        largest = _largest_subtree(tree, list(stencil))
     except DomainError:
         return  # f or its slope is not evaluable this close to the point
     slope = slopes[1]
@@ -555,7 +577,9 @@ def test_derivative_matches_a_central_difference(tree, point, name):
         abs(s - slope) > 1e-3 * (1.0 + abs(slope)) for s in slopes
     ):
         return
-    noise = 1e-9 * (1.0 + abs(value)) / h
+    # roundoff in f, plus the step as rounded inside the tree: a subtree
+    # of magnitude M moves only by multiples of ulp(M)
+    noise = 1e-9 * (1.0 + abs(value)) / h + abs(fine) * math.ulp(largest) / h
     assert abs(slope - fine) <= 2.0 * abs(coarse - fine) + noise + 1e-9 * abs(fine), (
         to_text(tree), name, point, slope, fine, coarse
     )

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from volmaj import expr
+from volmaj import expr, integral_majorant
 from volmaj.corpus import corpus_build
 from volmaj.errors import DomainError, ExprError, NumericError, SpecValidationError
 from volmaj.integral_majorant import (
@@ -457,6 +457,47 @@ class TestSolveMajorant:
         b = solve_majorant(TAN_SPEC, graded_mesh(1.0, 500))
         assert a.classification.kind is b.classification.kind
         assert abs(a.bound[-1] - b.bound[-1]) < 1e-8  # ode route, not h^2
+
+    def test_the_window_is_the_spec_s_own(self):
+        # z*z blows up at t = 1: the certificate says so, and a mesh past
+        # that horizon is refused
+        spec = MajorantSpec(f="w + 1", gamma="z*z", name="z^2")
+        sol = solve_majorant(spec, graded_mesh(0.5, 40))
+        assert sol.classification is spec.blowup
+        assert sol.classification.kind is Blowup.VALUE
+        with pytest.raises(SpecValidationError, match="existence window"):
+            solve_majorant(spec, graded_mesh(1.5, 40))
+
+
+class TestOwnedClassification:
+    """A spec is classified once, and every caller reads that report."""
+
+    def test_the_report_is_kept_and_equals_a_fresh_one(self):
+        spec = dataclasses.replace(TAN_SPEC, name="kept")
+        assert spec.blowup is spec.blowup
+        assert spec.blowup == classify_blowup(spec)
+
+    def test_one_classification_serves_every_solve(self, monkeypatch):
+        calls = []
+        classify = integral_majorant.classify_blowup
+
+        def counted(spec):
+            calls.append(spec.name)
+            return classify(spec)
+
+        # the spec looks the module function up when first used
+        monkeypatch.setattr(integral_majorant, "classify_blowup", counted)
+        spec = dataclasses.replace(TAN_SPEC, name="once")
+        assert spec.blowup.kind is Blowup.VALUE
+        solve_majorant(spec, graded_mesh(1.0, 40))
+        solve_majorant(spec, graded_mesh(1.2, 40))
+        assert calls == ["once"]
+
+    def test_an_unclassifiable_spec_raises_on_every_use(self):
+        spec = MajorantSpec(f="w", gamma="z", name="zero rate at the origin")
+        for _ in range(2):
+            with pytest.raises(NumericError, match="cannot classify"):
+                spec.blowup
 
 
 def test_spec_validation():
