@@ -298,27 +298,61 @@ class TestForwardInversion:
         _, mesh, _ = self._solve(case, ratio)
         assert calls[0] <= 9 * mesh.nodes.size
 
-    def test_one_march_equals_a_march_per_gap(self, case, ratio):
-        # the last stage of a step is the next step's first, bit for bit
-        spec, mesh, sol = self._solve(case, ratio)
-        assert sol.omega.tobytes() == _per_gap_omega(spec, mesh).tobytes()
+
+# bounds_scan's four majorants: (f, gamma, declared pole, end time, closed
+# form of omega), each end 0.95 of the horizon or 1 for the global bound
+BOUNDS_SCAN_CASES = {
+    "value": ("w + 1", "z^2", None, 0.95, lambda t: t / (1.0 - t)),
+    "time": ("w + t", "z^2", None, 0.95 * math.pi / 2, lambda t: math.tan(t) - t),
+    "global": ("w + 1", "z", None, 1.0, math.expm1),
+    "pole": (
+        "w",
+        "1/sqrt(1 - z)",
+        1.0,
+        0.95 * 2.0 / 3.0,
+        lambda t: 1.0 - (1.0 - 1.5 * t) ** (2.0 / 3.0),
+    ),
+}
 
 
-def _per_gap_omega(spec, mesh):
-    """solve_cauchy's omega from one march per gap, each starting afresh
-    from the last node's (t, w) and next step."""
-    omega, t, w, h = [0.0], 0.0, 0.0, _FIRST_STEP
-    for node in mesh.nodes[1:].tolist():
-        t, w, h = next(_march(spec.rate_at, t, w, h, [node], _CAUCHY_RTOL))
-        omega.append(w)
-    return np.array(omega)
+def _bounds_scan_spec(case):
+    f, gamma, pole, end, _ = BOUNDS_SCAN_CASES[case]
+    return MajorantSpec(f=f, gamma=gamma, pole=pole, name=case), end
 
 
 @pytest.mark.parametrize("ratio", [1.0, 0.97])
-def test_time_dependent_march_equals_a_march_per_gap(ratio):
-    mesh = graded_mesh(1.2, 120, ratio)
-    sol = solve_cauchy(TAN_SPEC, mesh)
-    assert sol.omega.tobytes() == _per_gap_omega(TAN_SPEC, mesh).tobytes()
+@pytest.mark.parametrize("case", sorted(BOUNDS_SCAN_CASES))
+def test_inner_stops_do_not_change_the_march(case, ratio):
+    # the steps are the controller's: the mesh's nodes only read the
+    # continuous extension, and the march ends where [t_end] alone ends it
+    spec, end = _bounds_scan_spec(case)
+    nodes = graded_mesh(end, 120, ratio).nodes[1:].tolist()
+    *_, through = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, nodes, _CAUCHY_RTOL)
+    alone = next(_march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, [end], _CAUCHY_RTOL))
+    assert struct.pack("<3d", *through) == struct.pack("<3d", *alone)
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_SCAN_CASES))
+def test_rate_calls_do_not_grow_with_the_mesh(case, monkeypatch):
+    spec, end = _bounds_scan_spec(case)
+    calls = _count_rate_calls(monkeypatch)
+    counts = []
+    for n in (40, 400):
+        calls[0] = 0
+        solve_cauchy(spec, graded_mesh(end, n, 1.0))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("n", [40, 400])
+@pytest.mark.parametrize("case", sorted(BOUNDS_SCAN_CASES))
+def test_omega_matches_the_bounds_scan_closed_forms(case, n):
+    spec, end = _bounds_scan_spec(case)
+    exact = BOUNDS_SCAN_CASES[case][4]
+    mesh = graded_mesh(end, n, 1.0)
+    sol = solve_cauchy(spec, mesh)
+    for t, w in zip(mesh.nodes.tolist(), sol.omega.tolist()):
+        assert abs(w - exact(t)) <= 1e-9 * max(1.0, w)
 
 
 @pytest.mark.parametrize(
