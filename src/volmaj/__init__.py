@@ -75,7 +75,6 @@ from .quadrature import (
     adaptive_quad,
     graded_mesh,
     improper_integral,
-    integral_to_pole,
     nested_integral,
 )
 
@@ -129,7 +128,6 @@ __all__ = [
     "corpus_param_types",
     "graded_mesh",
     "improper_integral",
-    "integral_to_pole",
     "majorant_branch",
     "majorant_picard",
     "nested_integral",

@@ -11,9 +11,11 @@ whose maximal existence time is the certified horizon.  Three outcomes
 are distinguished: the bound itself escapes to infinity at a finite
 time (value blow-up), the bound stays finite while its slope escapes at
 a finite rate pole (derivative blow-up), or the bound exists globally.
-When f depends on t the horizon comes from a forward march, in t until
-w reaches 1 and then in L = log(1 + w) with t as the unknown, which
-nears a blow-up time T smoothly in L while w grows like 1/(T - t) in t.
+The horizon comes from a forward march for every f, in t until w
+reaches 1 and then in L = log(1 + w) with t as the unknown, which nears
+a blow-up time T smoothly in L while w grows like 1/(T - t) in t.  A
+march that stalls where the rate overflows or spikes is the evidence of
+a value or a derivative blow-up at the stall time.
 
 Two independent routes compute the bound on a mesh: that march to the
 last node in one call, adaptive Dormand-Prince 5(4) (J. Comput. Appl.
@@ -38,12 +40,7 @@ import numpy as np
 from . import expr
 from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
-from .quadrature import (
-    _probe_rate,
-    adaptive_quad,
-    improper_integral,
-    integral_to_pole,
-)
+from .quadrature import _probe_rate, adaptive_quad, improper_integral
 
 __all__ = [
     "Blowup",
@@ -62,12 +59,9 @@ __all__ = [
 ]
 
 
-# classify_blowup's budgets: the forward route's time and bound caps,
-# and the quadrature tolerance of the autonomous route's inverse-rate
-# integrals
+# classify_blowup's budgets: the forward march's time and bound caps
 _T_CAP = 1e8
 _OMEGA_CAP = 1e12
-_CLASSIFY_TOL = 1e-6
 
 # the forward march of w' = gamma(f(t, w)): its steps per march, its
 # first step, and its relative tolerances when it classifies and when
@@ -94,11 +88,11 @@ class MajorantSpec:
     """Scalar majorant data as expression text: the outer function f over
     (t, w) and the rate gamma over z.
 
-    pole, if given, is the point where the reduced rate
-    gamma(f(0, w)) stops being finite (only meaningful when f does not
-    depend on t).  z_max / omega_max are optional box hints for the
-    monotonicity sampler.  upper_solution, text over t, is an optional
-    closed-form candidate bound used by the dedicated audit.
+    pole, if given, is the w where the rate gamma(f(0, w)) stops being
+    finite, which a derivative blow-up reports; f must not depend on t.
+    z_max / omega_max are optional box hints for the monotonicity
+    sampler.  upper_solution, text over t, is an optional closed-form
+    candidate bound used by the dedicated audit.
 
     Every text parses at construction; the forms derived from the trees
     (f_form, gamma_form, upper_form, the exact slopes f_w_form = df/dw and
@@ -157,15 +151,19 @@ class MajorantSpec:
                 raise SpecValidationError(
                     f"{label} must be positive and finite, got {v!r}"
                 )
+        if self.pole is not None and self.depends_on_t:
+            raise SpecValidationError(
+                "pole is declared, but a rate pole combines only with"
+                " time-independent f"
+            )
 
     depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
 
     @functools.cached_property
     def classifiable(self) -> bool:
-        """Whether classify_blowup can decide this majorant: a
-        time-dependent f is marched forward, while the autonomous route
-        integrates 1/rate from omega = 0 and so needs a positive rate
-        there."""
+        """Whether classify_blowup takes this majorant: any time-dependent
+        f, and a time-independent one whose rate is positive at omega = 0,
+        since with a zero rate there the march would never leave w = 0."""
         return self.depends_on_t or _probe_rate(self.rate, 0.0) is not None
 
     @functools.cached_property
@@ -276,49 +274,23 @@ def majorant_picard(
     return PicardChain(mesh, tuple(iterates), converged, delta)
 
 
-def _detect_pole(rate: Callable[[float], float]) -> float | None:
-    """Scan for the edge of the rate's validity region.
-
-    Returns a point just inside the edge when the rate provably spikes
-    there (an actual pole), None when the rate is evaluable out to 2^60.
-    The rate is positive at 0: classify_blowup has checked classifiable.
-    """
-    prev = 0.0
-    first_bad = None
-    for k in range(0, 61):
-        w = 2.0**k
-        if _probe_rate(rate, w) is None:
-            first_bad = w
-            break
-        prev = w
-    if first_bad is None:
-        return None
-    lo, hi = prev, first_bad
-    while hi - lo > 1e-10 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if _probe_rate(rate, mid) is None:
-            hi = mid
-        else:
-            lo = mid
-    near = _probe_rate(rate, lo)
-    ref = _probe_rate(rate, 0.5 * lo) if lo > 0 else None
-    if near is None or ref is None:
-        raise NumericError(
-            f"rate validity edge near omega={hi!r} could not be probed"
-        )
-    if not (1.0 / near <= 1e-3 * (1.0 + 1.0 / ref)):
-        raise NumericError(
-            f"rate stops being evaluable near omega={hi!r} without"
-            " diverging there; cannot classify the blow-up kind"
-        )
-    return lo
-
-
 def _frozen_tail(spec: MajorantSpec, t: float, omega: float) -> float:
     # w = omega * u over rate(t, omega): an O(1) integral, to a relative tol
     r0 = spec.rate_at(t, omega)
     res = improper_integral(lambda u: spec.rate_at(t, omega + omega * u) / r0, tol=1e-3)
     return omega / r0 * res.value if res.converged else math.inf
+
+
+class MarchStall(NumericError):
+    """A forward march whose step fell below its floor at time t, with
+    the bound's w there."""
+
+    def __init__(self, t: float, w: float):
+        super().__init__(
+            f"forward integration stalled at t={t!r}: the bound escapes or"
+            " the rate stops being evaluable ahead of it"
+        )
+        self.t, self.w = t, w
 
 
 def _march(
@@ -329,7 +301,7 @@ def _march(
     stops: list[float],
     rtol: float,
     w_cap: float = math.inf,
-    swapped: bool = False,
+    state: Callable[[float, float], tuple[float, float]] | None = None,
 ) -> Iterator[tuple[float, float, float]]:
     """Integrate w' = rate(t, w) from (t, w) to the last of the
     increasing stops past t, until w reaches w_cap; yields (t, w, h) at
@@ -344,8 +316,8 @@ def _march(
     4th order continuous extension of the accepted step that passes it
     (Hairer, Norsett & Wanner, Solving ODEs I, II.6: dopri5's contd5),
     which costs no rate call and errs about 20 times more than the step.
-    A rejected step below 1e-14 max(1, t) stalls the march at t (at w if
-    swapped: w is the time).
+    A rejected step below 1e-14 max(1, t) raises MarchStall at (t, w),
+    or at state(t, w), the time and bound of a march in other variables.
     """
     isfinite = math.isfinite
     t_end, inner = stops[-1], iter(stops[:-1])
@@ -406,94 +378,101 @@ def _march(
             # a non-finite trial has scale / err = 0: the step shrinks by 10
             h = step * (0.1 if factor < 0.1 else factor)
         if h < 1e-14 * (t if t > 1.0 else 1.0):
-            raise NumericError(
-                f"forward integration stalled at t={w if swapped else t!r}: the"
-                " bound escapes or the rate stops being evaluable ahead of it"
-            )
+            raise MarchStall(*((t, w) if state is None else state(t, w)))
     else:
         raise NumericError("forward integration exceeded its step budget")
     yield t, w, h
 
 
 def _classify_forward(spec: MajorantSpec) -> BlowupReport:
-    def slope(L: float, t: float) -> float:
-        # dt/dL, L = log(1 + w): a rate not finite and positive fails the step
-        w = math.expm1(L)
+    def rate(t: float, w: float) -> float:
+        # a rate negative or not finite fails the step
         r = spec.rate_at(t, w)
-        if not 0.0 < r < math.inf:
-            raise DomainError(f"rate {r!r} at w={w!r} is not finite and positive")
-        return (1.0 + w) / r
+        if not 0.0 <= r < math.inf:
+            raise DomainError(f"rate {r!r} at w={w!r} is negative or not finite")
+        return r
 
-    march = _march(spec.rate_at, 0.0, 0.0, _FIRST_STEP, [_T_CAP], _CLASSIFY_RTOL, 1.0)
+    def slope(L: float, t: float) -> float:
+        # dt/dL, L = log(1 + w): a zero rate fails the step too
+        w = math.expm1(L)
+        return (1.0 + w) / rate(t, w)
+
+    march = _march(rate, 0.0, 0.0, _FIRST_STEP, [_T_CAP], _CLASSIFY_RTOL, 1.0)
     t, w, h = next(march)
     L, L_cap = math.log1p(w), math.log1p(_OMEGA_CAP)
     if w >= 1.0 and t < _T_CAP:
         # past w = 1, t is marched in L, where it nears the horizon smoothly
-        L, t, _ = next(_march(slope, L, t, h, [L_cap], _CLASSIFY_RTOL, _T_CAP, True))
+        L, t, _ = next(_march(slope, L, t, h, [L_cap], _CLASSIFY_RTOL, _T_CAP,
+                              lambda L, t: (t, math.expm1(L))))
         w = math.expm1(L)
-    if L >= L_cap:
-        tail = _frozen_tail(spec, t, w)
-        if math.isfinite(tail):
-            return BlowupReport(
-                Blowup.VALUE,
-                t + tail,
-                None,
-                f"forward integration reached w={w:.3e} at t={t:.12g};"
-                f" frozen-rate tail {tail:.3e}",
-            )
-        return BlowupReport(
-            Blowup.GLOBAL,
-            math.inf,
-            None,
-            f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
-            " frozen-rate tail diverges, so growth is subcritical",
-        )
-    detail = f"bound still {w:.3e} at t={t:.3e}"
+    if L < L_cap:
+        detail = f"bound still {w:.3e} at t={t:.3e}"
+        return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
+    tail = _frozen_tail(spec, t, w)
+    if math.isfinite(tail):
+        detail = (f"forward integration reached w={w:.3e} at t={t:.12g};"
+                  f" frozen-rate tail {tail:.3e}")
+        return BlowupReport(Blowup.VALUE, t + tail, None, detail)
+    detail = (f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
+              " frozen-rate tail diverges, so growth is subcritical")
     return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
+
+
+def _classify_stall(spec: MajorantSpec, stall: MarchStall) -> BlowupReport:
+    """Read a march stalled at (t, w) as evidence of what stops it.
+
+    A rate that overflows to +inf just past w is the bound escaping: a
+    value blow-up at t.  A rate that spikes at w, 1/rate(w) at most 1e-3
+    (1 + 1/rate(w/2)), is a pole: a derivative blow-up at t, the pole
+    the declared one or else w.  A declared pole below w, or one that
+    the rate does not keep rising towards, raises NumericError, and so
+    does a rate positive at w but not past it without that spike.
+    Anything else, such as a rate that is not positive at w, is no
+    evidence, and the stall is raised again.
+    """
+    t, w = stall.t, stall.w
+    rate = functools.partial(spec.rate_at, t)
+    past, near, ref = (_probe_rate(rate, x)
+                       for x in (w + 1e-9 * max(1.0, w), w, 0.5 * w))
+    if past == math.inf:
+        detail = f"rate overflows past w={w:.6g}, where the march stalled"
+        return BlowupReport(Blowup.VALUE, t, None, detail)
+    if near and ref and 1.0 / near <= 1e-3 * (1.0 + 1.0 / ref):
+        found = "declared rate pole at" if spec.pole else "detected rate pole near"
+        pole = spec.pole or w
+        mid = _probe_rate(rate, 0.5 * (w + pole))
+        if not (pole >= w and mid and mid >= near):
+            raise NumericError(f"the rate spikes near omega={w!r}, not at"
+                               f" the declared pole={pole!r}")
+        return BlowupReport(Blowup.DERIVATIVE, t, pole, f"{found} w={pole!r}")
+    if near and past is None:
+        raise NumericError(
+            f"rate stops being evaluable near omega={w!r} without"
+            " diverging there; cannot classify the blow-up kind"
+        ) from stall
+    raise stall
 
 
 def classify_blowup(spec: MajorantSpec) -> BlowupReport:
     """Decide value blow-up / derivative blow-up / global existence and
     compute the horizon.
 
-    For time-independent f the decision comes from the improper integral
-    of the inverse rate (finite: value blow-up at that time; infinite:
-    global) unless the rate has a pole, in which case the slope escapes
-    while the bound stays below f(pole) (derivative blow-up) and the
-    horizon is the integral of the inverse rate up to the pole.  A
-    time-dependent f is marched forward instead (solve_cauchy's march,
-    at _CLASSIFY_RTOL): in t up to a bound of 1, then in L = log(1 + w)
-    up to t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L; a
-    march that stalls first raises NumericError naming the time.  The
-    quadratures run to _CLASSIFY_TOL.  A spec that is not classifiable
-    raises NumericError.
+    One forward march (solve_cauchy's, at _CLASSIFY_RTOL) decides every
+    spec: in t up to a bound of 1, then in L = log(1 + w) up to
+    t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L.  At
+    the bound cap the frozen-rate tail gives the horizon of a value
+    blow-up, or global existence where it diverges; at the time cap the
+    bound exists globally.  A march that stalls first is read by
+    _classify_stall, where a rate that overflows or spikes gives the
+    kind at the stall time, and anything else raises NumericError.  A
+    spec that is not classifiable raises NumericError.
     """
     if not spec.classifiable:
         raise NumericError("rate is not positive at omega=0; cannot classify")
-    if spec.depends_on_t:
-        if spec.pole is not None:
-            raise SpecValidationError(
-                "a declared rate pole combines only with time-independent f"
-            )
+    try:
         return _classify_forward(spec)
-    rate = spec.rate
-    pole, found = spec.pole, "declared rate pole at"
-    if pole is None:
-        pole, found = _detect_pole(rate), "detected rate pole near"
-    if pole is not None:
-        horizon = integral_to_pole(rate, pole, _CLASSIFY_TOL)
-        return BlowupReport(Blowup.DERIVATIVE, horizon, pole, f"{found} w={pole!r}")
-    res = improper_integral(rate, tol=_CLASSIFY_TOL)
-    if res.converged:
-        return BlowupReport(
-            Blowup.VALUE,
-            res.value,
-            None,
-            f"inverse-rate integral converged after {len(res.trace)} panels",
-        )
-    return BlowupReport(
-        Blowup.GLOBAL, math.inf, None, "inverse-rate integral diverges"
-    )
+    except MarchStall as stall:
+        return _classify_stall(spec, stall)
 
 
 def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:

@@ -27,7 +27,6 @@ __all__ = [
     "nested_integral",
     "ImproperResult",
     "improper_integral",
-    "integral_to_pole",
     "adaptive_quad",
 ]
 
@@ -251,6 +250,10 @@ def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
+    if not math.isfinite(delta):
+        raise NumericError(
+            f"adaptive quadrature estimate on [{a!r}, {b!r}] is not finite"
+        )
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     return _simpson_rec(
@@ -263,20 +266,17 @@ def adaptive_quad(
     a: float,
     b: float,
     tol: float,
-    fb: float | None = None,
 ) -> float:
-    """Adaptive Simpson with Richardson correction.
-
-    fb overrides the sample at b, which lets a caller force a known limit
-    value at an endpoint the integrand cannot be evaluated at (the pole
-    of a rate, where 1/rate tends to 0).
+    """Adaptive Simpson with Richardson correction.  A panel whose
+    estimate is not finite raises NumericError: no tolerance can be met
+    there, and the recursion would otherwise run to _MAX_DEPTH.
     """
     if b == a:
         return 0.0
     if b < a:
         raise SpecValidationError("integration bounds must satisfy a <= b")
     fa = g(a)
-    fb = g(b) if fb is None else fb
+    fb = g(b)
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -299,7 +299,6 @@ def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
 class ImproperResult:
     converged: bool
     value: float
-    trace: tuple[tuple[float, float], ...]
 
 
 _PROBE_POINTS = (0.0, 1e-6, 0.5, 1.0, 10.0, 1e3)
@@ -310,8 +309,8 @@ def _inverse_rate(g: Callable[[float], float]) -> Callable[[float], float]:
         r = _probe_rate(g, w)
         if r is None:
             raise NumericError(
-                f"rate is not positive at omega={w!r}; classification needs a"
-                " positive rate away from a declared pole"
+                f"rate is not positive at omega={w!r}; the integral of 1/rate"
+                " needs a positive rate"
             )
         return 1.0 / r  # 0.0 at an overflowed rate
 
@@ -335,13 +334,11 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
                 f"rate must be positive on [0, inf); failed at omega={w!r}"
             )
     h = _inverse_rate(g)
-    trace: list[tuple[float, float]] = []
 
     def panel_tol(total: float) -> float:
         return max(1e-15, 0.01 * tol * max(1.0, total))
 
     total = adaptive_quad(h, 0.0, 1.0, panel_tol(0.0))
-    trace.append((1.0, total))
     incs: list[float] = []
     for k in range(1, _OCTAVES + 1):
         lo, hi = 2.0 ** (k - 1), 2.0**k
@@ -355,9 +352,8 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
 
             inc = adaptive_quad(mapped, 1.0 / hi, 1.0 / lo, panel_tol(total))
         total += inc
-        trace.append((hi, total))
         if total > _IMPROPER_CAP:
-            return ImproperResult(False, math.inf, tuple(trace))
+            return ImproperResult(False, math.inf)
         incs.append(inc)
         if len(incs) >= 2:
             scale = max(1.0, total)
@@ -369,19 +365,6 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
                 else:
                     tail = last
                 if tail < tol * scale:
-                    return ImproperResult(True, total + tail, tuple(trace))
-    return ImproperResult(False, math.inf, tuple(trace))
+                    return ImproperResult(True, total + tail)
+    return ImproperResult(False, math.inf)
 
-
-def integral_to_pole(
-    g: Callable[[float], float], pole: float, tol: float = 1e-6
-) -> float:
-    """Integral of 1/g from 0 up to a pole of g, where 1/g tends to 0.
-
-    The endpoint sample at the pole is forced to zero because g itself
-    is typically not evaluable there.
-    """
-    if not (pole > 0) or not math.isfinite(pole):
-        raise SpecValidationError(f"pole must be a positive number, got {pole!r}")
-    h = _inverse_rate(g)
-    return adaptive_quad(h, 0.0, pole, max(1e-15, 0.01 * tol), fb=0.0)

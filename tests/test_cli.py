@@ -351,9 +351,10 @@ class TestMajorant:
         assert code == 2
         assert "existence window" in capsys.readouterr().err
 
-    def test_escaping_bound_stalls_with_exit_3(self, tmp_path, capsys):
+    def test_escaping_bound_is_a_value_blowup_at_the_time_of_escape(self, tmp_path):
         # exp(z) overflows once w passes about 710, far below the bound
-        # cap, so the forward march stalls where the bound escapes
+        # cap, so the forward march stalls where the bound escapes, and
+        # the overflow past the stall makes it a value blow-up there
         cfg = ini(
             tmp_path,
             """
@@ -363,14 +364,50 @@ class TestMajorant:
             gamma = exp(z) - 1 + z^1.5
             """,
         )
+        out = tmp_path / "o"
+        code = main(["majorant", "--config", cfg, "--out", str(out), "--no-timestamp"])
+        assert code == 0
+        summary = (out / "majorant_summary.txt").read_text()
+        assert "classification = ValueBlowUp\n" in summary
+        # the horizon is the time the bound escapes at, not log(1 + w)
+        t = float(summary.split("horizon = ")[1].split("\n")[0])
+        assert abs(t - 0.8202552) <= 1e-6
+
+    def test_rate_turning_negative_exits_3_naming_the_time(self, tmp_path, capsys):
+        # the rate 1 - t turns negative at t = 1; marching it drove w to
+        # about -5e15 and log1p(w) raised ValueError, a traceback
+        cfg = ini(
+            tmp_path,
+            """
+            [majorant]
+            source = inline
+            f = 1 - t
+            gamma = z
+
+            [mesh]
+            t_end = 0.5
+            """,
+        )
         code = main(["majorant", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--no-timestamp"])
         assert code == 3
-        err = capsys.readouterr().err
-        assert "the bound escapes" in err
-        # the stall names the time the bound escapes at, not log(1 + w)
-        t = float(err.split("stalled at t=")[1].split(":")[0])
-        assert abs(t - 0.8202552) <= 1e-6
+        assert "stalled at t=1." in capsys.readouterr().err
+
+    def test_declared_pole_with_time_dependent_f_exits_2(self, tmp_path, capsys):
+        cfg = ini(
+            tmp_path,
+            """
+            [majorant]
+            source = inline
+            f = w + t
+            gamma = z
+            pole = 1
+            """,
+        )
+        code = main(["majorant", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--no-timestamp"])
+        assert code == 2
+        assert "pole" in capsys.readouterr().err
 
 
 class TestLyapunov:

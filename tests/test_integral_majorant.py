@@ -15,10 +15,10 @@ from volmaj.corpus import corpus_build
 from volmaj.errors import DomainError, ExprError, NumericError, SpecValidationError
 from volmaj.integral_majorant import (
     _CAUCHY_RTOL,
-    _CLASSIFY_TOL,
     _FIRST_STEP,
     Blowup,
     MajorantSpec,
+    MarchStall,
     _frozen_tail,
     _march,
     certified_tail,
@@ -73,7 +73,7 @@ class TestClassification:
         spec = MajorantSpec(f="w", gamma="1 + z*z", name="arctan map")
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.VALUE
-        assert rep.horizon == pytest.approx(math.pi / 2, abs=1e-6)
+        assert abs(rep.horizon - math.pi / 2) <= 1e-10 * math.pi / 2
 
     def test_time_dependent_value_blowup(self):
         rep = classify_blowup(TAN_SPEC)
@@ -104,7 +104,7 @@ class TestClassification:
         spec = MajorantSpec(f="w", gamma="(1 - z)^-0.5", pole=1.0, name="rate pole")
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.DERIVATIVE
-        assert rep.horizon == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert abs(rep.horizon - 2.0 / 3.0) <= 1e-10 * 2.0 / 3.0
         assert rep.pole == 1.0
 
     def test_derivative_blowup_detected_pole(self):
@@ -113,14 +113,51 @@ class TestClassification:
         rep = classify_blowup(spec)
         assert rep.kind is Blowup.DERIVATIVE
         assert rep.pole == pytest.approx(1.0, abs=1e-9)
-        assert rep.horizon == pytest.approx(2.0 / 3.0, abs=1e-6)
+        assert abs(rep.horizon - 2.0 / 3.0) <= 1e-10 * 2.0 / 3.0
+
+    @pytest.mark.parametrize("pole", [0.5, 1.0001, 5.0])
+    def test_declared_pole_away_from_the_spike_is_refused(self, pole):
+        # the bound passes 0.5, and the rate is not evaluable past 1
+        spec = MajorantSpec(f="w", gamma="(1 - z)^-0.5", pole=pole)
+        with pytest.raises(NumericError, match="not at the declared pole"):
+            classify_blowup(spec)
 
     def test_value_horizon_within_the_fixed_tolerance(self):
         # z^2 with f = w + 1 blows up in value at t = 1; a tolerance of
         # 1e-2 put the horizon past it, at 1.00006698
         rep = classify_blowup(MajorantSpec(f="w + 1", gamma="z*z", name="z^2"))
         assert rep.kind is Blowup.VALUE
-        assert rep.horizon == pytest.approx(1.0, abs=_CLASSIFY_TOL)
+        assert abs(rep.horizon - 1.0) <= 1e-10
+
+    def test_overflowing_rate_is_a_value_blowup_at_the_stall(self):
+        # exp(z) overflows once w passes about 709.78, where the march
+        # stalls 1.8e-11 past the horizon 1 (octave quadrature of 1/rate
+        # put it 1.18e-9 past)
+        rep = classify_blowup(MajorantSpec(f="w", gamma="exp(z)"))
+        assert rep.kind is Blowup.VALUE
+        assert abs(rep.horizon - 1.0) <= 1e-10
+
+    def test_edge_without_divergence_cannot_be_classified(self):
+        # the rate is 1 at w = 1 and not evaluable past it: an edge, not
+        # a pole
+        spec = MajorantSpec(f="w", gamma="1 + sqrt(1 - z)")
+        with pytest.raises(NumericError, match="without diverging there"):
+            classify_blowup(spec)
+
+    def test_subnormal_rate_is_global_within_a_rate_call_budget(self, monkeypatch):
+        # 1/rate overflows to inf; octave quadrature of it never ended
+        calls = _count_rate_calls(monkeypatch, budget=1000)
+        rep = classify_blowup(MajorantSpec(f="w + 1", gamma="2.5e-320"))
+        assert rep.kind is Blowup.GLOBAL
+        assert 0 < calls[0] <= 1000
+
+    def test_rate_turning_negative_stalls_and_is_no_blowup(self):
+        # the rate 1 - t turns negative at t = 1: the march refuses it
+        # there, and the stall is raised, not read as a blow-up kind
+        spec = MajorantSpec(f="1 - t", gamma="z")
+        with pytest.raises(MarchStall, match="stalled at t=") as info:
+            classify_blowup(spec)
+        assert abs(info.value.t - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("f, gamma", [("w", "0"), ("w", "z"), ("w*w", "z")])
     def test_rate_zero_at_origin_is_not_classifiable(self, f, gamma):
@@ -147,13 +184,15 @@ def _forward_spec(gamma):
     return MajorantSpec(f="w + t", gamma=gamma)
 
 
-def _count_rate_calls(monkeypatch):
-    """A one-item list counting MajorantSpec.rate_at calls from now on."""
+def _count_rate_calls(monkeypatch, budget=math.inf):
+    """A one-item list counting MajorantSpec.rate_at calls from now on;
+    a call past the budget fails the test."""
     calls = [0]
     rate_at = MajorantSpec.rate_at
 
     def counted(self, t, w):
         calls[0] += 1
+        assert calls[0] <= budget, f"more than {budget} rate calls"
         return rate_at(self, t, w)
 
     monkeypatch.setattr(MajorantSpec, "rate_at", counted)
@@ -205,15 +244,14 @@ class TestForwardClassification:
         assert tail == pytest.approx(1.0 / (omega + t), rel=1e-5)
         assert calls[0] <= 100
 
-    def test_overflowing_rate_stalls_at_the_time_of_escape(self):
+    def test_overflowing_rate_blows_up_at_the_time_of_escape(self):
         # exp(z) overflows to inf once the bound passes about 710: the march
         # in L must not read the overflow as a rate so fast the time
-        # freezes, which would turn the escape into Global
-        spec = _forward_spec("exp(z) - 1 + z^1.5")
-        with pytest.raises(NumericError, match="stalled at t=") as info:
-            classify_blowup(spec)
-        t = float(re.search(r"stalled at t=([^:]+):", str(info.value)).group(1))
-        assert abs(t - 0.8202552) <= 1e-6
+        # freezes, which would turn the escape into Global; it stalls
+        # there, and the overflow past the stall is a value blow-up
+        rep = classify_blowup(_forward_spec("exp(z) - 1 + z^1.5"))
+        assert rep.kind is Blowup.VALUE
+        assert abs(rep.horizon - 0.8202552) <= 1e-6
 
 
 class TestCauchyRoute:
@@ -541,6 +579,11 @@ def test_spec_validation():
         MajorantSpec(f="w", gamma="-1", name="negative rate")
     with pytest.raises(SpecValidationError):
         MajorantSpec(f="w", gamma="z", pole=-1.0, name="bad pole")
+
+
+def test_declared_pole_with_time_dependent_f_fails_at_construction():
+    with pytest.raises(SpecValidationError, match="pole"):
+        MajorantSpec(f="w + t", gamma="z", pole=1.0)
 
 
 class TestSpecFromText:

@@ -21,7 +21,6 @@ from volmaj.quadrature import (
     adaptive_quad,
     graded_mesh,
     improper_integral,
-    integral_to_pole,
     nested_integral,
     pointwise,
 )
@@ -465,28 +464,9 @@ class TestImproper:
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_trace_monotone(self):
-        r = improper_integral(lambda w: 1.0 + w * w)
-        trace = np.asarray(r.trace)  # rows of (upper limit, running total)
-        assert np.all(np.diff(trace[:, 1]) >= -1e-15)
-
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(NumericError):
             improper_integral(lambda w: w - 0.5)
-
-
-class TestPoleIntegral:
-    def test_sqrt_pole(self):
-        got = integral_to_pole(lambda w: (1.0 - w) ** -0.5, 1.0)
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-6)
-
-    def test_linear_pole(self):
-        got = integral_to_pole(lambda w: 1.0 / (1.0 - w), 1.0)
-        assert got == pytest.approx(0.5, abs=1e-6)
-
-    def test_zero_pole_rejected(self):
-        with pytest.raises(SpecValidationError):
-            integral_to_pole(lambda w: 1.0, 0.0)
 
 
 class TestGradedMesh:
@@ -535,12 +515,24 @@ def test_adaptive_quad_sin():
     assert got == pytest.approx(2.0, abs=1e-10)
 
 
-def test_adaptive_quad_endpoint_injection():
-    # endpoint forced to zero lets integrable spikes at b pass through
-    got = adaptive_quad(
-        lambda x: math.sqrt(max(1.0 - x, 0.0)), 0.0, 1.0, 1e-12, fb=0.0
-    )
+def test_adaptive_quad_square_root_edge():
+    # the integrand's slope is infinite at b
+    got = adaptive_quad(lambda x: math.sqrt(1.0 - x), 0.0, 1.0, 1e-12)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+def test_adaptive_quad_refuses_a_non_finite_estimate():
+    # +inf past s = 0.5 once made every panel's delta NaN, so the
+    # recursion ran to its full depth: about 2^48 integrand calls
+    calls = [0]
+
+    def g(s):
+        calls[0] += 1
+        assert calls[0] <= 100, "adaptive_quad passed 100 integrand calls"
+        return math.inf if s > 0.5 else 1.0
+
+    with pytest.raises(NumericError, match="not finite"):
+        adaptive_quad(g, 0.0, 1.0, 1e-12)
 
 
 class TestPointwise:
