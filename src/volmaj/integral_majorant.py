@@ -13,9 +13,10 @@ time (value blow-up), the bound stays finite while its slope escapes at
 a finite rate pole (derivative blow-up), or the bound exists globally.
 The horizon comes from a forward march for every f, in t until w
 reaches 1 and then in L = log(1 + w) with t as the unknown, which nears
-a blow-up time T smoothly in L while w grows like 1/(T - t) in t.  A
-march that stalls where the rate overflows or spikes is the evidence of
-a value or a derivative blow-up at the stall time.
+a blow-up time T smoothly in L while w grows like 1/(T - t) in t, and
+takes over where the march in t stalls.  A march in L that stalls where
+the rate overflows, or stops with a spike, is the evidence of a value
+or a derivative blow-up at the stall time.
 
 Two independent routes compute the bound on a mesh: that march to the
 last node in one call, adaptive Dormand-Prince 5(4) (J. Comput. Appl.
@@ -384,52 +385,13 @@ def _march(
     yield t, w, h
 
 
-def _classify_forward(spec: MajorantSpec) -> BlowupReport:
-    def rate(t: float, w: float) -> float:
-        # a rate negative or not finite fails the step
-        r = spec.rate_at(t, w)
-        if not 0.0 <= r < math.inf:
-            raise DomainError(f"rate {r!r} at w={w!r} is negative or not finite")
-        return r
-
-    def slope(L: float, t: float) -> float:
-        # dt/dL, L = log(1 + w): a zero rate fails the step too
-        w = math.expm1(L)
-        return (1.0 + w) / rate(t, w)
-
-    march = _march(rate, 0.0, 0.0, _FIRST_STEP, [_T_CAP], _CLASSIFY_RTOL, 1.0)
-    t, w, h = next(march)
-    L, L_cap = math.log1p(w), math.log1p(_OMEGA_CAP)
-    if w >= 1.0 and t < _T_CAP:
-        # past w = 1, t is marched in L, where it nears the horizon smoothly
-        L, t, _ = next(_march(slope, L, t, h, [L_cap], _CLASSIFY_RTOL, _T_CAP,
-                              lambda L, t: (t, math.expm1(L))))
-        w = math.expm1(L)
-    if L < L_cap:
-        detail = f"bound still {w:.3e} at t={t:.3e}"
-        return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
-    tail = _frozen_tail(spec, t, w)
-    if math.isfinite(tail):
-        detail = (f"forward integration reached w={w:.3e} at t={t:.12g};"
-                  f" frozen-rate tail {tail:.3e}")
-        return BlowupReport(Blowup.VALUE, t + tail, None, detail)
-    detail = (f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
-              " frozen-rate tail diverges, so growth is subcritical")
-    return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
-
-
 def _classify_stall(spec: MajorantSpec, stall: MarchStall) -> BlowupReport:
-    """Read a march stalled at (t, w) as evidence of what stops it.
-
-    A rate that overflows to +inf just past w is the bound escaping: a
-    value blow-up at t.  A rate that spikes at w, 1/rate(w) at most 1e-3
-    (1 + 1/rate(w/2)), is a pole: a derivative blow-up at t, the pole
-    the declared one or else w.  A declared pole below w, or one that
-    the rate does not keep rising towards, raises NumericError, and so
-    does a rate positive at w but not past it without that spike.
-    Anything else, such as a rate that is not positive at w, is no
-    evidence, and the stall is raised again.
-    """
+    """Read a march in L stalled at (t, w): a rate that overflows just
+    past w is a value blow-up at t.  A rate positive at w and not
+    evaluable 1e-9 max(1, w) past it is an edge, and a pole where
+    1/rate(w) is at most 1e-3 (1 + 1/rate(w/2)): a derivative blow-up
+    at t.  An edge without that spike, or a declared pole the rate does
+    not rise towards, raises NumericError; else the stall is raised."""
     t, w = stall.t, stall.w
     rate = functools.partial(spec.rate_at, t)
     past, near, ref = (_probe_rate(rate, x)
@@ -437,20 +399,20 @@ def _classify_stall(spec: MajorantSpec, stall: MarchStall) -> BlowupReport:
     if past == math.inf:
         detail = f"rate overflows past w={w:.6g}, where the march stalled"
         return BlowupReport(Blowup.VALUE, t, None, detail)
-    if near and ref and 1.0 / near <= 1e-3 * (1.0 + 1.0 / ref):
-        found = "declared rate pole at" if spec.pole else "detected rate pole near"
-        pole = spec.pole or w
-        mid = _probe_rate(rate, 0.5 * (w + pole))
-        if not (pole >= w and mid and mid >= near):
-            raise NumericError(f"the rate spikes near omega={w!r}, not at"
-                               f" the declared pole={pole!r}")
-        return BlowupReport(Blowup.DERIVATIVE, t, pole, f"{found} w={pole!r}")
-    if near and past is None:
+    if not (near and past is None):
+        raise stall
+    if not (ref and 1.0 / near <= 1e-3 * (1.0 + 1.0 / ref)):
         raise NumericError(
             f"rate stops being evaluable near omega={w!r} without"
             " diverging there; cannot classify the blow-up kind"
         ) from stall
-    raise stall
+    found = "declared rate pole at" if spec.pole else "detected rate pole near"
+    pole = spec.pole or w
+    mid = _probe_rate(rate, 0.5 * (w + pole))
+    if not (pole >= w and mid and mid >= near):
+        raise NumericError(f"the rate spikes near omega={w!r}, not at"
+                           f" the declared pole={pole!r}")
+    return BlowupReport(Blowup.DERIVATIVE, t, pole, f"{found} w={pole!r}")
 
 
 def classify_blowup(spec: MajorantSpec) -> BlowupReport:
@@ -462,17 +424,60 @@ def classify_blowup(spec: MajorantSpec) -> BlowupReport:
     t = _T_CAP or L = log(1 + _OMEGA_CAP), the cap decided in L.  At
     the bound cap the frozen-rate tail gives the horizon of a value
     blow-up, or global existence where it diverges; at the time cap the
-    bound exists globally.  A march that stalls first is read by
-    _classify_stall, where a rate that overflows or spikes gives the
-    kind at the stall time, and anything else raises NumericError.  A
-    spec that is not classifiable raises NumericError.
+    bound exists globally.  A march in t that stalls hands over to L,
+    which must then end within 1e-9 max(1, t) of the stall time, or the
+    stall is raised.  A march in L that stalls is read by
+    _classify_stall.  A spec that is not classifiable raises
+    NumericError.
     """
     if not spec.classifiable:
         raise NumericError("rate is not positive at omega=0; cannot classify")
+
+    def rate(t: float, w: float) -> float:
+        # a rate below -1e-12, the roundoff the origin allows, fails a step
+        r = spec.rate_at(t, w)
+        if not -1e-12 <= r < math.inf:
+            raise DomainError(f"rate {r!r} at w={w!r} is negative or not finite")
+        return r if r > 0.0 else 0.0
+
+    def slope(L: float, t: float) -> float:
+        # dt/dL, L = log(1 + w): a zero rate fails the step too
+        w = math.expm1(L)
+        return (1.0 + w) / rate(t, w)
+
+    t_cap, first = _T_CAP, None
     try:
-        return _classify_forward(spec)
+        t, w, h = next(_march(rate, 0.0, 0.0, _FIRST_STEP, [_T_CAP],
+                              _CLASSIFY_RTOL, 1.0))
     except MarchStall as stall:
-        return _classify_stall(spec, stall)
+        # w too steep in t to step on, as below a pole: L marches on, but
+        # only just past the stall time, or it might step across a spike
+        # of the rate, such as a pole of even order, that it cannot see
+        t, w, h, first = stall.t, stall.w, _FIRST_STEP, stall
+        t_cap = t + 1e-9 * max(1.0, t)
+    L, L_cap = math.log1p(w), math.log1p(_OMEGA_CAP)
+    if t < t_cap:
+        # t is marched in L, where it nears the horizon smoothly and
+        # stalls only where the rate stops or overflows
+        try:
+            L, t, _ = next(_march(slope, L, t, h, [L_cap], _CLASSIFY_RTOL,
+                                  t_cap, lambda L, t: (t, math.expm1(L))))
+        except MarchStall as stall:
+            return _classify_stall(spec, stall)
+        w = math.expm1(L)
+    if first and L < L_cap:
+        raise first
+    if L < L_cap:
+        detail = f"bound still {w:.3e} at t={t:.3e}"
+        return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
+    tail = _frozen_tail(spec, t, w)
+    if math.isfinite(tail):
+        detail = (f"forward integration reached w={w:.3e} at t={t:.12g};"
+                  f" frozen-rate tail {tail:.3e}")
+        return BlowupReport(Blowup.VALUE, t + tail, None, detail)
+    detail = (f"bound exceeded {_OMEGA_CAP:.1e} at t={t:.6g} but the"
+              " frozen-rate tail diverges, so growth is subcritical")
+    return BlowupReport(Blowup.GLOBAL, math.inf, None, detail)
 
 
 def solve_cauchy(spec: MajorantSpec, mesh: Mesh) -> CauchySolution:
@@ -506,16 +511,12 @@ def certified_tail(chain: PicardChain, z_plus: np.ndarray) -> np.ndarray:
         diff = z_plus - z
         low = float(np.min(diff))
         if low < -_TAIL_SLACK:
-            raise NumericError(
-                f"iterate {n} exceeds the certified bound by {-low:.3e}"
-            )
+            raise NumericError(f"iterate {n} exceeds the certified bound by {-low:.3e}")
         rows.append(np.maximum(diff, 0.0))
     tails = np.vstack(rows)
     drops = np.diff(tails, axis=0)
     if drops.size and float(np.max(drops)) > _TAIL_SLACK:
-        raise NumericError(
-            "certified tails are not nonincreasing along the chain"
-        )
+        raise NumericError("certified tails are not nonincreasing along the chain")
     return tails
 
 
@@ -544,9 +545,7 @@ def check_upper_solution(spec: MajorantSpec, mesh: Mesh) -> UpperSolutionReport:
         if margin < -_UPPER_SLACK and first_bad is None:
             first_bad = j
     node = 0 if first_bad is None else first_bad
-    return UpperSolutionReport(
-        first_bad is None, worst, node, float(mesh.nodes[node])
-    )
+    return UpperSolutionReport(first_bad is None, worst, node, float(mesh.nodes[node]))
 
 
 def solve_majorant(

@@ -299,6 +299,7 @@ def _probe_rate(g: Callable[[float], float], w: float) -> float | None:
 class ImproperResult:
     converged: bool
     value: float
+    trace: tuple[tuple[float, float], ...]
 
 
 _PROBE_POINTS = (0.0, 1e-6, 0.5, 1.0, 10.0, 1e3)
@@ -328,17 +329,16 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
     shrink: equal ones are a logarithmic divergence.
     """
     for w in _PROBE_POINTS:
-        r = _probe_rate(g, w)
-        if r is None or (w == 0.0 and r == 0.0):
-            raise NumericError(
-                f"rate must be positive on [0, inf); failed at omega={w!r}"
-            )
+        if _probe_rate(g, w) is None:
+            raise NumericError(f"rate must be positive on [0, inf); failed at omega={w!r}")
     h = _inverse_rate(g)
+    trace: list[tuple[float, float]] = []
 
     def panel_tol(total: float) -> float:
         return max(1e-15, 0.01 * tol * max(1.0, total))
 
     total = adaptive_quad(h, 0.0, 1.0, panel_tol(0.0))
+    trace.append((1.0, total))
     incs: list[float] = []
     for k in range(1, _OCTAVES + 1):
         lo, hi = 2.0 ** (k - 1), 2.0**k
@@ -352,8 +352,9 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
 
             inc = adaptive_quad(mapped, 1.0 / hi, 1.0 / lo, panel_tol(total))
         total += inc
+        trace.append((hi, total))
         if total > _IMPROPER_CAP:
-            return ImproperResult(False, math.inf)
+            return ImproperResult(False, math.inf, tuple(trace))
         incs.append(inc)
         if len(incs) >= 2:
             scale = max(1.0, total)
@@ -365,6 +366,6 @@ def improper_integral(g: Callable[[float], float], tol: float = 1e-6) -> Imprope
                 else:
                     tail = last
                 if tail < tol * scale:
-                    return ImproperResult(True, total + tail)
-    return ImproperResult(False, math.inf)
+                    return ImproperResult(True, total + tail, tuple(trace))
+    return ImproperResult(False, math.inf, tuple(trace))
 

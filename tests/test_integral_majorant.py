@@ -115,6 +115,39 @@ class TestClassification:
         assert rep.pole == pytest.approx(1.0, abs=1e-9)
         assert abs(rep.horizon - 2.0 / 3.0) <= 1e-10 * 2.0 / 3.0
 
+    @pytest.mark.parametrize("gamma, horizon", [("1/(1 - z)", 0.5), ("(1 - z)^-3", 0.25)])
+    def test_pole_below_one_is_a_derivative_blowup(self, gamma, horizon):
+        # the march in t stalls 1.9e-7 (6.3e-4) below the pole; the march
+        # in L takes over there and stalls where the rate stops
+        rep = classify_blowup(MajorantSpec(f="w", gamma=gamma))
+        assert rep.kind is Blowup.DERIVATIVE
+        assert abs(rep.horizon - horizon) <= 1e-9 * horizon
+        assert rep.pole == pytest.approx(1.0, abs=1e-9)
+
+    def test_even_order_pole_is_not_stepped_across(self):
+        # (1 - z)^-2 is positive past its pole, so the march in L, taking
+        # over where the march in t stalled, would step across it to Global
+        spec = MajorantSpec(f="w", gamma="(1 - z)^-2")
+        with pytest.raises(MarchStall) as info:
+            classify_blowup(spec)
+        assert abs(info.value.t - 1.0 / 3.0) <= 1e-9
+
+    @pytest.mark.parametrize("f", ["w", "w + t"])
+    @pytest.mark.parametrize("k", [100, 1000])
+    def test_steep_exponential_is_a_value_blowup(self, f, k):
+        # the rate stays finite to w = 709.78 / k; at k = 1000 the march
+        # in t stalls at w = 0.023, where the rate is 1.3e10: a steep
+        # bound, not a rate pole (k = 100 reaches w = 1 first)
+        rep = classify_blowup(MajorantSpec(f=f, gamma=f"exp({k}*z)"))
+        assert rep.kind is Blowup.VALUE
+        if f == "w":
+            assert abs(rep.horizon - 1.0 / k) <= 1e-10
+
+    def test_rate_rounding_negative_at_the_origin_is_marched(self):
+        # 0.3 - 0.1 - 0.2 is -2.8e-17, within the roundoff the origin allows
+        rep = classify_blowup(MajorantSpec(f="w + t", gamma="z + 0.3 - 0.1 - 0.2"))
+        assert rep.kind is Blowup.GLOBAL
+
     @pytest.mark.parametrize("pole", [0.5, 1.0001, 5.0])
     def test_declared_pole_away_from_the_spike_is_refused(self, pole):
         # the bound passes 0.5, and the rate is not evaluable past 1

@@ -464,6 +464,11 @@ class TestImproper:
         assert r.converged
         assert r.value == pytest.approx(1.0, abs=1e-8)
 
+    def test_trace_monotone(self):
+        r = improper_integral(lambda w: 1.0 + w * w)
+        trace = np.asarray(r.trace)  # rows of (upper limit, running total)
+        assert np.all(np.diff(trace[:, 1]) >= -1e-15)
+
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(NumericError):
             improper_integral(lambda w: w - 0.5)
