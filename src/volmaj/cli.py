@@ -49,7 +49,6 @@ from .errors import (
 from .integral_majorant import (
     MajorantSolution,
     MajorantSpec,
-    majorant_picard,
     solve_majorant,
 )
 from .meshes import Mesh
@@ -443,20 +442,14 @@ class _Setup:
             return 1.0
         raise SpecValidationError(
             "no end time: set [mesh] t_end (required when the bound exists"
-            " globally or is not classified)"
+            " globally)"
         )
-
-    @property
-    def majorant_classifiable(self) -> bool:
-        """Whether there is a majorant whose horizon can be classified,
-        not only iterated (see MajorantSpec.classifiable)."""
-        return self.majorant is not None and self.majorant.classifiable
 
     @functools.cached_property
     def mesh(self) -> Mesh:
-        """The run mesh every pipeline shares; a classifiable majorant's
-        horizon bounds its end."""
-        horizon = self.majorant.blowup.horizon if self.majorant_classifiable else None
+        """The run mesh every pipeline shares; a majorant's horizon
+        bounds its end."""
+        horizon = None if self.majorant is None else self.majorant.blowup.horizon
         return graded_mesh(self.resolve_t_end(horizon), self.nodes(), self.ratio)
 
     @functools.cached_property
@@ -466,50 +459,35 @@ class _Setup:
 
 
 def _majorant_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
-    """Write majorant_summary.txt / majorant_table.csv; a majorant that
-    cannot be classified gets its chain alone."""
-    spec, mesh = setup.majorant, setup.mesh
-    solution = None
-    if setup.majorant_classifiable:
-        solution = setup.majorant_solution
-        chain, report = solution.chain, solution.classification
-        found = [
-            ("classification", report.kind.value),
-            ("horizon", format_number(report.horizon)),
-            ("pole", "none" if report.pole is None else format_number(report.pole)),
-            ("detail", report.detail),
-        ]
-        header = ["t", "omega_plus", "z_plus", "z_last"]
-        columns = [solution.omega, solution.certificate_bound]
-    else:
-        chain = majorant_picard(spec, mesh)
-        found = [("classification", "skipped (rate degenerate at zero)")]
-        header = ["t", "omega_last", "z_last"]
-        columns = [mesh.weights.prefix(spec.gamma_form.map(chain.final))]
+    """Write majorant_summary.txt / majorant_table.csv."""
+    solution, mesh = setup.majorant_solution, setup.mesh
+    chain, report = solution.chain, solution.classification
     pairs = [
-        ("name", spec.name),
-        *found,
+        ("name", setup.majorant.name),
+        ("classification", report.kind.value),
+        ("horizon", format_number(report.horizon)),
+        ("pole", "none" if report.pole is None else format_number(report.pole)),
+        ("detail", report.detail),
         ("t_end", format_number(mesh.end)),
         ("nodes", str(mesh.n)),
         ("ratio", format_number(setup.ratio)),
         ("chain_iterations", str(chain.count - 1)),
         ("chain_converged", "yes" if chain.converged else "no"),
         ("final_delta", format_number(chain.final_delta)),
+        ("routes_gap", format_number(np.max(np.abs(solution.bound - chain.final)))),
     ]
-    if solution is not None:
-        gap = np.max(np.abs(solution.bound - chain.final))
-        pairs.append(("routes_gap", format_number(gap)))
     _write_summary(
         os.path.join(out, "majorant_summary.txt"), "majorant", pairs, timestamp
     )
-    table = [mesh.nodes, *columns, chain.final]
+    header = ["t", "omega_plus", "z_plus", "z_last"]
+    table = [mesh.nodes, solution.omega, solution.certificate_bound, chain.final]
     _write_table(os.path.join(out, "majorant_table.csv"), header, table)
     return EXIT_OK
 
 
 def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     problem, mesh = setup.problem, setup.mesh
-    majorant_solution = setup.majorant_solution if setup.majorant_classifiable else None
+    majorant_solution = None if setup.majorant is None else setup.majorant_solution
     result = solve_main(
         problem,
         mesh,

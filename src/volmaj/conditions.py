@@ -395,21 +395,23 @@ def check_D_and_E(
     return outcomes["D"], outcomes["E"]
 
 
-# condition B's box: its t range and the points per z or w grid
+# condition B's box: its least t range and the points per z or w grid
 _B_T_HI = 2.0
 _B_POINTS = 128
 
 
-def check_B(spec: MajorantSpec) -> CheckOutcome:
-    """Grid monotonicity of gamma on [0, z_max] and of f on [0, _B_T_HI]
-    x [0, omega_max] from one call each, f's columns of fixed w being the
-    slice grid[:, ::8].T; the worst margin is the first smallest
-    difference in the order gamma, rows of fixed t, columns of fixed w.
-    A grid that raises is re-run row by row to count samples."""
+def check_B(spec: MajorantSpec, mesh: Mesh | None = None) -> CheckOutcome:
+    """Grid monotonicity of gamma on [0, z_max] and of f on [0, t_hi]
+    x [0, omega_max] from one call each, t_hi the larger of _B_T_HI and
+    the mesh's end, f's columns of fixed w being the slice grid[:, ::8].T;
+    the worst margin is the first smallest difference in the order gamma,
+    rows of fixed t, columns of fixed w.  A grid that raises is re-run
+    row by row to count samples."""
     # z_max and omega_max are positive when given
     z_grid = np.linspace(0.0, spec.z_max or 4.0, _B_POINTS)
     w_grid = np.linspace(0.0, spec.omega_max or 4.0, _B_POINTS)
-    t_grid = np.linspace(0.0, _B_T_HI, _B_POINTS // 4)
+    t_hi = _B_T_HI if mesh is None else max(_B_T_HI, mesh.end)
+    t_grid = np.linspace(0.0, t_hi, _B_POINTS // 4)
     count, worst, witness = 0, math.inf, None
     try:
         g = spec.gamma_form.map(z_grid)
@@ -517,7 +519,7 @@ def run_suite(
     if majorant is None:
         outcomes.update({c: _skipped(c, "no majorant supplied") for c in "BC"})
     else:
-        outcomes["B"] = check_B(majorant)
+        outcomes["B"] = check_B(majorant, mesh)
         outcomes["C"] = check_C(majorant, mesh)
     outcomes["G"] = check_G(lyapunov)
     return ConditionReport(outcomes=outcomes, seed=seed)

@@ -52,9 +52,10 @@ def power_family(p: float = 2.0) -> CorpusEntry:
 
     The main solution is identically zero, yet t^p and every shifted
     copy max(t - c, 0)^p solve the equation too, so uniqueness fails
-    while the zero bound stays exact.  The exponent is (p-1)/p so that
-    t^p satisfies the equation identically; with p/(p-1) in its place
-    t^p would not solve it.
+    while the zero bound stays exact: its rate vanishes at zero, so the
+    bound is exactly 0 and exists globally.  The exponent is (p-1)/p so
+    that t^p satisfies the equation identically; with p/(p-1) in its
+    place t^p would not solve it.
     """
     e = (p - 1.0) / p
 
@@ -98,9 +99,9 @@ def power_family(p: float = 2.0) -> CorpusEntry:
             "shifted": shifted,
         },
         notes=(
-            "non-unique scalar equation; rate vanishes at zero, so blow-up"
-            " classification does not apply and the chain from zero is"
-            " identically zero"
+            "non-unique scalar equation; rate vanishes at zero, so the"
+            " bound stays exactly zero for all time and certifies the zero"
+            " main solution"
         ),
         default_t_end=1.0,
     )
@@ -201,8 +202,8 @@ def sine_bvp(m: int = 21) -> CorpusEntry:
 def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
     """Majorant-only entry z = b + integral of a*z, bound b * exp(a t).
 
-    With b = 0 the rate vanishes at the origin, so the bound is not
-    classified, only iterated.
+    With b = 0 the rate vanishes at the origin, so the bound stays
+    exactly 0 and exists globally.
     """
     majorant = MajorantSpec(
         f=f"w + {b!r}",
@@ -218,8 +219,8 @@ def linear_majorant(a: float = 1.0, b: float = 1.0) -> CorpusEntry:
         lyapunov=None,
         closed_forms={"bound": lambda t: b * math.exp(a * t)},
         notes="globally existing linear bound" if b != 0.0 else (
-            "degenerate linear bound: starts at zero and stays there; the"
-            " classification integral is singular at the origin"
+            "degenerate linear bound: the rate vanishes at zero, so the"
+            " bound starts at zero and stays there for all time"
         ),
         default_t_end=1.0,
     )

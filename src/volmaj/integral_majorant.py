@@ -161,16 +161,9 @@ class MajorantSpec:
     depends_on_t = property(lambda self: "t" in expr.variables(self.f_form.tree))
 
     @functools.cached_property
-    def classifiable(self) -> bool:
-        """Whether classify_blowup takes this majorant: any time-dependent
-        f, and a time-independent one whose rate is positive at omega = 0,
-        since with a zero rate there the march would never leave w = 0."""
-        return self.depends_on_t or _probe_rate(self.rate, 0.0) is not None
-
-    @functools.cached_property
     def blowup(self) -> BlowupReport:
         """classify_blowup's report on this majorant, computed once per
-        spec; a spec that cannot be classified raises on every use."""
+        spec; a spec whose march fails raises on every use."""
         return classify_blowup(self)
 
     @functools.cached_property
@@ -427,11 +420,10 @@ def classify_blowup(spec: MajorantSpec) -> BlowupReport:
     bound exists globally.  A march in t that stalls hands over to L,
     which must then end within 1e-9 max(1, t) of the stall time, or the
     stall is raised.  A march in L that stalls is read by
-    _classify_stall.  A spec that is not classifiable raises
-    NumericError.
+    _classify_stall.  With f free of t and a rate of exactly 0 at w = 0,
+    every stage of the march in t is 0, so w stays exactly 0 up to
+    t = _T_CAP: the bound f(0) exists globally.
     """
-    if not spec.classifiable:
-        raise NumericError("rate is not positive at omega=0; cannot classify")
 
     def rate(t: float, w: float) -> float:
         # a rate below -1e-12, the roundoff the origin allows, fails a step

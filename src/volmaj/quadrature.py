@@ -230,8 +230,10 @@ def _row_block(stage, mesh: Mesh, values, js) -> np.ndarray:
     # a running sum adds each row's terms in order, as a scalar loop
     # would, and the zeros past a row's end leave it unchanged; the
     # leading 0.0 turns an all negative-zero sum into +0.0 as that
-    # loop did
-    return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
+    # loop did; an overflowing kernel can make the sum inf - inf, a nan
+    # the callers test for themselves, so numpy warns of nothing
+    with np.errstate(all="ignore"):
+        return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
 
 
 # adaptive_quad's recursion depth, and improper_integral's divergence cap

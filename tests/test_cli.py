@@ -284,53 +284,49 @@ class TestMajorant:
         assert float(pairs["pole"]) == 1.0
 
     @pytest.mark.parametrize("command", ["majorant", "verify"])
-    def test_inline_zero_rate_skips_classification(self, tmp_path, command):
-        # gamma(f(0, 0)) = 0: the corpus's skip, not a numeric failure
-        text = "[majorant]\nsource = inline\nf = w\ngamma = z\n[mesh]\nt_end = 1\n"
+    def test_inline_zero_rate_is_global(self, tmp_path, command):
+        # gamma(f(0, 0)) = 0 with f free of t: the bound stays exactly 0
+        text = "[majorant]\nsource = inline\nf = w\ngamma = z\n[mesh]\nt_end = 1\nn = 20\n"
         out = tmp_path / "out"
         assert main([command, "--config", ini(tmp_path, text), "--out", str(out),
                      "--no-timestamp"]) == 0
         if command == "majorant":
             _, pairs = summary(out, "majorant_summary.txt")
-            assert pairs["classification"] == "skipped (rate degenerate at zero)"
+            assert pairs["classification"] == "Global"
+            assert pairs["horizon"] == "inf"
+            assert pairs["detail"] == "bound still 0.000e+00 at t=1.000e+08"
+            assert pairs["routes_gap"] == "0"
+            rows = (out / "majorant_table.csv").read_text().splitlines()
+            assert rows[0] == "t,omega_plus,z_plus,z_last"
+            assert len(rows) == 22
+            assert all(row.split(",")[1:] == ["0", "0", "0"] for row in rows[1:])
 
     @pytest.mark.parametrize(
-        "section, params, classifiable",
+        "section, params, kind",
         [
-            ("majorant", "entry = linear_majorant", True),
-            ("majorant", "entry = linear_majorant\nb = 0", False),
-            ("problem", "entry = power_family", False),
-            ("problem", "entry = power_family\np = 3", False),
-            ("problem", "entry = sine_bvp", True),
-            ("majorant", "entry = sqrt_pole", True),
+            ("majorant", "entry = linear_majorant", "Global"),
+            ("majorant", "entry = linear_majorant\nb = 0", "Global"),
+            ("problem", "entry = power_family", "Global"),
+            ("problem", "entry = power_family\np = 3", "Global"),
+            ("problem", "entry = sine_bvp", "ValueBlowUp"),
+            ("majorant", "entry = sqrt_pole", "DerivativeBlowUp"),
         ],
     )
-    def test_classifiability_is_derived_from_the_rate(
-        self, tmp_path, section, params, classifiable
-    ):
+    def test_every_corpus_majorant_is_classified(self, tmp_path, section, params, kind):
         cfg = ini(tmp_path, f"[{section}]\nsource = corpus\n{params}\n")
-        assert _Setup(_load_config(cfg)).majorant.classifiable is classifiable
+        assert _Setup(_load_config(cfg)).majorant.blowup.kind.value == kind
 
-    def test_degenerate_rate_skips_classification(self, tmp_path):
-        cfg = ini(
-            tmp_path,
-            """
-            [majorant]
-            source = corpus
-            entry = linear_majorant
-            b = 0
-
-            [mesh]
-            t_end = 1.0
-            n = 20
-            """,
-        )
+    def test_solve_on_power_family_certifies_the_zero_solution(self, tmp_path):
+        cfg = ini(tmp_path, "[problem]\nsource = corpus\nentry = power_family\n")
         out = tmp_path / "out"
-        assert main(["majorant", "--config", cfg, "--out", str(out),
+        assert main(["solve", "--config", cfg, "--out", str(out),
                      "--no-timestamp"]) == 0
-        text, pairs = summary(out, "majorant_summary.txt")
-        assert pairs["classification"].startswith("skipped")
-        assert csv_header(out, "majorant_table.csv") == "t,omega_last,z_last"
+        _, pairs = summary(out, "solve_summary.txt")
+        assert pairs["final_tail"] == "0"
+        assert pairs["domination"] == "holds"
+        assert pairs["domination_margin"] == "0"
+        rows = list(csv.DictReader(io.StringIO((out / "solve_table.csv").read_text())))
+        assert [row["certified_bound"] for row in rows] == ["0"] * 41
 
     def test_mesh_past_horizon_rejected(self, tmp_path, capsys):
         cfg = ini(
@@ -634,7 +630,7 @@ class TestVerify:
                      "--no-timestamp"]) == 2
         assert capsys.readouterr().err == (
             "volmaj: config error: no end time: set [mesh] t_end (required when"
-            " the bound exists globally or is not classified)\n"
+            " the bound exists globally)\n"
         )
         assert not out.exists()
 
@@ -706,8 +702,86 @@ class TestVerify:
                 "fail (right side is not finite (majorant overflow?); worst margin -inf"
             )
 
+    def test_overflowing_fold_2_integral_leaks_no_warning(self, tmp_path):
+        # u1*u2 at |u| up to 1e100 overflows the direct route's running
+        # sum to inf - inf, which numpy warned about; phi does not read
+        # om2, so every condition stands on its own sides
+        cfg = ini(
+            tmp_path,
+            """
+            [problem]
+            source = inline
+            kernel = u
+            kernel2 = u1*u2
+            phi = u - om1 - t
+
+            [majorant]
+            source = inline
+            f = w + 1
+            gamma = z^2
+
+            [run]
+            samples = 1
+            sample_bound = 1e100
+            """,
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--config", cfg, "--out", str(out),
+                         "--no-timestamp"])
+        assert code == 0
+        _, pairs = summary(out, "verify_summary.txt")
+        assert pairs["failed"] == "none"
+
+    def test_condition_B_samples_f_up_to_the_end_time(self, tmp_path):
+        # t*exp(-t/3) falls after t = 3: a box that stopped at t = 2
+        # never saw it
+        cfg = ini(
+            tmp_path,
+            """
+            [majorant]
+            source = inline
+            f = w + 1 + t*exp(-t/3)
+            gamma = z
+
+            [mesh]
+            t_end = 5
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 5
+        _, pairs = summary(out, "verify_summary.txt")
+        assert pairs["failed"] == "B"
+        rows = {row["condition"]: row for row in csv.DictReader(
+            io.StringIO((out / "verify_witnesses.csv").read_text())
+        )}
+        assert rows["B"]["t"] == "5"
+        assert float(rows["B"]["worst_margin"]) == pytest.approx(-0.020016196, abs=1e-9)
+
 
 class TestPartSources:
+    def test_a_problem_without_majorant_or_t_end_meshes_to_1(self, tmp_path):
+        cfg = ini(
+            tmp_path,
+            "[problem]\nsource = inline\nkernel = u\nphi = u - om1 - t\n[mesh]\nn = 10\n",
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out),
+                     "--no-timestamp"]) == 0
+        _, pairs = summary(out, "solve_summary.txt")
+        assert (pairs["t_end"], pairs["nodes"]) == ("1", "10")
+        assert "domination" not in pairs
+
+    def test_a_corpus_entry_without_the_part_exits_2(self, tmp_path, capsys):
+        cfg = ini(tmp_path, "[problem]\nsource = corpus\nentry = sqrt_pole\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--no-timestamp"]) == 2
+        assert capsys.readouterr().err == (
+            "volmaj: config error: corpus entry 'sqrt_pole' has no problem part\n"
+        )
+
     def test_corpus_majorant_uses_its_own_entry(self, tmp_path):
         # the problem's entry used to supply the majorant whatever
         # [majorant] named
@@ -936,6 +1010,7 @@ class TestCorpusCommand:
         assert main(["corpus", "run", "--out", out, "--no-timestamp"]) == 5
         assert judged == {
             ("classify_blowup", "linear_majorant(a=1, b=1)"): 1,
+            ("classify_blowup", "power_family(p=2) majorant"): 1,
             ("classify_blowup", "sine_bvp(m=21) majorant"): 1,
             ("classify_blowup", "sqrt_pole majorant"): 1,
             ("check_convexity", "sine_bvp(m=21) algebraic majorant"): 1,

@@ -657,12 +657,12 @@ class TestSamplingArguments:
 # grid form, which must give the same CheckOutcome to the last bit.
 
 
-def _scan_check_B(spec):
+def _scan_check_B(spec, t_hi=2.0):
     z_hi = spec.z_max if spec.z_max is not None else 4.0
     w_hi = spec.omega_max if spec.omega_max is not None else 4.0
     z_grid = np.linspace(0.0, z_hi, 128)
     w_grid = np.linspace(0.0, w_hi, 128)
-    t_grid = np.linspace(0.0, 2.0, 32)
+    t_grid = np.linspace(0.0, t_hi, 32)
     worst = math.inf
     witness = None
     count = 0
@@ -741,6 +741,8 @@ _B_SPECS = {
     # must not win the first smallest margin of a row or column
     "f overflows": lambda: MajorantSpec(f="exp(1000*w) + t", gamma="z"),
     "f raises in row 5": lambda: MajorantSpec(f="w + t + 0*sqrt(0.3 - t)", gamma="z"),
+    # t*exp(-t/3) falls after t = 3: only a t range past 2 sees it
+    "f falls past t = 3": lambda: MajorantSpec(f="w + 1 + t*exp(-t/3)", gamma="z"),
 }
 
 
@@ -750,6 +752,13 @@ class TestGridCheckB:
         spec = _B_SPECS[name]()
         # repr tells nan, -0.0 and every bit of a float apart
         assert repr(check_B(spec)) == repr(_scan_check_B(spec))
+
+    @pytest.mark.parametrize("name", sorted(_B_SPECS))
+    @pytest.mark.parametrize("t_end, t_hi", [(1.0, 2.0), (5.0, 5.0)])
+    def test_the_t_range_reaches_the_mesh_end(self, name, t_end, t_hi):
+        spec = _B_SPECS[name]()
+        outcome = check_B(spec, graded_mesh(t_end, 10, 1.0))
+        assert repr(outcome) == repr(_scan_check_B(spec, t_hi))
 
     def test_power_family_witness_is_the_first_of_tied_zero_margins(self):
         outcome = check_B(corpus_build("power_family").majorant)

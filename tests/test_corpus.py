@@ -18,7 +18,8 @@ from volmaj.corpus import (
     second_difference_operator,
 )
 from volmaj.errors import SpecValidationError
-from volmaj.quadrature import graded_mesh
+from volmaj.problem import KernelStage
+from volmaj.quadrature import graded_mesh, nested_integral
 
 
 def green_matrix(m: int) -> np.ndarray:
@@ -164,6 +165,44 @@ class TestEntriesSatisfyConditions:
             entry = corpus_build(name)
             outcome = check_A(entry.problem, entry.majorant, mesh, n_samples=10)
             assert outcome.status is ConditionStatus.PASS, name
+
+
+class TestDirectKernels:
+    """The entries' kernel callables, which the separated terms stand in
+    for on a whole-mesh integral: the direct route (rows given, as
+    eval_residual's per-node localisation and the fallback take it)
+    against the separated one on random stacks."""
+
+    @pytest.mark.parametrize(
+        "name, params, t_end, atol",
+        [
+            ("power_family", {}, 1.0, 0.0),
+            ("power_family", {"p": 3.0}, 1.0, 0.0),
+            ("sine_bvp", {}, 0.4, 1e-14),
+            ("sine_bvp", {"m": 5}, 0.4, 1e-14),
+        ],
+    )
+    def test_direct_route_matches_the_separated_one(self, name, params, t_end, atol):
+        problem = corpus_build(name, params).problem
+        (stage,) = problem.stages
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stage.evaluate(*args)
+
+        direct_stage = KernelStage(stage.fold, counted, stage.terms)
+        mesh = graded_mesh(t_end, 16, 0.9)
+        rng = np.random.default_rng(7)
+        values = rng.uniform(-1.0, 1.0, (3, mesh.nodes.size, problem.dim))
+        separated = nested_integral(stage, mesh, values)
+        rows = np.arange(mesh.nodes.size)
+        direct = nested_integral(direct_stage, mesh, values, rows=rows)
+        assert calls
+        if atol == 0.0:
+            assert np.array_equal(direct, separated)
+        else:
+            assert np.max(np.abs(direct - separated)) <= atol
 
 
 class TestBuilderValidation:

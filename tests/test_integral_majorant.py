@@ -192,12 +192,37 @@ class TestClassification:
             classify_blowup(spec)
         assert abs(info.value.t - 1.0) <= 1e-6
 
-    @pytest.mark.parametrize("f, gamma", [("w", "0"), ("w", "z"), ("w*w", "z")])
-    def test_rate_zero_at_origin_is_not_classifiable(self, f, gamma):
+    @pytest.mark.parametrize(
+        "f, gamma",
+        [
+            ("w", "0"),
+            ("w", "z"),
+            ("w*w", "z"),
+            ("2.0*w", "z^0.5"),  # power_family
+            ("w + 0.0", "1.0*z"),  # linear_majorant with b = 0
+            ("w + 1", "(z - 1)^2"),
+        ],
+    )
+    def test_rate_zero_at_origin_is_global_with_w_exactly_zero(
+        self, monkeypatch, f, gamma
+    ):
+        # f free of t and gamma(f(0, 0)) = 0: every stage of the march is
+        # exactly 0, so w stays 0.0 up to the time cap, in about 20 steps
         spec = MajorantSpec(f=f, gamma=gamma, name="zero rate at the origin")
-        assert not spec.classifiable
-        with pytest.raises(NumericError, match="cannot classify"):
-            classify_blowup(spec)
+        calls = _count_rate_calls(monkeypatch, budget=200)
+        rep = classify_blowup(spec)
+        assert rep.kind is Blowup.GLOBAL
+        assert rep.horizon == math.inf and rep.pole is None
+        assert rep.detail == "bound still 0.000e+00 at t=1.000e+08"
+        assert 0 < calls[0] <= 200
+        monkeypatch.undo()
+        # the certificate is the exact bound f(t, 0) of the chain's limit
+        mesh = graded_mesh(2.0, 40, 1.0)
+        sol = solve_majorant(spec, mesh)
+        exact = spec.f_form.map(mesh.nodes, np.zeros(mesh.nodes.size))
+        assert np.all(sol.omega == 0.0)
+        assert np.array_equal(sol.certificate_bound, exact)
+        assert np.array_equal(sol.chain.final, exact)
 
     def test_rate_negative_at_origin_rejected_eagerly(self):
         with pytest.raises(SpecValidationError):
@@ -598,10 +623,10 @@ class TestOwnedClassification:
         solve_majorant(spec, graded_mesh(1.2, 40))
         assert calls == ["once"]
 
-    def test_an_unclassifiable_spec_raises_on_every_use(self):
-        spec = MajorantSpec(f="w", gamma="z", name="zero rate at the origin")
+    def test_a_spec_whose_march_fails_raises_on_every_use(self):
+        spec = MajorantSpec(f="1 - t", gamma="z", name="rate turning negative")
         for _ in range(2):
-            with pytest.raises(NumericError, match="cannot classify"):
+            with pytest.raises(MarchStall, match="stalled at t="):
                 spec.blowup
 
 
