@@ -64,8 +64,13 @@ __all__ = [
 # is solved
 _TANGENCY_FLOOR = 1e-13
 
-# the iterations majorant_branch allows one node
+# the iterations majorant_branch allows one node, and the step,
+# relative to 1 + r, at which a node is done
 _BRANCH_MAX_ITER = 50000
+_BRANCH_TOL = 1e-12
+
+# the points per axis of the convexity screen over [0, r_max] x [0, t_max]
+_SCREEN_POINTS = 128
 
 # the damped Newton steps one tangency seed is allowed
 _NEWTON_MAX_ITER = 80
@@ -140,8 +145,7 @@ class LyapunovSpec:
 
     @functools.cached_property
     def convexity(self) -> ConvexityReport:
-        """check_convexity's report on this map's default grid, run once
-        per spec."""
+        """check_convexity's report on this map, run once per spec."""
         return check_convexity(self)
 
 
@@ -326,7 +330,7 @@ def solve_tangency(spec: LyapunovSpec) -> TangencyResult:
     )
 
 
-def _plain_node(spec: LyapunovSpec, t: float, tol: float) -> tuple[float, int, bool]:
+def _plain_node(spec: LyapunovSpec, t: float) -> tuple[float, int, bool]:
     c, f, r = spec.inv_norm_bound, spec.f_form.scalar, 0.0
     for k in range(1, _BRANCH_MAX_ITER + 1):
         try:
@@ -337,7 +341,7 @@ def _plain_node(spec: LyapunovSpec, t: float, tol: float) -> tuple[float, int, b
             raise NumericError(
                 f"branch diverges at t={t!r}; the node lies beyond the horizon"
             )
-        if abs(r_new - r) <= tol * (1.0 + abs(r_new)):
+        if abs(r_new - r) <= _BRANCH_TOL * (1.0 + abs(r_new)):
             return r_new, k, True
         r = r_new
     return r, _BRANCH_MAX_ITER, False
@@ -375,7 +379,7 @@ def _newton_step(
 
 
 def _newton_node(
-    spec: LyapunovSpec, t: float, r_prev: float, tol: float
+    spec: LyapunovSpec, t: float, r_prev: float
 ) -> tuple[float, int, bool]:
     r = r_prev
     start = _below_root(spec, r, t)
@@ -385,13 +389,13 @@ def _newton_node(
         if start is None:
             # not even the origin is admissible; the plain iteration
             # reports what goes wrong there
-            return _plain_node(spec, t, tol)
+            return _plain_node(spec, t)
     g, dg = start
     for k in range(1, _BRANCH_MAX_ITER + 1):
         nxt = _newton_step(spec, t, r, g, dg)
         if nxt is not None:
             r_new, g_new, dg, full = nxt
-            if full and r_new - r <= tol * (1.0 + r_new):
+            if full and r_new - r <= _BRANCH_TOL * (1.0 + r_new):
                 return r_new, k, True
             # g falls along admissible iterates until arithmetic noise
             # takes over; a step that does not lower it is a stall
@@ -399,19 +403,19 @@ def _newton_node(
             if falls:
                 continue
         # stalled at the minimum of g: no admissible step lowers it
-        if g <= tol * (1.0 + r):
-            return r, k, True  # a root to tol; at the horizon, the double one
+        if g <= _BRANCH_TOL * (1.0 + r):
+            return r, k, True  # a root; at the horizon, the double one
         if g <= _TANGENCY_FLOOR * (1.0 + max(r, t)):
-            # within the tangency residual floor but no root to tol: the
+            # within the tangency residual floor but no root: the
             # node may lie past the true horizon by that much
             return r, k, False
         # beyond the horizon, or f's domain ends the branch: the plain
         # iteration names which
-        return _plain_node(spec, t, tol)
+        return _plain_node(spec, t)
     return r, _BRANCH_MAX_ITER, False
 
 
-def majorant_branch(spec: LyapunovSpec, mesh: Mesh, tol: float = 1e-12) -> BranchResult:
+def majorant_branch(spec: LyapunovSpec, mesh: Mesh) -> BranchResult:
     """Smallest-root branch r(t) at every mesh node.
 
     The spec's own convexity screen, spec.convexity, chooses the method.
@@ -424,18 +428,19 @@ def majorant_branch(spec: LyapunovSpec, mesh: Mesh, tol: float = 1e-12) -> Branc
     g >= 0 and c * f_r <= 1 there, else from 0, and accepts a step only
     if the new point is evaluable with g >= 0 and c * f_r <= 1, halving
     it otherwise; under the screen every iterate stays at or below the
-    smallest root.  A node is done when a full Newton step is within tol
-    (relative to 1 + r).  When no halved step is accepted, or an accepted
-    one no longer lowers g, the iteration has stalled at the minimum of
-    g: if g is within tol there, the node sits on the double root at the
-    horizon and counts as converged; if g is only within the tangency
-    residual floor, the node may lie past the true horizon by that much
-    (on a mesh that ends past the horizon solve_tangency witnesses), and
-    it is kept unconverged.  A stall with g above the floor hands the
-    node to the plain iteration, which names why there is no root: the
-    node lies beyond the horizon, or f stops being evaluable below it.
+    smallest root.  A node is done when a full Newton step is within
+    _BRANCH_TOL (relative to 1 + r).  When no halved step is accepted, or
+    an accepted one no longer lowers g, the iteration has stalled at the
+    minimum of g: if g is within _BRANCH_TOL there, the node sits on the
+    double root at the horizon and counts as converged; if g is only
+    within the tangency residual floor, the node may lie past the true
+    horizon by that much (on a mesh that ends past the horizon
+    solve_tangency witnesses), and it is kept unconverged.  A stall with
+    g above the floor hands the node to the plain iteration, which names
+    why there is no root: the node lies beyond the horizon, or f stops
+    being evaluable below it.
 
-    The mask records which nodes met tol within _BRANCH_MAX_ITER
+    The mask records which nodes met _BRANCH_TOL within _BRANCH_MAX_ITER
     iterations.  A node beyond the horizon raises NumericError either
     way, as the plain iteration escapes the search box.
     """
@@ -446,9 +451,9 @@ def majorant_branch(spec: LyapunovSpec, mesh: Mesh, tol: float = 1e-12) -> Branc
     r = 0.0
     for j, t in enumerate(mesh.nodes):
         if newton:
-            r, k, done = _newton_node(spec, float(t), r, tol)
+            r, k, done = _newton_node(spec, float(t), r)
         else:
-            r, k, done = _plain_node(spec, float(t), tol)
+            r, k, done = _plain_node(spec, float(t))
         values[j], iterations[j], mask[j] = r, k, done
     return BranchResult(values, iterations, mask)
 
@@ -466,12 +471,9 @@ def _nan_on_error(form: expr.Form) -> Callable[[float, float], float]:
     return scalar
 
 
-def check_convexity(
-    spec: LyapunovSpec,
-    r_grid: np.ndarray | None = None,
-    t_grid: np.ndarray | None = None,
-) -> ConvexityReport:
-    """Sample convexity and monotonicity of f over a grid.
+def check_convexity(spec: LyapunovSpec) -> ConvexityReport:
+    """Sample convexity and monotonicity of f over the uniform grid of
+    _SCREEN_POINTS radii in [0, r_max] and as many times in [0, t_max].
 
     Checks, with small negative slack for roundoff: f nondecreasing in
     r and in t, f convex in r (second differences), and the slope f_r
@@ -487,14 +489,8 @@ def check_convexity(
     (not-finite values, then each t row, then each r column), capped at
     50.
     """
-    if r_grid is None:
-        r_grid = np.linspace(0.0, spec.r_max, 128)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, spec.t_max, 128)
-    r_grid = np.asarray(r_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if r_grid.size < 3 or t_grid.size < 2:
-        raise SpecValidationError("convexity grids need >= 3 radii and >= 2 times")
+    r_grid = np.linspace(0.0, spec.r_max, _SCREEN_POINTS)
+    t_grid = np.linspace(0.0, spec.t_max, _SCREEN_POINTS)
     r, t = r_grid[None, :], t_grid[:, None]
     fvals = pointwise(_nan_on_error(spec.f_form), r, t, array=spec.f_form.array)
     svals = pointwise(_nan_on_error(spec.f_r_form), r, t, array=spec.f_r_form.array)

@@ -341,18 +341,16 @@ def _sample_blocks(sampler: TrajectorySampler, n_samples: int):
         yield range(start, min(start + size, n_samples))
 
 
-def _audit(
-    problem, spec, mesh, n_samples, seed, bound, labels: str
-) -> dict[str, CheckOutcome]:
-    """The outcomes of the sampled conditions in labels, of "ADE", in one
-    pass over the blocks of STREAM_U, each drawn once and shared through
-    an _AtU.  Each outcome is its condition's alone on the same samples;
-    a check that has failed takes no more blocks, and a stream no live
-    check needs is drawn no further."""
+def _audit(problem, spec, mesh, n_samples, seed, bound) -> dict[str, CheckOutcome]:
+    """The outcomes of conditions A, D and E in one pass over the blocks
+    of STREAM_U, each drawn once and shared through an _AtU.  Each
+    outcome is its condition's alone on the same samples; a check that
+    has failed takes no more blocks, and a stream no live check needs is
+    drawn no further."""
     sampler = TrajectorySampler(mesh, problem.dim, bound, seed)
     ranges = list(_sample_blocks(sampler, n_samples))
     sides = {"A": _AtU.sides_A, "D": _AtU.sides_D, "E": _AtU.sides_E}
-    checks = {c: _SampledCheck(c, mesh, sides[c]) for c in labels}
+    checks = {c: _SampledCheck(c, mesh, side) for c, side in sides.items()}
     linear = problem.operator.matrix().T
     u_blocks, delta_blocks, v_blocks = (
         sampler.blocks(stream, ranges) for stream in (STREAM_U, STREAM_DELTA, STREAM_V)
@@ -379,7 +377,7 @@ def check_A(
     seed: int = DEFAULT_SEED,
     bound: float = 1.0,
 ) -> CheckOutcome:
-    return _audit(problem, spec, mesh, n_samples, seed, bound, "A")["A"]
+    return _audit(problem, spec, mesh, n_samples, seed, bound)["A"]
 
 
 def check_D_and_E(
@@ -390,8 +388,8 @@ def check_D_and_E(
     seed: int = DEFAULT_SEED,
     bound: float = 1.0,
 ) -> tuple[CheckOutcome, CheckOutcome]:
-    """Returns (outcome for D, outcome for E) on shared samples."""
-    outcomes = _audit(problem, spec, mesh, n_samples, seed, bound, "DE")
+    """(outcome for D, outcome for E) from the one audit of A, D and E."""
+    outcomes = _audit(problem, spec, mesh, n_samples, seed, bound)
     return outcomes["D"], outcomes["E"]
 
 
@@ -515,7 +513,7 @@ def run_suite(
         why = "no problem supplied" if problem is None else "no majorant supplied"
         outcomes.update({c: _skipped(c, why) for c in "ADE"})
     else:
-        outcomes.update(_audit(problem, majorant, mesh, n_samples, seed, bound, "ADE"))
+        outcomes.update(_audit(problem, majorant, mesh, n_samples, seed, bound))
     if majorant is None:
         outcomes.update({c: _skipped(c, "no majorant supplied") for c in "BC"})
     else:

@@ -64,16 +64,22 @@ __all__ = [
 _T_CAP = 1e8
 _OMEGA_CAP = 1e12
 
-# the forward march of w' = gamma(f(t, w)): its steps per march, its
-# first step, and its relative tolerances when it classifies and when
-# it solves on a mesh, where the continuous extension at the inner
-# nodes errs about 20 times more than the steps
+# the forward march of w' = gamma(f(t, w)): its steps per march, the
+# steps per march it may reject because the rate raised, its first
+# step, and its relative tolerances when it classifies and when it
+# solves on a mesh, where the continuous extension at the inner nodes
+# errs about 20 times more than the steps
 _MARCH_BUDGET = 400000
+_MARCH_EVAL_FAILURES = 1000
 _FIRST_STEP = 1e-3
 _CLASSIFY_RTOL = 3e-11
 _CAUCHY_RTOL = 1e-13
 
-# the roundoff check_upper_solution and certified_tail forgive
+# majorant_picard's relative stopping increment and its iteration budget
+_CHAIN_TOL = 1e-12
+_CHAIN_MAX_ITER = 500
+
+# the roundoff check_upper_solution, certified_tail and solve_majorant forgive
 _UPPER_SLACK = 1e-10
 _TAIL_SLACK = 1e-12
 
@@ -236,13 +242,9 @@ class UpperSolutionReport:
     t: float
 
 
-def majorant_picard(
-    spec: MajorantSpec,
-    mesh: Mesh,
-    tol: float = 1e-12,
-    n_max: int = 500,
-) -> PicardChain:
-    """Iterate the discrete majorant map from zero on a mesh.
+def majorant_picard(spec: MajorantSpec, mesh: Mesh) -> PicardChain:
+    """Iterate the discrete majorant map from zero on a mesh, at most
+    _CHAIN_MAX_ITER times, to _CHAIN_TOL.
 
     The chain is nondecreasing node by node; it converges whenever the
     mesh ends strictly inside the existence window.
@@ -251,7 +253,7 @@ def majorant_picard(
     iterates = [z]
     delta = math.inf
     converged = False
-    for _ in range(n_max):
+    for _ in range(_CHAIN_MAX_ITER):
         integrals = mesh.weights.prefix(spec.gamma_form.map(z))
         z_new = spec.f_form.map(mesh.nodes, integrals)
         if not np.all(np.isfinite(z_new)):
@@ -262,7 +264,7 @@ def majorant_picard(
         delta = float(np.max(np.abs(z_new - z)))
         iterates.append(z_new)
         z = z_new
-        if delta <= tol * (1.0 + float(np.max(np.abs(z_new)))):
+        if delta <= _CHAIN_TOL * (1.0 + float(np.max(np.abs(z_new)))):
             converged = True
             break
     return PicardChain(mesh, tuple(iterates), converged, delta)
@@ -310,13 +312,14 @@ def _march(
     4th order continuous extension of the accepted step that passes it
     (Hairer, Norsett & Wanner, Solving ODEs I, II.6: dopri5's contd5),
     which costs no rate call and errs about 20 times more than the step.
-    A rejected step below 1e-14 max(1, t) raises MarchStall at (t, w),
+    A rejected step below 1e-14 max(1, t), or the _MARCH_EVAL_FAILURES-th
+    step rejected because the rate raised, raises MarchStall at (t, w),
     or at state(t, w), the time and bound of a march in other variables.
     """
     isfinite = math.isfinite
     t_end, inner = stops[-1], iter(stops[:-1])
     stop = next(inner, math.inf)
-    k1 = None
+    k1, failures = None, _MARCH_EVAL_FAILURES
     for _ in range(_MARCH_BUDGET):
         if t >= t_end or w >= w_cap:
             break
@@ -342,7 +345,7 @@ def _march(
             err = abs(step * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
                               - 17253 / 339200 * k5 + 22 / 525 * k6 - k7 / 40))
         except EVAL_ERRORS:
-            h = step * 0.5
+            h, failures = step * 0.5, failures - 1
         else:
             if isfinite(err) and isfinite(w_new):
                 scale = abs(w_new)
@@ -371,7 +374,7 @@ def _march(
                 continue
             # a non-finite trial has scale / err = 0: the step shrinks by 10
             h = step * (0.1 if factor < 0.1 else factor)
-        if h < 1e-14 * (t if t > 1.0 else 1.0):
+        if h < 1e-14 * (t if t > 1.0 else 1.0) or not failures:
             raise MarchStall(*((t, w) if state is None else state(t, w)))
     else:
         raise NumericError("forward integration exceeded its step budget")
@@ -540,9 +543,7 @@ def check_upper_solution(spec: MajorantSpec, mesh: Mesh) -> UpperSolutionReport:
     return UpperSolutionReport(first_bad is None, worst, node, float(mesh.nodes[node]))
 
 
-def solve_majorant(
-    spec: MajorantSpec, mesh: Mesh, tol: float = 1e-12
-) -> MajorantSolution:
+def solve_majorant(spec: MajorantSpec, mesh: Mesh) -> MajorantSolution:
     """Classify a majorant and certify it on a mesh in one call.
 
     The classification is the spec's own, spec.blowup, computed once per
@@ -550,7 +551,8 @@ def solve_majorant(
     solver's mesh lets a solver and its certificate share exact nodes.
     certificate_bound is the pointwise maximum of the two independent
     routes: the larger of two approximations of the minimal bound, not a
-    proven upper solution.
+    proven upper solution.  A bound on a norm below -_TAIL_SLACK at any
+    node raises NumericError.
     """
     report = spec.blowup
     t_end = mesh.end
@@ -560,8 +562,12 @@ def solve_majorant(
             f" [0, {report.horizon!r})"
         )
     cauchy = solve_cauchy(spec, mesh)
-    chain = majorant_picard(spec, mesh, tol=tol)
+    chain = majorant_picard(spec, mesh)
     certificate = np.maximum(cauchy.bound, chain.final)
+    j = int(np.argmin(certificate))
+    if certificate[j] < -_TAIL_SLACK:
+        raise NumericError(f"the certificate bound is negative at node {j}:"
+                           f" {float(certificate[j])!r}")
     return MajorantSolution(
         classification=report,
         mesh=mesh,

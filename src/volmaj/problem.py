@@ -26,6 +26,7 @@ __all__ = [
     "DenseOperator",
     "TridiagonalOperator",
     "VolterraProblem",
+    "inverse_inf_norm",
     "eval_residual",
     "picard_step",
 ]
@@ -91,13 +92,6 @@ class DenseOperator:
         except np.linalg.LinAlgError:
             raise SpecValidationError("linear part is singular") from None
 
-    def inverse_inf_norm(self) -> float:
-        try:
-            inv = np.linalg.inv(self._a)
-        except np.linalg.LinAlgError:
-            raise SpecValidationError("linear part is singular") from None
-        return float(np.max(np.sum(np.abs(inv), axis=1)))
-
 
 class TridiagonalOperator:
     """Tridiagonal linear part solved by the Thomas recurrence.
@@ -155,10 +149,12 @@ class TridiagonalOperator:
             x[i] -= cp[i] * x[i + 1]
         return x.T
 
-    def inverse_inf_norm(self) -> float:
-        cols = self.solve_many(np.eye(self.dim))
-        # row i of the inverse is cols[:, i]
-        return float(np.max(np.sum(np.abs(cols), axis=0)))
+
+def inverse_inf_norm(operator: DenseOperator | TridiagonalOperator) -> float:
+    """The max-norm of A^{-1}: its largest absolute row sum.  Row r of
+    solve_many(I) is column r of A^{-1}, so that is a column sum."""
+    columns = operator.solve_many(np.eye(operator.dim))
+    return float(np.max(np.sum(np.abs(columns), axis=0)))
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ class VolterraProblem:
             )
         # fails loudly now rather than at the first sweep; the audit
         # scales by inv_norm_bound, so it must bound the norm it stands for
-        norm = self.operator.inverse_inf_norm()
+        norm = inverse_inf_norm(self.operator)
         if self.inv_norm_bound < norm * (1.0 - 1e-12):
             raise SpecValidationError(
                 f"inverse-norm bound {self.inv_norm_bound!r} is below the"

@@ -33,6 +33,7 @@ from volmaj import (
     to_text,
     zero_trajectory,
 )
+from volmaj import integral_majorant
 from volmaj.cli import main
 from volmaj.corpus import bvp_divided_differences
 from volmaj.expr import DomainError, evaluate
@@ -59,9 +60,9 @@ def test_01_value_blowup_horizon():
 def test_02_tan_bound_by_both_routes():
     start = time.perf_counter()
     spec = MajorantSpec(f="w + t", gamma="z*z", upper_solution="tan(t)")
-    tol = 1e-12
+    tol = integral_majorant._CHAIN_TOL
     mesh = graded_mesh(1.45, 2000, 0.998)
-    solution = solve_majorant(spec, mesh=mesh, tol=tol)
+    solution = solve_majorant(spec, mesh=mesh)
     elapsed = time.perf_counter() - start
     exact = np.tan(mesh.nodes)
     mask = exact > 1e-9

@@ -244,10 +244,10 @@ def test_the_branch_converges_up_to_the_witnessed_horizon(spec):
     assert sol.radii[-1] <= sol.tangency.radius
 
 
-def _plain_branch(spec, mesh, tol=1e-12):
+def _plain_branch(spec, mesh):
     """The plain iteration r <- c*f(r, t) from 0 at every node, whatever
     the screen says: (values, iterations)."""
-    runs = [algebraic_majorant._plain_node(spec, float(t), tol) for t in mesh.nodes]
+    runs = [algebraic_majorant._plain_node(spec, float(t)) for t in mesh.nodes]
     values, iterations, _ = zip(*runs)
     return np.array(values), np.array(iterations)
 
@@ -316,11 +316,12 @@ class TestNewtonBranch:
         assert abs(sol.tangency.horizon - exact) <= 1e-15 * exact
         assert np.all(sol.converged_mask)
 
-    def test_overshooting_horizon_node_stays_unconverged(self):
+    def test_overshooting_horizon_node_stays_unconverged(self, monkeypatch):
         # the node lies 1e-14 past the horizon 0.5, inside the tangency
         # floor but beyond a tolerance of 1e-15: no root exists there
+        monkeypatch.setattr(algebraic_majorant, "_BRANCH_TOL", 1e-15)
         mesh = graded_mesh(0.5 * (1.0 + 1e-14), 40, 1.0)
-        branch = majorant_branch(QUAD, mesh, tol=1e-15)
+        branch = majorant_branch(QUAD, mesh)
         assert np.all(branch.converged_mask[:-1])
         assert not branch.converged_mask[-1]
         assert branch.values[-1] == pytest.approx(1.0, abs=1e-6)
@@ -424,11 +425,12 @@ class TestConvexity:
         assert report.degenerate
 
 
-def _loop_convexity(spec, r_grid=None, t_grid=None):
+def _loop_convexity(spec):
     """The screen as one point-by-point double loop: the reference for the
     order, values and cap of the violations."""
-    r_grid = np.linspace(0.0, spec.r_max, 128) if r_grid is None else r_grid
-    t_grid = np.linspace(0.0, spec.t_max, 128) if t_grid is None else t_grid
+    points = algebraic_majorant._SCREEN_POINTS
+    r_grid = np.linspace(0.0, spec.r_max, points)
+    t_grid = np.linspace(0.0, spec.t_max, points)
     violations = []
 
     def note(kind, r, t, v):
@@ -487,9 +489,6 @@ WIGGLE = LyapunovSpec(
 )
 
 
-_SMALL_GRIDS = {"r_grid": np.linspace(0.0, 2.0, 9), "t_grid": np.linspace(0.0, 1.5, 7)}
-
-
 # 0*sqrt(1.6 - r) leaves f = t*r^2 where r <= 1.6 and fails past it,
 # where f's array form gives nan; its derivative folds to 0, so the slope
 # stays evaluable there, and the abs term drops it from 2*t*r to
@@ -521,16 +520,16 @@ class TestConvexityRoutes:
         ],
         ids=lambda spec: spec.name,
     )
-    @pytest.mark.parametrize(
-        "grids", [{}, _SMALL_GRIDS], ids=["default grid", "small grid"]
-    )
-    def test_array_and_pointwise_reports_are_equal(self, spec, grids):
-        report = check_convexity(spec, **grids)
+    @pytest.mark.parametrize("points", [128, 9], ids=["default grid", "small grid"])
+    def test_array_and_pointwise_reports_are_equal(self, spec, points, monkeypatch):
+        monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", points)
+        report = check_convexity(spec)
         # repr, so that nan margins of not-finite samples compare equal
-        assert repr(report) == repr(_loop_convexity(spec, **grids))
+        assert repr(report) == repr(_loop_convexity(spec))
 
-    def test_slope_samples_where_f_fails_are_dropped(self):
-        r_grid, t_grid = _SMALL_GRIDS["r_grid"], _SMALL_GRIDS["t_grid"]
+    def test_slope_samples_where_f_fails_are_dropped(self, monkeypatch):
+        monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", 9)
+        r_grid, t_grid = np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.5, 9)
         r, t = r_grid[None, :], t_grid[:, None]
         fvals = pointwise(algebraic_majorant._nan_on_error(CUT.f_form), r, t)
         svals = pointwise(algebraic_majorant._nan_on_error(CUT.f_r_form), r, t)
@@ -544,13 +543,14 @@ class TestConvexityRoutes:
         assert {(kind, r) for kind, r, _, _ in kept} == {
             ("slope-decreasing-in-r", 1.75)
         }
-        report = check_convexity(CUT, **_SMALL_GRIDS)
+        report = check_convexity(CUT)
         assert {kind for kind, _, _, _ in report.violations} == {"not-finite"}
 
-    def test_reports_list_violations_in_scan_order(self):
-        grids = {"r_grid": np.linspace(0.0, 2.0, 7), "t_grid": np.linspace(0.0, 1.5, 5)}
-        report = check_convexity(WIGGLE, **grids)
-        assert report.violations == _loop_convexity(WIGGLE, **grids).violations
+    def test_reports_list_violations_in_scan_order(self, monkeypatch):
+        # 6 x 6 points show all four kinds of violation, below the cap
+        monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", 6)
+        report = check_convexity(WIGGLE)
+        assert report.violations == _loop_convexity(WIGGLE).violations
         kinds = [v[0] for v in report.violations]
         assert len(kinds) < 50  # below the cap, so every violation is listed
         assert set(kinds) == {

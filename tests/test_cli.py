@@ -219,6 +219,22 @@ class TestSolve:
 
 
 class TestMajorant:
+    def test_spent_chain_budget_is_reported_and_solve_still_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # sine_bvp's chain converges in 9 iterations; 3 leave it short
+        monkeypatch.setattr(integral_majorant, "_CHAIN_MAX_ITER", 3)
+        cfg = ini(tmp_path, BVP_SOLVE)
+        out = tmp_path / "out"
+        for command in ("majorant", "solve"):
+            argv = [command, "--config", cfg, "--out", str(out), "--no-timestamp"]
+            assert main(argv) == 0
+        _, pairs = summary(out, "majorant_summary.txt")
+        assert pairs["chain_converged"] == "no"
+        assert pairs["chain_iterations"] == "3"
+        _, pairs = summary(out, "solve_summary.txt")
+        assert pairs["domination"] == "holds"
+
     def test_inline_linear_is_global(self, tmp_path):
         cfg = ini(
             tmp_path,

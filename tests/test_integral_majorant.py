@@ -65,7 +65,7 @@ class TestPicardChain:
     def test_blowing_up_mesh_reported(self):
         mesh = graded_mesh(2.0, 60, 1.0)  # horizon pi/2 < 2
         with pytest.raises(NumericError):
-            majorant_picard(TAN_SPEC, mesh, n_max=2000)
+            majorant_picard(TAN_SPEC, mesh)
 
 
 class TestClassification:
@@ -191,6 +191,21 @@ class TestClassification:
         with pytest.raises(MarchStall, match="stalled at t=") as info:
             classify_blowup(spec)
         assert abs(info.value.t - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("f", ["w + (1 - t)^-0.5", "w + 1/(1 - t)"])
+    def test_march_held_below_an_edge_stalls_within_a_rate_call_budget(
+        self, monkeypatch, f
+    ):
+        # the bound is finite at t = 1 and not evaluable past it: the march
+        # in L holds t at the last float below 1, where every step that
+        # reaches 1 fails and every shorter one leaves t where it is.  Its
+        # budget of such failures ends it there; only the step budget
+        # would end it after 1.6 million rate calls
+        calls = _count_rate_calls(monkeypatch, budget=20000)
+        with pytest.raises(MarchStall, match="stalled at t=") as info:
+            classify_blowup(MajorantSpec(f=f, gamma="z"))
+        assert 1.0 - 1e-9 < info.value.t < 1.0
+        assert 0 < calls[0] <= 20000
 
     @pytest.mark.parametrize(
         "f, gamma",
@@ -587,6 +602,21 @@ class TestSolveMajorant:
         b = solve_majorant(TAN_SPEC, graded_mesh(1.0, 500))
         assert a.classification.kind is b.classification.kind
         assert abs(a.bound[-1] - b.bound[-1]) < 1e-8  # ode route, not h^2
+
+    def test_negative_certificate_is_refused(self):
+        # a rate of -1e-12 at the origin is roundoff to the spec and 0 to
+        # the classifier (Global), but the march of the rate itself drifts
+        # to w = -1e-12 (e^t - 1), and the chain with it
+        spec = MajorantSpec(f="w", gamma="z - 1e-12")
+        with pytest.raises(NumericError, match="negative at node 40") as info:
+            solve_majorant(spec, graded_mesh(40.0, 40))
+        assert str(info.value).endswith(": -233756.04517000332")
+
+    def test_roundoff_below_zero_is_still_a_certificate(self):
+        # 0.3 - 0.1 - 0.2 is -2.8e-17, within the roundoff forgiven
+        spec = MajorantSpec(f="w", gamma="z + 0.3 - 0.1 - 0.2")
+        sol = solve_majorant(spec, graded_mesh(40.0, 40))
+        assert -integral_majorant._TAIL_SLACK < sol.certificate_bound.min() < 0.0
 
     def test_the_window_is_the_spec_s_own(self):
         # z*z blows up at t = 1: the certificate says so, and a mesh past

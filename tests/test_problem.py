@@ -15,6 +15,7 @@ from volmaj.problem import (
     TridiagonalOperator,
     VolterraProblem,
     eval_residual,
+    inverse_inf_norm,
     picard_step,
 )
 from volmaj.quadrature import graded_mesh
@@ -137,7 +138,10 @@ class TestOperators:
         tri = TridiagonalOperator(lower, diag, upper)
         inv = np.linalg.inv(tri.matrix())
         want = np.max(np.sum(np.abs(inv), axis=1))
-        assert tri.inverse_inf_norm() == pytest.approx(want, rel=1e-12)
+        assert inverse_inf_norm(tri) == pytest.approx(want, rel=1e-12)
+        assert inverse_inf_norm(DenseOperator(tri.matrix())) == pytest.approx(
+            want, rel=1e-12
+        )
 
     def test_singular_tridiagonal(self):
         tri = TridiagonalOperator(
