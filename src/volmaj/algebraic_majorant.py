@@ -25,8 +25,8 @@ each node then starts from the previous node's root, since r(t) is
 nondecreasing.
 
 The screen itself evaluates f and f_r over its 128 x 128 grid by one
-call each of their compiled array forms where those serve, and walks in
-Python only the rows and columns that hold a violation.
+call each of their compiled array forms where those serve; it counts
+the violations of each kind by array comparisons and names the worst.
 
 The tangency scan and Newton runs work on Python floats, a residual
 being a pair.  Only the 2x2 Newton system goes to np.linalg.solve: a
@@ -169,7 +169,9 @@ class BranchResult:
 class ConvexityReport:
     passed: bool
     degenerate: bool
-    violations: tuple[tuple[str, float, float, float], ...]
+    # (kind, r, t, margin) of the worst violation, None if none
+    worst: tuple[str, float, float, float] | None
+    count: int
     samples: int
 
 
@@ -483,11 +485,11 @@ def check_convexity(spec: LyapunovSpec) -> ConvexityReport:
     f and the slope are each mapped over the grid by
     quadrature.pointwise, through the spec's array form where it serves;
     a sample where either raises or gives nan is nan in both, so the
-    report is the scalar forms' in every case.  The checks are array
-    comparisons; only rows and columns that hold a violation are walked,
-    so the violations come in the order of a point-by-point scan
-    (not-finite values, then each t row, then each r column), capped at
-    50.
+    report is the scalar forms' in every case.  The report counts every
+    violation and names the worst: the first non-finite sample in (t, r)
+    order, at margin -inf, if there is one, else the most negative
+    difference, ties going to the earlier kind, then the smaller t, then
+    the smaller r.
     """
     r_grid = np.linspace(0.0, spec.r_max, _SCREEN_POINTS)
     t_grid = np.linspace(0.0, spec.t_max, _SCREEN_POINTS)
@@ -496,83 +498,59 @@ def check_convexity(spec: LyapunovSpec) -> ConvexityReport:
     svals = pointwise(_nan_on_error(spec.f_r_form), r, t, array=spec.f_r_form.array)
     failed = np.isnan(fvals) | np.isnan(svals)
     fvals[failed] = svals[failed] = math.nan
-    violations: list[tuple[str, float, float, float]] = []
-
-    def note(kind: str, r: float, t: float, v: float) -> bool:
-        """Record one violation; False once the cap is reached."""
-        violations.append((kind, float(r), float(t), float(v)))
-        return len(violations) < 50
-
     not_finite = ~np.isfinite(fvals)
-    for i, j in zip(*np.nonzero(not_finite)):
-        if not note("not-finite", r_grid[j], t_grid[i], fvals[i, j]):
-            break
+    count = int(np.count_nonzero(not_finite))
+    worst = None
+    if count:
+        i, j = divmod(int(np.argmax(not_finite)), r_grid.size)
+        worst = ("not-finite", float(r_grid[j]), float(t_grid[i]), -math.inf)
     fvals[not_finite] = math.nan
     # the largest |f| over the finite samples, without a grid-sized copy
-    any_finite = not bool(not_finite.all())
+    any_finite = count < fvals.size
     top = float(max(np.nanmax(fvals), -np.nanmin(fvals))) if any_finite else 0.0
     scale = max(1.0, top)
-    degenerate = any_finite and top == 0.0
-    if len(violations) < 50:
-        _scan(fvals, svals, r_grid, t_grid, 1e-12 * scale, 1e-10 * scale, note)
+    slack1, slack2 = 1e-12 * scale, 1e-10 * scale
+    # each kind's differences are freed once _tally returns, before the
+    # next kind's are taken: (kind, offset of the sample charged, tally)
+    with np.errstate(all="ignore"):
+        tallies = (
+            ("f-decreasing-in-r", (0, 1), _tally(np.diff(fvals, axis=1), slack1)),
+            ("slope-decreasing-in-r", (0, 1), _tally(np.diff(svals, axis=1), slack2)),
+            (
+                "f-not-convex-in-r",
+                (0, 1),
+                _tally(
+                    np.diff(np.diff(fvals, axis=1) / np.diff(r_grid), axis=1), slack2
+                ),
+            ),
+            ("f-decreasing-in-t", (1, 0), _tally(np.diff(fvals, axis=0), slack1)),
+            ("slope-decreasing-in-t", (1, 0), _tally(np.diff(svals, axis=0), slack2)),
+        )
+    for kind, (di, dj), (n, i, j, margin) in tallies:
+        count += n
+        if n and (worst is None or margin < worst[3]):
+            worst = (kind, float(r_grid[j + dj]), float(t_grid[i + di]), margin)
     return ConvexityReport(
-        passed=not violations,
-        degenerate=degenerate,
-        violations=tuple(violations),
+        passed=count == 0,
+        degenerate=any_finite and top == 0.0,
+        worst=worst,
+        count=count,
         samples=int(fvals.size),
     )
 
 
-def _scan(
-    fvals: np.ndarray,
-    svals: np.ndarray,
-    r_grid: np.ndarray,
-    t_grid: np.ndarray,
-    slack1: float,
-    slack2: float,
-    note: Callable[[str, float, float, float], bool],
-) -> None:
-    """Note the monotonicity and convexity violations, every t row first,
-    then every r column, until note reports the cap.  The comparisons run
-    on the whole grid at once; comparisons with nan are false, so
-    non-finite samples violate nothing here."""
-    with np.errstate(all="ignore"):
-        f_dec = np.diff(fvals, axis=1) < -slack1
-        s_dec = np.diff(svals, axis=1) < -slack2
-        slopes = np.diff(fvals, axis=1) / np.diff(r_grid)
-        concave = slopes[:, 1:] - slopes[:, :-1] < -slack2
-    hits = f_dec.any(axis=1) | s_dec.any(axis=1) | concave.any(axis=1)
-    for i in np.flatnonzero(hits):
-        row, srow, t = fvals[i], svals[i], t_grid[i]
-        for j in np.flatnonzero(f_dec[i] | s_dec[i]) + 1:
-            if f_dec[i, j - 1] and not note(
-                "f-decreasing-in-r", r_grid[j], t, row[j] - row[j - 1]
-            ):
-                return
-            if s_dec[i, j - 1] and not note(
-                "slope-decreasing-in-r", r_grid[j], t, srow[j] - srow[j - 1]
-            ):
-                return
-        for j in np.flatnonzero(concave[i]) + 1:
-            h1 = r_grid[j] - r_grid[j - 1]
-            h2 = r_grid[j + 1] - r_grid[j]
-            second = (row[j + 1] - row[j]) / h2 - (row[j] - row[j - 1]) / h1
-            if not note("f-not-convex-in-r", r_grid[j], t, second):
-                return
-    with np.errstate(all="ignore"):
-        f_dec = np.diff(fvals, axis=0) < -slack1
-        s_dec = np.diff(svals, axis=0) < -slack2
-    for j in np.flatnonzero(f_dec.any(axis=0) | s_dec.any(axis=0)):
-        col, scol, r = fvals[:, j], svals[:, j], r_grid[j]
-        for i in np.flatnonzero(f_dec[:, j] | s_dec[:, j]) + 1:
-            if f_dec[i - 1, j] and not note(
-                "f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1]
-            ):
-                return
-            if s_dec[i - 1, j] and not note(
-                "slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1]
-            ):
-                return
+def _tally(diffs: np.ndarray, slack: float) -> tuple[int, int, int, float]:
+    """The count of differences below -slack and, if any, the (t, r)
+    index and value of the first smallest in (t, r) order.  Comparisons
+    with nan are false, so non-finite samples violate nothing here."""
+    below = diffs < -slack
+    n = int(np.count_nonzero(below))
+    if not n:
+        return 0, 0, 0, 0.0
+    hits = np.flatnonzero(below)
+    k = int(hits[np.argmin(diffs.flat[hits])])
+    i, j = divmod(k, diffs.shape[1])
+    return n, i, j, float(diffs.flat[k])
 
 
 def solve_lyapunov(

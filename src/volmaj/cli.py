@@ -537,11 +537,11 @@ def _solve_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
 def _lyapunov_pipeline(setup: _Setup, out: str, timestamp: bool) -> int:
     convexity = setup.lyapunov.convexity
     if not convexity.passed:
-        kind, r, t, margin = convexity.violations[0]
+        kind, r, t, margin = convexity.worst
         raise SpecValidationError(
             "growth map fails the convexity/monotonicity screen: "
-            f"{len(convexity.violations)} violations over {convexity.samples}"
-            f" samples; first is {kind} at r={format_number(r)},"
+            f"{convexity.count} violations over {convexity.samples}"
+            f" samples; worst is {kind} at r={format_number(r)},"
             f" t={format_number(t)} (margin {format_number(margin)})"
         )
     solution = solve_lyapunov(setup.lyapunov, n=setup.nodes(), t_end=setup.t_end)

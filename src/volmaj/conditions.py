@@ -481,15 +481,15 @@ def check_G(spec: LyapunovSpec | None) -> CheckOutcome:
         return CheckOutcome(
             "G", ConditionStatus.PASS, rep.samples, 0.0, None, reason=reason
         )
-    kind, r, t, v = rep.violations[0]
+    kind, r, t, v = rep.worst
     return CheckOutcome(
         "G",
         ConditionStatus.FAIL,
         rep.samples,
-        float(v),
-        Witness("G", 0, -1, t, float(v), 0.0),
+        v,
+        Witness("G", 0, -1, t, v, 0.0),
         reason=f"{kind} at r={r:.6g}, t={t:.6g}"
-        + (f" and {len(rep.violations) - 1} more" if len(rep.violations) > 1 else ""),
+        + (f" and {rep.count - 1} more" if rep.count > 1 else ""),
     )
 
 

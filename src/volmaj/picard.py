@@ -6,8 +6,9 @@ majorant on the same mesh is supplied and chain row n dominates iterate
 n's norms, the distance to the limit is bounded by (certified bound -
 chain row n), so iteration can stop as soon as that tail drops below
 tolerance even if the step size alone would not justify stopping; an
-undominated iterate earns no tail.  verify_domination applies the same
-rule to every iterate, and to the final one against the certificate bound.
+undominated iterate, or any iterate of an unconverged chain, earns no
+tail.  verify_domination applies the same rule to every iterate, and to
+the final one against the certificate bound.
 """
 
 from __future__ import annotations
@@ -86,11 +87,15 @@ def solve_main(
     majorant: MajorantSolution | None = None,
 ) -> SolveReport:
     """Iterate from the zero trajectory until the step, or the certified
-    tail of an iterate the majorant's chain dominates, drops below tol.
-    The report keeps every iterate's per-node norms."""
+    tail of an iterate the majorant's converged chain dominates, drops
+    below tol.  The report keeps every iterate's per-node norms."""
+    chain = None
     if majorant is not None:
         _check_majorant_mesh(mesh, majorant)
-        tails = certified_tail(majorant.chain, majorant.certificate_bound)
+        # an unconverged chain lies below its limit, so it earns no tail
+        if majorant.chain.converged:
+            chain = majorant.chain
+            tails = certified_tail(chain, majorant.certificate_bound)
     if n_max < 1:
         raise SpecValidationError(f"n_max must be >= 1, got {n_max}")
     u = zero_trajectory(mesh, problem.dim)
@@ -103,9 +108,9 @@ def solve_main(
         u = u_new
         norms.append(u.norms)
         certified = None
-        if majorant is not None:
-            k = min(n, majorant.chain.count - 1)
-            if np.all(_dominated(norms[-1], majorant.chain.iterates[k])):
+        if chain is not None:
+            k = min(n, chain.count - 1)
+            if np.all(_dominated(norms[-1], chain.iterates[k])):
                 certified = tails[k]
         if final_step <= tol * (1.0 + u.max_norm):
             status = SolveStatus.CONVERGED

@@ -395,7 +395,10 @@ class TestOwnedScreen:
     def test_condition_g_reads_the_spec_s_own_screen(self):
         outcome = run_suite(lyapunov=CONCAVE).outcomes["G"]
         assert outcome.status is ConditionStatus.FAIL
-        assert outcome.reason.startswith(CONCAVE.convexity.violations[0][0])
+        worst = CONCAVE.convexity.worst
+        assert outcome.reason.startswith(worst[0])
+        assert outcome.reason.endswith(f" and {CONCAVE.convexity.count - 1} more")
+        assert outcome.worst_margin == worst[3] < 0
 
 
 class TestConvexity:
@@ -403,12 +406,14 @@ class TestConvexity:
         report = check_convexity(QUAD)
         assert report.passed
         assert not report.degenerate
-        assert report.violations == ()
+        assert report.worst is None
+        assert report.count == 0
 
     def test_concave_fails_with_location(self):
         report = check_convexity(CONCAVE)
         assert not report.passed
-        kind, r, t, margin = report.violations[0]
+        assert report.count > 0
+        kind, r, t, margin = report.worst
         assert margin < 0
         assert 0.0 <= r <= 1.0 and 0.0 <= t <= 1.0
 
@@ -425,17 +430,26 @@ class TestConvexity:
         assert report.degenerate
 
 
-def _loop_convexity(spec):
-    """The screen as one point-by-point double loop: the reference for the
-    order, values and cap of the violations."""
+# the screen's kinds of difference, in the order that breaks a tie
+KINDS = (
+    "f-decreasing-in-r", "slope-decreasing-in-r", "f-not-convex-in-r",
+    "f-decreasing-in-t", "slope-decreasing-in-t",
+)
+
+
+def _loop_convexity(spec, listed=None):
+    """The screen as one point-by-point double loop that notes every
+    violation, appending each to listed if given: the reference for the
+    worst violation and the count.  The worst is the first not-finite
+    sample, at margin -inf, if any; else the most negative difference,
+    ties going to the earlier kind, then the smaller t, then the smaller r."""
     points = algebraic_majorant._SCREEN_POINTS
     r_grid = np.linspace(0.0, spec.r_max, points)
     t_grid = np.linspace(0.0, spec.t_max, points)
-    violations = []
+    violations = [] if listed is None else listed
 
     def note(kind, r, t, v):
-        if len(violations) < 50:
-            violations.append((kind, float(r), float(t), float(v)))
+        violations.append((kind, float(r), float(t), float(v)))
 
     fvals = np.empty((t_grid.size, r_grid.size))
     svals = np.empty_like(fvals)
@@ -475,10 +489,18 @@ def _loop_convexity(spec):
                 note("f-decreasing-in-t", r, t_grid[i], col[i] - col[i - 1])
             if scol[i] - scol[i - 1] < -slack2:
                 note("slope-decreasing-in-t", r, t_grid[i], scol[i] - scol[i - 1])
+    bad = [v for v in violations if v[0] == "not-finite"]
+    if bad:
+        worst = (*bad[0][:3], -math.inf)
+    elif violations:
+        worst = min(violations, key=lambda v: (v[3], KINDS.index(v[0]), v[2], v[1]))
+    else:
+        worst = None
     return ConvexityReport(
         passed=not violations,
         degenerate=finite.size > 0 and float(np.max(np.abs(finite))) == 0.0,
-        violations=tuple(violations),
+        worst=worst,
+        count=len(violations),
         samples=int(fvals.size),
     )
 
@@ -524,8 +546,7 @@ class TestConvexityRoutes:
     def test_array_and_pointwise_reports_are_equal(self, spec, points, monkeypatch):
         monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", points)
         report = check_convexity(spec)
-        # repr, so that nan margins of not-finite samples compare equal
-        assert repr(report) == repr(_loop_convexity(spec))
+        assert report == _loop_convexity(spec)
 
     def test_slope_samples_where_f_fails_are_dropped(self, monkeypatch):
         monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", 9)
@@ -535,40 +556,34 @@ class TestConvexityRoutes:
         svals = pointwise(algebraic_majorant._nan_on_error(CUT.f_r_form), r, t)
         assert np.isnan(fvals[:, r_grid > 1.6]).all() and np.isfinite(svals).all()
         # a screen that kept them would report the slope's drop past r = 1.6
-        kept = []
-        algebraic_majorant._scan(
-            fvals, svals, r_grid, t_grid, 1e-12, 1e-10,
-            lambda *violation: kept.append(violation) or True,
-        )
-        assert {(kind, r) for kind, r, _, _ in kept} == {
-            ("slope-decreasing-in-r", 1.75)
-        }
+        drops = np.diff(svals, axis=1) < -1e-10
+        assert set(r_grid[1:][drops.any(axis=0)]) == {1.75}
         report = check_convexity(CUT)
-        assert {kind for kind, _, _, _ in report.violations} == {"not-finite"}
+        listed = []
+        assert report == _loop_convexity(CUT, listed)
+        assert report.count == len(listed) == 18
+        assert {kind for kind, _, _, _ in listed} == {"not-finite"}
 
-    def test_reports_list_violations_in_scan_order(self, monkeypatch):
-        # 6 x 6 points show all four kinds of violation, below the cap
+    def test_every_violation_is_counted(self, monkeypatch):
+        # 6 x 6 points show four kinds of violation
         monkeypatch.setattr(algebraic_majorant, "_SCREEN_POINTS", 6)
         report = check_convexity(WIGGLE)
-        assert report.violations == _loop_convexity(WIGGLE).violations
-        kinds = [v[0] for v in report.violations]
-        assert len(kinds) < 50  # below the cap, so every violation is listed
-        assert set(kinds) == {
+        listed = []
+        assert report == _loop_convexity(WIGGLE, listed)
+        assert report.count == len(listed) == 33
+        assert {kind for kind, _, _, _ in listed} == {
             "slope-decreasing-in-r", "f-not-convex-in-r",
             "f-decreasing-in-t", "slope-decreasing-in-t",
         }
-        # rows first, then columns
-        first_column = min(i for i, k in enumerate(kinds) if k.endswith("-in-t"))
-        assert all(k.endswith("-in-r") for k in kinds[:first_column])
-        assert all(k.endswith("-in-t") for k in kinds[first_column:])
 
-    def test_non_finite_samples_come_first_and_the_cap_holds(self):
+    def test_the_first_non_finite_sample_is_the_worst(self):
         spec = inline("0.5*r + exp(100*t) - 1", r_max=1.0, t_max=10.0)
         report = check_convexity(spec)
-        assert len(report.violations) == 50
-        assert all(v[0] == "not-finite" and v[3] == math.inf for v in report.violations)
-        t_first = report.violations[0][2]
-        assert 100.0 * t_first > math.log(np.finfo(float).max)
+        assert report.count == 4736
+        kind, r, t, margin = report.worst
+        assert (kind, r, margin) == ("not-finite", 0.0, -math.inf)
+        assert f"{t:.9g}" == "7.16535433"
+        assert 100.0 * t > math.log(np.finfo(float).max)
 
 
 class TestSolveLyapunov:

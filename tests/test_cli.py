@@ -234,6 +234,9 @@ class TestMajorant:
         assert pairs["chain_iterations"] == "3"
         _, pairs = summary(out, "solve_summary.txt")
         assert pairs["domination"] == "holds"
+        # the short chain lies below its limit, so it certifies no tail
+        assert pairs["final_tail"] == "none"
+        assert "certified_bound" not in csv_header(out, "solve_table.csv")
 
     def test_inline_linear_is_global(self, tmp_path):
         cfg = ini(

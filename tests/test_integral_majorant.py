@@ -5,7 +5,6 @@ import dataclasses
 import math
 import re
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -474,14 +473,23 @@ def test_omega_matches_the_bounds_scan_closed_forms(case, n):
         pytest.param("w + t", "z*z", None, 1.6, math.pi / 2, id="time_dependent"),
     ],
 )
-def test_mesh_past_horizon_stalls_there(f, gamma, pole, end, horizon):
+def test_mesh_past_horizon_stalls_there(f, gamma, pole, end, horizon, monkeypatch):
+    # the cases take at most 367219 rate calls, well inside the step
+    # budget's 6 * _MARCH_BUDGET
     spec = MajorantSpec(f=f, gamma=gamma, pole=pole)
-    start = time.perf_counter()
+    calls = _count_rate_calls(monkeypatch, budget=500000)
     with pytest.raises(NumericError, match="stalled at t=") as info:
         solve_cauchy(spec, graded_mesh(end, 40, 1.0))
-    assert time.perf_counter() - start < 1.0
+    assert 0 < calls[0]
     t = float(re.search(r"stalled at t=([^:]+):", str(info.value)).group(1))
     assert abs(t - horizon) <= 1e-6
+
+
+def test_the_march_stops_at_its_step_budget(monkeypatch):
+    monkeypatch.setattr(integral_majorant, "_MARCH_BUDGET", 5)
+    spec = MajorantSpec(f="w + 1", gamma="z")
+    with pytest.raises(NumericError, match="exceeded its step budget"):
+        solve_cauchy(spec, graded_mesh(10.0, 10, 1.0))
 
 
 @pytest.mark.parametrize(
