@@ -19,13 +19,13 @@ the rate overflows, or stops with a spike, is the evidence of a value
 or a derivative blow-up at the stall time.
 
 Two independent routes compute the bound on a mesh: that march to the
-last node in one call, adaptive Dormand-Prince 5(4) (J. Comput. Appl.
-Math. 6, 1980) read at the inner nodes through its continuous extension
-(solve_cauchy), and successive approximation from zero
-(majorant_picard).  The chain from zero is nondecreasing and converges
-to the minimal bound from below.  The certificate bound is the pointwise
-maximum of the two routes: the larger of two approximations of the
-minimal bound, not a proven upper solution.
+last node in one call, adaptive DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.10) read at the inner nodes through its 7th order
+continuous extension (solve_cauchy), and successive approximation from
+zero (majorant_picard).  The chain from zero is nondecreasing and
+converges to the minimal bound from below.  The certificate bound is the
+pointwise maximum of the two routes: the larger of two approximations
+of the minimal bound, not a proven upper solution.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from . import expr
 from .errors import EVAL_ERRORS, DomainError, NumericError, SpecValidationError
 from .meshes import Mesh
-from .quadrature import _probe_rate, adaptive_quad, improper_integral
+from .quadrature import ARRAY_MIN_POINTS, _probe_rate, adaptive_quad, improper_integral
 
 __all__ = [
     "Blowup",
@@ -67,13 +67,12 @@ _OMEGA_CAP = 1e12
 # the forward march of w' = gamma(f(t, w)): its steps per march, the
 # steps per march it may reject because the rate raised, its first
 # step, and its relative tolerances when it classifies and when it
-# solves on a mesh, where the continuous extension at the inner nodes
-# errs about 20 times more than the steps
+# solves on a mesh, where the inner nodes read its continuous extension
 _MARCH_BUDGET = 400000
 _MARCH_EVAL_FAILURES = 1000
 _FIRST_STEP = 1e-3
 _CLASSIFY_RTOL = 3e-11
-_CAUCHY_RTOL = 1e-13
+_CAUCHY_RTOL = 1e-12
 
 # majorant_picard's relative stopping increment and its iteration budget
 _CHAIN_TOL = 1e-12
@@ -247,27 +246,51 @@ def majorant_picard(spec: MajorantSpec, mesh: Mesh) -> PicardChain:
     _CHAIN_MAX_ITER times, to _CHAIN_TOL.
 
     The chain is nondecreasing node by node; it converges whenever the
-    mesh ends strictly inside the existence window.
+    mesh ends strictly inside the existence window.  Each iterate is
+    f_form.map(nodes, mesh.weights.prefix(gamma_form.map(z))) bit for
+    bit: gamma and f run through their array forms (_array_values), and
+    through Form.map only where those do not serve.
     """
-    z = np.zeros(mesh.nodes.size)
+    gamma, f, nodes, gaps = spec.gamma_form, spec.f_form, mesh.nodes, mesh.gaps
+    z = np.zeros(nodes.size)
+    integrals = np.zeros(nodes.size)
     iterates = [z]
     delta = math.inf
     converged = False
-    for _ in range(_CHAIN_MAX_ITER):
-        integrals = mesh.weights.prefix(spec.gamma_form.map(z))
-        z_new = spec.f_form.map(mesh.nodes, integrals)
-        if not np.all(np.isfinite(z_new)):
-            raise NumericError(
-                "majorant chain diverged on this mesh; its end time is at or"
-                " beyond the blow-up horizon"
-            )
-        delta = float(np.max(np.abs(z_new - z)))
-        iterates.append(z_new)
-        z = z_new
-        if delta <= _CHAIN_TOL * (1.0 + float(np.max(np.abs(z_new)))):
-            converged = True
-            break
+    with np.errstate(all="ignore"):
+        for _ in range(_CHAIN_MAX_ITER):
+            rates = _array_values(gamma, z)
+            if rates is None:
+                rates = gamma.map(z)
+            np.cumsum(gaps * (rates[:-1] + rates[1:]) / 2.0, out=integrals[1:])
+            z_new = _array_values(f, nodes, integrals)
+            if z_new is None:
+                z_new = f.map(nodes, integrals)
+                if not np.isfinite(z_new).all():
+                    raise NumericError(
+                        "majorant chain diverged on this mesh; its end time is"
+                        " at or beyond the blow-up horizon"
+                    )
+            delta = float(np.abs(z_new - z).max())
+            iterates.append(z_new)
+            z = z_new
+            if delta <= _CHAIN_TOL * (1.0 + float(np.abs(z_new).max())):
+                converged = True
+                break
     return PicardChain(mesh, tuple(iterates), converged, delta)
+
+
+def _array_values(form: expr.Form, *args: np.ndarray) -> np.ndarray | None:
+    """form.map(*args) where its array form serves: on ARRAY_MIN_POINTS
+    or more points, raising nothing, every value finite; else None."""
+    if form.array is None or args[0].size < ARRAY_MIN_POINTS:
+        return None
+    out = np.empty(args[0].shape)
+    try:
+        out[...] = form.array(*args)
+    except EVAL_ERRORS:
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def _frozen_tail(spec: MajorantSpec, t: float, omega: float) -> float:
@@ -303,22 +326,26 @@ def _march(
     increasing stops past t, until w reaches w_cap; yields (t, w, h) at
     each stop reached and at the cap, h the next step.
 
-    Adaptive Dormand-Prince 5(4) carrying the 5th order w (Dormand &
-    Prince, J. Comput. Appl. Math. 6, 1980): a step is accepted when the
-    embedded pair agrees to rtol, relative to max(1, |w|).  Its last
-    stage, the next step's first, makes it 6 rate calls, with
-    _MARCH_BUDGET steps per march.  The steps are the controller's alone:
-    the march lands on the last stop, and each earlier stop takes the
-    4th order continuous extension of the accepted step that passes it
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.6: dopri5's contd5),
-    which costs no rate call and errs about 20 times more than the step.
-    A rejected step below 1e-14 max(1, t), or the _MARCH_EVAL_FAILURES-th
+    Adaptive DOP853 carrying the 8th order w (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.5 and II.10; Prince & Dormand, J. Comput. Appl.
+    Math. 7, 1981), its coefficients those of scipy.integrate's
+    dop853_coefficients.  A step is accepted when its 5th order error
+    estimate, damped by the 3rd order one as dop853 does, is at most
+    rtol relative to max(1, |w|), and the next step grows by at most 6.
+    A step costs 11 rate calls and, once accepted, 1 more, the next
+    step's first stage, with _MARCH_BUDGET steps per march.  The steps
+    are the controller's alone: the march lands on the last stop, and
+    each earlier stop takes the 7th order continuous extension of the
+    accepted step that passes it (dop853's contd8).  Its 3 extra rate
+    calls are spent on every accepted step of a march with earlier
+    stops, so the number of stops does not change a march's cost.  A
+    rejected step below 1e-14 max(1, t), or the _MARCH_EVAL_FAILURES-th
     step rejected because the rate raised, raises MarchStall at (t, w),
     or at state(t, w), the time and bound of a march in other variables.
     """
     isfinite = math.isfinite
     t_end, inner = stops[-1], iter(stops[:-1])
-    stop = next(inner, math.inf)
+    stop, dense = next(inner, math.inf), len(stops) > 1
     k1, failures = None, _MARCH_EVAL_FAILURES
     for _ in range(_MARCH_BUDGET):
         if t >= t_end or w >= w_cap:
@@ -330,47 +357,135 @@ def _march(
         try:
             if k1 is None:
                 k1 = rate(t, w)
-            k2 = rate(t + 0.2 * step, w + step * 0.2 * k1)
-            k3 = rate(t + 0.3 * step, w + step * (3 / 40 * k1 + 9 / 40 * k2))
-            k4 = rate(t + 0.8 * step, w + step * (44 / 45 * k1 - 56 / 15 * k2
-                                                  + 32 / 9 * k3))
-            k5 = rate(t + 8 / 9 * step, w + step * (19372 / 6561 * k1 - 25360 / 2187 * k2
-                                                    + 64448 / 6561 * k3 - 212 / 729 * k4))
-            k6 = rate(t_new, w + step * (9017 / 3168 * k1 - 355 / 33 * k2
-                                         + 46732 / 5247 * k3 + 49 / 176 * k4
-                                         - 5103 / 18656 * k5))
-            w_new = w + step * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
-                                - 2187 / 6784 * k5 + 11 / 84 * k6)
-            k7 = rate(t_new, w_new)
-            err = abs(step * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
-                              - 17253 / 339200 * k5 + 22 / 525 * k6 - k7 / 40))
-        except EVAL_ERRORS:
-            h, failures = step * 0.5, failures - 1
-        else:
+            k2 = rate(t + 0.05260015195876773 * step,
+                      w + step * (0.05260015195876773 * k1))
+            k3 = rate(t + 0.0789002279381516 * step,
+                      w + step * (0.0197250569845379 * k1 + 0.0591751709536137 * k2))
+            k4 = rate(t + 0.1183503419072274 * step,
+                      w + step * (0.02958758547680685 * k1 + 0.08876275643042054 * k3))
+            k5 = rate(t + 0.2816496580927726 * step,
+                      w + step * (0.2413651341592667 * k1 - 0.8845494793282861 * k3
+                                  + 0.924834003261792 * k4))
+            k6 = rate(t + 0.3333333333333333 * step,
+                      w + step * (0.037037037037037035 * k1 + 0.17082860872947386 * k4
+                                  + 0.12546768756682242 * k5))
+            k7 = rate(t + 0.25 * step,
+                      w + step * (0.037109375 * k1 + 0.17025221101954405 * k4
+                                  + 0.06021653898045596 * k5 - 0.017578125 * k6))
+            k8 = rate(t + 0.3076923076923077 * step,
+                      w + step * (0.03709200011850479 * k1 + 0.17038392571223998 * k4
+                                  + 0.10726203044637328 * k5 - 0.015319437748624402 * k6
+                                  + 0.008273789163814023 * k7))
+            k9 = rate(t + 0.6512820512820513 * step,
+                      w + step * (0.6241109587160757 * k1 - 3.3608926294469414 * k4
+                                  - 0.868219346841726 * k5 + 27.59209969944671 * k6
+                                  + 20.154067550477894 * k7 - 43.48988418106996 * k8))
+            k10 = rate(t + 0.6 * step,
+                       w + step * (0.47766253643826434 * k1 - 2.4881146199716677 * k4
+                                   - 0.590290826836843 * k5 + 21.230051448181193 * k6
+                                   + 15.279233632882423 * k7 - 33.28821096898486 * k8
+                                   - 0.020331201708508627 * k9))
+            k11 = rate(t + 0.8571428571428571 * step,
+                       w + step * (-0.9371424300859873 * k1 + 5.186372428844064 * k4
+                                   + 1.0914373489967295 * k5 - 8.149787010746927 * k6
+                                   - 18.52006565999696 * k7 + 22.739487099350505 * k8
+                                   + 2.4936055526796523 * k9
+                                   - 3.0467644718982196 * k10))
+            k12 = rate(t_new,
+                       w + step * (2.273310147516538 * k1 - 10.53449546673725 * k4
+                                   - 2.0008720582248625 * k5 - 17.9589318631188 * k6
+                                   + 27.94888452941996 * k7 - 2.8589982771350235 * k8
+                                   - 8.87285693353063 * k9 + 12.360567175794303 * k10
+                                   + 0.6433927460157636 * k11))
+            slope = (0.054293734116568765 * k1 + 4.450312892752409 * k6
+                     + 1.8915178993145003 * k7 - 5.801203960010585 * k8
+                     + 0.3111643669578199 * k9 - 0.1521609496625161 * k10
+                     + 0.20136540080403034 * k11 + 0.04471061572777259 * k12)
+            w_new = w + step * slope
+            e5 = (0.01312004499419488 * k1 - 1.2251564463762044 * k6
+                  - 0.4957589496572502 * k7 + 1.6643771824549864 * k8
+                  - 0.35032884874997366 * k9 + 0.3341791187130175 * k10
+                  + 0.08192320648511571 * k11 - 0.022355307863886294 * k12)
+            e3 = slope - (0.2440944881889764 * k1 + 0.7338466882816118 * k9
+                          + 0.022058823529411766 * k12)
+            denom = math.hypot(e5, 0.1 * e3)
+            err = step * abs(e5) * (abs(e5) / denom) if denom else 0.0
             if isfinite(err) and isfinite(w_new):
                 scale = abs(w_new)
                 scale = rtol * (scale if scale > 1.0 else 1.0)
             else:
                 err, scale = math.inf, 0.0
-            factor = 0.9 * (scale / (err if err > 1e-300 else 1e-300)) ** 0.2
             if err <= scale:
-                h = step * (4.0 if factor > 4.0 else 0.5 if factor < 0.5 else factor)
+                k13 = rate(t_new, w_new)
+                if dense:
+                    k14 = rate(t + 0.1 * step,
+                               w + step * (0.056167502283047954 * k1
+                                           + 0.25350021021662483 * k7
+                                           - 0.2462390374708025 * k8
+                                           - 0.12419142326381637 * k9
+                                           + 0.15329179827876568 * k10
+                                           + 0.00820105229563469 * k11
+                                           + 0.007567897660545699 * k12
+                                           - 0.008298 * k13))
+                    k15 = rate(t + 0.2 * step,
+                               w + step * (0.03183464816350214 * k1
+                                           + 0.028300909672366776 * k6
+                                           + 0.053541988307438566 * k7
+                                           - 0.05492374857139099 * k8
+                                           - 0.00010834732869724932 * k11
+                                           + 0.0003825710908356584 * k12
+                                           - 0.00034046500868740456 * k13
+                                           + 0.1413124436746325 * k14))
+                    k16 = rate(t + 0.7777777777777778 * step,
+                               w + step * (-0.42889630158379194 * k1
+                                           - 4.697621415361164 * k6
+                                           + 7.683421196062599 * k7
+                                           + 4.06898981839711 * k8
+                                           + 0.3567271874552811 * k9
+                                           - 0.0013990241651590145 * k13
+                                           + 2.9475147891527724 * k14
+                                           - 9.15095847217987 * k15))
+        except EVAL_ERRORS:
+            h, failures = step * 0.5, failures - 1
+        else:
+            factor = 0.9 * (scale / (err if err > 1e-300 else 1e-300)) ** 0.125
+            if err <= scale:
+                h = step * (6.0 if factor > 6.0 else factor)
                 if stop <= t_new:
-                    ydiff = w_new - w
-                    bspl = step * k1 - ydiff
-                    r4 = ydiff - step * k7 - bspl
-                    r5 = step * (-12715105075 / 11282082432 * k1
-                                 + 87487479700 / 32700410799 * k3
-                                 - 10690763975 / 1880347072 * k4
-                                 + 701980252875 / 199316789632 * k5
-                                 - 1453857185 / 822651844 * k6
-                                 + 69997945 / 29380423 * k7)
+                    f0 = w_new - w
+                    f1 = step * k1 - f0
+                    f2 = 2.0 * f0 - step * (k1 + k13)
+                    f3 = step * (-8.428938276109013 * k1 + 0.5667149535193777 * k6
+                                 - 3.0689499459498917 * k7 + 2.38466765651207 * k8
+                                 + 2.117034582445028 * k9 - 0.871391583777973 * k10
+                                 + 2.2404374302607883 * k11 + 0.6315787787694688 * k12
+                                 - 0.08899033645133331 * k13 + 18.148505520854727 * k14
+                                 - 9.194632392478356 * k15 - 4.436036387594894 * k16)
+                    f4 = step * (10.427508642579134 * k1 + 242.28349177525817 * k6
+                                 + 165.20045171727028 * k7 - 374.5467547226902 * k8
+                                 - 22.113666853125306 * k9 + 7.733432668472264 * k10
+                                 - 30.674084731089398 * k11 - 9.332130526430229 * k12
+                                 + 15.697238121770845 * k13 - 31.139403219565178 * k14
+                                 - 9.35292435884448 * k15 + 35.81684148639408 * k16)
+                    f5 = step * (19.985053242002433 * k1 - 387.0373087493518 * k6
+                                 - 189.17813819516758 * k7 + 527.8081592054236 * k8
+                                 - 11.57390253995963 * k9 + 6.8812326946963 * k10
+                                 - 1.0006050966910838 * k11 + 0.7777137798053443 * k12
+                                 - 2.778205752353508 * k13 - 60.19669523126412 * k14
+                                 + 84.32040550667716 * k15 + 11.99229113618279 * k16)
+                    f6 = step * (-25.69393346270375 * k1 - 154.18974869023643 * k6
+                                 - 231.5293791760455 * k7 + 357.6391179106141 * k8
+                                 + 93.40532418362432 * k9 - 37.45832313645163 * k10
+                                 + 104.0996495089623 * k11 + 29.8402934266605 * k12
+                                 - 43.53345659001114 * k13 + 96.32455395918828 * k14
+                                 - 39.17726167561544 * k15 - 149.72683625798564 * k16)
                     while stop <= t_new:
-                        theta = (stop - t) / step
-                        yield stop, w + theta * (ydiff + (1.0 - theta) * (
-                            bspl + theta * (r4 + (1.0 - theta) * r5))), h
+                        x = (stop - t) / step
+                        y = 1.0 - x
+                        yield stop, w + x * (f0 + y * (f1 + x * (f2 + y * (
+                            f3 + x * (f4 + y * (f5 + x * f6)))))), h
                         stop = next(inner, math.inf)
-                t, w, k1 = t_new, w_new, k7
+                t, w, k1 = t_new, w_new, k13
                 continue
             # a non-finite trial has scale / err = 0: the step shrinks by 10
             h = step * (0.1 if factor < 0.1 else factor)

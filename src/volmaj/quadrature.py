@@ -236,14 +236,21 @@ def _row_block(stage, mesh: Mesh, values, js) -> np.ndarray:
         return 0.0 + np.cumsum(weight[None, :, :, None] * padded, axis=2)[:, :, -1]
 
 
-# adaptive_quad's recursion depth, and improper_integral's divergence cap
-# and octave budget
+# adaptive_quad's recursion depth and integrand evaluations per call, and
+# improper_integral's divergence cap and octave budget
 _MAX_DEPTH = 48
+_QUAD_EVALS = 100000
 _IMPROPER_CAP = 1e8
 _OCTAVES = 60
 
 
-def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
+def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth, spent):
+    spent[0] += 2
+    if spent[0] > _QUAD_EVALS:
+        raise NumericError(
+            f"adaptive quadrature on [{a!r}, {b!r}] spent its budget of"
+            f" {_QUAD_EVALS} integrand evaluations"
+        )
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -259,8 +266,8 @@ def _simpson_rec(g, a, b, fa, fm, fb, whole, tol, depth):
     if depth <= 0 or abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     return _simpson_rec(
-        g, a, m, fa, flm, fm, left, tol / 2.0, depth - 1
-    ) + _simpson_rec(g, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
+        g, a, m, fa, flm, fm, left, tol / 2.0, depth - 1, spent
+    ) + _simpson_rec(g, m, b, fm, frm, fb, right, tol / 2.0, depth - 1, spent)
 
 
 def adaptive_quad(
@@ -271,7 +278,9 @@ def adaptive_quad(
 ) -> float:
     """Adaptive Simpson with Richardson correction.  A panel whose
     estimate is not finite raises NumericError: no tolerance can be met
-    there, and the recursion would otherwise run to _MAX_DEPTH.
+    there, and the recursion would otherwise run to _MAX_DEPTH.  So
+    does a call that would pass _QUAD_EVALS integrand evaluations, as
+    one whose tolerance is never met would, towards 2^_MAX_DEPTH.
     """
     if b == a:
         return 0.0
@@ -282,7 +291,7 @@ def adaptive_quad(
     m = 0.5 * (a + b)
     fm = g(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+    return _simpson_rec(g, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH, [3])
 
 
 def _probe_rate(g: Callable[[float], float], w: float) -> float | None:

@@ -398,7 +398,7 @@ class TestForwardInversion:
             assert abs(w - want) <= 1e-11 * max(1.0, want)
 
     def test_rate_calls_linear_in_nodes(self, case, ratio, monkeypatch):
-        # one step of 6 new rate calls covers most gaps of these meshes
+        # one step of 15 rate calls covers several gaps of these meshes
         calls = _count_rate_calls(monkeypatch)
         _, mesh, _ = self._solve(case, ratio)
         assert calls[0] <= 20 * mesh.nodes.size
@@ -452,6 +452,112 @@ def test_rate_calls_do_not_grow_with_the_mesh(case, monkeypatch):
         solve_cauchy(spec, graded_mesh(end, n, 1.0))
         counts.append(calls[0])
     assert counts[0] == counts[1] > 0
+
+
+# the most rate calls of a classification and of a Cauchy route at 400
+# nodes on bounds_scan's four majorants, about 10% above what they take.
+# A classification spends part of its calls off the march, on the
+# frozen-rate tail (about 370 for the global bound), and a march in t
+# towards a pole rejects every other step, each costing 11 calls
+BOUNDS_SCAN_CEILINGS = {
+    "global": (540, 160),
+    "pole": (2200, 600),
+    "time": (780, 800),
+    "value": (590, 800),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_SCAN_CASES))
+def test_bounds_scan_rate_calls_stay_under_their_ceilings(case, monkeypatch):
+    spec, end = _bounds_scan_spec(case)
+    classify_ceiling, cauchy_ceiling = BOUNDS_SCAN_CEILINGS[case]
+    calls = _count_rate_calls(monkeypatch)
+    classify_blowup(spec)
+    assert 0 < calls[0] <= classify_ceiling
+    calls[0] = 0
+    solve_cauchy(spec, graded_mesh(end, 400, 1.0))
+    assert 0 < calls[0] <= cauchy_ceiling
+
+
+@pytest.mark.parametrize(
+    "f, gamma, pole, horizon",
+    [
+        pytest.param("w + t", "z^2", None, math.pi / 2, id="tan"),
+        pytest.param("w + 1.05", "0.93*z^2", None, 1.0 / (0.93 * 1.05), id="1/ab"),
+        pytest.param("w + 0.9", "1.1*z^2", None, 1.0 / (1.1 * 0.9), id="1/ab-2"),
+        pytest.param("w + t", "1.07*z^2", None, math.pi / (2.0 * math.sqrt(1.07)),
+                     id="pi/2sqrt(a)"),
+        pytest.param("w + t", "0.9*z^2", None, math.pi / (2.0 * math.sqrt(0.9)),
+                     id="pi/2sqrt(a)-2"),
+        pytest.param("w", "1/sqrt(1.04 - z)", 1.04, 2.0 / 3.0 * 1.04**1.5, id="c^1.5"),
+        pytest.param("w", "1/sqrt(0.9 - z)", 0.9, 2.0 / 3.0 * 0.9**1.5, id="c^1.5-2"),
+        pytest.param("w", "1/sqrt(1 - z)", 1.0, 2.0 / 3.0, id="sqrt_pole"),
+    ],
+)
+def test_horizon_within_2e_11_of_its_closed_form(f, gamma, pole, horizon):
+    # the march in t and then in L, at _CLASSIFY_RTOL
+    rep = classify_blowup(MajorantSpec(f=f, gamma=gamma, pole=pole))
+    assert abs(rep.horizon - horizon) <= 2e-11 * horizon
+
+
+def _reference_chain(spec, mesh):
+    """majorant_picard as Form.map and the mesh's prefix compute it: the
+    reference its iterates must match bit for bit."""
+    z = np.zeros(mesh.nodes.size)
+    iterates = [z]
+    delta = math.inf
+    converged = False
+    for _ in range(integral_majorant._CHAIN_MAX_ITER):
+        integrals = mesh.weights.prefix(spec.gamma_form.map(z))
+        z_new = spec.f_form.map(mesh.nodes, integrals)
+        if not np.all(np.isfinite(z_new)):
+            raise NumericError(
+                "majorant chain diverged on this mesh; its end time is at or"
+                " beyond the blow-up horizon"
+            )
+        delta = float(np.max(np.abs(z_new - z)))
+        iterates.append(z_new)
+        z = z_new
+        if delta <= integral_majorant._CHAIN_TOL * (1.0 + float(np.max(np.abs(z_new)))):
+            converged = True
+            break
+    return iterates, converged, delta
+
+
+def _chain_specs():
+    from test_conditions import _nan, _overflowing, _pole_majorant, _raising, _wrong_shape
+
+    for name in ("linear_majorant", "power_family", "sine_bvp", "sqrt_pole"):
+        spec = corpus_build(name).majorant
+        horizon = spec.blowup.horizon
+        yield name, spec, 1.0 if horizon == math.inf else 0.95 * horizon
+    for case in sorted(BOUNDS_SCAN_CASES):
+        spec, end = _bounds_scan_spec(case)
+        yield case, spec, end
+    for bad in (_raising, _overflowing, _nan, _wrong_shape):
+        for forms in ({"f": bad, "gamma": bad}, {"gamma": bad}, {"f": bad}):
+            yield f"{bad.__name__}-{'+'.join(forms)}", _pole_majorant(**forms), 0.3
+    # past the horizon pi/2: both chains diverge with the same message
+    yield "diverging", TAN_SPEC, 2.0
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_the_chain_is_the_form_map_loop_bit_for_bit(n):
+    for name, spec, end in _chain_specs():
+        mesh = graded_mesh(end, n, 1.0)
+        try:
+            want = _reference_chain(spec, mesh)
+        except NumericError as exc:
+            with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
+                majorant_picard(spec, mesh)
+            continue
+        got = majorant_picard(spec, mesh)
+        iterates, converged, delta = want
+        assert got.count == len(iterates), name
+        assert got.converged is converged, name
+        assert struct.pack("<d", got.final_delta) == struct.pack("<d", delta), name
+        for a, b in zip(got.iterates, iterates):
+            assert a.tobytes() == b.tobytes(), name
 
 
 @pytest.mark.parametrize("n", [40, 400])
@@ -614,11 +720,12 @@ class TestSolveMajorant:
     def test_negative_certificate_is_refused(self):
         # a rate of -1e-12 at the origin is roundoff to the spec and 0 to
         # the classifier (Global), but the march of the rate itself drifts
-        # to w = -1e-12 (e^t - 1), and the chain with it
+        # to w = -1e-12 (e^t - 1), -235385.3 at t = 40, and the chain
+        # with it
         spec = MajorantSpec(f="w", gamma="z - 1e-12")
         with pytest.raises(NumericError, match="negative at node 40") as info:
             solve_majorant(spec, graded_mesh(40.0, 40))
-        assert str(info.value).endswith(": -233756.04517000332")
+        assert str(info.value).endswith(": -234317.36516390613")
 
     def test_roundoff_below_zero_is_still_a_certificate(self):
         # 0.3 - 0.1 - 0.2 is -2.8e-17, within the roundoff forgiven

@@ -540,6 +540,25 @@ def test_adaptive_quad_refuses_a_non_finite_estimate():
         adaptive_quad(g, 0.0, 1.0, 1e-12)
 
 
+def test_adaptive_quad_stops_at_its_evaluation_budget():
+    # a tolerance never met, here by an integrand of period 3 calls,
+    # once recursed towards 2^_MAX_DEPTH integrand calls
+    class Overrun(Exception):
+        pass
+
+    calls = [0]
+
+    def g(s):
+        calls[0] += 1
+        if calls[0] > 100000:
+            raise Overrun(f"{calls[0]} integrand calls")
+        return float(calls[0] % 3)
+
+    with pytest.raises(NumericError, match="spent its budget of 100000 integrand"):
+        adaptive_quad(g, 0.0, 1.0, 1e-12)
+    assert calls[0] <= quadrature._QUAD_EVALS == 100000
+
+
 class TestPointwise:
     def test_broadcast_shape_and_values(self):
         t = np.linspace(0.0, 1.0, 4)
